@@ -64,12 +64,13 @@ def silu_deriv(x):
     return s * (1.0 + x * (1.0 - s))
 
 
-def _basis_tables(x: np.ndarray, grid: SplineGrid):
+def _basis_tables(x: np.ndarray, grid: SplineGrid, deriv: bool = True):
     """Degree-k basis values and first derivatives at each point of x.
 
-    Returns (basis, deriv), both of shape (len(x), G + k). Uses the
-    Cox-de Boor recurrence column-wise over the whole batch; uniform knots
-    keep every denominator positive so no zero-guard is needed.
+    Returns (basis, deriv), both of shape (len(x), G + k); deriv is None
+    when not asked for. Uses the Cox-de Boor recurrence column-wise over
+    the whole batch; uniform knots keep every denominator positive so no
+    zero-guard is needed.
     """
     t = grid.knots()
     k = grid.order
@@ -87,15 +88,16 @@ def _basis_tables(x: np.ndarray, grid: SplineGrid):
             t[d + 1 : d + 1 + n_fun] - t[1 : 1 + n_fun]
         )
         b = left * b[:, :n_fun] + right * b[:, 1 : 1 + n_fun]
+    if not deriv:
+        return b, None
     n_fun = n_span - k
     h = grid.step
-    deriv = (prev[:, :n_fun] - prev[:, 1 : 1 + n_fun]) / h
-    return b, deriv
+    return b, (prev[:, :n_fun] - prev[:, 1 : 1 + n_fun]) / h
 
 
 def bspline_basis(x: float, grid: SplineGrid) -> np.ndarray:
     """All G+k degree-k B-spline basis values at a scalar x."""
-    return _basis_tables(np.array([x]), grid)[0][0]
+    return _basis_tables(np.array([x]), grid, deriv=False)[0][0]
 
 
 @dataclass
@@ -192,60 +194,85 @@ def kan_init(shape, grid: SplineGrid, seed: int) -> KanNetwork:
     return KanNetwork(shape=shape, grid=grid, layers=layers)
 
 
-def _forward_cached(net: KanNetwork, x: np.ndarray):
-    """Batched forward pass keeping per-layer inputs and basis tables."""
+def first_layer_basis(net: KanNetwork, x) -> np.ndarray:
+    """Basis table of the first layer for a batch x, for kan_forward(basis=)."""
+    a = np.asarray(x, dtype=float)
+    basis, _ = _basis_tables(a.ravel(), net.grid, deriv=False)
+    return basis.reshape(-1, a.shape[-1], net.grid.n_basis)
+
+
+def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
+    """Evaluate the network; accepts one state (1-D) or a batch (2-D).
+
+    A tape list, when given, receives (input, basis, deriv, silu(input))
+    per layer for kan_backward. basis, when given, is
+    first_layer_basis(net, x); the tape then holds no first-layer deriv.
+    """
     a = np.asarray(x, dtype=float)
     squeeze = a.ndim == 1
     if squeeze:
         a = a[None, :]
     if a.shape[1] != net.shape[0]:
         raise ValueError(f"input width {a.shape[1]} != network input {net.shape[0]}")
-    caches = []
-    for layer in net.layers:
+    for li, layer in enumerate(net.layers):
         m, n_in = a.shape
-        basis, dbasis = _basis_tables(a.ravel(), net.grid)
-        basis = basis.reshape(m, n_in, net.grid.n_basis)
-        dbasis = dbasis.reshape(m, n_in, net.grid.n_basis)
+        if li == 0 and basis is not None:
+            b, db = basis, None
+        else:
+            b, db = _basis_tables(a.ravel(), net.grid, deriv=tape is not None)
+            b = b.reshape(m, n_in, net.grid.n_basis)
+            if db is not None:
+                db = db.reshape(m, n_in, net.grid.n_basis)
         silu_a = silu(a)
         eff = layer.w_spline[:, :, None] * layer.coeffs
-        out = silu_a @ layer.w_base.T + np.einsum("mig,jig->mj", basis, eff)
-        caches.append((a, basis, dbasis, silu_a))
+        out = silu_a @ layer.w_base.T + np.einsum("mig,jig->mj", b, eff)
+        if tape is not None:
+            tape.append((a, b, db, silu_a))
         a = out
-    return a, caches, squeeze
+    return a[0] if squeeze else a
 
 
-def kan_forward(net: KanNetwork, x) -> np.ndarray:
-    """Evaluate the network; accepts one state (1-D) or a batch (2-D)."""
-    out, _, squeeze = _forward_cached(net, x)
-    return out[0] if squeeze else out
+# The backward pass calls the forward through this name, so a wrapper
+# installed on kan_forward (benchmarks/tracing.py) sees outside calls only.
+_forward = kan_forward
 
 
-def kan_backward(net: KanNetwork, x, upstream_grad):
+def kan_backward(net: KanNetwork, x, upstream_grad, tape=None):
     """Exact gradients of sum(upstream * output) w.r.t. parameters and input.
 
     Returns (grads, input_grad) with grads a flat vector in get_params
-    order. input_grad matches the shape of x.
+    order. input_grad matches the shape of x. A tape filled by
+    kan_forward(net, x, tape=...) replaces the forward pass; if that call
+    was given a first-layer basis, input_grad is None.
     """
-    out, caches, squeeze = _forward_cached(net, x)
+    if tape is None:
+        tape = []
+        _forward(net, x, tape=tape)
     u = np.asarray(upstream_grad, dtype=float)
+    squeeze = np.ndim(x) == 1
     if squeeze:
         u = u[None, :]
-    if u.shape != out.shape:
-        raise ValueError(f"upstream shape {u.shape} != output shape {out.shape}")
+    out_shape = (tape[0][0].shape[0], net.shape[-1])
+    if u.shape != out_shape:
+        raise ValueError(f"upstream shape {u.shape} != output shape {out_shape}")
     parts = [None] * len(net.layers)
     for li in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[li]
-        a, basis, dbasis, silu_a = caches[li]
+        a, basis, dbasis, silu_a = tape[li]
         t = np.einsum("mj,mig->jig", u, basis)
         d_coeffs = layer.w_spline[:, :, None] * t
         d_w_spline = np.einsum("jig,jig->ji", t, layer.coeffs)
         d_w_base = u.T @ silu_a
-        eff = layer.w_spline[:, :, None] * layer.coeffs
-        spline_part = np.einsum("mj,jig->mig", u, eff)
-        da = (u @ layer.w_base) * silu_deriv(a) + np.sum(spline_part * dbasis, axis=2)
         parts[li] = [d_coeffs.ravel(), d_w_base.ravel(), d_w_spline.ravel()]
-        u = da
+        if dbasis is None:
+            u = None
+        else:
+            eff = layer.w_spline[:, :, None] * layer.coeffs
+            spline_part = np.einsum("mj,jig->mig", u, eff)
+            u = (u @ layer.w_base) * silu_deriv(a) + np.sum(spline_part * dbasis, axis=2)
     flat = np.concatenate([seg for layer_parts in parts for seg in layer_parts])
+    if u is None:
+        return flat, None
     return flat, (u[0] if squeeze else u)
 
 

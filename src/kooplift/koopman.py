@@ -19,6 +19,7 @@ from .dynamics import Trajectory
 from .kan import (
     KanNetwork,
     SplineGrid,
+    first_layer_basis,
     kan_backward,
     kan_forward,
     kan_from_dict,
@@ -63,7 +64,9 @@ class SnapshotSet:
     X and X_next are n x N_d (states and their one-step successors), U is
     p x N_d, X_alpha is n x N_a holding states alpha steps ahead, and
     pred_cols maps each X_alpha column to the X column it continues, so
-    multi-step pairs never straddle trajectory boundaries.
+    multi-step pairs never straddle trajectory boundaries. states holds
+    every trajectory's states side by side; X and X_next are its columns
+    x_cols and xn_cols, so one lift of states covers both.
     """
 
     X: np.ndarray
@@ -72,6 +75,9 @@ class SnapshotSet:
     U: np.ndarray
     alpha: int
     pred_cols: np.ndarray
+    states: np.ndarray
+    x_cols: np.ndarray
+    xn_cols: np.ndarray
 
     @property
     def n_pairs(self) -> int:
@@ -169,9 +175,14 @@ def lift(model: KoopmanModel, x) -> np.ndarray:
     return np.concatenate([x, obs], axis=x.ndim - 1)
 
 
-def _lift_cols(kind: str, network, cols: np.ndarray) -> np.ndarray:
-    """Lift an n x m column matrix to n_total x m."""
-    obs = _FORWARD[kind](network, cols.T)
+def _lift_cols(kind: str, network, cols: np.ndarray, tape=None, basis=None) -> np.ndarray:
+    """Lift an n x m column matrix to n_total x m.
+
+    tape (a list to fill for the backward pass) and basis (the first KAN
+    layer's basis table for cols.T) pass through to the network's forward.
+    """
+    extra = {} if basis is None else {"basis": basis}
+    obs = _FORWARD[kind](network, cols.T, tape=tape, **extra)
     return np.vstack([cols, obs.T])
 
 
@@ -181,7 +192,7 @@ def build_snapshots(trajs: list[Trajectory], alpha: int) -> SnapshotSet:
         raise ValueError("alpha must be >= 1")
     if not trajs:
         raise ValueError("need at least one trajectory")
-    xs, xns, xas, us, cols = [], [], [], [], []
+    sts, xas, us, cols, x_cols = [], [], [], [], []
     offset = 0
     for ti, traj in enumerate(trajs):
         m = traj.states.shape[0]
@@ -189,19 +200,25 @@ def build_snapshots(trajs: list[Trajectory], alpha: int) -> SnapshotSet:
             raise ValueError(
                 f"trajectory {ti} has {m} states; need at least alpha+1 = {alpha + 1}"
             )
-        xs.append(traj.states[:-1].T)
-        xns.append(traj.states[1:].T)
+        sts.append(traj.states.T)
         xas.append(traj.states[alpha:].T)
         us.append(traj.controls.T)
         cols.append(offset + np.arange(m - alpha))
+        # Trajectory ti starts at column offset + ti of states.
+        x_cols.append(offset + ti + np.arange(m - 1))
         offset += m - 1
+    states = np.hstack(sts)
+    x_cols = np.concatenate(x_cols)
     return SnapshotSet(
-        X=np.hstack(xs),
-        X_next=np.hstack(xns),
+        X=states[:, x_cols],
+        X_next=states[:, x_cols + 1],
         X_alpha=np.hstack(xas),
         U=np.hstack(us),
         alpha=alpha,
         pred_cols=np.concatenate(cols),
+        states=states,
+        x_cols=x_cols,
+        xn_cols=x_cols + 1,
     )
 
 
@@ -233,20 +250,56 @@ def _powers(k: np.ndarray, alpha: int) -> list[np.ndarray]:
     return out[: alpha + 1]
 
 
+def _forcing_terms(model: KoopmanModel, snaps: SnapshotSet, powers, cols):
+    """K^(alpha-1-i) B U[:, cols+i] for i < alpha, in summation order.
+
+    These are the control-forcing terms of the alpha-step linear
+    prediction from the X columns cols.
+    """
+    if model.B.shape[1]:
+        for i in range(snaps.alpha):
+            yield powers[snaps.alpha - 1 - i] @ (model.B @ snaps.U[:, cols + i])
+
+
+@dataclass
+class _TrainPlan:
+    """Loss inputs that stay fixed while the network parameters change.
+
+    basis is the first KAN layer's basis table for the snapshot states X
+    (None for an MLP). refit() stores, for one frozen (K, B), the powers of
+    K up to alpha and the forcing terms of the linear prediction loss.
+    """
+
+    basis: np.ndarray | None
+    powers: list | None = None
+    forcing: list | None = None
+
+    def refit(self, model: KoopmanModel, snaps: SnapshotSet) -> None:
+        self.powers = _powers(model.K, snaps.alpha)
+        self.forcing = list(_forcing_terms(model, snaps, self.powers, snaps.pred_cols))
+
+
 def _recon_terms(model: KoopmanModel, snaps: SnapshotSet, phi_x: np.ndarray):
-    pred = model.P @ (model.K @ phi_x + model.B @ snaps.U)
+    pred = (model.K @ phi_x + model.B @ snaps.U)[: model.n]
     err = pred - snaps.X_next
     return err, float(np.sum(err * err)) / snaps.n_pairs
 
 
-def _pred_terms_linear(model: KoopmanModel, snaps: SnapshotSet, phi_x: np.ndarray):
-    """Pure lifted-space alpha-step propagation; no per-step correction."""
-    powers = _powers(model.K, snaps.alpha)
+def _pred_terms_linear(model: KoopmanModel, snaps: SnapshotSet, phi_x: np.ndarray,
+                       plan: _TrainPlan | None = None):
+    """Pure lifted-space alpha-step propagation; no per-step correction.
+
+    A plan refit to model's (K, B) supplies the powers and forcing terms.
+    """
+    if plan is None:
+        powers = _powers(model.K, snaps.alpha)
+        forcing = _forcing_terms(model, snaps, powers, snaps.pred_cols)
+    else:
+        powers, forcing = plan.powers, plan.forcing
     z = powers[snaps.alpha] @ phi_x[:, snaps.pred_cols]
-    if model.B.shape[1]:
-        for i in range(snaps.alpha):
-            z += powers[snaps.alpha - 1 - i] @ (model.B @ snaps.U[:, snaps.pred_cols + i])
-    err = model.P @ z - snaps.X_alpha
+    for term in forcing:
+        z += term
+    err = z[: model.n] - snaps.X_alpha
     return err, float(np.sum(err * err)) / snaps.n_pred_pairs, powers
 
 
@@ -322,25 +375,31 @@ def _corrected_pred_grad(model, snaps, err_p, inter, cfg):
     grads = np.zeros(net.n_params)
     for i in range(snaps.alpha - 1, -1, -1):
         # x_{i+1} = P (K lift(x_i) + B u_i), so dz_i = (P K)^T dx_{i+1}.
-        dz = (model.P @ model.K).T @ dx
+        dz = model.K[:n].T @ dx
         g_i, dx_in = _BACKWARD[kind](net, inter[i].T, dz[n:, :].T)
         grads += g_i
         dx = dz[:n, :] + dx_in.T
     return grads
 
 
-def _full_loss_and_grad(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig):
+def _full_loss_and_grad(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig,
+                        plan: _TrainPlan | None = None):
     """Total loss and its exact gradient w.r.t. network parameters.
 
     K and B are constants here: the operator refit happens once per epoch
     outside this function and its sensitivity is deliberately not
-    propagated.
+    propagated. With a plan refit to model's (K, B), the lift reuses the
+    plan's first-layer basis and the backward pass reuses its tape.
     """
     kind, net = model.kind, model.network
     n = model.n
-    phi_x = _lift_cols(kind, net, snaps.X)
+    if plan is None:
+        tape, basis = None, None
+    else:
+        tape, basis = [], plan.basis
+    phi_x = _lift_cols(kind, net, snaps.X, tape, basis)
     err_r, recon = _recon_terms(model, snaps, phi_x)
-    d_phi = (2.0 * cfg.beta / snaps.n_pairs) * ((model.P @ model.K).T @ err_r)
+    d_phi = (2.0 * cfg.beta / snaps.n_pairs) * (model.K[:n].T @ err_r)
 
     extra_grads = None
     if cfg.corrected_pred_loss:
@@ -348,14 +407,14 @@ def _full_loss_and_grad(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfi
         if cfg.gamma:
             extra_grads = _corrected_pred_grad(model, snaps, err_p, inter, cfg)
     else:
-        err_p, pred, powers = _pred_terms_linear(model, snaps, phi_x)
+        err_p, pred, powers = _pred_terms_linear(model, snaps, phi_x, plan)
         if cfg.gamma:
             d_pred = (2.0 * cfg.gamma / snaps.n_pred_pairs) * (
-                (model.P @ powers[snaps.alpha]).T @ err_p
+                powers[snaps.alpha][:n].T @ err_p
             )
             d_phi[:, snaps.pred_cols] += d_pred
 
-    grads, _ = _BACKWARD[kind](net, snaps.X.T, d_phi[n:, :].T)
+    grads, _ = _BACKWARD[kind](net, snaps.X.T, d_phi[n:, :].T, tape=tape)
     if extra_grads is not None:
         grads = grads + extra_grads
     params = net.get_params()
@@ -404,20 +463,28 @@ def train(backend: str, trajs: list[Trajectory], cfg: TrainConfig, network=None)
     best_params = network.get_params()
     best_kb = None
     history: list[LossRecord] = []
+    # Only the L-BFGS closure sees every column on each evaluation; Adam
+    # samples its own columns each step.
+    plan = None
+    if cfg.optimizer == "lbfgs":
+        basis = first_layer_basis(network, snaps.X.T) if backend == "kan" else None
+        plan = _TrainPlan(basis=basis)
 
     for epoch in range(cfg.epochs + 1):
-        phi_x = _lift_cols(backend, network, snaps.X)
-        phi_xn = _lift_cols(backend, network, snaps.X_next)
-        if not (np.all(np.isfinite(phi_x)) and np.all(np.isfinite(phi_xn))):
+        phi_s = _lift_cols(backend, network, snaps.states)
+        if not np.all(np.isfinite(phi_s)):
             raise TrainingDivergedError(epoch, "non-finite lifted data")
-        k_op, b_op = fit_edmdc(phi_x, phi_xn, snaps.U)
+        phi_x = phi_s[:, snaps.x_cols]
+        k_op, b_op = fit_edmdc(phi_x, phi_s[:, snaps.xn_cols], snaps.U)
         model = KoopmanModel(kind=backend, network=network, K=k_op, B=b_op,
                              n=n, n_total=n_total)
+        if plan is not None:
+            plan.refit(model, snaps)
         _, recon = _recon_terms(model, snaps, phi_x)
         if cfg.corrected_pred_loss:
             _, pred, _ = _pred_corrected_terms(model, snaps)
         else:
-            _, pred, _ = _pred_terms_linear(model, snaps, phi_x)
+            _, pred, _ = _pred_terms_linear(model, snaps, phi_x, plan)
         total = cfg.gamma * pred + cfg.beta * recon + _penalty(
             network.get_params(), cfg
         )
@@ -430,8 +497,8 @@ def train(backend: str, trajs: list[Trajectory], cfg: TrainConfig, network=None)
             best_kb = (k_op, b_op)
         if epoch == cfg.epochs:
             break
-        if cfg.optimizer == "lbfgs":
-            _lbfgs_phase(model, snaps, cfg)
+        if plan is not None:
+            _lbfgs_phase(model, snaps, cfg, plan)
         else:
             _adam_phase(model, snaps, cfg, rng, adam)
         if not np.all(np.isfinite(network.get_params())):
@@ -443,12 +510,13 @@ def train(backend: str, trajs: list[Trajectory], cfg: TrainConfig, network=None)
     return model, history
 
 
-def _lbfgs_phase(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig):
+def _lbfgs_phase(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig,
+                 plan: _TrainPlan):
     net = model.network
 
     def closure(theta):
         net.set_params(theta)
-        _, _, total, grads = _full_loss_and_grad(model, snaps, cfg)
+        _, _, total, grads = _full_loss_and_grad(model, snaps, cfg, plan)
         return total, grads
 
     result = Lbfgs(lr=cfg.learning_rate, history=cfg.lbfgs_history).minimize(
@@ -469,26 +537,29 @@ def _adam_phase(model, snaps: SnapshotSet, cfg: TrainConfig, rng, opt: AdamW):
     n_d = snaps.n_pairs
     batch = min(cfg.batch_size or n_d, n_d)
     powers = _powers(model.K, snaps.alpha)
-    pk_t = (model.P @ model.K).T
-    pka_t = (model.P @ powers[snaps.alpha]).T
+    pk_t = model.K[:n].T
+    pka_t = powers[snaps.alpha][:n].T
     for _ in range(-(-n_d // batch)):
         cols = rng.choice(n_d, size=batch, replace=False)
-        phi = _lift_cols(kind, net, snaps.X[:, cols])
-        err = model.P @ (model.K @ phi + model.B @ snaps.U[:, cols]) - snaps.X_next[:, cols]
+        x = snaps.X[:, cols]
+        tape = []
+        phi = _lift_cols(kind, net, x, tape)
+        err = (model.K @ phi + model.B @ snaps.U[:, cols])[:n] - snaps.X_next[:, cols]
         d_phi = (2.0 * cfg.beta / batch) * (pk_t @ err)
-        grads, _ = _BACKWARD[kind](net, snaps.X[:, cols].T, d_phi[n:, :].T)
+        grads, _ = _BACKWARD[kind](net, x.T, d_phi[n:, :].T, tape=tape)
         if cfg.gamma:
             n_a = snaps.n_pred_pairs
             pcols = rng.choice(n_a, size=min(batch, n_a), replace=False)
             src = snaps.pred_cols[pcols]
-            phi_p = _lift_cols(kind, net, snaps.X[:, src])
+            x_p = snaps.X[:, src]
+            tape_p = []
+            phi_p = _lift_cols(kind, net, x_p, tape_p)
             z = powers[snaps.alpha] @ phi_p
-            if model.B.shape[1]:
-                for i in range(snaps.alpha):
-                    z += powers[snaps.alpha - 1 - i] @ (model.B @ snaps.U[:, src + i])
-            err_p = model.P @ z - snaps.X_alpha[:, pcols]
+            for term in _forcing_terms(model, snaps, powers, src):
+                z += term
+            err_p = z[:n] - snaps.X_alpha[:, pcols]
             d_phi_p = (2.0 * cfg.gamma / pcols.size) * (pka_t @ err_p)
-            g_p, _ = _BACKWARD[kind](net, snaps.X[:, src].T, d_phi_p[n:, :].T)
+            g_p, _ = _BACKWARD[kind](net, x_p.T, d_phi_p[n:, :].T, tape=tape_p)
             grads += g_p
         params = net.get_params()
         if cfg.lambda_l1:

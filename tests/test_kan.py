@@ -10,6 +10,7 @@ from kooplift.kan import (
     SplineGrid,
     bspline_basis,
     edge_eval,
+    first_layer_basis,
     kan_backward,
     kan_forward,
     kan_from_dict,
@@ -229,6 +230,30 @@ def test_backward_batch_accumulates():
     g1, d1 = kan_backward(net, xs[1], us[1])
     assert np.allclose(grads_batch, g0 + g1, atol=1e-12)
     assert np.allclose(dx_batch, np.vstack([d0, d1]), atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [None, 6])
+@pytest.mark.parametrize("shape", [[2, 1], [2, 3, 2], [4, 1, 1, 1, 1]])
+def test_taped_forward_and_backward_equal_untaped(shape, batch):
+    net = kan_init(shape, GRID, seed=len(shape))
+    rng = np.random.default_rng(5)
+    lead = () if batch is None else (batch,)
+    x = rng.uniform(-3.5, 3.5, size=lead + (shape[0],))
+    upstream = rng.standard_normal(lead + (shape[-1],))
+    tape = []
+    out = kan_forward(net, x, tape=tape)
+    assert np.array_equal(out, kan_forward(net, x))
+    grads, dx = kan_backward(net, x, upstream)
+    grads_t, dx_t = kan_backward(net, x, upstream, tape=tape)
+    assert np.array_equal(grads_t, grads)
+    assert np.array_equal(dx_t, dx)
+    # A tape built on a given first-layer basis skips the input gradient.
+    tape_b = []
+    out_b = kan_forward(net, x, tape=tape_b, basis=first_layer_basis(net, x))
+    assert np.array_equal(out_b, out)
+    grads_b, dx_b = kan_backward(net, x, upstream, tape=tape_b)
+    assert np.array_equal(grads_b, grads)
+    assert dx_b is None
 
 
 def test_init_deterministic():

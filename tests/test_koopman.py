@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from kooplift.dynamics import Trajectory, generate_pendulum_dataset
-from kooplift.kan import SplineGrid, kan_init
+from kooplift.kan import SplineGrid, first_layer_basis, kan_init
 from kooplift.koopman import (
     KoopmanModel,
     RolloutDivergedError,
     TrainConfig,
     TrainingDivergedError,
+    _TrainPlan,
     _full_loss_and_grad,
     build_snapshots,
     fit_edmdc,
@@ -96,6 +97,9 @@ def test_build_snapshots_counts():
     assert snaps.X_next.shape == (2, 4)
     assert snaps.X_alpha.shape == (2, 4)
     assert snaps.U.shape == (1, 4)
+    assert np.array_equal(snaps.states, traj.states.T)
+    assert np.array_equal(snaps.states[:, snaps.x_cols], snaps.X)
+    assert np.array_equal(snaps.states[:, snaps.xn_cols], snaps.X_next)
 
 
 def test_build_snapshots_no_boundary_mixing():
@@ -109,6 +113,10 @@ def test_build_snapshots_no_boundary_mixing():
     assert snaps.n_pred_pairs == 4
     for j, col in enumerate(snaps.pred_cols):
         assert snaps.X[0, col] == snaps.X_alpha[0, j]
+    # X and X_next are columns of the side-by-side state matrix.
+    assert snaps.states.shape == (1, 8)
+    assert list(snaps.x_cols) == [0, 1, 2, 4, 5, 6]
+    assert np.array_equal(snaps.states[:, snaps.xn_cols], snaps.X_next)
 
 
 def test_build_snapshots_alpha_too_large():
@@ -284,6 +292,41 @@ def test_training_gradient_matches_fd(corrected):
     _, _, _, grads = _full_loss_and_grad(model, snaps, cfg)
     fd = _fd_param_grad(model, snaps, cfg)
     assert np.max(np.abs(fd - grads) / (1.0 + np.abs(fd))) <= 1e-5
+
+
+def _plan_case(case):
+    """A model, its snapshots and a plan refit to its (K, B)."""
+    rng = np.random.default_rng(23)
+    if case == "kan_deep_no_input":
+        trajs = [Trajectory(dt=0.1, states=rng.uniform(-3.5, 3.5, size=(12, 4)),
+                            controls=np.zeros((11, 0))) for _ in range(2)]
+        net = kan_init([4, 1, 1, 1, 1], GRID, seed=4)
+        n, p = 4, 0
+    else:
+        trajs = generate_pendulum_dataset(2, seed=5)
+        net = kan_init([2, 1], GRID, seed=3) if case == "kan_control" else mlp_init([2, 5, 3], 6)
+        n, p = 2, 1
+    snaps = build_snapshots(trajs, alpha=3)
+    n_total = n + net.shape[-1]
+    model = KoopmanModel(kind="mlp" if case == "mlp" else "kan", network=net,
+                         K=np.eye(n_total) + 0.05 * rng.standard_normal((n_total, n_total)),
+                         B=0.1 * rng.standard_normal((n_total, p)), n=n, n_total=n_total)
+    basis = first_layer_basis(net, snaps.X.T) if model.kind == "kan" else None
+    plan = _TrainPlan(basis=basis)
+    plan.refit(model, snaps)
+    return model, snaps, plan
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("case", ["kan_control", "kan_deep_no_input", "mlp"])
+def test_planned_loss_and_grad_equal_untaped(case, corrected):
+    model, snaps, plan = _plan_case(case)
+    cfg = TrainConfig(alpha=3, gamma=0.8, beta=1.5, lambda_l2=0.01,
+                      corrected_pred_loss=corrected)
+    plain = _full_loss_and_grad(model, snaps, cfg)
+    planned = _full_loss_and_grad(model, snaps, cfg, plan)
+    for a, b in zip(plain, planned):
+        assert np.array_equal(a, b)
 
 
 def test_loss_decreases_under_gradient_steps():

@@ -155,6 +155,23 @@ def test_backward_batch_accumulates():
     assert np.allclose(dx_batch, np.vstack([d0, d1]), atol=1e-12)
 
 
+@pytest.mark.parametrize("batch", [None, 6])
+@pytest.mark.parametrize("shape", [[2, 2], [2, 5, 3], [4, 6, 6, 6, 2]])
+def test_taped_forward_and_backward_equal_untaped(shape, batch):
+    net = mlp_init(shape, seed=len(shape))
+    rng = np.random.default_rng(5)
+    lead = () if batch is None else (batch,)
+    x = rng.standard_normal(lead + (shape[0],))
+    upstream = rng.standard_normal(lead + (shape[-1],))
+    tape = []
+    out = mlp_forward(net, x, tape=tape)
+    assert np.array_equal(out, mlp_forward(net, x))
+    grads, dx = mlp_backward(net, x, upstream)
+    grads_t, dx_t = mlp_backward(net, x, upstream, tape=tape)
+    assert np.array_equal(grads_t, grads)
+    assert np.array_equal(dx_t, dx)
+
+
 def test_json_roundtrip_exact():
     net = mlp_init([2, 5, 3], seed=31)
     doc = json.loads(json.dumps(mlp_to_dict(net)))

@@ -101,24 +101,6 @@ def bspline_basis(x: float, grid: SplineGrid) -> np.ndarray:
 
 
 @dataclass
-class KanEdge:
-    """One edge's activation parameters."""
-
-    spline_coeffs: np.ndarray
-    base_weight: float
-    spline_weight: float
-
-
-def edge_eval(x: float, edge: KanEdge, grid: SplineGrid) -> float:
-    """w_b * silu(x) + w_s * sum_i c_i B_i(x) for a single edge."""
-    coeffs = np.asarray(edge.spline_coeffs, dtype=float)
-    if coeffs.shape != (grid.n_basis,):
-        raise ValueError("coefficient count must equal grid.n_basis")
-    basis = bspline_basis(x, grid)
-    return float(edge.base_weight * silu(x) + edge.spline_weight * (coeffs @ basis))
-
-
-@dataclass
 class KanLayer:
     """Dense stack of edges mapping n_in inputs to n_out summation nodes.
 
@@ -137,13 +119,6 @@ class KanLayer:
     @property
     def n_in(self) -> int:
         return self.coeffs.shape[1]
-
-    def edge(self, out_index: int, in_index: int) -> KanEdge:
-        return KanEdge(
-            spline_coeffs=self.coeffs[out_index, in_index],
-            base_weight=float(self.w_base[out_index, in_index]),
-            spline_weight=float(self.w_spline[out_index, in_index]),
-        )
 
 
 @dataclass

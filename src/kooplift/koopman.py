@@ -102,18 +102,12 @@ class KoopmanModel:
     def __post_init__(self):
         if self.kind not in _FORWARD:
             raise ValueError(f"unknown backend kind {self.kind!r}")
-        self.P = projection(self.n, self.n_total)
+        # The exact state-extraction matrix [I_n, 0].
+        self.P = np.eye(self.n, self.n_total)
 
     @property
     def n_params(self) -> int:
         return self.network.n_params
-
-
-def projection(n: int, n_total: int) -> np.ndarray:
-    """The exact state-extraction matrix [I_n, 0]."""
-    p = np.zeros((n, n_total))
-    p[:, :n] = np.eye(n)
-    return p
 
 
 @dataclass
@@ -279,150 +273,116 @@ class _TrainPlan:
         self.forcing = list(_forcing_terms(model, snaps, self.powers, snaps.pred_cols))
 
 
-def _recon_terms(model: KoopmanModel, snaps: SnapshotSet, phi_x: np.ndarray):
-    pred = (model.K @ phi_x + model.B @ snaps.U)[: model.n]
-    err = pred - snaps.X_next
-    return err, float(np.sum(err * err)) / snaps.n_pairs
+def _pred_corrected_terms(model: KoopmanModel, snaps: SnapshotSet, src: np.ndarray):
+    """Alpha-step propagation from the X columns src, re-lifting every step.
 
-
-def _pred_terms_linear(model: KoopmanModel, snaps: SnapshotSet, phi_x: np.ndarray,
-                       plan: _TrainPlan | None = None):
-    """Pure lifted-space alpha-step propagation; no per-step correction.
-
-    A plan refit to model's (K, B) supplies the powers and forcing terms.
+    Returns the predicted states and the per-step inputs the gradient replays.
     """
-    if plan is None:
-        powers = _powers(model.K, snaps.alpha)
-        forcing = _forcing_terms(model, snaps, powers, snaps.pred_cols)
-    else:
-        powers, forcing = plan.powers, plan.forcing
-    z = powers[snaps.alpha] @ phi_x[:, snaps.pred_cols]
-    for term in forcing:
-        z += term
-    err = z[: model.n] - snaps.X_alpha
-    return err, float(np.sum(err * err)) / snaps.n_pred_pairs, powers
-
-
-def _pred_corrected_terms(model: KoopmanModel, snaps: SnapshotSet):
-    """Alpha-step propagation re-lifting the extracted state every step.
-
-    Also returns the per-step input states so the gradient pass can replay
-    the chain.
-    """
-    x = snaps.X[:, snaps.pred_cols]
+    x = snaps.X[:, src]
     inter = []
     for i in range(snaps.alpha):
         inter.append(x)
         z = model.K @ _lift_cols(model.kind, model.network, x)
         if model.B.shape[1]:
-            z += model.B @ snaps.U[:, snaps.pred_cols + i]
+            z += model.B @ snaps.U[:, src + i]
         x = z[: model.n]
-    err = x - snaps.X_alpha
-    return err, float(np.sum(err * err)) / snaps.n_pred_pairs, inter
+    return x, inter
 
 
-def recon_loss(model: KoopmanModel, snaps: SnapshotSet) -> float:
-    """Mean squared one-step state reconstruction error."""
-    phi_x = _lift_cols(model.kind, model.network, snaps.X)
-    return _recon_terms(model, snaps, phi_x)[1]
+def _corrected_pred_grad(model: KoopmanModel, inter: list, dx: np.ndarray) -> np.ndarray:
+    """Backprop dx, the gradient w.r.t. the predicted states, through the
+    re-lift chain of the corrected prediction loss.
 
-
-def pred_loss(model: KoopmanModel, snaps: SnapshotSet, corrected: bool = False) -> float:
-    """Mean squared alpha-step state prediction error."""
-    if corrected:
-        return _pred_corrected_terms(model, snaps)[1]
-    phi_x = _lift_cols(model.kind, model.network, snaps.X)
-    return _pred_terms_linear(model, snaps, phi_x)[1]
-
-
-def _penalty(params: np.ndarray, cfg: TrainConfig) -> float:
-    out = 0.0
-    if cfg.lambda_l1:
-        out += cfg.lambda_l1 * float(np.sum(np.abs(params)))
-    if cfg.lambda_l2:
-        out += cfg.lambda_l2 * float(params @ params)
-    return out
-
-
-def loss_components(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig):
-    """(recon, pred, total) with total = gamma*pred + beta*recon + penalties."""
-    phi_x = _lift_cols(model.kind, model.network, snaps.X)
-    _, recon = _recon_terms(model, snaps, phi_x)
-    if cfg.corrected_pred_loss:
-        _, pred, _ = _pred_corrected_terms(model, snaps)
-    else:
-        _, pred, _ = _pred_terms_linear(model, snaps, phi_x)
-    total = cfg.gamma * pred + cfg.beta * recon + _penalty(
-        model.network.get_params(), cfg
-    )
-    return recon, pred, total
-
-
-def total_loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig) -> float:
-    return loss_components(model, snaps, cfg)[2]
-
-
-def _corrected_pred_grad(model, snaps, err_p, inter, cfg):
-    """Backprop through the re-lift chain of the corrected prediction loss.
-
-    Parameters enter through every per-step lift, so each step contributes
-    its own network gradient; the chain starts from raw data states, which
-    carry no parameter dependence.
+    Each per-step lift contributes its own network gradient; the chain
+    starts from raw data states, which carry no parameter dependence.
     """
-    kind, net = model.kind, model.network
-    n = model.n
-    dx = (2.0 * cfg.gamma / snaps.n_pred_pairs) * err_p
+    kind, net, n = model.kind, model.network, model.n
     grads = np.zeros(net.n_params)
-    for i in range(snaps.alpha - 1, -1, -1):
+    for x in reversed(inter):
         # x_{i+1} = P (K lift(x_i) + B u_i), so dz_i = (P K)^T dx_{i+1}.
         dz = model.K[:n].T @ dx
-        g_i, dx_in = _BACKWARD[kind](net, inter[i].T, dz[n:, :].T)
+        g_i, dx_in = _BACKWARD[kind](net, x.T, dz[n:, :].T)
         grads += g_i
         dx = dz[:n, :] + dx_in.T
     return grads
 
 
-def _full_loss_and_grad(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig,
-                        plan: _TrainPlan | None = None):
-    """Total loss and its exact gradient w.r.t. network parameters.
+def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, pcols=None,
+         plan: _TrainPlan | None = None, grad: bool = False, phi_x=None):
+    """(recon, pred, total) with total = gamma*pred + beta*recon + penalties.
 
-    K and B are constants here: the operator refit happens once per epoch
-    outside this function and its sensitivity is deliberately not
-    propagated. With a plan refit to model's (K, B), the lift reuses the
-    plan's first-layer basis and the backward pass reuses its tape.
+    recon and pred are the mean squared one-step and alpha-step state
+    errors; pred re-lifts every step with cfg.corrected_pred_loss. grad
+    appends the exact gradient w.r.t. the network parameters with (K, B)
+    frozen, and skips pred (reading 0) when gamma is 0. cols and pcols are
+    the X columns and prediction pairs to average over, None meaning all.
+    Only the full-batch linear prediction shares the recon lift of X.
+    phi_x, the lift of all X columns, replaces that lift; a plan refit to
+    model's (K, B) serves the full batch.
     """
-    kind, net = model.kind, model.network
-    n = model.n
-    if plan is None:
-        tape, basis = None, None
-    else:
-        tape, basis = [], plan.basis
-    phi_x = _lift_cols(kind, net, snaps.X, tape, basis)
-    err_r, recon = _recon_terms(model, snaps, phi_x)
-    d_phi = (2.0 * cfg.beta / snaps.n_pairs) * (model.K[:n].T @ err_r)
-
-    extra_grads = None
-    if cfg.corrected_pred_loss:
-        err_p, pred, inter = _pred_corrected_terms(model, snaps)
-        if cfg.gamma:
-            extra_grads = _corrected_pred_grad(model, snaps, err_p, inter, cfg)
-    else:
-        err_p, pred, powers = _pred_terms_linear(model, snaps, phi_x, plan)
-        if cfg.gamma:
-            d_pred = (2.0 * cfg.gamma / snaps.n_pred_pairs) * (
-                powers[snaps.alpha][:n].T @ err_p
-            )
-            d_phi[:, snaps.pred_cols] += d_pred
-
-    grads, _ = _BACKWARD[kind](net, snaps.X.T, d_phi[n:, :].T, tape=tape)
-    if extra_grads is not None:
-        grads = grads + extra_grads
+    kind, net, n = model.kind, model.network, model.n
+    x, x_next, u = snaps.X, snaps.X_next, snaps.U
+    if cols is not None:
+        x, x_next, u = x[:, cols], x_next[:, cols], u[:, cols]
+    tape = [] if grad and phi_x is None else None
+    if phi_x is None:
+        phi_x = _lift_cols(kind, net, x, tape, None if plan is None else plan.basis)
+    err = (model.K @ phi_x + model.B @ u)[:n] - x_next
+    recon = float(np.sum(err * err)) / err.shape[1]
+    if grad:
+        d_phi = (2.0 * cfg.beta / err.shape[1]) * (model.K[:n].T @ err)
+    pred, pred_grads = 0.0, None
+    if cfg.gamma or not grad:
+        src, x_alpha = snaps.pred_cols, snaps.X_alpha
+        if pcols is not None:
+            src, x_alpha = src[pcols], x_alpha[:, pcols]
+        shared = cols is None and pcols is None
+        if cfg.corrected_pred_loss:
+            x_hat, inter = _pred_corrected_terms(model, snaps, src)
+        else:
+            if plan is None or pcols is not None:
+                powers = _powers(model.K, snaps.alpha)
+                forcing = _forcing_terms(model, snaps, powers, src)
+            else:
+                powers, forcing = plan.powers, plan.forcing
+            if shared:
+                phi_p = phi_x[:, src]
+            else:
+                x_p = snaps.X[:, src]
+                tape_p = [] if grad else None
+                phi_p = _lift_cols(kind, net, x_p, tape_p)
+            z = powers[snaps.alpha] @ phi_p
+            for term in forcing:
+                z += term
+            x_hat = z[:n]
+        err_p = x_hat - x_alpha
+        pred = float(np.sum(err_p * err_p)) / err_p.shape[1]
+        if grad:
+            scale = 2.0 * cfg.gamma / err_p.shape[1]
+            if cfg.corrected_pred_loss:
+                pred_grads = _corrected_pred_grad(model, inter, scale * err_p)
+            else:
+                d_pred = scale * (powers[snaps.alpha][:n].T @ err_p)
+                if shared:
+                    d_phi[:, src] += d_pred
+                else:
+                    pred_grads, _ = _BACKWARD[kind](net, x_p.T, d_pred[n:, :].T, tape=tape_p)
     params = net.get_params()
+    penalty = 0.0
+    if cfg.lambda_l1:
+        penalty += cfg.lambda_l1 * float(np.sum(np.abs(params)))
+    if cfg.lambda_l2:
+        penalty += cfg.lambda_l2 * float(params @ params)
+    total = cfg.gamma * pred + cfg.beta * recon + penalty
+    if not grad:
+        return recon, pred, total
+    grads, _ = _BACKWARD[kind](net, x.T, d_phi[n:, :].T, tape=tape)
+    if pred_grads is not None:
+        grads += pred_grads
     if cfg.lambda_l1:
         grads += cfg.lambda_l1 * np.sign(params)
     if cfg.lambda_l2:
         grads += 2.0 * cfg.lambda_l2 * params
-    total = cfg.gamma * pred + cfg.beta * recon + _penalty(params, cfg)
     return recon, pred, total, grads
 
 
@@ -480,14 +440,7 @@ def train(backend: str, trajs: list[Trajectory], cfg: TrainConfig, network=None)
                              n=n, n_total=n_total)
         if plan is not None:
             plan.refit(model, snaps)
-        _, recon = _recon_terms(model, snaps, phi_x)
-        if cfg.corrected_pred_loss:
-            _, pred, _ = _pred_corrected_terms(model, snaps)
-        else:
-            _, pred, _ = _pred_terms_linear(model, snaps, phi_x, plan)
-        total = cfg.gamma * pred + cfg.beta * recon + _penalty(
-            network.get_params(), cfg
-        )
+        recon, pred, total = loss(model, snaps, cfg, plan=plan, phi_x=phi_x)
         if not np.isfinite(total):
             raise TrainingDivergedError(epoch, f"recon={recon!r} pred={pred!r}")
         history.append(LossRecord(epoch=epoch, recon=recon, pred=pred, total=total))
@@ -516,8 +469,7 @@ def _lbfgs_phase(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig,
 
     def closure(theta):
         net.set_params(theta)
-        _, _, total, grads = _full_loss_and_grad(model, snaps, cfg, plan)
-        return total, grads
+        return loss(model, snaps, cfg, plan=plan, grad=True)[2:]
 
     result = Lbfgs(lr=cfg.learning_rate, history=cfg.lbfgs_history).minimize(
         closure, net.get_params(), max_iter=cfg.lbfgs_max_iter
@@ -532,41 +484,13 @@ def _adam_phase(model, snaps: SnapshotSet, cfg: TrainConfig, rng, opt: AdamW):
     both loss terms see comparable batch noise.
     """
     net = model.network
-    kind = model.kind
-    n = model.n
-    n_d = snaps.n_pairs
+    n_d, n_a = snaps.n_pairs, snaps.n_pred_pairs
     batch = min(cfg.batch_size or n_d, n_d)
-    powers = _powers(model.K, snaps.alpha)
-    pk_t = model.K[:n].T
-    pka_t = powers[snaps.alpha][:n].T
     for _ in range(-(-n_d // batch)):
         cols = rng.choice(n_d, size=batch, replace=False)
-        x = snaps.X[:, cols]
-        tape = []
-        phi = _lift_cols(kind, net, x, tape)
-        err = (model.K @ phi + model.B @ snaps.U[:, cols])[:n] - snaps.X_next[:, cols]
-        d_phi = (2.0 * cfg.beta / batch) * (pk_t @ err)
-        grads, _ = _BACKWARD[kind](net, x.T, d_phi[n:, :].T, tape=tape)
-        if cfg.gamma:
-            n_a = snaps.n_pred_pairs
-            pcols = rng.choice(n_a, size=min(batch, n_a), replace=False)
-            src = snaps.pred_cols[pcols]
-            x_p = snaps.X[:, src]
-            tape_p = []
-            phi_p = _lift_cols(kind, net, x_p, tape_p)
-            z = powers[snaps.alpha] @ phi_p
-            for term in _forcing_terms(model, snaps, powers, src):
-                z += term
-            err_p = z[:n] - snaps.X_alpha[:, pcols]
-            d_phi_p = (2.0 * cfg.gamma / pcols.size) * (pka_t @ err_p)
-            g_p, _ = _BACKWARD[kind](net, x_p.T, d_phi_p[n:, :].T, tape=tape_p)
-            grads += g_p
-        params = net.get_params()
-        if cfg.lambda_l1:
-            grads += cfg.lambda_l1 * np.sign(params)
-        if cfg.lambda_l2:
-            grads += 2.0 * cfg.lambda_l2 * params
-        net.set_params(opt.step(params, grads))
+        pcols = rng.choice(n_a, size=min(batch, n_a), replace=False) if cfg.gamma else None
+        grads = loss(model, snaps, cfg, cols, pcols, grad=True)[3]
+        net.set_params(opt.step(net.get_params(), grads))
 
 
 def rollout(model: KoopmanModel, x0, controls, dt: float, correct: bool = True) -> Trajectory:
@@ -625,24 +549,29 @@ def save_model(model: KoopmanModel, path, cfg: TrainConfig | None = None,
 
 
 def load_model(path):
-    """Returns (model, config-or-None, metadata dict)."""
+    """Returns (model, config-or-None, metadata dict).
+
+    Raises ValueError naming path when a key is missing, the backend kind
+    is unknown, or K or B disagrees with n_total.
+    """
     with open(path) as fh:
         doc = json.load(fh)
+    missing = [key for key in ("kind", "network", "K", "B", "n", "n_total")
+               if not isinstance(doc, dict) or key not in doc]
+    if missing:
+        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
     kind = doc["kind"]
     if kind not in _FROM_DICT:
-        raise ValueError(f"unknown backend kind {kind!r}")
-    network = _FROM_DICT[kind](doc["network"])
+        raise ValueError(f"{path}: unknown backend kind {kind!r}")
+    n_total = int(doc["n_total"])
+    k = np.asarray(doc["K"], dtype=float)
     b = np.asarray(doc["B"], dtype=float)
     if b.size == 0:
-        b = b.reshape(int(doc["n_total"]), 0)
-    model = KoopmanModel(
-        kind=kind,
-        network=network,
-        K=np.asarray(doc["K"], dtype=float),
-        B=b,
-        n=int(doc["n"]),
-        n_total=int(doc["n_total"]),
-    )
+        b = b.reshape(n_total, 0)
+    if k.shape != (n_total, n_total) or b.ndim != 2 or b.shape[0] != n_total:
+        raise ValueError(f"{path}: K {k.shape} and B {b.shape} do not fit n_total={n_total}")
+    model = KoopmanModel(kind=kind, network=_FROM_DICT[kind](doc["network"]), K=k, B=b,
+                         n=int(doc["n"]), n_total=n_total)
     cfg = TrainConfig.from_dict(doc["config"]) if doc.get("config") else None
     return model, cfg, doc.get("metadata", {})
 

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: pseudoinverse, least squares, discrete Riccati.
+"""Dense linear-algebra kernels: pseudoinverse and discrete Riccati.
 
 Everything here operates on plain 2-D float64 numpy arrays and is a pure
 function of its inputs.
@@ -37,17 +37,6 @@ def pinv(m, tol: float = 1e-12) -> np.ndarray:
     cutoff = tol * (s[0] if s.size else 0.0)
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vt.T * inv_s) @ u.T
-
-
-def lstsq(a, b, tol: float = 1e-12) -> np.ndarray:
-    """Minimum-norm X minimizing ||a X - b||_F, computed via :func:`pinv`."""
-    amat = _as_matrix(a, "a")
-    bmat = _as_matrix(b, "b")
-    if amat.shape[0] != bmat.shape[0]:
-        raise ValueError(
-            f"row mismatch: a has {amat.shape[0]} rows, b has {bmat.shape[0]}"
-        )
-    return pinv(amat, tol) @ bmat
 
 
 def solve_dare(

@@ -34,8 +34,7 @@ from kooplift.koopman import (
     build_snapshots,
     fit_edmdc,
     lift,
-    pred_loss,
-    recon_loss,
+    loss,
     rollout,
     train,
 )
@@ -267,8 +266,7 @@ def test_criterion_6_property_suite(capsys):
     phin = np.concatenate([snaps.X_next, kan_forward(net, snaps.X_next.T).T], 0)
     k, b = fit_edmdc(phi, phin)
     m2 = KoopmanModel("kan", net, k, b, 4, 5)
-    r = recon_loss(m2, snaps)
-    p = pred_loss(m2, snaps)
+    r, p, _ = loss(m2, snaps, TrainConfig())
     if abs(r - p) > 1e-14 * max(1.0, abs(r)):
         failures.append(f"alpha=1 pred != recon ({abs(r - p):.2e})")
 

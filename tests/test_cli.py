@@ -12,8 +12,8 @@ import pytest
 
 import kooplift
 from kooplift.cli import RunConfig, main
-from kooplift.kan import kan_init
-from kooplift.koopman import load_history, load_model
+from kooplift.kan import SplineGrid, kan_init
+from kooplift.koopman import KoopmanModel, load_history, load_model, save_model
 from kooplift.mlp import mlp_init
 
 PRESET_DIR = Path(kooplift.__file__).parent / "presets"
@@ -270,6 +270,39 @@ def test_evaluate_without_model_exits_1(pendulum_cfg, tmp_path):
 def test_train_without_dataset_exits_1(pendulum_cfg, tmp_path):
     out = tmp_path / "empty"
     assert main(["train", "--config", pendulum_cfg, "--out", str(out)]) == 1
+
+
+def _evaluate_broken_model(cfg, tmp_path, capsys, edit):
+    """Run evaluate on a saved model document changed by edit; return (path, stderr)."""
+    out = tmp_path / "run"
+    out.mkdir()
+    path = out / "model.json"
+    model = KoopmanModel(kind="kan", network=kan_init([2, 1], SplineGrid(), seed=0),
+                         K=np.eye(3), B=np.zeros((3, 1)), n=2, n_total=3)
+    save_model(model, path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    write_config(path, doc)
+    assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 1
+    return str(path), capsys.readouterr().err
+
+
+def test_model_missing_key_exits_1(pendulum_cfg, tmp_path, capsys):
+    path, err = _evaluate_broken_model(pendulum_cfg, tmp_path, capsys,
+                                       lambda doc: doc.pop("n"))
+    assert path in err and "missing key(s) n" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, shape", [("K", (3, 2)), ("B", (2, 1))], ids=["K", "B"])
+def test_model_wrong_operator_shape_exits_1(pendulum_cfg, tmp_path, capsys, key, shape):
+    def edit(doc):
+        doc[key] = np.zeros(shape).tolist()
+
+    path, err = _evaluate_broken_model(pendulum_cfg, tmp_path, capsys, edit)
+    assert path in err and f"{key} {shape}" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_presets_parse_with_expected_sizes():

@@ -11,19 +11,15 @@ from kooplift.koopman import (
     TrainConfig,
     TrainingDivergedError,
     _TrainPlan,
-    _full_loss_and_grad,
     build_snapshots,
     fit_edmdc,
     lift,
     load_history,
     load_model,
-    loss_components,
-    pred_loss,
-    recon_loss,
+    loss,
     rollout,
     save_history,
     save_model,
-    total_loss,
     train,
 )
 from kooplift.mlp import MlpNetwork, mlp_init
@@ -181,9 +177,10 @@ def test_fit_edmdc_residual_is_minimal():
 def test_losses_vanish_on_exact_linear_system():
     net, trajs = linear_lifting_model(rotation(0.25, 0.97))
     model, snaps = fitted_model(net, trajs, alpha=5)
-    assert recon_loss(model, snaps) <= 1e-16
-    assert pred_loss(model, snaps) <= 1e-16
-    assert pred_loss(model, snaps, corrected=True) <= 1e-16
+    recon, pred, _ = loss(model, snaps, TrainConfig(alpha=5))
+    assert recon <= 1e-16
+    assert pred <= 1e-16
+    assert loss(model, snaps, TrainConfig(alpha=5, corrected_pred_loss=True))[1] <= 1e-16
 
 
 def test_recon_loss_single_pair_definition():
@@ -196,7 +193,7 @@ def test_recon_loss_single_pair_definition():
     snaps = build_snapshots([traj], alpha=1)
     model = KoopmanModel(kind="mlp", network=net, K=np.zeros((4, 4)),
                          B=np.zeros((4, 0)), n=2, n_total=4)
-    assert recon_loss(model, snaps) == pytest.approx(25.0, abs=1e-12)
+    assert loss(model, snaps, TrainConfig())[0] == pytest.approx(25.0, abs=1e-12)
 
 
 def test_pred_equals_recon_at_alpha_one_zero_input():
@@ -212,8 +209,7 @@ def test_pred_equals_recon_at_alpha_one_zero_input():
     phi_xn = _lift_cols("kan", net, snaps.X_next)
     k, b = fit_edmdc(phi_x, phi_xn, snaps.U)
     model = KoopmanModel(kind="kan", network=net, K=k, B=b, n=2, n_total=4)
-    r = recon_loss(model, snaps)
-    p = pred_loss(model, snaps)
+    r, p, _ = loss(model, snaps, TrainConfig())
     assert abs(r - p) <= 1e-14 * max(1.0, abs(r))
 
 
@@ -237,7 +233,7 @@ def test_pred_loss_matches_stepwise_oracle():
         err = (model.P @ z) - snaps.X_alpha[:, j]
         total += float(err @ err)
     oracle = total / snaps.n_pred_pairs
-    assert pred_loss(model, snaps) == pytest.approx(oracle, rel=1e-10)
+    assert loss(model, snaps, TrainConfig(alpha=7))[1] == pytest.approx(oracle, rel=1e-10)
 
 
 def test_total_loss_weightings():
@@ -245,20 +241,19 @@ def test_total_loss_weightings():
     model, snaps = fitted_model(net, trajs, alpha=3)
     # Perturb K so the losses are nonzero and the weighting is visible.
     model.K = model.K + 0.05
-    r = recon_loss(model, snaps)
-    p = pred_loss(model, snaps)
-    assert total_loss(model, snaps, TrainConfig(alpha=3, gamma=0.0, beta=1.0)) == \
+    r, p, _ = loss(model, snaps, TrainConfig(alpha=3))
+    assert loss(model, snaps, TrainConfig(alpha=3, gamma=0.0, beta=1.0))[2] == \
         pytest.approx(r, rel=1e-12)
-    assert total_loss(model, snaps, TrainConfig(alpha=3, gamma=1.0, beta=1.0)) == \
+    assert loss(model, snaps, TrainConfig(alpha=3, gamma=1.0, beta=1.0))[2] == \
         pytest.approx(r + p, rel=1e-12)
     cfg = TrainConfig(alpha=3, gamma=0.7, beta=0.2, lambda_l2=0.01)
     params = net.get_params()
-    assert total_loss(model, snaps, cfg) == pytest.approx(
+    assert loss(model, snaps, cfg)[2] == pytest.approx(
         0.7 * p + 0.2 * r + 0.01 * float(params @ params), rel=1e-12
     )
 
 
-def _fd_param_grad(model, snaps, cfg, h=1e-6):
+def _fd_param_grad(model, snaps, cfg, cols=None, pcols=None, h=1e-6):
     net = model.network
     params = net.get_params()
     fd = np.empty_like(params)
@@ -266,17 +261,18 @@ def _fd_param_grad(model, snaps, cfg, h=1e-6):
         bumped = params.copy()
         bumped[i] += h
         net.set_params(bumped)
-        hi = total_loss(model, snaps, cfg)
+        hi = loss(model, snaps, cfg, cols, pcols)[2]
         bumped[i] -= 2 * h
         net.set_params(bumped)
-        lo = total_loss(model, snaps, cfg)
+        lo = loss(model, snaps, cfg, cols, pcols)[2]
         fd[i] = (hi - lo) / (2 * h)
     net.set_params(params)
     return fd
 
 
 @pytest.mark.parametrize("corrected", [False, True])
-def test_training_gradient_matches_fd(corrected):
+@pytest.mark.parametrize("batch", ["full", "sampled"])
+def test_training_gradient_matches_fd(batch, corrected):
     rng = np.random.default_rng(17)
     trajs = generate_pendulum_dataset(1, seed=2)
     # Shorten so the FD loop stays fast.
@@ -289,8 +285,12 @@ def test_training_gradient_matches_fd(corrected):
     model = KoopmanModel(kind="kan", network=net, K=k, B=b, n=2, n_total=3)
     cfg = TrainConfig(alpha=4, gamma=0.8, beta=1.0, lambda_l2=0.01,
                       corrected_pred_loss=corrected)
-    _, _, _, grads = _full_loss_and_grad(model, snaps, cfg)
-    fd = _fd_param_grad(model, snaps, cfg)
+    cols = pcols = None
+    if batch == "sampled":
+        cols = rng.choice(snaps.n_pairs, size=10, replace=False)
+        pcols = rng.choice(snaps.n_pred_pairs, size=7, replace=False)
+    grads = loss(model, snaps, cfg, cols, pcols, grad=True)[3]
+    fd = _fd_param_grad(model, snaps, cfg, cols, pcols)
     assert np.max(np.abs(fd - grads) / (1.0 + np.abs(fd))) <= 1e-5
 
 
@@ -323,10 +323,23 @@ def test_planned_loss_and_grad_equal_untaped(case, corrected):
     model, snaps, plan = _plan_case(case)
     cfg = TrainConfig(alpha=3, gamma=0.8, beta=1.5, lambda_l2=0.01,
                       corrected_pred_loss=corrected)
-    plain = _full_loss_and_grad(model, snaps, cfg)
-    planned = _full_loss_and_grad(model, snaps, cfg, plan)
+    plain = loss(model, snaps, cfg, grad=True)
+    planned = loss(model, snaps, cfg, plan=plan, grad=True)
     for a, b in zip(plain, planned):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("case", ["kan_control", "kan_deep_no_input", "mlp"])
+def test_loss_on_every_column_equals_full_batch(case, corrected):
+    model, snaps, _ = _plan_case(case)
+    cfg = TrainConfig(alpha=3, gamma=0.8, beta=1.5, lambda_l1=0.01,
+                      corrected_pred_loss=corrected)
+    full = loss(model, snaps, cfg, grad=True)
+    every = loss(model, snaps, cfg, np.arange(snaps.n_pairs),
+                 np.arange(snaps.n_pred_pairs), grad=True)
+    assert every[:3] == full[:3]
+    assert np.max(np.abs(every[3] - full[3])) <= 1e-12
 
 
 def test_loss_decreases_under_gradient_steps():
@@ -343,12 +356,12 @@ def test_loss_decreases_under_gradient_steps():
     first = None
     prev = None
     for _ in range(15):
-        _, _, total, grads = _full_loss_and_grad(model, snaps, cfg)
+        _, _, total, grads = loss(model, snaps, cfg, grad=True)
         if first is None:
             first = total
         prev = total
         net.set_params(net.get_params() - 1e-3 * grads)
-    _, _, final, _ = _full_loss_and_grad(model, snaps, cfg)
+    final = loss(model, snaps, cfg)[2]
     assert final < first
 
 
@@ -375,7 +388,7 @@ def test_train_returns_best_epoch_model():
                       seed=1, shape=[2, 1, 1], grid=GRID, lbfgs_max_iter=4)
     model, hist = train("kan", trajs, cfg)
     snaps = build_snapshots(trajs, cfg.alpha)
-    returned_total = total_loss(model, snaps, cfg)
+    returned_total = loss(model, snaps, cfg)[2]
     best_recorded = min(r.total for r in hist)
     assert returned_total == pytest.approx(best_recorded, rel=1e-12)
 
@@ -392,11 +405,12 @@ def test_train_loss_history_non_increasing_on_easy_problem():
         assert later <= earlier + 1e-9
 
 
-def test_train_adam_path_runs_and_descends():
+@pytest.mark.parametrize("gamma, corrected", [(0.0, False), (0.5, True)])
+def test_train_adam_path_runs_and_descends(gamma, corrected):
     trajs = generate_pendulum_dataset(3, seed=5)
-    cfg = TrainConfig(alpha=1, gamma=0.0, beta=1.0, epochs=8, optimizer="adam",
+    cfg = TrainConfig(alpha=1, gamma=gamma, beta=1.0, epochs=8, optimizer="adam",
                       learning_rate=3e-3, batch_size=128, weight_decay=1e-5,
-                      seed=12, shape=[2, 4, 4, 2])
+                      corrected_pred_loss=corrected, seed=12, shape=[2, 4, 4, 2])
     model, hist = train("mlp", trajs, cfg)
     assert len(hist) == 9
     assert hist[-1].total < hist[0].total

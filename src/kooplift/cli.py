@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -40,12 +39,12 @@ from .dynamics import (
     PENDULUM_STATE_NAMES,
     TWOBODY_CONTROL_NAMES,
     TWOBODY_STATE_NAMES,
-    PendulumParams,
     generate_pendulum_dataset,
     generate_twobody_dataset,
     load_dataset,
     pendulum_deriv,
     save_dataset,
+    write_csv,
 )
 from .kan import SplineGrid
 from .koopman import (
@@ -123,9 +122,11 @@ class RunConfig:
                         "compare"):
             if not isinstance(getattr(self, section), dict):
                 raise ConfigError(f"config section {section!r} must be an object")
-        n_ic = self.dataset.get("n_ic", 1)
-        if not isinstance(n_ic, int) or n_ic < 1:
-            raise ConfigError("dataset.n_ic must be a positive integer")
+        for name, section in (("dataset", self.dataset),
+                              ("evaluation", self.evaluation)):
+            n_ic = section.get("n_ic", 1)
+            if not isinstance(n_ic, int) or n_ic < 1:
+                raise ConfigError(f"{name}.n_ic must be a positive integer")
 
     @property
     def n_states(self) -> int:
@@ -157,10 +158,6 @@ class RunConfig:
             return TrainConfig(**doc)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid train section: {exc}") from exc
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -273,40 +270,27 @@ def _eval_trajectories(cfg: RunConfig, seed: int, section: dict):
 
 
 def _evaluate_into(cfg: RunConfig, model, trajs, dest: Path) -> dict:
-    """Corrected rollouts against the truth; per-IC CSVs plus a metrics dict."""
+    """Corrected rollouts of every IC in one batch against the truth; per-IC
+    CSVs plus a metrics dict."""
     names = _SYSTEMS[cfg.system]["state_names"]
     dest.mkdir(parents=True, exist_ok=True)
-    per_ic = []
-    worst = np.zeros(len(names))
-    for i, truth in enumerate(trajs):
-        pred = rollout(model, truth.states[0], truth.controls, truth.dt,
-                       correct=True)
-        err = np.abs(pred.states - truth.states)
-        with open(dest / f"eval_{i:03d}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t"]
-                + [f"true_{s}" for s in names]
-                + [f"pred_{s}" for s in names]
-                + [f"abs_err_{s}" for s in names]
-            )
-            for k in range(truth.states.shape[0]):
-                writer.writerow(
-                    [_fmt(k * truth.dt)]
-                    + [_fmt(v) for v in truth.states[k]]
-                    + [_fmt(v) for v in pred.states[k]]
-                    + [_fmt(v) for v in err[k]]
-                )
-        ic_max = err.max(axis=0)
-        worst = np.maximum(worst, ic_max)
-        per_ic.append({
-            "initial_state": [float(v) for v in truth.states[0]],
-            "max_abs_error": {s: float(e) for s, e in zip(names, ic_max)},
-        })
+    truth = np.stack([t.states for t in trajs], axis=1)
+    pred = rollout(model, truth[0], np.stack([t.controls for t in trajs], axis=1),
+                   np.array([t.dt for t in trajs]), correct=True)
+    err = np.abs(pred.states - truth)
+    header = ["t"] + [f"{kind}_{s}" for kind in ("true", "pred", "abs_err") for s in names]
+    table = np.concatenate([pred.times[..., None], truth, pred.states, err], axis=2)
+    for i in range(len(trajs)):
+        write_csv(dest / f"eval_{i:03d}.csv", header, table[:, i])
+    ic_max = err.max(axis=0)
+    worst = ic_max.max(axis=0)
     metrics = {
         "n_ic": len(trajs),
         "max_abs_error": {s: float(e) for s, e in zip(names, worst)},
-        "per_ic": per_ic,
+        "per_ic": [{
+            "initial_state": [float(v) for v in x0],
+            "max_abs_error": {s: float(e) for s, e in zip(names, row)},
+        } for x0, row in zip(truth[0], ic_max)],
     }
     if cfg.system == "pendulum":
         metrics["max_abs_angle_error"] = float(worst[0])
@@ -361,12 +345,10 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
         r=float(section.get("r", 0.1)),
     )
     gain = dlqr(model.K, model.B, q, r)
-    params = PendulumParams()
-    plant = lambda x, u: pendulum_deriv(x, u, params)
     traj = closed_loop_sim(
         model,
         gain,
-        plant,
+        pendulum_deriv,
         np.asarray(section.get("x0", [1.0, 0.0]), dtype=float),
         duration=float(section.get("duration", 10.0)),
         dt=float(section.get("dt", PENDULUM_DT)),
@@ -375,13 +357,8 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     dest = out_dir / "control"
     names = _SYSTEMS[cfg.system]
     save_dataset([traj], dest, names["state_names"], names["control_names"],
-                 manifest_extra={"system": cfg.system, "kind": "closed_loop"})
-    (dest / "traj_0000.csv").rename(dest / "closed_loop.csv")
-    manifest_path = dest / "manifest.json"
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    manifest["files"][0]["name"] = "closed_loop.csv"
-    _write_json(manifest_path, manifest)
+                 manifest_extra={"system": cfg.system, "kind": "closed_loop"},
+                 file_names=["closed_loop.csv"])
     settle = settling_time(traj, component=0, threshold=0.05)
     metrics = {
         "settling_time_s": settle,

@@ -1,8 +1,9 @@
 """Ground-truth nonlinear systems, RK4 integration, dataset generation and I/O.
 
 Two reference systems: a torque-actuated pendulum and the planar two-body
-problem. Datasets are lists of :class:`Trajectory` produced from documented
-uniform ranges with per-trajectory RNG streams, so generation is
+problem. The fields, RK4 and :func:`simulate` are batch-first: one state (n,)
+or a stack (..., n). Datasets are lists of :class:`Trajectory` produced from
+documented uniform ranges with per-trajectory RNG streams, so generation is
 bit-reproducible from (seed, trajectory index) and safe to parallelize.
 """
 
@@ -64,10 +65,11 @@ class Trajectory:
     """A sampled state history with the controls that produced it.
 
     states has shape (M, n); controls has shape (M-1, p), where p may be 0
-    for autonomous systems.
+    for autonomous systems. A batch of b is time-major, (M, b, n) and
+    (M-1, b, p), with dt a float or one step per trajectory (b,).
     """
 
-    dt: float
+    dt: float | np.ndarray
     states: np.ndarray
     controls: np.ndarray = field(default=None)  # type: ignore[assignment]
 
@@ -76,9 +78,9 @@ class Trajectory:
         if self.controls is None:
             self.controls = np.zeros((self.states.shape[0] - 1, 0))
         self.controls = np.asarray(self.controls, dtype=float)
-        if self.controls.ndim == 1:
-            self.controls = self.controls[:, None]
-        if self.dt <= 0:
+        if self.controls.ndim == self.states.ndim - 1:
+            self.controls = self.controls[..., None]
+        if np.min(self.dt) <= 0:
             raise ValueError("dt must be positive")
         if self.states.shape[0] != self.controls.shape[0] + 1:
             raise ValueError(
@@ -92,41 +94,57 @@ class Trajectory:
 
     @property
     def n_states(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
     @property
     def n_controls(self) -> int:
-        return self.controls.shape[1]
+        return self.controls.shape[-1]
 
     @property
     def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.states.shape[0])
+        return np.multiply.outer(np.arange(self.states.shape[0]), self.dt)
+
+    def unstack(self) -> list["Trajectory"]:
+        """The b trajectories of a batch, each with contiguous arrays."""
+        return [Trajectory(dt=float(dt), states=self.states[:, i].copy(),
+                           controls=self.controls[:, i].copy())
+                for i, dt in enumerate(np.broadcast_to(self.dt, self.states.shape[1]))]
 
 
 def pendulum_deriv(state, u, p: PendulumParams = PendulumParams()) -> np.ndarray:
     """Pendulum vector field: theta'' = -(g/l) sin(theta) + control_gain * u.
 
-    u is a scalar torque; a length-1 vector is accepted too.
+    Takes one state (2,) with a scalar or length-1 u, or a stack (..., 2)
+    with u of shape (..., 1).
     """
-    theta, theta_dot = float(state[0]), float(state[1])
-    u_arr = np.asarray(u, dtype=float).ravel()
-    uval = u_arr[0] if u_arr.size else 0.0
-    return np.array([theta_dot, -(p.g / p.l) * math.sin(theta) + p.control_gain * uval])
+    if np.ndim(state) == 1:
+        # One state, as in the closed loop: float math, half the array cost.
+        theta, theta_dot = float(state[0]), float(state[1])
+        uval = np.asarray(u, dtype=float).ravel()[0]
+        return np.array([theta_dot, -(p.g / p.l) * math.sin(theta) + p.control_gain * uval])
+    theta, theta_dot = np.asarray(state, dtype=float).T
+    return np.array([theta_dot, -(p.g / p.l) * np.sin(theta)
+                     + p.control_gain * np.asarray(u, dtype=float).T[0]]).T
 
 
 def twobody_deriv(state, p: TwoBodyParams = TwoBodyParams()) -> np.ndarray:
-    """Planar two-body vector field with attractive inverse-square gravity."""
-    x, y, vx, vy = (float(v) for v in state)
-    r = math.hypot(x, y)
-    if r == 0.0:
+    """Planar two-body vector field with attractive inverse-square gravity;
+    one state (4,) or a stack (..., 4)."""
+    x, y, vx, vy = np.asarray(state, dtype=float).T
+    # math.hypot and np.float_power(r, 3) round like Python floats; np.hypot
+    # (1 % of inputs) and the array r**3 (5 %) would change datasets in the last bit.
+    r = np.asarray(np.frompyfunc(math.hypot, 2, 1)(x, y), dtype=float)
+    if np.any(r == 0.0):
         raise SingularityError("two-body state at the origin")
-    a = -p.mu / r**3
-    return np.array([vx, vy, a * x, a * y])
+    a = -p.mu / np.float_power(r, 3)
+    return np.array([vx, vy, a * x, a * y]).T
 
 
-def rk4_step(deriv, state, u, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta 4 step with the control held over the step."""
-    if dt <= 0:
+def rk4_step(deriv, state, u, dt) -> np.ndarray:
+    """One classical Runge-Kutta 4 step with the control held over the step;
+    dt is a float (checked without np.min, for speed) or, for a stack of
+    states (b, n), a column (b, 1)."""
+    if (dt if isinstance(dt, float) else np.min(dt)) <= 0:
         raise ValueError("dt must be positive")
     x = np.asarray(state, dtype=float)
     k1 = deriv(x, u)
@@ -139,24 +157,25 @@ def rk4_step(deriv, state, u, dt: float) -> np.ndarray:
     return out
 
 
-def simulate(deriv, x0, controls, dt: float) -> Trajectory:
-    """Integrate len(controls) RK4 steps from x0, returning the full history."""
+def simulate(deriv, x0, controls, dt) -> Trajectory:
+    """Integrate len(controls) RK4 steps from x0, returning the full history.
+
+    x0 is one state (n,) or a stack (b, n); controls are time-major, (M, p)
+    or (M, b, p); dt is a float or, for a stack, one step per row (b,).
+    """
     x = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 contains non-finite entries")
     controls = np.asarray(controls, dtype=float)
-    if controls.ndim == 1:
-        controls = controls[:, None]
-    states = np.empty((controls.shape[0] + 1, x.shape[0]))
+    if controls.ndim == x.ndim:
+        controls = controls[..., None]
+    step = np.asarray(dt, dtype=float)[:, None] if np.ndim(dt) else dt
+    states = np.empty((controls.shape[0] + 1,) + x.shape)
     states[0] = x
     for k in range(controls.shape[0]):
-        x = rk4_step(deriv, x, controls[k], dt)
+        x = rk4_step(deriv, x, controls[k], step)
         states[k + 1] = x
     return Trajectory(dt=dt, states=states, controls=controls)
-
-
-def _pendulum_step_fn(p: PendulumParams):
-    return lambda state, u: pendulum_deriv(state, u, p)
 
 
 def generate_pendulum_dataset(
@@ -169,23 +188,23 @@ def generate_pendulum_dataset(
 
     Per trajectory i, the stream default_rng((seed, i)) draws, in order:
     theta_0 ~ U[-2, 2], theta_dot_0 ~ U[-2, 2], then the full control
-    sequence ~ U[-0.1, 0.1]. alpha is the multi-step horizon the data must
-    support and is only validated against the trajectory length.
+    sequence ~ U[-0.1, 0.1]. All trajectories are integrated in one batch.
+    alpha is the multi-step horizon the data must support and is only
+    validated against the trajectory length.
     """
     if n_ic < 1:
         raise ValueError("n_ic must be >= 1")
     n_steps = round(PENDULUM_DURATION / PENDULUM_DT)
     if not 1 <= alpha < n_steps + 1:
         raise ValueError(f"alpha must be in [1, {n_steps}]")
-    deriv = _pendulum_step_fn(params)
-    out = []
+    x0 = np.empty((n_ic, 2))
+    controls = np.empty((n_steps, n_ic, 1))
     for i in range(n_ic):
         rng = np.random.default_rng((seed, i))
-        theta0 = rng.uniform(*PENDULUM_ANGLE_RANGE)
-        theta_dot0 = rng.uniform(*PENDULUM_RATE_RANGE)
-        controls = rng.uniform(*PENDULUM_CONTROL_RANGE, size=(n_steps, 1))
-        out.append(simulate(deriv, [theta0, theta_dot0], controls, PENDULUM_DT))
-    return out
+        x0[i] = rng.uniform(*PENDULUM_ANGLE_RANGE), rng.uniform(*PENDULUM_RATE_RANGE)
+        controls[:, i] = rng.uniform(*PENDULUM_CONTROL_RANGE, size=(n_steps, 1))
+    deriv = lambda state, u: pendulum_deriv(state, u, params)
+    return simulate(deriv, x0, controls, PENDULUM_DT).unstack()
 
 
 def generate_twobody_dataset(
@@ -201,7 +220,7 @@ def generate_twobody_dataset(
     radius r ~ U[radius_range] km (default [6578, 11378]); the initial state
     is [r, 0, 0, sqrt(mu/r)] and the step is dt = T / points_per_orbit with
     T the orbital period, so every trajectory holds points_per_orbit
-    samples. No control input.
+    samples. No control input. All orbits are integrated in one batch.
     """
     if n_ic < 1:
         raise ValueError("n_ic must be >= 1")
@@ -209,17 +228,25 @@ def generate_twobody_dataset(
         raise ValueError("points_per_orbit must be >= 2")
     if not radius_range[1] >= radius_range[0] > 0:
         raise ValueError("radius_range must be positive and ordered")
+    r = np.array([np.random.default_rng((seed, i)).uniform(*radius_range)
+                  for i in range(n_ic)])
+    period = 2.0 * math.pi * np.sqrt(np.float_power(r, 3) / params.mu)
+    zeros = np.zeros(n_ic)
+    x0 = np.column_stack([r, zeros, zeros, np.sqrt(params.mu / r)])
+    controls = np.zeros((points_per_orbit - 1, n_ic, 0))
     deriv = lambda state, u: twobody_deriv(state, params)
-    out = []
-    for i in range(n_ic):
-        rng = np.random.default_rng((seed, i))
-        r = rng.uniform(*radius_range)
-        period = 2.0 * math.pi * math.sqrt(r**3 / params.mu)
-        dt = period / points_per_orbit
-        x0 = [r, 0.0, 0.0, math.sqrt(params.mu / r)]
-        controls = np.zeros((points_per_orbit - 1, 0))
-        out.append(simulate(deriv, x0, controls, dt))
-    return out
+    return simulate(deriv, x0, controls, period / points_per_orbit).unstack()
+
+
+def write_csv(path, header, table, blank_tail: int = 0) -> None:
+    """Write header and table the way csv.writer does, "%.17g" per cell, with
+    the last blank_tail cells of the final row left empty."""
+    m, width = table.shape
+    text = ((",".join(["%.17g"] * width) + "\r\n") * m) % tuple(table.ravel().tolist())
+    if blank_tail:
+        text = text[:-2].rsplit(",", blank_tail)[0] + "," * blank_tail + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + text)
 
 
 def save_dataset(
@@ -228,37 +255,32 @@ def save_dataset(
     state_names,
     control_names,
     manifest_extra: dict | None = None,
+    file_names: list[str] | None = None,
 ) -> Path:
     """Write one CSV per trajectory plus a JSON manifest; returns the manifest path.
 
     CSV header is t, then state columns, then control columns; the final row
     has empty control cells (one fewer control than states). Floats go out at
     full precision ("%.17g") so a load reproduces the arrays bit for bit.
+    Files are named traj_0000.csv, traj_0001.csv, ... unless file_names is given.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     state_names = list(state_names)
     control_names = list(control_names)
+    header = ["t", *state_names, *control_names]
     files = []
     for i, traj in enumerate(trajectories):
         if traj.n_states != len(state_names):
             raise ValueError("state_names does not match trajectory width")
         if traj.n_controls != len(control_names):
             raise ValueError("control_names does not match trajectory width")
-        name = f"traj_{i:04d}.csv"
-        with open(out_dir / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", *state_names, *control_names])
-            m = traj.states.shape[0]
-            for k in range(m):
-                row = [f"{k * traj.dt:.17g}"]
-                row += [f"{v:.17g}" for v in traj.states[k]]
-                if k < m - 1:
-                    row += [f"{v:.17g}" for v in traj.controls[k]]
-                else:
-                    row += [""] * traj.n_controls
-                writer.writerow(row)
-        files.append({"name": name, "dt": traj.dt, "n_samples": m})
+        name = file_names[i] if file_names else f"traj_{i:04d}.csv"
+        padded = np.vstack([traj.controls, np.zeros((1, traj.n_controls))])
+        write_csv(out_dir / name, header,
+                  np.column_stack([traj.times, traj.states, padded]),
+                  blank_tail=traj.n_controls)
+        files.append({"name": name, "dt": traj.dt, "n_samples": traj.states.shape[0]})
     manifest = {
         "n_trajectories": len(trajectories),
         "state_names": state_names,
@@ -275,7 +297,13 @@ def save_dataset(
 
 
 def load_dataset(in_dir) -> list[Trajectory]:
-    """Read back a dataset written by :func:`save_dataset`."""
+    """Read back a dataset written by :func:`save_dataset`.
+
+    Every CSV is checked against the manifest: n_samples rows after the
+    header, 1 + n_state + n_ctrl cells per row, numbers in every cell but
+    the last row's control cells, which are empty. A mismatch raises a
+    ValueError naming the file.
+    """
     in_dir = Path(in_dir)
     manifest_path = in_dir / "manifest.json"
     if not manifest_path.is_file():
@@ -284,16 +312,26 @@ def load_dataset(in_dir) -> list[Trajectory]:
         manifest = json.load(fh)
     n_state = len(manifest["state_names"])
     n_ctrl = len(manifest["control_names"])
+    width = 1 + n_state + n_ctrl
     out = []
     for entry in manifest["files"]:
-        with open(in_dir / entry["name"], newline="") as fh:
-            rows = list(csv.reader(fh))
-        body = rows[1:]
-        states = np.array(
-            [[float(c) for c in row[1 : 1 + n_state]] for row in body]
-        )
-        controls = np.array(
-            [[float(c) for c in row[1 + n_state :]] for row in body[:-1]]
-        ).reshape(len(body) - 1, n_ctrl)
+        path = in_dir / entry["name"]
+        with open(path, newline="") as fh:
+            body = list(csv.reader(fh))[1:]
+        if len(body) != entry["n_samples"]:
+            raise ValueError(f"{path}: {len(body)} rows, the manifest says "
+                             f"{entry['n_samples']}")
+        short = next((k for k, row in enumerate(body) if len(row) != width), None)
+        if short is not None:
+            raise ValueError(f"{path}: row {short + 1} has {len(body[short])} "
+                             f"fields, expected {width}")
+        if any(body[-1][1 + n_state :]):
+            raise ValueError(f"{path}: the last row must leave the control cells empty")
+        try:
+            states = np.array([row[1 : 1 + n_state] for row in body], dtype=float)
+            controls = np.array([row[1 + n_state :] for row in body[:-1]],
+                                dtype=float).reshape(len(body) - 1, n_ctrl)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         out.append(Trajectory(dt=float(entry["dt"]), states=states, controls=controls))
     return out

@@ -493,40 +493,49 @@ def _adam_phase(model, snaps: SnapshotSet, cfg: TrainConfig, rng, opt: AdamW):
         net.set_params(opt.step(net.get_params(), grads))
 
 
-def rollout(model: KoopmanModel, x0, controls, dt: float, correct: bool = True) -> Trajectory:
+def _row_products(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m one row at a time: a matrix product of the whole batch rounds
+    differently, and a batch rollout should equal its one-state rollouts.
+    One row (1-D a) takes the plain product, which rounds the same."""
+    return a @ m if a.ndim == 1 else (a[..., None, :] @ m)[..., 0, :]
+
+
+def rollout(model: KoopmanModel, x0, controls, dt, correct: bool = True) -> Trajectory:
     """Predict forward from x0 under the given control sequence.
 
-    correct=True re-lifts the extracted state every step; correct=False
-    stays in lifted space throughout and only extracts for output.
+    x0 is one state (n,) or a batch (b, n); controls and dt are laid out as
+    for dynamics.simulate. correct=True re-lifts the extracted state every
+    step; correct=False stays in lifted space and only extracts for output.
     """
     x0 = np.asarray(x0, dtype=float)
     controls = np.asarray(controls, dtype=float)
-    if controls.ndim == 1:
-        controls = controls[:, None]
+    if controls.ndim == x0.ndim:
+        controls = controls[..., None]
     n_steps = controls.shape[0]
-    states = np.empty((n_steps + 1, model.n))
+    states = np.empty((n_steps + 1,) + x0.shape)
     states[0] = x0
+    k_t, b_t = model.K.T, model.B.T
     has_input = model.B.shape[1] > 0
     with np.errstate(over="ignore", invalid="ignore"):
         if correct:
             x = x0
             for k in range(n_steps):
-                z = model.K @ lift(model, x)
+                z = _row_products(lift(model, x), k_t)
                 if has_input:
-                    z = z + model.B @ controls[k]
-                x = z[: model.n]
+                    z = z + _row_products(controls[k], b_t)
+                x = z[..., : model.n]
                 if not np.all(np.isfinite(x)):
                     raise RolloutDivergedError(k)
                 states[k + 1] = x
         else:
             z = lift(model, x0)
             for k in range(n_steps):
-                z = model.K @ z
+                z = _row_products(z, k_t)
                 if has_input:
-                    z = z + model.B @ controls[k]
+                    z = z + _row_products(controls[k], b_t)
                 if not np.all(np.isfinite(z)):
                     raise RolloutDivergedError(k)
-                states[k + 1] = z[: model.n]
+                states[k + 1] = z[..., : model.n]
     return Trajectory(dt=dt, states=states, controls=controls)
 
 
@@ -551,11 +560,16 @@ def save_model(model: KoopmanModel, path, cfg: TrainConfig | None = None,
 def load_model(path):
     """Returns (model, config-or-None, metadata dict).
 
-    Raises ValueError naming path when a key is missing, the backend kind
-    is unknown, or K or B disagrees with n_total.
+    Raises ValueError naming path when the file is not JSON, a key is
+    missing, the backend kind is unknown, K or B disagrees with n_total, or
+    the network's input width is not n or n plus its output width is not
+    n_total.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
     missing = [key for key in ("kind", "network", "K", "B", "n", "n_total")
                if not isinstance(doc, dict) or key not in doc]
     if missing:
@@ -570,8 +584,11 @@ def load_model(path):
         b = b.reshape(n_total, 0)
     if k.shape != (n_total, n_total) or b.ndim != 2 or b.shape[0] != n_total:
         raise ValueError(f"{path}: K {k.shape} and B {b.shape} do not fit n_total={n_total}")
-    model = KoopmanModel(kind=kind, network=_FROM_DICT[kind](doc["network"]), K=k, B=b,
-                         n=int(doc["n"]), n_total=n_total)
+    network, n = _FROM_DICT[kind](doc["network"]), int(doc["n"])
+    if network.shape[0] != n or n + network.shape[-1] != n_total:
+        raise ValueError(f"{path}: network {network.shape[0]} -> {network.shape[-1]} "
+                         f"does not fit n={n} and n_total={n_total}")
+    model = KoopmanModel(kind=kind, network=network, K=k, B=b, n=n, n_total=n_total)
     cfg = TrainConfig.from_dict(doc["config"]) if doc.get("config") else None
     return model, cfg, doc.get("metadata", {})
 

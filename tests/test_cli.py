@@ -5,6 +5,9 @@ file stays fast. Full-size preset configs are only parsed, never trained.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +306,65 @@ def test_model_wrong_operator_shape_exits_1(pendulum_cfg, tmp_path, capsys, key,
     path, err = _evaluate_broken_model(pendulum_cfg, tmp_path, capsys, edit)
     assert path in err and f"{key} {shape}" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_model_not_json_exits_1(pendulum_cfg, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    path = out / "model.json"
+    model = KoopmanModel(kind="kan", network=kan_init([2, 1], SplineGrid(), seed=0),
+                         K=np.eye(3), B=np.zeros((3, 1)), n=2, n_total=3)
+    save_model(model, path)
+    path.write_text(path.read_text()[:200])
+    assert main(["evaluate", "--config", pendulum_cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "not valid JSON" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_model_network_not_fitting_n_exits_1(pendulum_cfg, tmp_path, capsys):
+    def edit(doc):
+        doc["n"] = 1
+
+    path, err = _evaluate_broken_model(pendulum_cfg, tmp_path, capsys, edit)
+    assert path in err and "network 2 -> 1 does not fit n=1 and n_total=3" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_truncated_dataset_csv_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": "pendulum", "backend": "kan", "dataset": {"n_ic": 3, "seed": 7},
+        "train": {"alpha": 5, "epochs": 1, "optimizer": "lbfgs", "lbfgs_max_iter": 2},
+    })
+    out = tmp_path / "run"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    path = out / "dataset" / "traj_0001.csv"
+    path.write_bytes(path.read_bytes()[:3000])
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "the manifest says 201" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("n_ic", [0, -2, 1.5, "3"])
+def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    doc["evaluation"]["n_ic"] = n_ic
+    cfg = write_config(tmp_path / "bad_eval.json", doc)
+    assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "evaluation.n_ic must be a positive integer" in capsys.readouterr().err
+
+
+def test_python_m_kooplift_help():
+    src = str(Path(kooplift.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-m", "kooplift", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: kooplift")
 
 
 def test_presets_parse_with_expected_sizes():

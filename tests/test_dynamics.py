@@ -1,14 +1,22 @@
 """Tests for the reference systems, integrator, and dataset round trips."""
 
+import csv
 import math
+import tempfile
 
 import numpy as np
 import pytest
 
 from kooplift.dynamics import (
     EARTH_MU,
+    PENDULUM_ANGLE_RANGE,
     PENDULUM_CONTROL_NAMES,
+    PENDULUM_CONTROL_RANGE,
+    PENDULUM_DT,
+    PENDULUM_RATE_RANGE,
     PENDULUM_STATE_NAMES,
+    TWOBODY_RADIUS_RANGE,
+    TWOBODY_STATE_NAMES,
     PendulumParams,
     SingularityError,
     Trajectory,
@@ -222,3 +230,182 @@ def test_dataset_roundtrip_empty_controls(tmp_path):
 def test_load_missing_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path / "nowhere")
+
+
+# Scalar oracles: the per-IC integrator and the csv.writer dataset writer
+# that the batch-first code replaced. The batch must reproduce them bit for
+# bit (arrays) and byte for byte (files).
+
+def _oracle_pendulum(state, u, p=PendulumParams()):
+    theta, theta_dot = float(state[0]), float(state[1])
+    return np.array([theta_dot, -(p.g / p.l) * math.sin(theta) + p.control_gain * float(u[0])])
+
+
+def _oracle_twobody(state, u, p=TwoBodyParams()):
+    x, y, vx, vy = (float(v) for v in state)
+    r = math.hypot(x, y)
+    a = -p.mu / r**3
+    return np.array([vx, vy, a * x, a * y])
+
+
+def _oracle_simulate(field, x0, controls, dt):
+    """One IC, one scalar RK4 step at a time."""
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for u in controls:
+        k1 = field(x, u)
+        k2 = field(x + 0.5 * dt * k1, u)
+        k3 = field(x + 0.5 * dt * k2, u)
+        k4 = field(x + dt * k3, u)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    return np.array(states)
+
+
+def _oracle_save(trajs, out_dir, state_names, control_names):
+    for i, traj in enumerate(trajs):
+        with open(out_dir / f"traj_{i:04d}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", *state_names, *control_names])
+            m = traj.states.shape[0]
+            for k in range(m):
+                row = [f"{k * traj.dt:.17g}"] + [f"{v:.17g}" for v in traj.states[k]]
+                if k < m - 1:
+                    row += [f"{v:.17g}" for v in traj.controls[k]]
+                else:
+                    row += [""] * traj.n_controls
+                writer.writerow(row)
+
+
+def test_batched_pendulum_dataset_equals_scalar_oracle():
+    n_steps = 200
+    trajs = generate_pendulum_dataset(7, seed=31)
+    for i, traj in enumerate(trajs):
+        rng = np.random.default_rng((31, i))
+        x0 = [rng.uniform(*PENDULUM_ANGLE_RANGE), rng.uniform(*PENDULUM_RATE_RANGE)]
+        controls = rng.uniform(*PENDULUM_CONTROL_RANGE, size=(n_steps, 1))
+        assert np.array_equal(traj.controls, controls)
+        assert np.array_equal(traj.states,
+                              _oracle_simulate(_oracle_pendulum, x0, controls, PENDULUM_DT))
+        assert traj.dt == PENDULUM_DT
+
+
+def test_batched_twobody_dataset_with_per_ic_dt_equals_scalar_oracle():
+    trajs = generate_twobody_dataset(4, seed=17, points_per_orbit=300)
+    for i, traj in enumerate(trajs):
+        r = np.random.default_rng((17, i)).uniform(*TWOBODY_RADIUS_RANGE)
+        dt = 2.0 * math.pi * math.sqrt(r**3 / EARTH_MU) / 300
+        x0 = [r, 0.0, 0.0, math.sqrt(EARTH_MU / r)]
+        assert traj.dt == dt
+        assert np.array_equal(traj.states,
+                              _oracle_simulate(_oracle_twobody, x0, np.zeros((299, 0)), dt))
+    assert len({traj.dt for traj in trajs}) == 4
+
+
+def test_fields_on_a_stack_equal_rows():
+    rng = np.random.default_rng(4)
+    states = rng.uniform(-3.0, 3.0, size=(9, 2))
+    torques = rng.uniform(-0.1, 0.1, size=(9, 1))
+    stacked = pendulum_deriv(states, torques)
+    assert stacked.shape == (9, 2)
+    for row, x, u in zip(stacked, states, torques):
+        assert np.array_equal(row, pendulum_deriv(x, u))
+        assert np.array_equal(row, _oracle_pendulum(x, u))
+    orbits = rng.uniform(-9000.0, 9000.0, size=(3, 5, 4))
+    stacked = twobody_deriv(orbits)
+    assert stacked.shape == (3, 5, 4)
+    for row, x in zip(stacked.reshape(-1, 4), orbits.reshape(-1, 4)):
+        assert np.array_equal(row, _oracle_twobody(x, None))
+
+
+def test_twobody_stack_with_a_state_at_the_origin_is_singular():
+    with pytest.raises(SingularityError):
+        twobody_deriv([[7000.0, 0.0, 0.0, 7.5], [0.0, 0.0, 1.0, 1.0]])
+
+
+def test_rk4_step_with_a_dt_column_equals_per_row_steps():
+    deriv = lambda x, u: twobody_deriv(x)
+    states = np.array([[7000.0, 0.0, 0.0, 7.5], [0.0, 9000.0, -6.6, 0.0]])
+    dts = np.array([[5.0], [7.5]])
+    batch = rk4_step(deriv, states, None, dts)
+    for row, x, dt in zip(batch, states, dts[:, 0]):
+        assert np.array_equal(row, rk4_step(deriv, x, None, float(dt)))
+    with pytest.raises(ValueError):
+        rk4_step(deriv, states, None, np.array([[5.0], [0.0]]))
+
+
+def test_simulate_stack_is_time_major_and_unstacks():
+    x0 = np.array([[0.1, 0.0], [1.0, -0.5], [-1.5, 2.0]])
+    controls = np.zeros((20, 3, 1))
+    batch = simulate(_pend, x0, controls, 0.01)
+    assert batch.states.shape == (21, 3, 2)
+    assert batch.controls.shape == (20, 3, 1)
+    assert batch.n_states == 2 and batch.n_controls == 1
+    assert batch.times.shape == (21,)
+    for i, traj in enumerate(batch.unstack()):
+        one = simulate(_pend, x0[i], controls[:, i], 0.01)
+        assert np.array_equal(traj.states, one.states)
+        assert np.array_equal(traj.controls, one.controls)
+        assert traj.states.flags.c_contiguous
+    per_ic = simulate(lambda s, u: twobody_deriv(s), [[7000.0, 0, 0, 7.5], [8000.0, 0, 0, 7.0]],
+                      np.zeros((5, 2, 0)), [3.0, 4.0])
+    assert per_ic.times.shape == (6, 2)
+    assert [traj.dt for traj in per_ic.unstack()] == [3.0, 4.0]
+
+
+@pytest.mark.parametrize("system", ["pendulum", "twobody"])
+def test_save_dataset_is_byte_identical_to_csv_writer(tmp_path, system):
+    if system == "pendulum":
+        trajs = generate_pendulum_dataset(3, seed=42)
+        names = (PENDULUM_STATE_NAMES, PENDULUM_CONTROL_NAMES)
+    else:
+        trajs = generate_twobody_dataset(2, seed=5, points_per_orbit=60)
+        names = (TWOBODY_STATE_NAMES, ())
+    save_dataset(trajs, tmp_path / "batch", *names)
+    (tmp_path / "oracle").mkdir()
+    _oracle_save(trajs, tmp_path / "oracle", *names)
+    for i in range(len(trajs)):
+        name = f"traj_{i:04d}.csv"
+        assert (tmp_path / "batch" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+
+
+@pytest.mark.parametrize("cut, what", [
+    (lambda text: text[:3000], "rows, the manifest says 201"),
+    (lambda text: text.replace("\r\n", "\r\n0.5,", 1), "row 1 has 5 fields"),
+    (lambda text: text[:-2] + "0.0\r\n", "control cells empty"),
+    (lambda text: text.replace(",", ",x", 5), "could not convert"),
+], ids=["truncated", "extra-field", "last-control", "not-a-number"])
+def test_load_dataset_checks_files_against_the_manifest(tmp_path, cut, what):
+    save_dataset(generate_pendulum_dataset(2, seed=3), tmp_path,
+                 PENDULUM_STATE_NAMES, PENDULUM_CONTROL_NAMES)
+    path = tmp_path / "traj_0001.csv"
+    path.write_bytes(cut(path.read_bytes().decode()).encode())
+    with pytest.raises(ValueError, match="traj_0001.csv") as err:
+        load_dataset(tmp_path)
+    assert what in str(err.value)
+
+
+def test_dataset_roundtrip_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2),
+           st.floats(1e-6, 1e3), st.data())
+    def check(m, n, p, dt, data):
+        states = data.draw(arrays(float, (m, n), elements=finite))
+        controls = data.draw(arrays(float, (m - 1, p), elements=finite))
+        traj = Trajectory(dt=dt, states=states, controls=controls)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset([traj], tmp, [f"s{j}" for j in range(n)],
+                         [f"u{j}" for j in range(p)])
+            (back,) = load_dataset(tmp)
+        assert back.dt == dt
+        assert np.array_equal(back.states, states)
+        assert back.controls.shape == (m - 1, p)
+        assert np.array_equal(back.controls, controls)
+
+    check()

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from kooplift.dynamics import Trajectory, generate_pendulum_dataset
+from kooplift.dynamics import (
+    Trajectory,
+    generate_pendulum_dataset,
+    generate_twobody_dataset,
+)
 from kooplift.kan import SplineGrid, first_layer_basis, kan_init
 from kooplift.koopman import (
     KoopmanModel,
@@ -470,6 +474,51 @@ def test_rollout_divergence_error_carries_step():
     with pytest.raises(RolloutDivergedError) as err:
         rollout(model, [1.0], np.zeros((10, 1)), dt=0.1, correct=False)
     assert 0 <= err.value.step < 10
+
+
+def fitted_on(kind, shape, trajs):
+    """An untrained network with (K, B) fitted by least squares on trajs."""
+    net = kan_init(shape, GRID, seed=0) if kind == "kan" else mlp_init(shape, seed=0)
+    snaps = build_snapshots(trajs, 1)
+    from kooplift.koopman import _lift_cols
+
+    phi_x = _lift_cols(kind, net, snaps.X)
+    k, b = fit_edmdc(phi_x, _lift_cols(kind, net, snaps.X_next), snaps.U)
+    return KoopmanModel(kind=kind, network=net, K=k, B=b, n=snaps.X.shape[0],
+                        n_total=phi_x.shape[0])
+
+
+@pytest.mark.parametrize("correct", [True, False], ids=["corrected", "lifted"])
+@pytest.mark.parametrize("kind, shape", [("kan", [2, 2]), ("mlp", [2, 5, 2])])
+def test_batched_rollout_equals_per_ic_rollouts(kind, shape, correct):
+    model = fitted_on(kind, shape, generate_pendulum_dataset(4, seed=3))
+    truths = generate_pendulum_dataset(6, seed=77)
+    x0 = np.stack([t.states[0] for t in truths])
+    controls = np.stack([t.controls for t in truths], axis=1)
+    batch = rollout(model, x0, controls, 0.01, correct=correct)
+    assert batch.states.shape == (201, 6, 2)
+    for i, truth in enumerate(truths):
+        one = rollout(model, truth.states[0], truth.controls, truth.dt, correct=correct)
+        scale = np.max(np.abs(one.states))
+        assert np.max(np.abs(batch.states[:, i] - one.states)) <= 1e-12 * scale
+    single = rollout(model, x0[:1], controls[:, :1], 0.01, correct=correct)
+    one = rollout(model, x0[0], controls[:, 0], 0.01, correct=correct)
+    assert np.array_equal(single.states[:, 0], one.states)
+
+
+def test_batched_rollout_keeps_per_ic_dt():
+    truths = generate_twobody_dataset(3, seed=12, points_per_orbit=40)
+    scaled = [Trajectory(dt=t.dt, states=t.states / 1e4, controls=t.controls)
+              for t in truths]
+    model = fitted_on("kan", [4, 1], scaled)
+    dts = np.array([t.dt for t in scaled])
+    batch = rollout(model, np.stack([t.states[0] for t in scaled]),
+                    np.zeros((39, 3, 0)), dts)
+    assert batch.controls.shape == (39, 3, 0)
+    for truth, pred in zip(scaled, batch.unstack()):
+        one = rollout(model, truth.states[0], truth.controls, truth.dt)
+        assert pred.dt == truth.dt
+        assert np.max(np.abs(pred.states - one.states)) <= 1e-12 * np.max(np.abs(one.states))
 
 
 def test_model_roundtrip(tmp_path):

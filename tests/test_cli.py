@@ -185,6 +185,9 @@ def test_control_writes_closed_loop(pendulum_cfg, tmp_path):
 
     closed = out / "control" / "closed_loop.csv"
     assert closed.is_file()
+    assert not (out / "control" / "traj_0000.csv").exists()
+    with open(out / "control" / "manifest.json") as fh:
+        assert [f["name"] for f in json.load(fh)["files"]] == ["closed_loop.csv"]
     lines = closed.read_text().strip().split("\n")
     assert len(lines) == 402  # header + 4 s at dt 0.01
     with open(out / "control" / "control_metrics.json") as fh:

@@ -17,7 +17,7 @@ from .numerics import ConvergenceError, solve_dare
 
 
 class UncontrollableModelError(RuntimeError):
-    """The Riccati iteration found no stabilizing solution for (K, B)."""
+    """No stabilizing LQR gain exists for (K, B) with the given weights."""
 
 
 class InstabilityError(RuntimeError):
@@ -47,8 +47,8 @@ def default_weights(n: int, n_total: int, p: int, q_state: float = 1.0,
 def dlqr(k: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> LqrGain:
     """Infinite-horizon discrete LQR gain for z+ = K z + B u.
 
-    F = (R + B'PB)^-1 B'PK with P the Riccati fixed point; the law is
-    u = -F z.
+    F = (R + B'PB)^-1 B'PK with P the Riccati solution, and the law is
+    u = -F z. Raises UncontrollableModelError unless rho(K - BF) < 1.
     """
     k = np.asarray(k, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -62,6 +62,11 @@ def dlqr(k: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> LqrGain:
             "is likely not stabilizable"
         ) from exc
     f = np.linalg.solve(r + b.T @ p_sol @ b, b.T @ p_sol @ k)
+    rho = spectral_radius(k - b @ f)
+    if not rho < 1.0:
+        raise UncontrollableModelError(
+            f"LQR gain leaves closed-loop spectral radius {rho:.4g} >= 1; "
+            "Q does not weigh an unstable mode")
     return LqrGain(F=f, Q=q, R=r)
 
 

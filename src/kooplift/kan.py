@@ -12,6 +12,7 @@ degree-reduction derivative formula, not finite differences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,40 +65,37 @@ def silu_deriv(x):
     return s * (1.0 + x * (1.0 - s))
 
 
+@functools.cache
+def _recurrence(grid: SplineGrid):
+    """Knots, and per degree d the Cox-de Boor denominators t[i+d] - t[i]
+    and, negated, t[i+d+1] - t[i+1]. Cached per grid; callers never write."""
+    t = grid.knots()
+    return t, [(t[d:-1] - t[: -d - 1], t[1:-d] - t[d + 1 :])
+               for d in range(1, grid.order + 1)]
+
+
 def _basis_tables(x: np.ndarray, grid: SplineGrid, deriv: bool = True):
     """Degree-k basis values and first derivatives at each point of x.
 
     Returns (basis, deriv), both of shape (len(x), G + k); deriv is None
     when not asked for. Uses the Cox-de Boor recurrence column-wise over
     the whole batch; uniform knots keep every denominator positive so no
-    zero-guard is needed.
+    zero-guard is needed. Every term is a quotient of diff = x - t; the
+    right term (t - x) / den is taken as diff / -den, which is the same
+    float because negation is exact.
     """
-    t = grid.knots()
-    k = grid.order
-    n_span = t.size - 1
-    x = np.asarray(x, dtype=float).ravel()
-    # Degree 0: half-open indicator of each knot span.
-    b = (x[:, None] >= t[None, :-1]) & (x[:, None] < t[None, 1:])
-    b = b.astype(float)
-    prev = None
-    for d in range(1, k + 1):
+    t, dens = _recurrence(grid)
+    diff = np.asarray(x, dtype=float).ravel()[:, None] - t
+    # Degree 0: x lies in [t_i, t_i+1) when x >= t_i but not x >= t_i+1.
+    b = (diff >= 0.0).astype(float)
+    b = b[:, :-1] - b[:, 1:]
+    for d, (den_left, neg_den_right) in enumerate(dens, start=1):
         prev = b
-        n_fun = n_span - d
-        left = (x[:, None] - t[None, :n_fun]) / (t[d : d + n_fun] - t[:n_fun])
-        right = (t[d + 1 : d + 1 + n_fun] - x[:, None]) / (
-            t[d + 1 : d + 1 + n_fun] - t[1 : 1 + n_fun]
-        )
-        b = left * b[:, :n_fun] + right * b[:, 1 : 1 + n_fun]
+        b = (diff[:, : -d - 1] / den_left * b[:, :-1]
+             + diff[:, d + 1 :] / neg_den_right * b[:, 1:])
     if not deriv:
         return b, None
-    n_fun = n_span - k
-    h = grid.step
-    return b, (prev[:, :n_fun] - prev[:, 1 : 1 + n_fun]) / h
-
-
-def bspline_basis(x: float, grid: SplineGrid) -> np.ndarray:
-    """All G+k degree-k B-spline basis values at a scalar x."""
-    return _basis_tables(np.array([x]), grid, deriv=False)[0][0]
+    return b, (prev[:, :-1] - prev[:, 1:]) / grid.step
 
 
 @dataclass

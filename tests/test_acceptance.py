@@ -27,7 +27,7 @@ from kooplift.dynamics import (
     simulate,
     twobody_deriv,
 )
-from kooplift.kan import SplineGrid, bspline_basis, kan_backward, kan_forward, kan_init
+from kooplift.kan import SplineGrid, _basis_tables, kan_backward, kan_forward, kan_init
 from kooplift.koopman import (
     KoopmanModel,
     TrainConfig,
@@ -42,6 +42,11 @@ from kooplift.mlp import mlp_backward, mlp_forward, mlp_init
 from kooplift.numerics import pinv
 
 PRESET_DIR = Path(kooplift.__file__).parent / "presets"
+
+
+def bspline_basis(x, grid):
+    """All G+k degree-k B-spline basis values at a scalar x."""
+    return _basis_tables(np.array([x]), grid, deriv=False)[0][0]
 
 
 def _report(capsys, number, name, ok, detail):

@@ -196,6 +196,21 @@ def test_control_writes_closed_loop(pendulum_cfg, tmp_path):
     assert metrics["peak_abs_control"] <= 5.0 + 1e-12
 
 
+def test_control_unstabilizable_model_exits_1(pendulum_cfg, tmp_path, capsys):
+    # Q weighs only the physical block; the lifted coordinate's 1.2 mode is
+    # unseen by the cost, so the LQR gain cannot stabilize the model.
+    out = tmp_path / "run"
+    out.mkdir()
+    model = KoopmanModel(kind="kan", network=kan_init([2, 1], SplineGrid(), seed=0),
+                         K=np.diag([0.5, 0.5, 1.2]), B=np.ones((3, 1)), n=2, n_total=3)
+    save_model(model, out / "model.json")
+    assert main(["control", "--config", pendulum_cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "spectral radius 1.2 >= 1" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "control").exists()
+
+
 def test_twobody_pipeline_with_extrapolation(twobody_cfg, tmp_path):
     out = tmp_path / "orbit"
     assert main(["generate", "--config", twobody_cfg, "--out", str(out)]) == 0

@@ -50,6 +50,15 @@ def test_dlqr_unstabilizable_raises():
              np.array([[1.0]]))
 
 
+def test_dlqr_undetectable_unstable_mode_raises():
+    # The 1.2 mode is reachable but Q does not see it, so the Riccati
+    # solution leaves it alone and K - BF keeps spectral radius 1.2.
+    k = np.diag([1.2, 0.5])
+    b = np.array([[1.0], [1.0]])
+    with pytest.raises(UncontrollableModelError, match="spectral radius 1.2 >= 1"):
+        dlqr(k, b, np.diag([0.0, 1.0]), np.array([[1.0]]))
+
+
 def test_control_law_linear_in_lifted_state():
     f = np.array([[0.3, -0.2, 1.0]])
     z = np.array([1.0, 2.0, -1.0])

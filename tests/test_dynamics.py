@@ -374,7 +374,8 @@ def test_save_dataset_is_byte_identical_to_csv_writer(tmp_path, system):
     (lambda text: text.replace("\r\n", "\r\n0.5,", 1), "row 1 has 5 fields"),
     (lambda text: text[:-2] + "0.0\r\n", "control cells empty"),
     (lambda text: text.replace(",", ",x", 5), "could not convert"),
-], ids=["truncated", "extra-field", "last-control", "not-a-number"])
+    (lambda text: text.replace("\r\n", "\r\nx", 1), "could not convert"),
+], ids=["truncated", "extra-field", "last-control", "not-a-number", "time-not-a-number"])
 def test_load_dataset_checks_files_against_the_manifest(tmp_path, cut, what):
     save_dataset(generate_pendulum_dataset(2, seed=3), tmp_path,
                  PENDULUM_STATE_NAMES, PENDULUM_CONTROL_NAMES)

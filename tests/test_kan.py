@@ -8,7 +8,7 @@ import pytest
 
 from kooplift.kan import (
     SplineGrid,
-    bspline_basis,
+    _basis_tables,
     first_layer_basis,
     kan_backward,
     kan_forward,
@@ -18,6 +18,36 @@ from kooplift.kan import (
     silu,
     silu_deriv,
 )
+
+
+def bspline_basis(x: float, grid: SplineGrid) -> np.ndarray:
+    """All G+k degree-k B-spline basis values at a scalar x."""
+    return _basis_tables(np.array([x]), grid, deriv=False)[0][0]
+
+
+def recurrence_basis_tables(x, grid: SplineGrid):
+    """The column-wise Cox-de Boor recurrence as first written, used as an
+    oracle: explicit interval tests for degree 0, (x - t) and (t - x)
+    numerators, denominators recomputed on every call."""
+    t = grid.knots()
+    k = grid.order
+    n_span = t.size - 1
+    x = np.asarray(x, dtype=float).ravel()
+    # Degree 0: half-open indicator of each knot span.
+    b = (x[:, None] >= t[None, :-1]) & (x[:, None] < t[None, 1:])
+    b = b.astype(float)
+    prev = None
+    for d in range(1, k + 1):
+        prev = b
+        n_fun = n_span - d
+        left = (x[:, None] - t[None, :n_fun]) / (t[d : d + n_fun] - t[:n_fun])
+        right = (t[d + 1 : d + 1 + n_fun] - x[:, None]) / (
+            t[d + 1 : d + 1 + n_fun] - t[1 : 1 + n_fun]
+        )
+        b = left * b[:, :n_fun] + right * b[:, 1 : 1 + n_fun]
+    n_fun = n_span - k
+    h = grid.step
+    return b, (prev[:, :n_fun] - prev[:, 1 : 1 + n_fun]) / h
 
 
 @dataclass
@@ -107,6 +137,57 @@ def test_matches_naive_cox_de_boor():
         ours = bspline_basis(x, GRID)
         ref = [naive_bspline(x, knots, i, 3) for i in range(GRID.n_basis)]
         assert np.allclose(ours, ref, atol=1e-12)
+
+
+def _assert_same_bits(ours, ref):
+    assert ours.shape == ref.shape
+    assert np.array_equal(ours, ref)
+    assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+
+@pytest.mark.parametrize("grid", [
+    GRID,
+    SplineGrid(lo=-6.5, hi=6.5, intervals=10, order=3),
+    SplineGrid(lo=-2.0, hi=2.0, intervals=4, order=2),
+    SplineGrid(lo=0.0, hi=4.0, intervals=4, order=1),
+    SplineGrid(lo=-1e4, hi=3e4, intervals=7, order=3),
+], ids=["preset", "pendulum-fixture", "order-2", "order-1", "wide"])
+def test_basis_tables_bit_identical_to_recurrence(grid):
+    rng = np.random.default_rng(17)
+    knots = grid.knots()
+    pad = 2.0 * grid.step
+    x = np.concatenate([
+        rng.uniform(knots[0] - pad, knots[-1] + pad, size=20_000),
+        knots,
+        np.nextafter(knots, np.inf),
+        np.nextafter(knots, -np.inf),
+        [0.0, -0.0],
+    ])
+    basis, deriv = _basis_tables(x, grid)
+    ref_basis, ref_deriv = recurrence_basis_tables(x, grid)
+    _assert_same_bits(basis, ref_basis)
+    _assert_same_bits(deriv, ref_deriv)
+    values_only, none = _basis_tables(x, grid, deriv=False)
+    _assert_same_bits(values_only, ref_basis)
+    assert none is None
+
+
+def test_basis_tables_bit_identical_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-50.0, 50.0), st.floats(0.01, 20.0), st.integers(1, 12),
+           st.integers(1, 4), st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20))
+    def check(lo, width, intervals, order, xs):
+        grid = SplineGrid(lo=lo, hi=lo + width, intervals=intervals, order=order)
+        x = np.concatenate([xs, grid.knots()])
+        basis, deriv = _basis_tables(x, grid)
+        ref_basis, ref_deriv = recurrence_basis_tables(x, grid)
+        _assert_same_bits(basis, ref_basis)
+        _assert_same_bits(deriv, ref_deriv)
+
+    check()
 
 
 def test_basis_values_within_unit_interval():

@@ -1,8 +1,12 @@
 """Tests for the linear-algebra kernels."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kooplift
 from kooplift.numerics import ConvergenceError, _as_matrix, pinv, solve_dare
 
 
@@ -155,3 +159,52 @@ def test_dare_unstabilizable_raises():
     b = np.array([[0.0]])
     with pytest.raises(ConvergenceError):
         solve_dare(a, b, np.array([[1.0]]), np.array([[1.0]]), max_iter=200)
+
+
+# Independent oracles: scipy's Schur-based DARE and Lyapunov solvers.
+
+PRESET_DIR = Path(kooplift.__file__).parent / "presets"
+FIXTURE = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "pendulum_kan_model.json"
+
+
+def _rel_err(p, ref):
+    return np.max(np.abs(p - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dare_matches_scipy_on_random_systems(seed):
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+    a = rng.standard_normal((n, n))
+    a *= rng.uniform(0.5, 1.5) / np.max(np.abs(np.linalg.eigvals(a)))
+    b = rng.standard_normal((n, m))  # full rank, so (a, b) is controllable
+    c = rng.standard_normal((n, n))
+    q = c.T @ c
+    d = rng.standard_normal((m, m))
+    r = d.T @ d + 0.1 * np.eye(m)
+    p = solve_dare(a, b, q, r)
+    assert _rel_err(p, linalg.solve_discrete_are(a, b, q, r)) <= 1e-9
+
+
+def test_dare_matches_scipy_on_pendulum_fixture():
+    linalg = pytest.importorskip("scipy.linalg")
+    from kooplift.control import default_weights
+    from kooplift.koopman import load_model
+
+    model, _, _ = load_model(FIXTURE)
+    with open(PRESET_DIR / "pendulum_kan.json") as fh:
+        section = json.load(fh)["control"]
+    q, r = default_weights(model.n, model.n_total, model.B.shape[1],
+                           q_state=section["q_state"], r=section["r"])
+    p = solve_dare(model.K, model.B, q, r)
+    assert _rel_err(p, linalg.solve_discrete_are(model.K, model.B, q, r)) <= 1e-9
+
+
+def test_dare_no_input_matches_scipy_lyapunov():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((5, 5))
+    a *= 0.95 / np.max(np.abs(np.linalg.eigvals(a)))
+    p = solve_dare(a, np.zeros((5, 0)), np.eye(5), np.zeros((0, 0)))
+    assert _rel_err(p, linalg.solve_discrete_lyapunov(a.T, np.eye(5))) <= 1e-9

@@ -122,11 +122,19 @@ class RunConfig:
                         "compare"):
             if not isinstance(getattr(self, section), dict):
                 raise ConfigError(f"config section {section!r} must be an object")
-        for name, section in (("dataset", self.dataset),
-                              ("evaluation", self.evaluation)):
-            n_ic = section.get("n_ic", 1)
-            if not isinstance(n_ic, int) or n_ic < 1:
-                raise ConfigError(f"{name}.n_ic must be a positive integer")
+        for key, low in (("dataset.n_ic", 1), ("evaluation.n_ic", 1),
+                         ("network.n_observables", 1), ("network.hidden_layers", 0),
+                         ("network.neurons", 1), ("dataset.seed", 0),
+                         ("train.seed", 0), ("evaluation.seed", 0)):
+            section, name = key.split(".")
+            value = getattr(self, section).get(name, low)
+            if type(value) is not int or value < low:  # bool is not an int here
+                kind = "positive" if low else "non-negative"
+                raise ConfigError(f"{key} must be a {kind} integer, got {value!r}")
+        for name in ("dt", "duration"):
+            value = self.control.get(name, 1.0)
+            if type(value) not in (int, float) or not 0.0 < value < float("inf"):
+                raise ConfigError(f"control.{name} must be a positive number, got {value!r}")
 
     @property
     def n_states(self) -> int:
@@ -134,12 +142,8 @@ class RunConfig:
 
     def network_shape(self) -> list[int]:
         net = self.network
-        n_obs = int(net.get("n_observables", 1))
-        hidden = int(net.get("hidden_layers", 1))
-        neurons = int(net.get("neurons", 1))
-        if n_obs < 1 or hidden < 0 or neurons < 1:
-            raise ConfigError("network sizes must be positive")
-        return [self.n_states] + [neurons] * hidden + [n_obs]
+        hidden = [net.get("neurons", 1)] * net.get("hidden_layers", 1)
+        return [self.n_states] + hidden + [net.get("n_observables", 1)]
 
     def spline_grid(self) -> SplineGrid:
         doc = self.network.get("grid") or {}

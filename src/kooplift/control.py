@@ -122,9 +122,6 @@ def settling_time(traj: Trajectory, component: int = 0, threshold: float = 0.05)
 
     Returns None if the trajectory never settles.
     """
-    vals = np.abs(traj.states[:, component])
-    inside = vals < threshold
-    for k in range(inside.size):
-        if np.all(inside[k:]):
-            return k * traj.dt
-    return None
+    outside = np.flatnonzero(~(np.abs(traj.states[:, component]) < threshold))
+    k = int(outside[-1]) + 1 if outside.size else 0
+    return None if k == len(traj.states) else k * traj.dt

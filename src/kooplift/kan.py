@@ -65,11 +65,14 @@ def silu_deriv(x):
     return s * (1.0 + x * (1.0 - s))
 
 
+_BLOCK = 4096  # points per _basis_tables block: its tables (~0.5 MB) fit in L2
+
+
 @functools.cache
 def _recurrence(grid: SplineGrid):
     """Knots, and per degree d the Cox-de Boor denominators t[i+d] - t[i]
-    and, negated, t[i+d+1] - t[i+1]. Cached per grid; callers never write."""
-    t = grid.knots()
+    and, negated, t[i+d+1] - t[i+1], as columns. Cached; callers never write."""
+    t = grid.knots()[:, None]
     return t, [(t[d:-1] - t[: -d - 1], t[1:-d] - t[d + 1 :])
                for d in range(1, grid.order + 1)]
 
@@ -77,25 +80,32 @@ def _recurrence(grid: SplineGrid):
 def _basis_tables(x: np.ndarray, grid: SplineGrid, deriv: bool = True):
     """Degree-k basis values and first derivatives at each point of x.
 
-    Returns (basis, deriv), both of shape (len(x), G + k); deriv is None
-    when not asked for. Uses the Cox-de Boor recurrence column-wise over
-    the whole batch; uniform knots keep every denominator positive so no
-    zero-guard is needed. Every term is a quotient of diff = x - t; the
-    right term (t - x) / den is taken as diff / -den, which is the same
-    float because negation is exact.
+    Returns (basis, deriv), both C-contiguous of shape (len(x), G + k);
+    deriv is None when not asked for. Runs the Cox-de Boor recurrence
+    knot-major over blocks of _BLOCK points, so every operand is a
+    contiguous row slice; uniform knots keep every denominator positive
+    so no zero-guard is needed. Every term is a quotient of diff = x - t;
+    the right term (t - x) / den is taken as diff / -den, which is the
+    same float because negation is exact.
     """
     t, dens = _recurrence(grid)
-    diff = np.asarray(x, dtype=float).ravel()[:, None] - t
-    # Degree 0: x lies in [t_i, t_i+1) when x >= t_i but not x >= t_i+1.
-    b = (diff >= 0.0).astype(float)
-    b = b[:, :-1] - b[:, 1:]
-    for d, (den_left, neg_den_right) in enumerate(dens, start=1):
-        prev = b
-        b = (diff[:, : -d - 1] / den_left * b[:, :-1]
-             + diff[:, d + 1 :] / neg_den_right * b[:, 1:])
-    if not deriv:
-        return b, None
-    return b, (prev[:, :-1] - prev[:, 1:]) / grid.step
+    x = np.asarray(x, dtype=float).ravel()
+    basis = np.empty((x.size, grid.n_basis))
+    dbasis = np.empty_like(basis) if deriv else None
+    for start in range(0, x.size, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        diff = x[rows] - t
+        # Degree 0: x lies in [t_i, t_i+1) when x >= t_i but not x >= t_i+1.
+        b = (diff >= 0.0).astype(float)
+        b = b[:-1] - b[1:]
+        for d, (den_left, neg_den_right) in enumerate(dens, start=1):
+            prev = b
+            b = diff[: -d - 1] / den_left * prev[:-1]
+            b += diff[d + 1 :] / neg_den_right * prev[1:]
+        basis[rows] = b.T
+        if deriv:
+            dbasis[rows] = ((prev[:-1] - prev[1:]) / grid.step).T
+    return basis, dbasis
 
 
 @dataclass

@@ -599,12 +599,3 @@ def save_history(history: list[LossRecord], path) -> None:
         for row in history:
             fh.write(f"{row.epoch},{row.recon:.17g},{row.pred:.17g},{row.total:.17g}\n")
 
-
-def load_history(path) -> list[LossRecord]:
-    out = []
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            epoch, recon, pred, total = line.strip().split(",")
-            out.append(LossRecord(int(epoch), float(recon), float(pred), float(total)))
-    return out

@@ -16,8 +16,9 @@ import pytest
 import kooplift
 from kooplift.cli import RunConfig, main
 from kooplift.kan import SplineGrid, kan_init
-from kooplift.koopman import KoopmanModel, load_history, load_model, save_model
+from kooplift.koopman import KoopmanModel, load_model, save_model
 from kooplift.mlp import mlp_init
+from test_koopman import load_history
 
 PRESET_DIR = Path(kooplift.__file__).parent / "presets"
 
@@ -373,6 +374,30 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     cfg = write_config(tmp_path / "bad_eval.json", doc)
     assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert "evaluation.n_ic must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "network.n_observables", "abc"),
+    ("train", "network.hidden_layers", 1.5),
+    ("train", "network.neurons", 0),
+    ("generate", "dataset.seed", "x"),
+    ("train", "train.seed", -1),
+    ("evaluate", "evaluation.seed", 2.0),
+    ("control", "control.dt", 0),
+    ("control", "control.duration", float("nan")),
+    ("evaluate", "evaluation.n_ic", True),
+], ids=["n_observables-str", "hidden_layers-float", "neurons-zero", "dataset-seed-str",
+        "train-seed-negative", "evaluation-seed-float", "dt-zero", "duration-nan",
+        "n_ic-bool"])
+def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, value):
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    section, name = key.split(".")
+    doc[section][name] = value
+    cfg = write_config(tmp_path / "bad.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be a ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_python_m_kooplift_help():

@@ -149,3 +149,20 @@ def test_settling_time():
     assert settling_time(traj, component=0, threshold=0.05) == pytest.approx(1.0)
     never = Trajectory(dt=0.5, states=np.ones((5, 1)), controls=np.zeros((4, 0)))
     assert settling_time(never) is None
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([0.01, 0.02, 0.0, 0.04], 0.0),
+    ([1.0, 0.5, 0.2, 0.01], 1.5),
+    ([1.0, 0.5, 0.2, 0.1], None),
+    ([0.01, 0.2, 0.01, 0.3], None),
+    ([0.01, 0.2, 0.01, 0.01], 1.0),
+    ([-1.0, 0.04, -0.04, 0.0], 0.5),
+], ids=["inside-from-start", "enters-at-last-sample", "never-inside",
+        "leaves-after-entering", "re-enters", "negative-values"])
+def test_settling_time_edges(values, expected):
+    traj = Trajectory(dt=0.5, states=np.array(values)[:, None],
+                      controls=np.zeros((len(values) - 1, 0)))
+    settle = settling_time(traj, component=0, threshold=0.05)
+    assert settle == expected
+    assert settle is None or type(settle) is float

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kooplift.kan import (
+    _BLOCK,
     SplineGrid,
     _basis_tables,
     first_layer_basis,
@@ -188,6 +189,49 @@ def test_basis_tables_bit_identical_property():
         _assert_same_bits(deriv, ref_deriv)
 
     check()
+
+
+def _assert_same_bits_or_nan(ours, ref):
+    assert ours.shape == ref.shape and ours.flags.c_contiguous
+    assert np.array_equal(ours, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+
+# Two-body positions (about 7,000 km) and overflow-scale values lie far
+# outside the extended support; NaN and +-inf propagate into the tables.
+FAR_AND_NONFINITE = [7000.0, -7000.0, 1e300, -1e300, np.nan, np.inf, -np.inf,
+                     0.0, -0.0]
+
+
+@pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("grid", [GRID, SplineGrid(lo=-6.5, hi=6.5, intervals=10, order=3)],
+                         ids=["preset", "pendulum-fixture"])
+def test_blocked_basis_tables_bit_identical_to_recurrence(grid, size):
+    rng = np.random.default_rng(size)
+    knots = grid.knots()
+    x = rng.uniform(knots[0] - 2.0 * grid.step, knots[-1] + 2.0 * grid.step, size=size)
+    x[::97] = np.resize(FAR_AND_NONFINITE, x[::97].size)
+    with np.errstate(invalid="ignore"):
+        basis, deriv = _basis_tables(x, grid)
+        values_only, _ = _basis_tables(x, grid, deriv=False)
+        ref_basis, ref_deriv = recurrence_basis_tables(x, grid)
+    assert basis.shape == (size, grid.n_basis)
+    _assert_same_bits_or_nan(basis, ref_basis)
+    _assert_same_bits_or_nan(deriv, ref_deriv)
+    _assert_same_bits_or_nan(values_only, ref_basis)
+
+
+def test_first_layer_basis_and_tape_span_blocks():
+    net = kan_init([4, 2, 1], GRID, seed=12)
+    x = np.random.default_rng(4).uniform(-12.0, 12.0, size=(_BLOCK // 2 + 3, 4))
+    assert x.size > 2 * _BLOCK
+    ref_basis, ref_deriv = recurrence_basis_tables(x, GRID)
+    shape = x.shape + (GRID.n_basis,)
+    _assert_same_bits(first_layer_basis(net, x), ref_basis.reshape(shape))
+    tape = []
+    kan_forward(net, x, tape=tape)
+    _assert_same_bits(tape[0][1], ref_basis.reshape(shape))
+    _assert_same_bits(tape[0][2], ref_deriv.reshape(shape))
 
 
 def test_basis_values_within_unit_interval():

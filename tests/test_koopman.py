@@ -11,6 +11,7 @@ from kooplift.dynamics import (
 from kooplift.kan import SplineGrid, first_layer_basis, kan_init
 from kooplift.koopman import (
     KoopmanModel,
+    LossRecord,
     RolloutDivergedError,
     TrainConfig,
     TrainingDivergedError,
@@ -18,7 +19,6 @@ from kooplift.koopman import (
     build_snapshots,
     fit_edmdc,
     lift,
-    load_history,
     load_model,
     loss,
     rollout,
@@ -27,6 +27,18 @@ from kooplift.koopman import (
     train,
 )
 from kooplift.mlp import MlpNetwork, mlp_init
+
+
+def load_history(path) -> list[LossRecord]:
+    """Read a loss_history.csv written by save_history."""
+    out = []
+    with open(path) as fh:
+        next(fh)
+        for line in fh:
+            epoch, recon, pred, total = line.strip().split(",")
+            out.append(LossRecord(int(epoch), float(recon), float(pred), float(total)))
+    return out
+
 
 GRID = SplineGrid()
 
@@ -542,8 +554,6 @@ def test_model_roundtrip(tmp_path):
 
 
 def test_history_roundtrip(tmp_path):
-    from kooplift.koopman import LossRecord
-
     hist = [LossRecord(0, 0.123456789012345678, 1.0 / 3.0, 0.5),
             LossRecord(1, 1e-17, 2.0, 3.0)]
     path = tmp_path / "hist.csv"

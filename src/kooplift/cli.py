@@ -125,13 +125,16 @@ class RunConfig:
         for key, low in (("dataset.n_ic", 1), ("evaluation.n_ic", 1),
                          ("network.n_observables", 1), ("network.hidden_layers", 0),
                          ("network.neurons", 1), ("dataset.seed", 0),
-                         ("train.seed", 0), ("evaluation.seed", 0)):
+                         ("dataset.points_per_orbit", 1), ("train.seed", 0),
+                         ("train.alpha", 1), ("train.epochs", 0),
+                         ("train.lbfgs_max_iter", 1), ("train.lbfgs_history", 1),
+                         ("evaluation.seed", 0)):
             section, name = key.split(".")
             value = getattr(self, section).get(name, low)
             if type(value) is not int or value < low:  # bool is not an int here
                 kind = "positive" if low else "non-negative"
                 raise ConfigError(f"{key} must be a {kind} integer, got {value!r}")
-        for name in ("dt", "duration"):
+        for name in ("dt", "duration", "u_limit"):
             value = self.control.get(name, 1.0)
             if type(value) not in (int, float) or not 0.0 < value < float("inf"):
                 raise ConfigError(f"control.{name} must be a positive number, got {value!r}")

@@ -74,14 +74,6 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def lqr_control(model: KoopmanModel, gain: LqrGain, x, u_limit: float | None = None):
-    """u = -F * lift(x), optionally saturated to [-u_limit, u_limit]."""
-    u = -gain.F @ lift(model, np.asarray(x, dtype=float))
-    if u_limit is not None:
-        u = np.clip(u, -u_limit, u_limit)
-    return u
-
-
 def closed_loop_sim(
     model: KoopmanModel,
     gain: LqrGain,
@@ -94,8 +86,9 @@ def closed_loop_sim(
 ) -> Trajectory:
     """Run the regulator against the true plant for a fixed duration.
 
-    Per step: lift the measured plant state, evaluate the linear law,
-    saturate, and integrate the plant one RK4 step under that input. The
+    Per step: lift the measured plant state, evaluate the linear law
+    u = -F * lift(x), saturate it to [-u_limit, u_limit] unless u_limit is
+    None, and integrate the plant one RK4 step under that input. The
     returned Trajectory carries the applied control history.
 
     plant is a callable (state, u) -> state derivative.
@@ -107,10 +100,13 @@ def closed_loop_sim(
     states = np.empty((n_steps + 1, x.size))
     controls = np.empty((n_steps, gain.F.shape[0]))
     states[0] = x
+    neg_f = -gain.F
     for k in range(n_steps):
-        u = lqr_control(model, gain, x, u_limit)
+        u = neg_f @ lift(model, x)
+        if u_limit is not None:  # np.clip's values, without its overhead
+            u = np.minimum(np.maximum(u, -u_limit), u_limit)
         x = rk4_step(plant, x, u, dt)
-        if np.max(np.abs(x)) > state_bound:
+        if np.abs(x).max() > state_bound:
             raise InstabilityError(k, state_bound)
         states[k + 1] = x
         controls[k] = u

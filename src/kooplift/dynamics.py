@@ -151,7 +151,7 @@ def rk4_step(deriv, state, u, dt) -> np.ndarray:
     k3 = deriv(x + 0.5 * dt * k2, u)
     k4 = deriv(x + dt * k3, u)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise BlowupError("non-finite state after RK4 step")
     return out
 

@@ -12,6 +12,7 @@ degree-reduction derivative formula, not finite differences.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field
 
@@ -55,8 +56,8 @@ class SplineGrid:
 
 def silu(x):
     """x * sigmoid(x), evaluated through tanh for overflow safety."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * x * (1.0 + np.tanh(0.5 * x))
+    half = 0.5 * np.asarray(x, dtype=float)
+    return half * (1.0 + np.tanh(half))
 
 
 def silu_deriv(x):
@@ -66,6 +67,7 @@ def silu_deriv(x):
 
 
 _BLOCK = 4096  # points per _basis_tables block: its tables (~0.5 MB) fit in L2
+_SPAN_POINTS = 3  # up to this many values-only points take the span-local path
 
 
 @functools.cache
@@ -77,6 +79,44 @@ def _recurrence(grid: SplineGrid):
                for d in range(1, grid.order + 1)]
 
 
+@functools.cache
+def _span_terms(grid: SplineGrid):
+    """Knots as floats and, per knot span, its first basis, its basis count and
+    its triangle's terms (t_j, den_left, t_j+d+1, -den_right, slot, slot); the
+    slots index lower-degree values, 0 the structural zero and 1 the 1.0."""
+    t, dens = _recurrence(grid)
+    knots = t.ravel().tolist()
+    spans = []
+    for s in range(len(knots) - 1):
+        slot, terms = {s: 1}, []
+        for d, (den_l, neg_den_r) in enumerate(dens, start=1):
+            prev, slot = slot, {}
+            for j in range(max(s - d, 0), min(s, len(den_l) - 1) + 1):
+                slot[j] = len(terms) + 2
+                terms.append((knots[j], den_l[j, 0].item(), knots[j + d + 1],
+                              neg_den_r[j, 0].item(), prev.get(j, 0), prev.get(j + 1, 0)))
+        spans.append((min(slot), len(slot), terms))
+    return knots, spans
+
+
+def _span_basis(xs: list, grid: SplineGrid) -> np.ndarray | None:
+    """_basis_tables' values for a few points in [t_0, t_last), else None: its
+    terms in Python floats on each point's triangle of k + 1 bases, keeping
+    the structural zeros at the edges so every sign of zero matches."""
+    knots, spans = _span_terms(grid)
+    rows = [0.0] * (len(xs) * grid.n_basis)
+    for i, x in enumerate(xs):
+        if not knots[0] <= x < knots[-1]:
+            return None
+        first, n, terms = spans[bisect.bisect_right(knots, x) - 1]
+        v = [0.0, 1.0]
+        for tl, dl, tr, ndr, a, b in terms:
+            v.append((x - tl) / dl * v[a] + (x - tr) / ndr * v[b])
+        start = i * grid.n_basis + first
+        rows[start : start + n] = v[-n:]
+    return np.array(rows).reshape(len(xs), grid.n_basis)
+
+
 def _basis_tables(x: np.ndarray, grid: SplineGrid, deriv: bool = True):
     """Degree-k basis values and first derivatives at each point of x.
 
@@ -86,10 +126,14 @@ def _basis_tables(x: np.ndarray, grid: SplineGrid, deriv: bool = True):
     contiguous row slice; uniform knots keep every denominator positive
     so no zero-guard is needed. Every term is a quotient of diff = x - t;
     the right term (t - x) / den is taken as diff / -den, which is the
-    same float because negation is exact.
+    same float because negation is exact. Few-point values go to _span_basis.
     """
-    t, dens = _recurrence(grid)
     x = np.asarray(x, dtype=float).ravel()
+    if not deriv and 0 < x.size <= _SPAN_POINTS:
+        basis = _span_basis(x.tolist(), grid)
+        if basis is not None:
+            return basis, None
+    t, dens = _recurrence(grid)
     basis = np.empty((x.size, grid.n_basis))
     dbasis = np.empty_like(basis) if deriv else None
     for start in range(0, x.size, _BLOCK):

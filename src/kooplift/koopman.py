@@ -524,7 +524,7 @@ def rollout(model: KoopmanModel, x0, controls, dt, correct: bool = True) -> Traj
                 if has_input:
                     z = z + _row_products(controls[k], b_t)
                 x = z[..., : model.n]
-                if not np.all(np.isfinite(x)):
+                if not np.isfinite(x).all():
                     raise RolloutDivergedError(k)
                 states[k + 1] = x
         else:
@@ -533,7 +533,7 @@ def rollout(model: KoopmanModel, x0, controls, dt, correct: bool = True) -> Traj
                 z = _row_products(z, k_t)
                 if has_input:
                     z = z + _row_products(controls[k], b_t)
-                if not np.all(np.isfinite(z)):
+                if not np.isfinite(z).all():
                     raise RolloutDivergedError(k)
                 states[k + 1] = z[..., : model.n]
     return Trajectory(dt=dt, states=states, controls=controls)

@@ -1,16 +1,24 @@
-"""Smoke test of the benchmark harness: one pendulum_kan pass and its JSON line."""
+"""Smoke test of the benchmark harness: one pass per workload and its JSON line.
+
+pendulum_kan runs the preset pipeline; pendulum_kan_infer runs the trained
+fixture through rollouts and LQR, and its pass is only correct when the
+95th-percentile angle error is inside the limit and every closed loop settles.
+"""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_bench_harness_runs_and_reports_schema():
+@pytest.mark.parametrize("workload", ["pendulum_kan", "pendulum_kan_infer"])
+def test_bench_harness_runs_and_reports_schema(workload):
     proc = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "pendulum_kan", "--seconds", "0"],
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seconds", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=170,
     )
     assert proc.returncode == 0, proc.stderr

@@ -386,9 +386,18 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     ("control", "control.dt", 0),
     ("control", "control.duration", float("nan")),
     ("evaluate", "evaluation.n_ic", True),
+    ("train", "train.alpha", 1.5),
+    ("train", "train.epochs", True),
+    ("train", "train.epochs", -1),
+    ("train", "train.lbfgs_max_iter", 0),
+    ("train", "train.lbfgs_history", "10"),
+    ("generate", "dataset.points_per_orbit", 1.5),
+    ("control", "control.u_limit", "a"),
+    ("control", "control.u_limit", float("inf")),
 ], ids=["n_observables-str", "hidden_layers-float", "neurons-zero", "dataset-seed-str",
         "train-seed-negative", "evaluation-seed-float", "dt-zero", "duration-nan",
-        "n_ic-bool"])
+        "n_ic-bool", "alpha-float", "epochs-bool", "epochs-negative", "lbfgs_max_iter-zero",
+        "lbfgs_history-str", "points_per_orbit-float", "u_limit-str", "u_limit-inf"])
 def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, value):
     doc = json.loads(Path(pendulum_cfg).read_text())
     section, name = key.split(".")

@@ -10,7 +10,6 @@ from kooplift.control import (
     closed_loop_sim,
     default_weights,
     dlqr,
-    lqr_control,
     settling_time,
     spectral_radius,
 )
@@ -136,11 +135,13 @@ def test_closed_loop_instability_error():
     assert err.value.step >= 0
 
 
-def test_lqr_control_reports_saturation():
-    model, _, _ = _linear_plant_model()
+def test_closed_loop_saturates_at_u_limit():
+    model, plant, dt = _linear_plant_model()
     gain = LqrGain(F=np.full((1, 4), 10.0), Q=np.zeros((4, 4)), R=np.eye(1))
-    u = lqr_control(model, gain, [1.0, 1.0], u_limit=0.3)
-    assert abs(u[0]) <= 0.3
+    traj = closed_loop_sim(model, gain, plant, [1.0, 1.0], duration=1.0, dt=dt,
+                           u_limit=0.3)
+    # every applied |u| is at most 0.3, and the bound is reached
+    assert np.max(np.abs(traj.controls)) == 0.3
 
 
 def test_settling_time():

@@ -6,10 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from kooplift import kan
 from kooplift.kan import (
     _BLOCK,
+    _SPAN_POINTS,
     SplineGrid,
     _basis_tables,
+    _span_basis,
     first_layer_basis,
     kan_backward,
     kan_forward,
@@ -232,6 +235,78 @@ def test_first_layer_basis_and_tape_span_blocks():
     kan_forward(net, x, tape=tape)
     _assert_same_bits(tape[0][1], ref_basis.reshape(shape))
     _assert_same_bits(tape[0][2], ref_deriv.reshape(shape))
+
+
+SPAN_GRIDS = pytest.mark.parametrize("grid", [
+    GRID,
+    SplineGrid(lo=-6.5, hi=6.5, intervals=10, order=3),
+    SplineGrid(lo=0.0, hi=4.0, intervals=4, order=1),
+    SplineGrid(lo=-2.0, hi=2.0, intervals=4, order=2),
+    SplineGrid(lo=-3.0, hi=3.0, intervals=6, order=5),
+    SplineGrid(lo=-1.0, hi=1.0, intervals=1, order=3),
+], ids=["preset", "pendulum-fixture", "order-1", "order-2", "order-5", "one-interval"])
+
+
+def _assert_values_only_match(x, grid):
+    """The values-only table equals the blocked kernel's (deriv=True never
+    takes the span-local path) and the oracle recurrence, bit for bit."""
+    with np.errstate(invalid="ignore"):
+        values, none = _basis_tables(x, grid, deriv=False)
+        assert none is None
+        _assert_same_bits_or_nan(values, _basis_tables(x, grid)[0])
+        _assert_same_bits_or_nan(values, recurrence_basis_tables(x, grid)[0])
+
+
+@pytest.mark.parametrize("size", range(1, _SPAN_POINTS + 1))
+@SPAN_GRIDS
+def test_span_basis_bit_identical_to_blocked_kernel(grid, size):
+    knots = grid.knots()
+    rng = np.random.default_rng(size)
+    x = np.concatenate([knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+                        [0.0, -0.0], rng.uniform(knots[0], knots[-1], size=300)])
+    rng.shuffle(x)
+    for points in x[: x.size - x.size % size].reshape(-1, size):
+        inside = bool(np.all((knots[0] <= points) & (points < knots[-1])))
+        assert (_span_basis(points.tolist(), grid) is not None) == inside
+        _assert_values_only_match(points, grid)
+
+
+@SPAN_GRIDS
+def test_span_basis_falls_back_outside_support(grid, monkeypatch):
+    knots = grid.knots()
+    mid = 0.5 * (knots[0] + knots[1])
+    for points in ([np.nan], [np.inf], [-np.inf], [1e300], [-1e300], [knots[-1]],
+                   [knots[0] - grid.step], [np.nextafter(knots[0], -np.inf)],
+                   [mid, np.nan], [knots[-1], mid], [mid, mid, 1e300]):
+        assert _span_basis(points, grid) is None
+        _assert_values_only_match(np.array(points), grid)
+    assert _basis_tables(np.empty(0), grid, deriv=False)[0].shape == (0, grid.n_basis)
+
+    def refuse(xs, grid):
+        raise AssertionError("span-local path taken")
+
+    monkeypatch.setattr(kan, "_span_basis", refuse)
+    _basis_tables(np.full(_SPAN_POINTS + 1, mid), grid, deriv=False)
+    _basis_tables(np.array([mid]), grid)
+
+
+def test_span_basis_bit_identical_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-50.0, 50.0), st.floats(0.01, 20.0), st.integers(1, 12),
+           st.integers(1, 5), st.lists(st.tuples(st.floats(-0.1, 1.1), st.booleans()),
+                                       min_size=1, max_size=_SPAN_POINTS))
+    def check(lo, width, intervals, order, draws):
+        grid = SplineGrid(lo=lo, hi=lo + width, intervals=intervals, order=order)
+        knots = grid.knots()
+        x = knots[0] + np.array([f for f, _ in draws]) * (knots[-1] - knots[0])
+        on_knot = np.array([snap for _, snap in draws])
+        x[on_knot] = knots[np.abs(knots[:, None] - x[on_knot]).argmin(axis=0)]
+        _assert_values_only_match(x, grid)
+
+    check()
 
 
 def test_basis_values_within_unit_interval():

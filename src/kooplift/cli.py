@@ -95,7 +95,7 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         path = Path(path)
         if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
+            raise ConfigError("config file not found")
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -134,10 +134,28 @@ class RunConfig:
             if type(value) is not int or value < low:  # bool is not an int here
                 kind = "positive" if low else "non-negative"
                 raise ConfigError(f"{key} must be a {kind} integer, got {value!r}")
-        for name in ("dt", "duration", "u_limit"):
-            value = self.control.get(name, 1.0)
-            if type(value) not in (int, float) or not 0.0 < value < float("inf"):
-                raise ConfigError(f"control.{name} must be a positive number, got {value!r}")
+        positive = ("control.dt", "control.duration", "control.u_limit", "control.q_state",
+                    "control.r", "train.learning_rate")
+        for key in positive + ("train.gamma", "train.beta", "train.weight_decay",
+                               "train.lambda_l1", "train.lambda_l2"):
+            section, name = key.split(".")
+            value = getattr(self, section).get(name, 1.0)
+            kind = "positive" if key in positive else "non-negative"
+            if type(value) not in (int, float) or not 0.0 <= value < float("inf") or (
+                    value == 0 and kind == "positive"):
+                raise ConfigError(f"{key} must be a {kind} finite number, got {value!r}")
+        batch = self.train.get("batch_size")
+        if batch is not None and (type(batch) is not int or batch < 1):
+            raise ConfigError(f"train.batch_size must be a positive integer or null, "
+                              f"got {batch!r}")
+        if self.train.get("optimizer", "lbfgs") not in ("lbfgs", "adam"):
+            raise ConfigError("train.optimizer must be a known optimizer, 'lbfgs' or "
+                              f"'adam', got {self.train['optimizer']!r}")
+        x0 = self.control.get("x0", [0.0] * self.n_states)
+        if type(x0) is not list or len(x0) != self.n_states or not all(
+                type(v) in (int, float) and abs(v) < float("inf") for v in x0):
+            raise ConfigError(f"control.x0 must be a list of {self.n_states} finite numbers, "
+                              f"got {x0!r}")
 
     @property
     def n_states(self) -> int:
@@ -501,7 +519,7 @@ def main(argv=None) -> int:
         out_dir = _resolve_out(args.out, cfg)
         return _COMMANDS[args.command](cfg, out_dir, args.seed)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {exc} (in {args.config})", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -102,8 +102,6 @@ class KoopmanModel:
     def __post_init__(self):
         if self.kind not in _FORWARD:
             raise ValueError(f"unknown backend kind {self.kind!r}")
-        # The exact state-extraction matrix [I_n, 0].
-        self.P = np.eye(self.n, self.n_total)
 
     @property
     def n_params(self) -> int:
@@ -244,15 +242,26 @@ def _powers(k: np.ndarray, alpha: int) -> list[np.ndarray]:
     return out[: alpha + 1]
 
 
+def _state_rows(a: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """(a @ x)[:n], multiplying only the rows it keeps when n and x's width are
+    both >= 2: such slices round like the full product's rows (on OpenBLAS up to
+    11 columns of a), one row or column does not. A one-column a gives a * x."""
+    if a.shape[1] == 1:
+        return a[:n] * x
+    rows = n if n > 1 and x.shape[1] > 1 else a.shape[0]
+    return (a[:rows] @ x)[:n]
+
+
 def _forcing_terms(model: KoopmanModel, snaps: SnapshotSet, powers, cols):
-    """K^(alpha-1-i) B U[:, cols+i] for i < alpha, in summation order.
+    """State rows of K^(alpha-1-i) B U[:, cols+i] for i < alpha, in summation order.
 
     These are the control-forcing terms of the alpha-step linear
     prediction from the X columns cols.
     """
     if model.B.shape[1]:
         for i in range(snaps.alpha):
-            yield powers[snaps.alpha - 1 - i] @ (model.B @ snaps.U[:, cols + i])
+            bu = _state_rows(model.B, snaps.U[:, cols + i], model.n_total)
+            yield _state_rows(powers[snaps.alpha - 1 - i], bu, model.n)
 
 
 @dataclass
@@ -282,10 +291,9 @@ def _pred_corrected_terms(model: KoopmanModel, snaps: SnapshotSet, src: np.ndarr
     inter = []
     for i in range(snaps.alpha):
         inter.append(x)
-        z = model.K @ _lift_cols(model.kind, model.network, x)
+        x = _state_rows(model.K, _lift_cols(model.kind, model.network, x), model.n)
         if model.B.shape[1]:
-            z += model.B @ snaps.U[:, src + i]
-        x = z[: model.n]
+            x += _state_rows(model.B, snaps.U[:, src + i], model.n)
     return x, inter
 
 
@@ -327,7 +335,7 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     tape = [] if grad and phi_x is None else None
     if phi_x is None:
         phi_x = _lift_cols(kind, net, x, tape, None if plan is None else plan.basis)
-    err = (model.K @ phi_x + model.B @ u)[:n] - x_next
+    err = _state_rows(model.K, phi_x, n) + _state_rows(model.B, u, n) - x_next
     recon = float(np.sum(err * err)) / err.shape[1]
     if grad:
         d_phi = (2.0 * cfg.beta / err.shape[1]) * (model.K[:n].T @ err)
@@ -351,10 +359,9 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
                 x_p = snaps.X[:, src]
                 tape_p = [] if grad else None
                 phi_p = _lift_cols(kind, net, x_p, tape_p)
-            z = powers[snaps.alpha] @ phi_p
+            x_hat = _state_rows(powers[snaps.alpha], phi_p, n)
             for term in forcing:
-                z += term
-            x_hat = z[:n]
+                x_hat += term
         err_p = x_hat - x_alpha
         pred = float(np.sum(err_p * err_p)) / err_p.shape[1]
         if grad:
@@ -546,7 +553,6 @@ def save_model(model: KoopmanModel, path, cfg: TrainConfig | None = None,
         "network": _TO_DICT[model.kind](model.network),
         "K": model.K.tolist(),
         "B": model.B.tolist(),
-        "P": model.P.tolist(),
         "n": model.n,
         "n_total": model.n_total,
         "config": cfg.to_dict() if cfg is not None else None,

@@ -14,14 +14,32 @@ SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
 
-def selu(x):
+def selu(x, out=None):
+    """lambda * (max(0, x) + alpha * expm1(min(0, x))), branch-free; out may be x.
+
+    The scalar leads max and min, which return their second operand on ties,
+    so -0 keeps its sign. out= arrays keep 0-d inputs working in place."""
     x = np.asarray(x, dtype=float)
-    return SELU_LAMBDA * np.where(x > 0, x, SELU_ALPHA * np.expm1(x))
+    t = np.minimum(0.0, x, out=np.empty_like(x))
+    np.expm1(t, out=t)
+    t *= SELU_ALPHA
+    y = np.maximum(0.0, x, out=np.empty_like(x) if out is None else out)
+    y += t
+    y *= SELU_LAMBDA
+    return y
 
 
 def selu_deriv(x):
+    """lambda * (pos + alpha * exp(min(0, x)) * (1 - pos)) with pos = [x > 0]."""
     x = np.asarray(x, dtype=float)
-    return SELU_LAMBDA * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(x))
+    pos = (x > 0).astype(float)
+    t = np.minimum(0.0, x, out=np.empty_like(x))
+    np.exp(t, out=t)
+    t *= SELU_ALPHA
+    t *= 1.0 - pos
+    t += pos
+    t *= SELU_LAMBDA
+    return t
 
 
 @dataclass
@@ -79,10 +97,12 @@ def mlp_forward(net: MlpNetwork, x, tape=None) -> np.ndarray:
         raise ValueError(f"input width {a.shape[1]} != network input {net.shape[0]}")
     last = len(net.weights) - 1
     for li, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         if tape is not None:
             tape.append((a, z))
-        a = z if li == last else selu(z)
+        # Without a tape nothing else holds z, so the activation overwrites it.
+        a = z if li == last else selu(z, out=None if tape is not None else z)
     return a[0] if squeeze else a
 
 
@@ -111,7 +131,11 @@ def mlp_backward(net: MlpNetwork, x, upstream_grad, tape=None):
     parts = [None] * len(net.weights)
     for li in range(last, -1, -1):
         a, z = tape[li]
-        dz = u if li == last else u * selu_deriv(z)
+        if li == last:
+            dz = u
+        else:
+            dz = selu_deriv(z)
+            dz *= u
         parts[li] = [(dz.T @ a).ravel(), dz.sum(axis=0)]
         u = dz @ net.weights[li]
     flat = np.concatenate([seg for layer_parts in parts for seg in layer_parts])

@@ -394,10 +394,33 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     ("generate", "dataset.points_per_orbit", 1.5),
     ("control", "control.u_limit", "a"),
     ("control", "control.u_limit", float("inf")),
+    ("control", "control.q_state", "a"),
+    ("control", "control.q_state", 0),
+    ("control", "control.r", 0),
+    ("control", "control.r", -1.0),
+    ("control", "control.x0", "ab"),
+    ("control", "control.x0", [1.0]),
+    ("control", "control.x0", [1.0, float("nan")]),
+    ("control", "control.x0", [True, 0.0]),
+    ("train", "train.gamma", -1.0),
+    ("train", "train.beta", float("nan")),
+    ("train", "train.weight_decay", "0"),
+    ("train", "train.lambda_l1", -0.5),
+    ("train", "train.lambda_l2", float("inf")),
+    ("train", "train.learning_rate", 0),
+    ("train", "train.learning_rate", float("inf")),
+    ("train", "train.batch_size", 0),
+    ("train", "train.batch_size", True),
+    ("train", "train.batch_size", 2.5),
+    ("train", "train.optimizer", "sgd"),
 ], ids=["n_observables-str", "hidden_layers-float", "neurons-zero", "dataset-seed-str",
         "train-seed-negative", "evaluation-seed-float", "dt-zero", "duration-nan",
         "n_ic-bool", "alpha-float", "epochs-bool", "epochs-negative", "lbfgs_max_iter-zero",
-        "lbfgs_history-str", "points_per_orbit-float", "u_limit-str", "u_limit-inf"])
+        "lbfgs_history-str", "points_per_orbit-float", "u_limit-str", "u_limit-inf",
+        "q_state-str", "q_state-zero", "r-zero", "r-negative", "x0-str", "x0-short",
+        "x0-nan", "x0-bool", "gamma-negative", "beta-nan", "weight_decay-str",
+        "lambda_l1-negative", "lambda_l2-inf", "learning_rate-zero", "learning_rate-inf",
+        "batch_size-zero", "batch_size-bool", "batch_size-float", "optimizer-unknown"])
 def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, value):
     doc = json.loads(Path(pendulum_cfg).read_text())
     section, name = key.split(".")
@@ -406,6 +429,7 @@ def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, 
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key} must be a ")
+    assert err.rstrip("\n").endswith(f"(in {cfg})")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

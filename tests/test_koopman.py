@@ -1,8 +1,12 @@
 """Tests for lifting, operator fitting, losses, training, and rollout."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from kooplift import koopman, mlp
 from kooplift.dynamics import (
     Trajectory,
     generate_pendulum_dataset,
@@ -15,7 +19,11 @@ from kooplift.koopman import (
     RolloutDivergedError,
     TrainConfig,
     TrainingDivergedError,
+    _BACKWARD,
     _TrainPlan,
+    _corrected_pred_grad,
+    _lift_cols,
+    _powers,
     build_snapshots,
     fit_edmdc,
     lift,
@@ -26,7 +34,7 @@ from kooplift.koopman import (
     save_model,
     train,
 )
-from kooplift.mlp import MlpNetwork, mlp_init
+from kooplift.mlp import SELU_ALPHA, SELU_LAMBDA, MlpNetwork, mlp_init
 
 
 def load_history(path) -> list[LossRecord]:
@@ -89,7 +97,7 @@ def test_lift_extraction_identity():
         x = rng.uniform(-3, 3, size=2)
         z = lift(model, x)
         assert z.shape == (3,)
-        assert np.array_equal(model.P @ z, x)
+        assert np.array_equal(z[:model.n], x)
 
 
 def test_lifted_sizes():
@@ -246,7 +254,7 @@ def test_pred_loss_matches_stepwise_oracle():
         z = phi[:, col].copy()
         for i in range(7):
             z = k @ z + b @ snaps.U[:, col + i]
-        err = (model.P @ z) - snaps.X_alpha[:, j]
+        err = z[:model.n] - snaps.X_alpha[:, j]
         total += float(err @ err)
     oracle = total / snaps.n_pred_pairs
     assert loss(model, snaps, TrainConfig(alpha=7))[1] == pytest.approx(oracle, rel=1e-10)
@@ -553,6 +561,22 @@ def test_model_roundtrip(tmp_path):
     assert np.array_equal(a.states, b.states)
 
 
+def test_model_file_with_p_key_loads_and_saves_without_it(tmp_path):
+    # Model files written before the P key was dropped still carry it.
+    fixture = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / \
+        "pendulum_kan_model.json"
+    doc = json.loads(fixture.read_text())
+    assert doc["P"] == np.eye(doc["n"], doc["n_total"]).tolist()
+    model, cfg, _ = load_model(fixture)
+    assert (model.kind, model.n, model.n_total) == ("kan", 2, 3)
+    assert np.array_equal(model.K, np.asarray(doc["K"]))
+    path = tmp_path / "model.json"
+    save_model(model, path, cfg=cfg)
+    assert "P" not in json.loads(path.read_text())
+    x = np.array([0.3, -0.4])
+    assert np.array_equal(lift(load_model(path)[0], x), lift(model, x))
+
+
 def test_history_roundtrip(tmp_path):
     hist = [LossRecord(0, 0.123456789012345678, 1.0 / 3.0, 0.5),
             LossRecord(1, 1e-17, 2.0, 3.0)]
@@ -560,3 +584,182 @@ def test_history_roundtrip(tmp_path):
     save_history(hist, path)
     back = load_history(path)
     assert back == hist
+
+
+# The full-row loss as it stood before the state-row products: every row of
+# K @ phi, B @ u and each K^j (B U) forcing term is formed, and the state rows
+# are sliced off at the end. The loss kernel must reproduce it bit for bit.
+def _full_row_forcing(model, snaps, powers, cols):
+    if model.B.shape[1]:
+        for i in range(snaps.alpha):
+            yield powers[snaps.alpha - 1 - i] @ (model.B @ snaps.U[:, cols + i])
+
+
+def _full_row_corrected(model, snaps, src):
+    x = snaps.X[:, src]
+    inter = []
+    for i in range(snaps.alpha):
+        inter.append(x)
+        z = model.K @ _lift_cols(model.kind, model.network, x)
+        if model.B.shape[1]:
+            z += model.B @ snaps.U[:, src + i]
+        x = z[: model.n]
+    return x, inter
+
+
+def _full_row_loss(model, snaps, cfg, cols=None, pcols=None, plan=None, grad=False,
+                   phi_x=None):
+    del plan  # the oracle always rebuilds powers and forcing terms
+    kind, net, n = model.kind, model.network, model.n
+    backward = _BACKWARD[kind]
+    x, x_next, u = snaps.X, snaps.X_next, snaps.U
+    if cols is not None:
+        x, x_next, u = x[:, cols], x_next[:, cols], u[:, cols]
+    tape = [] if grad and phi_x is None else None
+    if phi_x is None:
+        phi_x = _lift_cols(kind, net, x, tape)
+    err = (model.K @ phi_x + model.B @ u)[:n] - x_next
+    recon = float(np.sum(err * err)) / err.shape[1]
+    if grad:
+        d_phi = (2.0 * cfg.beta / err.shape[1]) * (model.K[:n].T @ err)
+    pred, pred_grads = 0.0, None
+    if cfg.gamma or not grad:
+        src, x_alpha = snaps.pred_cols, snaps.X_alpha
+        if pcols is not None:
+            src, x_alpha = src[pcols], x_alpha[:, pcols]
+        shared = cols is None and pcols is None
+        if cfg.corrected_pred_loss:
+            x_hat, inter = _full_row_corrected(model, snaps, src)
+        else:
+            powers = _powers(model.K, snaps.alpha)
+            if shared:
+                phi_p = phi_x[:, src]
+            else:
+                x_p = snaps.X[:, src]
+                tape_p = [] if grad else None
+                phi_p = _lift_cols(kind, net, x_p, tape_p)
+            z = powers[snaps.alpha] @ phi_p
+            for term in _full_row_forcing(model, snaps, powers, src):
+                z += term
+            x_hat = z[:n]
+        err_p = x_hat - x_alpha
+        pred = float(np.sum(err_p * err_p)) / err_p.shape[1]
+        if grad:
+            scale = 2.0 * cfg.gamma / err_p.shape[1]
+            if cfg.corrected_pred_loss:
+                pred_grads = _corrected_pred_grad(model, inter, scale * err_p)
+            else:
+                d_pred = scale * (powers[snaps.alpha][:n].T @ err_p)
+                if shared:
+                    d_phi[:, src] += d_pred
+                else:
+                    pred_grads, _ = backward(net, x_p.T, d_pred[n:, :].T, tape=tape_p)
+    params = net.get_params()
+    penalty = 0.0
+    if cfg.lambda_l1:
+        penalty += cfg.lambda_l1 * float(np.sum(np.abs(params)))
+    if cfg.lambda_l2:
+        penalty += cfg.lambda_l2 * float(params @ params)
+    total = cfg.gamma * pred + cfg.beta * recon + penalty
+    if not grad:
+        return recon, pred, total
+    grads, _ = backward(net, x.T, d_phi[n:, :].T, tape=tape)
+    if pred_grads is not None:
+        grads += pred_grads
+    if cfg.lambda_l1:
+        grads += cfg.lambda_l1 * np.sign(params)
+    if cfg.lambda_l2:
+        grads += 2.0 * cfg.lambda_l2 * params
+    return recon, pred, total, grads
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _random_system(n, p, n_traj=3, steps=14, seed=0):
+    """Trajectories of random states and controls: the loss does not care
+    whether they obey any dynamics."""
+    rng = np.random.default_rng(seed)
+    return [Trajectory(dt=0.1, states=rng.uniform(-2.0, 2.0, size=(steps + 1, n)),
+                       controls=rng.uniform(-1.0, 1.0, size=(steps, p)))
+            for _ in range(n_traj)]
+
+
+def _oracle_case(case):
+    """(model, snaps, plan or None, cols, pcols) for one loss-oracle case."""
+    rng = np.random.default_rng(41)
+    plan = cols = pcols = None
+    if case == "kan_plan":
+        trajs, net = generate_pendulum_dataset(2, seed=5), kan_init([2, 2, 2], GRID, seed=2)
+    elif case == "no_input":
+        trajs, net = _random_system(4, 0, seed=1), mlp_init([4, 6, 6], seed=3)
+    elif case == "two_controls":
+        trajs, net = _random_system(2, 2, seed=2), mlp_init([2, 5, 3], seed=4)
+    elif case == "one_state":
+        trajs, net = _random_system(1, 1, seed=3), mlp_init([1, 5, 3], seed=5)
+    elif case == "width_one":  # a one-column minibatch at 10 lifted coordinates
+        trajs, net = _random_system(2, 1, seed=4), mlp_init([2, 6, 8], seed=7)
+    else:  # Adam minibatches of 40 columns
+        trajs, net = generate_pendulum_dataset(3, seed=6), mlp_init([2, 6, 6, 2], seed=6)
+    snaps = build_snapshots(trajs, alpha=4)
+    n = snaps.X.shape[0]
+    n_total = n + net.shape[-1]
+    p = snaps.U.shape[0]
+    model = KoopmanModel(kind="kan" if case == "kan_plan" else "mlp", network=net,
+                         K=np.eye(n_total) + 0.1 * rng.standard_normal((n_total, n_total)),
+                         B=0.3 * rng.standard_normal((n_total, p)), n=n, n_total=n_total)
+    if case == "kan_plan":
+        plan = _TrainPlan(basis=first_layer_basis(net, snaps.X.T))
+        plan.refit(model, snaps)
+    if case in ("adam_minibatch", "width_one"):
+        size = 1 if case == "width_one" else 40
+        cols = rng.choice(snaps.n_pairs, size=size, replace=False)
+        pcols = rng.choice(snaps.n_pred_pairs, size=size, replace=False)
+    return model, snaps, plan, cols, pcols
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("case", ["adam_minibatch", "width_one", "kan_plan", "no_input",
+                                  "two_controls", "one_state"])
+def test_state_row_loss_bit_identical_to_full_rows(case, corrected):
+    model, snaps, plan, cols, pcols = _oracle_case(case)
+    cfg = TrainConfig(alpha=4, gamma=0.7, beta=1.3, lambda_l2=0.01,
+                      corrected_pred_loss=corrected)
+    want = _full_row_loss(model, snaps, cfg, cols, pcols, grad=True)
+    _assert_same_bits(loss(model, snaps, cfg, cols, pcols, plan=plan, grad=True), want)
+    want = _full_row_loss(model, snaps, cfg, cols, pcols)
+    _assert_same_bits(loss(model, snaps, cfg, cols, pcols, plan=plan), want)
+    if cols is None:
+        # The logged loss of an epoch: the lift of every X column is given.
+        phi_x = _lift_cols(model.kind, model.network, snaps.X)
+        want = _full_row_loss(model, snaps, cfg, phi_x=phi_x)
+        _assert_same_bits(loss(model, snaps, cfg, plan=plan, phi_x=phi_x), want)
+
+
+def _where_selu(x, out=None):
+    del out  # the caller uses the returned array
+    return SELU_LAMBDA * np.where(x > 0, x, SELU_ALPHA * np.expm1(x))
+
+
+def _where_selu_deriv(x):
+    return SELU_LAMBDA * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(x))
+
+
+def test_adam_train_history_bit_identical_to_full_rows(monkeypatch):
+    trajs = generate_pendulum_dataset(3, seed=8)
+    cfg = TrainConfig(alpha=3, gamma=0.5, beta=1.0, epochs=2, optimizer="adam",
+                      learning_rate=3e-3, batch_size=64, weight_decay=1e-5, seed=4,
+                      shape=[2, 6, 6, 2])
+    model, hist = train("mlp", trajs, cfg)
+    monkeypatch.setattr(koopman, "loss", _full_row_loss)
+    monkeypatch.setattr(mlp, "selu", _where_selu)
+    monkeypatch.setattr(mlp, "selu_deriv", _where_selu_deriv)
+    model_ref, hist_ref = train("mlp", trajs, cfg)
+    assert hist == hist_ref
+    assert np.array_equal(model.network.get_params(), model_ref.network.get_params())
+    assert np.array_equal(model.K, model_ref.K) and np.array_equal(model.B, model_ref.B)

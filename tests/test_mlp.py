@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from kooplift.mlp import (
+    SELU_ALPHA,
+    SELU_LAMBDA,
     MlpNetwork,
     mlp_backward,
     mlp_forward,
@@ -28,6 +30,99 @@ def test_selu_reference_values():
     assert selu_deriv(-1.0) == pytest.approx(
         1.0507009873554805 * 1.6732632423543772 * np.exp(-1.0), rel=1e-12
     )
+
+
+# The select forms the branch-free activations replaced; they are the oracle.
+def where_selu(x):
+    x = np.asarray(x, dtype=float)
+    return SELU_LAMBDA * np.where(x > 0, x, SELU_ALPHA * np.expm1(x))
+
+
+def where_selu_deriv(x):
+    x = np.asarray(x, dtype=float)
+    return SELU_LAMBDA * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(x))
+
+
+SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+           800.0, -800.0]
+
+
+def _assert_same_bits(ours, ref):
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    assert ours.shape == ref.shape
+    assert np.array_equal(ours, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+
+def _check_activations(x):
+    with np.errstate(over="ignore"):
+        _assert_same_bits(selu(x), where_selu(x))
+        _assert_same_bits(selu_deriv(x), where_selu_deriv(x))
+        inplace = np.array(x, dtype=float)
+        _assert_same_bits(selu(inplace, out=inplace), where_selu(x))
+
+
+def test_activations_bit_identical_on_special_values_at_every_offset():
+    # SIMD loops handle the head, body and tail of an array in different
+    # code, so every special value is tried at every lane offset.
+    rng = np.random.default_rng(0)
+    for length in range(1, 41):
+        base = rng.standard_normal(length)
+        for offset in range(min(length, 16)):
+            for value in SPECIAL:
+                x = base.copy()
+                x[offset] = value
+                _check_activations(x)
+    _check_activations(np.array(SPECIAL * 3))
+
+
+def test_activations_bit_identical_on_random_and_0d_inputs():
+    rng = np.random.default_rng(1)
+    for scale in (1.0, 30.0):
+        _check_activations(scale * rng.standard_normal((4096, 6)))
+    for value in SPECIAL + [1.0, -1.0, 0.3, -2.5]:
+        _check_activations(value)
+        _check_activations(np.asarray(value))
+        assert np.ndim(selu(value)) == 0 and np.ndim(selu_deriv(value)) == 0
+
+
+def test_activations_bit_identical_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 70),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+    def check(x):
+        _check_activations(x)
+
+    check()
+
+
+def _where_forward(net, x):
+    a = np.atleast_2d(np.asarray(x, dtype=float))
+    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w.T + b
+        a = z if li == len(net.weights) - 1 else where_selu(z)
+    return a
+
+
+def test_untaped_forward_in_place_equals_taped_and_oracle():
+    net = mlp_init([2, 6, 6, 6, 2], seed=4)
+    rng = np.random.default_rng(2)
+    x = 3.0 * rng.standard_normal((257, 2))
+    x[:4] = [[0.0, -0.0], [-0.0, 0.0], [1e-310, -1e-310], [-5e-324, 5e-324]]
+    kept = x.copy()
+    untaped = mlp_forward(net, x)
+    _assert_same_bits(x, kept)  # the input is never overwritten
+    tape = []
+    _assert_same_bits(untaped, mlp_forward(net, x, tape=tape))
+    _assert_same_bits(untaped, _where_forward(net, x))
+    # The tape keeps the pre-activations the backward pass needs.
+    for (a, z), w, b in zip(tape, net.weights, net.biases):
+        _assert_same_bits(z, a @ w.T + b)
 
 
 def test_zero_network_outputs_zero():

@@ -46,7 +46,7 @@ from .dynamics import (
     save_dataset,
     write_csv,
 )
-from .kan import SplineGrid
+from .kan import SplineGrid, kan_init
 from .koopman import (
     RolloutDivergedError,
     TrainConfig,
@@ -57,6 +57,7 @@ from .koopman import (
     save_model,
     train,
 )
+from .mlp import mlp_init
 
 OUT_ENV_VAR = "KOOPLIFT_OUT"
 
@@ -76,6 +77,18 @@ _SYSTEMS = {
 
 class ConfigError(Exception):
     """The config document is structurally or semantically invalid."""
+
+
+# The keys each config section may hold; the train section holds TrainConfig's.
+_SECTION_KEYS = {
+    "dataset": {"n_ic", "seed", "points_per_orbit", "path"},
+    "network": {"n_observables", "hidden_layers", "neurons", "grid"},
+    "train": set(TrainConfig.__dataclass_fields__),
+    "evaluation": {"n_ic", "seed", "radius_range", "extrapolation"},
+    "evaluation.extrapolation": {"n_ic", "radius_range"},
+    "control": {"x0", "duration", "dt", "q_state", "r", "u_limit"},
+    "compare": {"model_a", "model_b"},
+}
 
 
 @dataclass
@@ -118,10 +131,17 @@ class RunConfig:
             )
         if self.backend not in ("kan", "mlp"):
             raise ConfigError(f"backend must be 'kan' or 'mlp', got {self.backend!r}")
-        for section in ("dataset", "network", "train", "evaluation", "control",
-                        "compare"):
-            if not isinstance(getattr(self, section), dict):
+        for section, known in _SECTION_KEYS.items():
+            if section == "evaluation.extrapolation":  # optional
+                doc = self.evaluation.get("extrapolation") or {}
+            else:
+                doc = getattr(self, section)
+            if not isinstance(doc, dict):
                 raise ConfigError(f"config section {section!r} must be an object")
+            unknown = sorted(set(doc) - known)
+            if unknown:
+                raise ConfigError(f"unknown key(s) in section {section!r}: "
+                                  f"{', '.join(unknown)}")
         for key, low in (("dataset.n_ic", 1), ("evaluation.n_ic", 1),
                          ("network.n_observables", 1), ("network.hidden_layers", 0),
                          ("network.neurons", 1), ("dataset.seed", 0),
@@ -144,6 +164,9 @@ class RunConfig:
             if type(value) not in (int, float) or not 0.0 <= value < float("inf") or (
                     value == 0 and kind == "positive"):
                 raise ConfigError(f"{key} must be a {kind} finite number, got {value!r}")
+        corrected = self.train.get("corrected_pred_loss", False)
+        if type(corrected) is not bool:
+            raise ConfigError(f"train.corrected_pred_loss must be a boolean, got {corrected!r}")
         batch = self.train.get("batch_size")
         if batch is not None and (type(batch) is not int or batch < 1):
             raise ConfigError(f"train.batch_size must be a positive integer or null, "
@@ -177,8 +200,6 @@ class RunConfig:
         doc = dict(self.train)
         if seed_override is not None:
             doc["seed"] = seed_override
-        doc["shape"] = self.network_shape()
-        doc["grid"] = self.spline_grid() if self.backend == "kan" else None
         try:
             return TrainConfig(**doc)
         except (TypeError, ValueError) as exc:
@@ -239,8 +260,11 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     dataset_dir = _dataset_dir(cfg, out_dir)
     trajs = load_dataset(dataset_dir)
     tc = cfg.train_config(seed_override)
+    shape = cfg.network_shape()
+    network = (kan_init(shape, cfg.spline_grid(), tc.seed) if cfg.backend == "kan"
+               else mlp_init(shape, tc.seed))
     started = time.perf_counter()
-    model, history = train(cfg.backend, trajs, tc)
+    model, history = train(network, trajs, tc)
     wall = time.perf_counter() - started
     out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / "model.json"

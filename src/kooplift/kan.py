@@ -175,6 +175,7 @@ class KanLayer:
 
 @dataclass
 class KanNetwork:
+    kind = "kan"
     shape: list[int]
     grid: SplineGrid
     layers: list[KanLayer] = field(default_factory=list)
@@ -201,6 +202,39 @@ class KanNetwork:
             for arr in (layer.coeffs, layer.w_base, layer.w_spline):
                 arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
                 pos += arr.size
+
+    # The methods call the module functions by name at call time, so a
+    # wrapper installed on them (benchmarks/tracing.py) sees every call.
+    def forward(self, x, tape=None, basis=None) -> np.ndarray:
+        return kan_forward(self, x, tape=tape, basis=basis)
+
+    def backward(self, x, upstream, tape=None):
+        return kan_backward(self, x, upstream, tape=tape)
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": "kan",
+            "shape": list(self.shape),
+            "grid": {"lo": self.grid.lo, "hi": self.grid.hi,
+                     "intervals": self.grid.intervals, "order": self.grid.order},
+            "layers": [{"coeffs": layer.coeffs.tolist(), "w_base": layer.w_base.tolist(),
+                        "w_spline": layer.w_spline.tolist()} for layer in self.layers],
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "KanNetwork":
+        if doc.get("kind") != "kan":
+            raise ValueError(f"not a kan document: kind={doc.get('kind')!r}")
+        shape, grid = [int(s) for s in doc["shape"]], SplineGrid(**doc["grid"])
+        layers = [KanLayer(*(np.asarray(entry[key], dtype=float)
+                             for key in ("coeffs", "w_base", "w_spline")))
+                  for entry in doc["layers"]]
+        got = [(la.coeffs.shape, la.w_base.shape, la.w_spline.shape) for la in layers]
+        want = [((o, i, grid.n_basis), (o, i), (o, i)) for i, o in zip(shape, shape[1:])]
+        if len(shape) < 2 or got != want:
+            raise ValueError(f"layer shapes (coeffs, w_base, w_spline) {got} do not fit "
+                             f"shape {shape} with {grid.n_basis} bases per edge")
+        return cls(shape, grid, layers)
 
 
 def kan_init(shape, grid: SplineGrid, seed: int) -> KanNetwork:
@@ -301,39 +335,3 @@ def kan_backward(net: KanNetwork, x, upstream_grad, tape=None):
     if u is None:
         return flat, None
     return flat, (u[0] if squeeze else u)
-
-
-def kan_to_dict(net: KanNetwork) -> dict:
-    return {
-        "kind": "kan",
-        "shape": list(net.shape),
-        "grid": {
-            "lo": net.grid.lo,
-            "hi": net.grid.hi,
-            "intervals": net.grid.intervals,
-            "order": net.grid.order,
-        },
-        "layers": [
-            {
-                "coeffs": layer.coeffs.tolist(),
-                "w_base": layer.w_base.tolist(),
-                "w_spline": layer.w_spline.tolist(),
-            }
-            for layer in net.layers
-        ],
-    }
-
-
-def kan_from_dict(doc: dict) -> KanNetwork:
-    if doc.get("kind") != "kan":
-        raise ValueError(f"not a kan document: kind={doc.get('kind')!r}")
-    grid = SplineGrid(**doc["grid"])
-    layers = [
-        KanLayer(
-            coeffs=np.asarray(entry["coeffs"], dtype=float),
-            w_base=np.asarray(entry["w_base"], dtype=float),
-            w_spline=np.asarray(entry["w_spline"], dtype=float),
-        )
-        for entry in doc["layers"]
-    ]
-    return KanNetwork(shape=[int(s) for s in doc["shape"]], grid=grid, layers=layers)

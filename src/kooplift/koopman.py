@@ -16,24 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .kan import (
-    KanNetwork,
-    SplineGrid,
-    first_layer_basis,
-    kan_backward,
-    kan_forward,
-    kan_from_dict,
-    kan_init,
-    kan_to_dict,
-)
-from .mlp import (
-    MlpNetwork,
-    mlp_backward,
-    mlp_forward,
-    mlp_from_dict,
-    mlp_init,
-    mlp_to_dict,
-)
+from .kan import KanNetwork, first_layer_basis
+from .mlp import MlpNetwork
 from .numerics import pinv
 from .optim import AdamW, Lbfgs
 
@@ -49,12 +33,6 @@ class RolloutDivergedError(RuntimeError):
     def __init__(self, step: int):
         self.step = step
         super().__init__(f"rollout produced non-finite state at step {step}")
-
-
-_FORWARD = {"kan": kan_forward, "mlp": mlp_forward}
-_BACKWARD = {"kan": kan_backward, "mlp": mlp_backward}
-_TO_DICT = {"kan": kan_to_dict, "mlp": mlp_to_dict}
-_FROM_DICT = {"kan": kan_from_dict, "mlp": mlp_from_dict}
 
 
 @dataclass
@@ -92,16 +70,15 @@ class SnapshotSet:
 class KoopmanModel:
     """Learned lifting plus the linear operators fitted on top of it."""
 
-    kind: str
     network: KanNetwork | MlpNetwork
     K: np.ndarray
     B: np.ndarray
     n: int
     n_total: int
 
-    def __post_init__(self):
-        if self.kind not in _FORWARD:
-            raise ValueError(f"unknown backend kind {self.kind!r}")
+    @property
+    def kind(self) -> str:
+        return self.network.kind
 
     @property
     def n_params(self) -> int:
@@ -124,8 +101,6 @@ class TrainConfig:
     lbfgs_max_iter: int = 20
     lbfgs_history: int = 10
     seed: int = 0
-    shape: list[int] | None = None
-    grid: SplineGrid | None = None
 
     def __post_init__(self):
         if self.alpha < 1:
@@ -146,10 +121,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        doc = dict(doc)
-        if doc.get("grid") is not None and not isinstance(doc["grid"], SplineGrid):
-            doc["grid"] = SplineGrid(**doc["grid"])
-        return cls(**doc)
+        """Skips shape and grid, which older model.json files still hold."""
+        return cls(**{k: v for k, v in doc.items() if k not in ("shape", "grid")})
 
 
 @dataclass
@@ -163,18 +136,18 @@ class LossRecord:
 def lift(model: KoopmanModel, x) -> np.ndarray:
     """[x; network(x)] for one state (1-D) or a row batch (2-D)."""
     x = np.asarray(x, dtype=float)
-    obs = _FORWARD[model.kind](model.network, x)
+    obs = model.network.forward(x)
     return np.concatenate([x, obs], axis=x.ndim - 1)
 
 
-def _lift_cols(kind: str, network, cols: np.ndarray, tape=None, basis=None) -> np.ndarray:
+def _lift_cols(network, cols: np.ndarray, tape=None, basis=None) -> np.ndarray:
     """Lift an n x m column matrix to n_total x m.
 
     tape (a list to fill for the backward pass) and basis (the first KAN
     layer's basis table for cols.T) pass through to the network's forward.
     """
     extra = {} if basis is None else {"basis": basis}
-    obs = _FORWARD[kind](network, cols.T, tape=tape, **extra)
+    obs = network.forward(cols.T, tape=tape, **extra)
     return np.vstack([cols, obs.T])
 
 
@@ -291,7 +264,7 @@ def _pred_corrected_terms(model: KoopmanModel, snaps: SnapshotSet, src: np.ndarr
     inter = []
     for i in range(snaps.alpha):
         inter.append(x)
-        x = _state_rows(model.K, _lift_cols(model.kind, model.network, x), model.n)
+        x = _state_rows(model.K, _lift_cols(model.network, x), model.n)
         if model.B.shape[1]:
             x += _state_rows(model.B, snaps.U[:, src + i], model.n)
     return x, inter
@@ -304,12 +277,12 @@ def _corrected_pred_grad(model: KoopmanModel, inter: list, dx: np.ndarray) -> np
     Each per-step lift contributes its own network gradient; the chain
     starts from raw data states, which carry no parameter dependence.
     """
-    kind, net, n = model.kind, model.network, model.n
+    net, n = model.network, model.n
     grads = np.zeros(net.n_params)
     for x in reversed(inter):
         # x_{i+1} = P (K lift(x_i) + B u_i), so dz_i = (P K)^T dx_{i+1}.
         dz = model.K[:n].T @ dx
-        g_i, dx_in = _BACKWARD[kind](net, x.T, dz[n:, :].T)
+        g_i, dx_in = net.backward(x.T, dz[n:, :].T)
         grads += g_i
         dx = dz[:n, :] + dx_in.T
     return grads
@@ -328,13 +301,13 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     phi_x, the lift of all X columns, replaces that lift; a plan refit to
     model's (K, B) serves the full batch.
     """
-    kind, net, n = model.kind, model.network, model.n
+    net, n = model.network, model.n
     x, x_next, u = snaps.X, snaps.X_next, snaps.U
     if cols is not None:
         x, x_next, u = x[:, cols], x_next[:, cols], u[:, cols]
     tape = [] if grad and phi_x is None else None
     if phi_x is None:
-        phi_x = _lift_cols(kind, net, x, tape, None if plan is None else plan.basis)
+        phi_x = _lift_cols(net, x, tape, None if plan is None else plan.basis)
     err = _state_rows(model.K, phi_x, n) + _state_rows(model.B, u, n) - x_next
     recon = float(np.sum(err * err)) / err.shape[1]
     if grad:
@@ -358,7 +331,7 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
             else:
                 x_p = snaps.X[:, src]
                 tape_p = [] if grad else None
-                phi_p = _lift_cols(kind, net, x_p, tape_p)
+                phi_p = _lift_cols(net, x_p, tape_p)
             x_hat = _state_rows(powers[snaps.alpha], phi_p, n)
             for term in forcing:
                 x_hat += term
@@ -373,7 +346,7 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
                 if shared:
                     d_phi[:, src] += d_pred
                 else:
-                    pred_grads, _ = _BACKWARD[kind](net, x_p.T, d_pred[n:, :].T, tape=tape_p)
+                    pred_grads, _ = net.backward(x_p.T, d_pred[n:, :].T, tape=tape_p)
     params = net.get_params()
     penalty = 0.0
     if cfg.lambda_l1:
@@ -383,7 +356,7 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     total = cfg.gamma * pred + cfg.beta * recon + penalty
     if not grad:
         return recon, pred, total
-    grads, _ = _BACKWARD[kind](net, x.T, d_phi[n:, :].T, tape=tape)
+    grads, _ = net.backward(x.T, d_phi[n:, :].T, tape=tape)
     if pred_grads is not None:
         grads += pred_grads
     if cfg.lambda_l1:
@@ -393,8 +366,8 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     return recon, pred, total, grads
 
 
-def train(backend: str, trajs: list[Trajectory], cfg: TrainConfig, network=None):
-    """Block-coordinate training loop.
+def train(network, trajs: list[Trajectory], cfg: TrainConfig):
+    """Block-coordinate training loop for a built network, trained in place.
 
     Per epoch: lift every snapshot column, refit (K, B) by least squares,
     record the loss, then run one optimizer phase on the network parameters
@@ -403,19 +376,8 @@ def train(backend: str, trajs: list[Trajectory], cfg: TrainConfig, network=None)
     last row evaluates the final refit with no further step). Returns the
     best-total-loss model and the history.
     """
-    if backend not in _FORWARD:
-        raise ValueError(f"unknown backend kind {backend!r}")
     snaps = build_snapshots(trajs, cfg.alpha)
     n = snaps.X.shape[0]
-    if network is None:
-        if cfg.shape is None:
-            raise ValueError("cfg.shape is required when no network is given")
-        if cfg.shape[0] != n:
-            raise ValueError(f"cfg.shape[0]={cfg.shape[0]} but state dim is {n}")
-        if backend == "kan":
-            network = kan_init(cfg.shape, cfg.grid or SplineGrid(), cfg.seed)
-        else:
-            network = mlp_init(cfg.shape, cfg.seed)
     if network.shape[0] != n:
         raise ValueError("network input width does not match the data")
     n_total = n + network.shape[-1]
@@ -434,17 +396,16 @@ def train(backend: str, trajs: list[Trajectory], cfg: TrainConfig, network=None)
     # samples its own columns each step.
     plan = None
     if cfg.optimizer == "lbfgs":
-        basis = first_layer_basis(network, snaps.X.T) if backend == "kan" else None
+        basis = first_layer_basis(network, snaps.X.T) if network.kind == "kan" else None
         plan = _TrainPlan(basis=basis)
 
     for epoch in range(cfg.epochs + 1):
-        phi_s = _lift_cols(backend, network, snaps.states)
+        phi_s = _lift_cols(network, snaps.states)
         if not np.all(np.isfinite(phi_s)):
             raise TrainingDivergedError(epoch, "non-finite lifted data")
         phi_x = phi_s[:, snaps.x_cols]
         k_op, b_op = fit_edmdc(phi_x, phi_s[:, snaps.xn_cols], snaps.U)
-        model = KoopmanModel(kind=backend, network=network, K=k_op, B=b_op,
-                             n=n, n_total=n_total)
+        model = KoopmanModel(network=network, K=k_op, B=b_op, n=n, n_total=n_total)
         if plan is not None:
             plan.refit(model, snaps)
         recon, pred, total = loss(model, snaps, cfg, plan=plan, phi_x=phi_x)
@@ -465,8 +426,7 @@ def train(backend: str, trajs: list[Trajectory], cfg: TrainConfig, network=None)
             raise TrainingDivergedError(epoch, "non-finite network parameters")
 
     network.set_params(best_params)
-    model = KoopmanModel(kind=backend, network=network, K=best_kb[0], B=best_kb[1],
-                         n=n, n_total=n_total)
+    model = KoopmanModel(network=network, K=best_kb[0], B=best_kb[1], n=n, n_total=n_total)
     return model, history
 
 
@@ -550,7 +510,7 @@ def save_model(model: KoopmanModel, path, cfg: TrainConfig | None = None,
                metadata: dict | None = None) -> None:
     doc = {
         "kind": model.kind,
-        "network": _TO_DICT[model.kind](model.network),
+        "network": model.network.to_dict(),
         "K": model.K.tolist(),
         "B": model.B.tolist(),
         "n": model.n,
@@ -563,13 +523,16 @@ def save_model(model: KoopmanModel, path, cfg: TrainConfig | None = None,
         fh.write("\n")
 
 
+_NETWORKS = {"kan": KanNetwork, "mlp": MlpNetwork}
+
+
 def load_model(path):
     """Returns (model, config-or-None, metadata dict).
 
     Raises ValueError naming path when the file is not JSON, a key is
-    missing, the backend kind is unknown, K or B disagrees with n_total, or
-    the network's input width is not n or n plus its output width is not
-    n_total.
+    missing, the backend kind is unknown, K or B disagrees with n_total, the
+    network or config section does not parse, or the network's input width
+    is not n or n plus its output width is not n_total.
     """
     with open(path) as fh:
         try:
@@ -581,7 +544,7 @@ def load_model(path):
     if missing:
         raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
     kind = doc["kind"]
-    if kind not in _FROM_DICT:
+    if kind not in _NETWORKS:
         raise ValueError(f"{path}: unknown backend kind {kind!r}")
     n_total = int(doc["n_total"])
     k = np.asarray(doc["K"], dtype=float)
@@ -590,13 +553,25 @@ def load_model(path):
         b = b.reshape(n_total, 0)
     if k.shape != (n_total, n_total) or b.ndim != 2 or b.shape[0] != n_total:
         raise ValueError(f"{path}: K {k.shape} and B {b.shape} do not fit n_total={n_total}")
-    network, n = _FROM_DICT[kind](doc["network"]), int(doc["n"])
+    network = _parsed(path, "network", _NETWORKS[kind].from_dict, doc["network"])
+    n = int(doc["n"])
     if network.shape[0] != n or n + network.shape[-1] != n_total:
         raise ValueError(f"{path}: network {network.shape[0]} -> {network.shape[-1]} "
                          f"does not fit n={n} and n_total={n_total}")
-    model = KoopmanModel(kind=kind, network=network, K=k, B=b, n=n, n_total=n_total)
-    cfg = TrainConfig.from_dict(doc["config"]) if doc.get("config") else None
+    model = KoopmanModel(network=network, K=k, B=b, n=n, n_total=n_total)
+    cfg = None
+    if doc.get("config"):
+        cfg = _parsed(path, "config", TrainConfig.from_dict, doc["config"])
     return model, cfg, doc.get("metadata", {})
+
+
+def _parsed(path, section: str, parse, doc):
+    """parse(doc), with a parsing error raised as one ValueError naming path."""
+    try:
+        return parse(doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: bad {section} section: {detail}") from None
 
 
 def save_history(history: list[LossRecord], path) -> None:

@@ -44,6 +44,7 @@ def selu_deriv(x):
 
 @dataclass
 class MlpNetwork:
+    kind = "mlp"
     shape: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -68,6 +69,32 @@ class MlpNetwork:
             pos += w.size
             b[...] = flat[pos : pos + b.size]
             pos += b.size
+
+    # Called by name at call time, like KanNetwork's methods.
+    def forward(self, x, tape=None) -> np.ndarray:
+        return mlp_forward(self, x, tape=tape)
+
+    def backward(self, x, upstream, tape=None):
+        return mlp_backward(self, x, upstream, tape=tape)
+
+    def to_dict(self) -> dict:
+        return {"kind": "mlp", "shape": list(self.shape),
+                "weights": [w.tolist() for w in self.weights],
+                "biases": [b.tolist() for b in self.biases]}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "MlpNetwork":
+        if doc.get("kind") != "mlp":
+            raise ValueError(f"not an mlp document: kind={doc.get('kind')!r}")
+        net = cls([int(s) for s in doc["shape"]],
+                  [np.asarray(w, dtype=float) for w in doc["weights"]],
+                  [np.asarray(b, dtype=float) for b in doc["biases"]])
+        got = [w.shape for w in net.weights] + [b.shape for b in net.biases]
+        want = ([(o, i) for i, o in zip(net.shape, net.shape[1:])]
+                + [(o,) for o in net.shape[1:]])
+        if len(net.shape) < 2 or got != want:
+            raise ValueError(f"weight and bias shapes {got} do not fit shape {net.shape}")
+        return net
 
 
 def mlp_init(shape, seed: int) -> MlpNetwork:
@@ -140,22 +167,3 @@ def mlp_backward(net: MlpNetwork, x, upstream_grad, tape=None):
         u = dz @ net.weights[li]
     flat = np.concatenate([seg for layer_parts in parts for seg in layer_parts])
     return flat, (u[0] if squeeze else u)
-
-
-def mlp_to_dict(net: MlpNetwork) -> dict:
-    return {
-        "kind": "mlp",
-        "shape": list(net.shape),
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-
-
-def mlp_from_dict(doc: dict) -> MlpNetwork:
-    if doc.get("kind") != "mlp":
-        raise ValueError(f"not an mlp document: kind={doc.get('kind')!r}")
-    return MlpNetwork(
-        shape=[int(s) for s in doc["shape"]],
-        weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-    )

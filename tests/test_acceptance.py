@@ -80,10 +80,10 @@ def pendulum_kan_run():
     )
     shape = [2] + [doc["network"]["neurons"]] * doc["network"]["hidden_layers"] \
         + [doc["network"]["n_observables"]]
-    cfg = TrainConfig(shape=shape, grid=SplineGrid(**doc["network"]["grid"]),
-                      **doc["train"])
+    cfg = TrainConfig(**doc["train"])
     started = time.perf_counter()
-    model, history = train("kan", trajs, cfg)
+    model, history = train(kan_init(shape, SplineGrid(**doc["network"]["grid"]), cfg.seed),
+                           trajs, cfg)
     wall = time.perf_counter() - started
     return doc, model, history, wall
 
@@ -132,10 +132,10 @@ def test_criterion_3_twobody_accuracy(capsys):
     )
     shape = [4] + [doc["network"]["neurons"]] * doc["network"]["hidden_layers"] \
         + [doc["network"]["n_observables"]]
-    cfg = TrainConfig(shape=shape, grid=SplineGrid(**doc["network"]["grid"]),
-                      **doc["train"])
+    cfg = TrainConfig(**doc["train"])
     started = time.perf_counter()
-    model, _ = train("kan", trajs, cfg)
+    model, _ = train(kan_init(shape, SplineGrid(**doc["network"]["grid"]), cfg.seed),
+                     trajs, cfg)
     wall = time.perf_counter() - started
 
     eval_trajs = generate_twobody_dataset(
@@ -255,7 +255,7 @@ def test_criterion_6_property_suite(capsys):
 
     # The state rows of the lifted vector recover the state bit-exactly.
     net = kan_init([2, 2], SplineGrid(), seed=9)
-    model = KoopmanModel("kan", net, np.eye(4), np.zeros((4, 0)), 2, 4)
+    model = KoopmanModel(net, np.eye(4), np.zeros((4, 0)), 2, 4)
     states = rng.uniform(-2.0, 2.0, size=(1000, 2))
     exact = all(
         np.array_equal(lift(model, x)[:model.n], x) for x in states
@@ -270,7 +270,7 @@ def test_criterion_6_property_suite(capsys):
     phi = np.concatenate([snaps.X, kan_forward(net, snaps.X.T).T], 0)
     phin = np.concatenate([snaps.X_next, kan_forward(net, snaps.X_next.T).T], 0)
     k, b = fit_edmdc(phi, phin)
-    m2 = KoopmanModel("kan", net, k, b, 4, 5)
+    m2 = KoopmanModel(net, k, b, 4, 5)
     r, p, _ = loss(m2, snaps, TrainConfig())
     if abs(r - p) > 1e-14 * max(1.0, abs(r)):
         failures.append(f"alpha=1 pred != recon ({abs(r - p):.2e})")
@@ -310,9 +310,9 @@ def test_criterion_6_property_suite(capsys):
         for a, b in zip(d1, d2)
     )
     cfg = TrainConfig(alpha=5, epochs=2, optimizer="lbfgs", learning_rate=1.0,
-                      lbfgs_max_iter=5, seed=11, shape=[2, 1], grid=SplineGrid())
-    _, h1 = train("kan", d1, cfg)
-    _, h2 = train("kan", d2, cfg)
+                      lbfgs_max_iter=5, seed=11)
+    _, h1 = train(kan_init([2, 1], SplineGrid(), cfg.seed), d1, cfg)
+    _, h2 = train(kan_init([2, 1], SplineGrid(), cfg.seed), d2, cfg)
     same_hist = len(h1) == len(h2) and all(
         a.recon == b.recon and a.pred == b.pred and a.total == b.total
         for a, b in zip(h1, h2)
@@ -330,9 +330,9 @@ def test_criterion_7_scaled_mlp_smoke(capsys):
     trajs = generate_pendulum_dataset(500, 101, alpha=25)
     cfg = TrainConfig(alpha=25, gamma=0.0, beta=1.0, epochs=100,
                       optimizer="adam", learning_rate=1e-3, batch_size=4096,
-                      seed=0, shape=[2, 6, 6, 6, 6, 6, 6, 6, 6, 2])
+                      seed=0)
     started = time.perf_counter()
-    model, _ = train("mlp", trajs, cfg)
+    model, _ = train(mlp_init([2, 6, 6, 6, 6, 6, 6, 6, 6, 2], cfg.seed), trajs, cfg)
     wall = time.perf_counter() - started
     eval_trajs = generate_pendulum_dataset(5, 900, alpha=25)
     err = _max_abs_err(model, eval_trajs, 0)

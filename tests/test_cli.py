@@ -202,7 +202,7 @@ def test_control_unstabilizable_model_exits_1(pendulum_cfg, tmp_path, capsys):
     # unseen by the cost, so the LQR gain cannot stabilize the model.
     out = tmp_path / "run"
     out.mkdir()
-    model = KoopmanModel(kind="kan", network=kan_init([2, 1], SplineGrid(), seed=0),
+    model = KoopmanModel(network=kan_init([2, 1], SplineGrid(), seed=0),
                          K=np.diag([0.5, 0.5, 1.2]), B=np.ones((3, 1)), n=2, n_total=3)
     save_model(model, out / "model.json")
     assert main(["control", "--config", pendulum_cfg, "--out", str(out)]) == 1
@@ -277,6 +277,30 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["generate", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("command, section, key", [
+    ("generate", "dataset", "nic"),
+    ("train", "train", "shape"),
+    ("train", "train", "grid"),
+    ("train", "network", "neuron"),
+    ("evaluate", "evaluation", "nic"),
+    ("evaluate", "evaluation.extrapolation", "seed"),
+    ("control", "control", "x_0"),
+    ("compare", "compare", "model_c"),
+])
+def test_unknown_section_key_exits_2(pendulum_cfg, tmp_path, capsys, command, section, key):
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    if section == "evaluation.extrapolation":
+        doc["evaluation"]["extrapolation"] = {"n_ic": 1, key: 3}
+    else:
+        doc.setdefault(section, {})[key] = [2, 9]
+    cfg = write_config(tmp_path / "bad.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: unknown key(s) in section {section!r}: {key} "
+                   f"(in {cfg})\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_bad_system_exits_2(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json", {"system": "lorenz", "backend": "kan"}
@@ -294,12 +318,14 @@ def test_train_without_dataset_exits_1(pendulum_cfg, tmp_path):
     assert main(["train", "--config", pendulum_cfg, "--out", str(out)]) == 1
 
 
-def _evaluate_broken_model(cfg, tmp_path, capsys, edit):
-    """Run evaluate on a saved model document changed by edit; return (path, stderr)."""
+def _evaluate_broken_model(cfg, tmp_path, capsys, edit, network=None):
+    """Run evaluate on a saved model document changed by edit; return (path, stderr).
+
+    The model lifts by one coordinate, through network or a [2, 1] KAN."""
     out = tmp_path / "run"
     out.mkdir()
     path = out / "model.json"
-    model = KoopmanModel(kind="kan", network=kan_init([2, 1], SplineGrid(), seed=0),
+    model = KoopmanModel(network=network or kan_init([2, 1], SplineGrid(), seed=0),
                          K=np.eye(3), B=np.zeros((3, 1)), n=2, n_total=3)
     save_model(model, path)
     with open(path) as fh:
@@ -317,6 +343,38 @@ def test_model_missing_key_exits_1(pendulum_cfg, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _set(path, value):
+    """An edit that sets doc[path[0]][path[1]]... to value."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, detail, mlp", [
+    (lambda doc: doc["network"].pop("layers"), "bad network section: missing key 'layers'",
+     False),
+    (_set(["network"], "x"), "bad network section: ", False),
+    (_set(["config"], {"alpha": 2, "bogus": 1}), "bad config section: ", False),
+    (_set(["network", "layers", 0, "coeffs"], [[1.0]]),
+     "bad network section: layer shapes (coeffs, w_base, w_spline) [((1, 1), (1, 2), (1, 2))] "
+     "do not fit shape [2, 1] with 8 bases per edge", False),
+    (_set(["network", "grid", "order"], 0), "bad network section: order must be >= 1", False),
+    (_set(["network", "kind"], "mlp"), "bad network section: not a kan document", False),
+    (_set(["network", "biases", 1], [0.0, 0.0]),
+     "bad network section: weight and bias shapes [(3, 2), (1, 3), (3,), (2,)] do not fit "
+     "shape [2, 3, 1]", True),
+], ids=["no-layers", "network-str", "config-unknown-key", "coeffs-shape", "grid-order-0",
+        "network-kind", "mlp-bias-shape"])
+def test_model_malformed_network_or_config_exits_1(pendulum_cfg, tmp_path, capsys, edit,
+                                                   detail, mlp):
+    network = mlp_init([2, 3, 1], seed=0) if mlp else None
+    path, err = _evaluate_broken_model(pendulum_cfg, tmp_path, capsys, edit, network)
+    assert err.startswith(f"error: {path}: {detail}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, shape", [("K", (3, 2)), ("B", (2, 1))], ids=["K", "B"])
 def test_model_wrong_operator_shape_exits_1(pendulum_cfg, tmp_path, capsys, key, shape):
     def edit(doc):
@@ -331,7 +389,7 @@ def test_model_not_json_exits_1(pendulum_cfg, tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
     path = out / "model.json"
-    model = KoopmanModel(kind="kan", network=kan_init([2, 1], SplineGrid(), seed=0),
+    model = KoopmanModel(network=kan_init([2, 1], SplineGrid(), seed=0),
                          K=np.eye(3), B=np.zeros((3, 1)), n=2, n_total=3)
     save_model(model, path)
     path.write_text(path.read_text()[:200])
@@ -413,6 +471,8 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     ("train", "train.batch_size", True),
     ("train", "train.batch_size", 2.5),
     ("train", "train.optimizer", "sgd"),
+    ("train", "train.corrected_pred_loss", "no"),
+    ("train", "train.corrected_pred_loss", 1),
 ], ids=["n_observables-str", "hidden_layers-float", "neurons-zero", "dataset-seed-str",
         "train-seed-negative", "evaluation-seed-float", "dt-zero", "duration-nan",
         "n_ic-bool", "alpha-float", "epochs-bool", "epochs-negative", "lbfgs_max_iter-zero",
@@ -420,7 +480,8 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
         "q_state-str", "q_state-zero", "r-zero", "r-negative", "x0-str", "x0-short",
         "x0-nan", "x0-bool", "gamma-negative", "beta-nan", "weight_decay-str",
         "lambda_l1-negative", "lambda_l2-inf", "learning_rate-zero", "learning_rate-inf",
-        "batch_size-zero", "batch_size-bool", "batch_size-float", "optimizer-unknown"])
+        "batch_size-zero", "batch_size-bool", "batch_size-float", "optimizer-unknown",
+        "corrected_pred_loss-str", "corrected_pred_loss-int"])
 def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, value):
     doc = json.loads(Path(pendulum_cfg).read_text())
     section, name = key.split(".")

@@ -83,10 +83,10 @@ def _linear_plant_model(dt=0.02, n_steps=400, seed=0):
     snaps = build_snapshots([traj], alpha=1)
     from kooplift.koopman import _lift_cols
 
-    phi_x = _lift_cols("mlp", net, snaps.X)
-    phi_xn = _lift_cols("mlp", net, snaps.X_next)
+    phi_x = _lift_cols(net, snaps.X)
+    phi_xn = _lift_cols(net, snaps.X_next)
     k, b = fit_edmdc(phi_x, phi_xn, snaps.U)
-    model = KoopmanModel(kind="mlp", network=net, K=k, B=b, n=2, n_total=4)
+    model = KoopmanModel(network=net, K=k, B=b, n=2, n_total=4)
     return model, plant, dt
 
 

@@ -10,15 +10,14 @@ from kooplift import kan
 from kooplift.kan import (
     _BLOCK,
     _SPAN_POINTS,
+    KanNetwork,
     SplineGrid,
     _basis_tables,
     _span_basis,
     first_layer_basis,
     kan_backward,
     kan_forward,
-    kan_from_dict,
     kan_init,
-    kan_to_dict,
     silu,
     silu_deriv,
 )
@@ -499,8 +498,8 @@ def test_init_rejects_bad_shape():
 
 def test_json_roundtrip_exact():
     net = kan_init([2, 3, 2], GRID, seed=21)
-    doc = json.loads(json.dumps(kan_to_dict(net)))
-    back = kan_from_dict(doc)
+    doc = json.loads(json.dumps(net.to_dict()))
+    back = KanNetwork.from_dict(doc)
     assert back.shape == net.shape
     assert back.grid == net.grid
     assert np.array_equal(back.get_params(), net.get_params())

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kooplift import koopman, mlp
+from kooplift import kan, koopman, mlp
 from kooplift.dynamics import (
     Trajectory,
     generate_pendulum_dataset,
@@ -19,7 +19,6 @@ from kooplift.koopman import (
     RolloutDivergedError,
     TrainConfig,
     TrainingDivergedError,
-    _BACKWARD,
     _TrainPlan,
     _corrected_pred_grad,
     _lift_cols,
@@ -80,17 +79,17 @@ def fitted_model(net, trajs, alpha=1):
     snaps = build_snapshots(trajs, alpha)
     from kooplift.koopman import _lift_cols
 
-    phi_x = _lift_cols("mlp", net, snaps.X)
-    phi_xn = _lift_cols("mlp", net, snaps.X_next)
+    phi_x = _lift_cols(net, snaps.X)
+    phi_xn = _lift_cols(net, snaps.X_next)
     k, b = fit_edmdc(phi_x, phi_xn, snaps.U)
-    model = KoopmanModel(kind="mlp", network=net, K=k, B=b,
+    model = KoopmanModel(network=net, K=k, B=b,
                          n=snaps.X.shape[0], n_total=phi_x.shape[0])
     return model, snaps
 
 
 def test_lift_extraction_identity():
     net = kan_init([2, 1, 1], GRID, seed=0)
-    model = KoopmanModel(kind="kan", network=net, K=np.eye(3), B=np.zeros((3, 0)),
+    model = KoopmanModel(network=net, K=np.eye(3), B=np.zeros((3, 0)),
                          n=2, n_total=3)
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -101,10 +100,10 @@ def test_lift_extraction_identity():
 
 
 def test_lifted_sizes():
-    kan_model = KoopmanModel(kind="kan", network=kan_init([2, 1, 1], GRID, 0),
+    kan_model = KoopmanModel(network=kan_init([2, 1, 1], GRID, 0),
                              K=np.eye(3), B=np.zeros((3, 1)), n=2, n_total=3)
     assert lift(kan_model, np.zeros(2)).size == 3
-    mlp_model = KoopmanModel(kind="mlp", network=mlp_init([4, 25, 25, 25, 6], 0),
+    mlp_model = KoopmanModel(network=mlp_init([4, 25, 25, 25, 6], 0),
                              K=np.eye(10), B=np.zeros((10, 0)), n=4, n_total=10)
     assert lift(mlp_model, np.zeros(4)).size == 10
 
@@ -215,7 +214,7 @@ def test_recon_loss_single_pair_definition():
     traj = Trajectory(dt=0.1, states=np.array([[0.0, 0.0], [3.0, 4.0]]),
                       controls=np.zeros((1, 0)))
     snaps = build_snapshots([traj], alpha=1)
-    model = KoopmanModel(kind="mlp", network=net, K=np.zeros((4, 4)),
+    model = KoopmanModel(network=net, K=np.zeros((4, 4)),
                          B=np.zeros((4, 0)), n=2, n_total=4)
     assert loss(model, snaps, TrainConfig())[0] == pytest.approx(25.0, abs=1e-12)
 
@@ -229,10 +228,10 @@ def test_pred_equals_recon_at_alpha_one_zero_input():
     snaps = build_snapshots(zeroed, alpha=1)
     from kooplift.koopman import _lift_cols
 
-    phi_x = _lift_cols("kan", net, snaps.X)
-    phi_xn = _lift_cols("kan", net, snaps.X_next)
+    phi_x = _lift_cols(net, snaps.X)
+    phi_xn = _lift_cols(net, snaps.X_next)
     k, b = fit_edmdc(phi_x, phi_xn, snaps.U)
-    model = KoopmanModel(kind="kan", network=net, K=k, B=b, n=2, n_total=4)
+    model = KoopmanModel(network=net, K=k, B=b, n=2, n_total=4)
     r, p, _ = loss(model, snaps, TrainConfig())
     assert abs(r - p) <= 1e-14 * max(1.0, abs(r))
 
@@ -244,11 +243,11 @@ def test_pred_loss_matches_stepwise_oracle():
     snaps = build_snapshots(trajs, alpha=7)
     k = np.eye(3) + 0.01 * rng.standard_normal((3, 3))
     b = 0.1 * rng.standard_normal((3, 1))
-    model = KoopmanModel(kind="kan", network=net, K=k, B=b, n=2, n_total=3)
+    model = KoopmanModel(network=net, K=k, B=b, n=2, n_total=3)
 
     from kooplift.koopman import _lift_cols
 
-    phi = _lift_cols("kan", net, snaps.X)
+    phi = _lift_cols(net, snaps.X)
     total = 0.0
     for j, col in enumerate(snaps.pred_cols):
         z = phi[:, col].copy()
@@ -306,7 +305,7 @@ def test_training_gradient_matches_fd(batch, corrected):
     snaps = build_snapshots(short, alpha=4)
     k = np.eye(3) + 0.02 * rng.standard_normal((3, 3))
     b = 0.05 * rng.standard_normal((3, 1))
-    model = KoopmanModel(kind="kan", network=net, K=k, B=b, n=2, n_total=3)
+    model = KoopmanModel(network=net, K=k, B=b, n=2, n_total=3)
     cfg = TrainConfig(alpha=4, gamma=0.8, beta=1.0, lambda_l2=0.01,
                       corrected_pred_loss=corrected)
     cols = pcols = None
@@ -332,7 +331,7 @@ def _plan_case(case):
         n, p = 2, 1
     snaps = build_snapshots(trajs, alpha=3)
     n_total = n + net.shape[-1]
-    model = KoopmanModel(kind="mlp" if case == "mlp" else "kan", network=net,
+    model = KoopmanModel(network=net,
                          K=np.eye(n_total) + 0.05 * rng.standard_normal((n_total, n_total)),
                          B=0.1 * rng.standard_normal((n_total, p)), n=n, n_total=n_total)
     basis = first_layer_basis(net, snaps.X.T) if model.kind == "kan" else None
@@ -372,10 +371,10 @@ def test_loss_decreases_under_gradient_steps():
     snaps = build_snapshots(trajs, alpha=1)
     from kooplift.koopman import _lift_cols
 
-    phi_x = _lift_cols("kan", net, snaps.X)
-    phi_xn = _lift_cols("kan", net, snaps.X_next)
+    phi_x = _lift_cols(net, snaps.X)
+    phi_xn = _lift_cols(net, snaps.X_next)
     k, b = fit_edmdc(phi_x, phi_xn, snaps.U)
-    model = KoopmanModel(kind="kan", network=net, K=k, B=b, n=2, n_total=3)
+    model = KoopmanModel(network=net, K=k, B=b, n=2, n_total=3)
     cfg = TrainConfig(alpha=1, gamma=0.0, beta=1.0)
     first = None
     prev = None
@@ -392,10 +391,9 @@ def test_loss_decreases_under_gradient_steps():
 def test_train_history_shape_and_determinism():
     trajs = generate_pendulum_dataset(3, seed=21)
     cfg = TrainConfig(alpha=5, gamma=1.0, beta=1.0, epochs=2, optimizer="lbfgs",
-                      learning_rate=1.0, seed=9, shape=[2, 1, 1], grid=GRID,
-                      lbfgs_max_iter=5)
-    model_a, hist_a = train("kan", trajs, cfg)
-    model_b, hist_b = train("kan", trajs, cfg)
+                      learning_rate=1.0, seed=9, lbfgs_max_iter=5)
+    model_a, hist_a = train(kan_init([2, 1, 1], GRID, cfg.seed), trajs, cfg)
+    model_b, hist_b = train(kan_init([2, 1, 1], GRID, cfg.seed), trajs, cfg)
     assert len(hist_a) == 3
     assert [r.epoch for r in hist_a] == [0, 1, 2]
     for ra, rb in zip(hist_a, hist_b):
@@ -409,8 +407,8 @@ def test_train_history_shape_and_determinism():
 def test_train_returns_best_epoch_model():
     trajs = generate_pendulum_dataset(2, seed=33)
     cfg = TrainConfig(alpha=3, gamma=1.0, beta=1.0, epochs=3, optimizer="lbfgs",
-                      seed=1, shape=[2, 1, 1], grid=GRID, lbfgs_max_iter=4)
-    model, hist = train("kan", trajs, cfg)
+                      seed=1, lbfgs_max_iter=4)
+    model, hist = train(kan_init([2, 1, 1], GRID, cfg.seed), trajs, cfg)
     snaps = build_snapshots(trajs, cfg.alpha)
     returned_total = loss(model, snaps, cfg)[2]
     best_recorded = min(r.total for r in hist)
@@ -423,7 +421,7 @@ def test_train_loss_history_non_increasing_on_easy_problem():
     net, trajs = linear_lifting_model(rotation(0.15, 0.9), n_obs=1, seed=2)
     cfg = TrainConfig(alpha=2, gamma=1.0, beta=1.0, epochs=3, optimizer="lbfgs",
                       seed=0, lbfgs_max_iter=5)
-    _, hist = train("mlp", trajs, cfg, network=net)
+    _, hist = train(net, trajs, cfg)
     totals = [r.total for r in hist]
     for earlier, later in zip(totals, totals[1:]):
         assert later <= earlier + 1e-9
@@ -434,12 +432,12 @@ def test_train_adam_path_runs_and_descends(gamma, corrected):
     trajs = generate_pendulum_dataset(3, seed=5)
     cfg = TrainConfig(alpha=1, gamma=gamma, beta=1.0, epochs=8, optimizer="adam",
                       learning_rate=3e-3, batch_size=128, weight_decay=1e-5,
-                      corrected_pred_loss=corrected, seed=12, shape=[2, 4, 4, 2])
-    model, hist = train("mlp", trajs, cfg)
+                      corrected_pred_loss=corrected, seed=12)
+    model, hist = train(mlp_init([2, 4, 4, 2], cfg.seed), trajs, cfg)
     assert len(hist) == 9
     assert hist[-1].total < hist[0].total
     # Same seed reruns bit-identically (minibatch draws included).
-    _, hist2 = train("mlp", trajs, cfg)
+    _, hist2 = train(mlp_init([2, 4, 4, 2], cfg.seed), trajs, cfg)
     assert [r.total for r in hist2] == [r.total for r in hist]
 
 
@@ -451,13 +449,13 @@ def test_train_diverged_error_names_epoch():
     net.set_params(params)
     cfg = TrainConfig(alpha=1, epochs=1, optimizer="lbfgs")
     with pytest.raises(TrainingDivergedError) as err:
-        train("kan", trajs, cfg, network=net)
+        train(net, trajs, cfg)
     assert err.value.epoch == 0
 
 
 def test_rollout_zero_controls():
     net = kan_init([2, 1], GRID, seed=0)
-    model = KoopmanModel(kind="kan", network=net, K=np.eye(3), B=np.zeros((3, 1)),
+    model = KoopmanModel(network=net, K=np.eye(3), B=np.zeros((3, 1)),
                          n=2, n_total=3)
     traj = rollout(model, [0.5, -0.5], np.zeros((0, 1)), dt=0.1)
     assert traj.states.shape == (1, 2)
@@ -489,7 +487,7 @@ def test_rollout_exact_linear_recovery_error():
 
 def test_rollout_divergence_error_carries_step():
     net = kan_init([1, 1], GRID, seed=0)
-    model = KoopmanModel(kind="kan", network=net, K=np.array([[1e200, 0], [0, 1e200]]),
+    model = KoopmanModel(network=net, K=np.array([[1e200, 0], [0, 1e200]]),
                          B=np.zeros((2, 1)), n=1, n_total=2)
     with pytest.raises(RolloutDivergedError) as err:
         rollout(model, [1.0], np.zeros((10, 1)), dt=0.1, correct=False)
@@ -502,9 +500,9 @@ def fitted_on(kind, shape, trajs):
     snaps = build_snapshots(trajs, 1)
     from kooplift.koopman import _lift_cols
 
-    phi_x = _lift_cols(kind, net, snaps.X)
-    k, b = fit_edmdc(phi_x, _lift_cols(kind, net, snaps.X_next), snaps.U)
-    return KoopmanModel(kind=kind, network=net, K=k, B=b, n=snaps.X.shape[0],
+    phi_x = _lift_cols(net, snaps.X)
+    k, b = fit_edmdc(phi_x, _lift_cols(net, snaps.X_next), snaps.U)
+    return KoopmanModel(network=net, K=k, B=b, n=snaps.X.shape[0],
                         n_total=phi_x.shape[0])
 
 
@@ -543,14 +541,13 @@ def test_batched_rollout_keeps_per_ic_dt():
 
 def test_model_roundtrip(tmp_path):
     trajs = generate_pendulum_dataset(2, seed=8)
-    cfg = TrainConfig(alpha=2, epochs=1, optimizer="lbfgs", seed=3,
-                      shape=[2, 1, 1], grid=GRID, lbfgs_max_iter=3)
-    model, _ = train("kan", trajs, cfg)
+    cfg = TrainConfig(alpha=2, epochs=1, optimizer="lbfgs", seed=3, lbfgs_max_iter=3)
+    model, _ = train(kan_init([2, 1, 1], GRID, cfg.seed), trajs, cfg)
     path = tmp_path / "model.json"
     save_model(model, path, cfg=cfg, metadata={"note": "roundtrip"})
     back, cfg2, meta = load_model(path)
     assert meta["note"] == "roundtrip"
-    assert cfg2.alpha == 2 and cfg2.shape == [2, 1, 1]
+    assert cfg2.alpha == 2 and back.network.shape == [2, 1, 1]
     assert np.array_equal(back.K, model.K)
     assert np.array_equal(back.B, model.B)
     assert np.array_equal(back.network.get_params(), model.network.get_params())
@@ -561,13 +558,102 @@ def test_model_roundtrip(tmp_path):
     assert np.array_equal(a.states, b.states)
 
 
+FIXTURE = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / \
+    "pendulum_kan_model.json"
+
+
+def test_save_load_model_round_trip_property(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    grids = st.builds(SplineGrid, lo=st.floats(-10.0, 0.0), hi=st.floats(0.5, 10.0),
+                      intervals=st.integers(1, 8), order=st.integers(1, 4))
+    configs = st.builds(
+        TrainConfig, alpha=st.integers(1, 30), gamma=st.floats(0.0, 1e3),
+        epochs=st.integers(0, 50), optimizer=st.sampled_from(["lbfgs", "adam"]),
+        learning_rate=st.floats(1e-6, 10.0), batch_size=st.none() | st.integers(1, 4096),
+        corrected_pred_loss=st.booleans(), seed=st.integers(0, 2**32))
+    path = tmp_path / "model.json"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["kan", "mlp"]), st.lists(st.integers(1, 4), min_size=2,
+                                                      max_size=4),
+           grids, st.integers(0, 2), configs, st.data())
+    def check(kind, shape, grid, p, cfg, data):
+        net = kan_init(shape, grid, 0) if kind == "kan" else mlp_init(shape, 0)
+        net.set_params(data.draw(arrays(float, net.n_params, elements=finite)))
+        n, n_total = shape[0], shape[0] + shape[-1]
+        model = KoopmanModel(network=net, K=data.draw(arrays(float, (n_total, n_total),
+                                                             elements=finite)),
+                             B=data.draw(arrays(float, (n_total, p), elements=finite)),
+                             n=n, n_total=n_total)
+        save_model(model, path, cfg=cfg, metadata={"p": p})
+        back, cfg2, meta = load_model(path)
+        assert (back.kind, back.n, back.n_total, meta) == (kind, n, n_total, {"p": p})
+        assert back.network.shape == shape
+        if kind == "kan":
+            assert back.network.grid == grid
+        assert np.array_equal(back.network.get_params(), net.get_params())
+        assert back.K.shape == model.K.shape and np.array_equal(back.K, model.K)
+        assert back.B.shape == (n_total, p) and np.array_equal(back.B, model.B)
+        assert cfg2 == cfg
+
+    check()
+
+
+def test_model_file_with_shape_and_grid_in_config_loads(tmp_path):
+    # Model files written while TrainConfig held the network shape and grid
+    # still carry them in their config.
+    doc = json.loads(FIXTURE.read_text())
+    assert {"shape", "grid"} <= doc["config"].keys()
+    rest = {k: v for k, v in doc["config"].items() if k not in ("shape", "grid")}
+    model, cfg, _ = load_model(FIXTURE)
+    assert cfg.to_dict() == rest
+    assert model.network.shape == doc["config"]["shape"]
+    path = tmp_path / "model.json"
+    save_model(model, path, cfg=cfg)
+    assert json.loads(path.read_text())["config"] == rest
+
+
+def test_network_calls_route_through_module_functions(monkeypatch):
+    # benchmarks/tracing.py times the backends by wrapping these module
+    # functions, so the network methods must look them up at call time.
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((kan, "kan_forward"), (kan, "kan_backward"),
+                         (mlp, "mlp_forward"), (mlp, "mlp_backward")):
+        count(module, name)
+    trajs = generate_pendulum_dataset(2, seed=4)
+    cfg = TrainConfig(alpha=2, epochs=1, lbfgs_max_iter=2)
+    for kind, net in (("kan", kan_init([2, 1], GRID, 0)), ("mlp", mlp_init([2, 3, 1], 0))):
+        forward, backward = f"{kind}_forward", f"{kind}_backward"
+        calls.update(kan_forward=0, kan_backward=0, mlp_forward=0, mlp_backward=0)
+        model = fitted_on(kind, net.shape, trajs)
+        lift(model, np.zeros(2))
+        assert calls == {**dict.fromkeys(calls, 0), forward: 3}  # two in fitted_on
+        loss(model, build_snapshots(trajs, cfg.alpha), cfg, grad=True)
+        assert (calls[forward], calls[backward]) == (4, 1)
+        train(net, trajs, cfg)
+        assert calls[forward] > 4 and calls[backward] > 1
+        assert sum(calls.values()) == calls[forward] + calls[backward]
+
+
 def test_model_file_with_p_key_loads_and_saves_without_it(tmp_path):
     # Model files written before the P key was dropped still carry it.
-    fixture = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / \
-        "pendulum_kan_model.json"
-    doc = json.loads(fixture.read_text())
+    doc = json.loads(FIXTURE.read_text())
     assert doc["P"] == np.eye(doc["n"], doc["n_total"]).tolist()
-    model, cfg, _ = load_model(fixture)
+    model, cfg, _ = load_model(FIXTURE)
     assert (model.kind, model.n, model.n_total) == ("kan", 2, 3)
     assert np.array_equal(model.K, np.asarray(doc["K"]))
     path = tmp_path / "model.json"
@@ -600,7 +686,7 @@ def _full_row_corrected(model, snaps, src):
     inter = []
     for i in range(snaps.alpha):
         inter.append(x)
-        z = model.K @ _lift_cols(model.kind, model.network, x)
+        z = model.K @ _lift_cols(model.network, x)
         if model.B.shape[1]:
             z += model.B @ snaps.U[:, src + i]
         x = z[: model.n]
@@ -610,14 +696,13 @@ def _full_row_corrected(model, snaps, src):
 def _full_row_loss(model, snaps, cfg, cols=None, pcols=None, plan=None, grad=False,
                    phi_x=None):
     del plan  # the oracle always rebuilds powers and forcing terms
-    kind, net, n = model.kind, model.network, model.n
-    backward = _BACKWARD[kind]
+    net, n = model.network, model.n
     x, x_next, u = snaps.X, snaps.X_next, snaps.U
     if cols is not None:
         x, x_next, u = x[:, cols], x_next[:, cols], u[:, cols]
     tape = [] if grad and phi_x is None else None
     if phi_x is None:
-        phi_x = _lift_cols(kind, net, x, tape)
+        phi_x = _lift_cols(net, x, tape)
     err = (model.K @ phi_x + model.B @ u)[:n] - x_next
     recon = float(np.sum(err * err)) / err.shape[1]
     if grad:
@@ -637,7 +722,7 @@ def _full_row_loss(model, snaps, cfg, cols=None, pcols=None, plan=None, grad=Fal
             else:
                 x_p = snaps.X[:, src]
                 tape_p = [] if grad else None
-                phi_p = _lift_cols(kind, net, x_p, tape_p)
+                phi_p = _lift_cols(net, x_p, tape_p)
             z = powers[snaps.alpha] @ phi_p
             for term in _full_row_forcing(model, snaps, powers, src):
                 z += term
@@ -653,7 +738,7 @@ def _full_row_loss(model, snaps, cfg, cols=None, pcols=None, plan=None, grad=Fal
                 if shared:
                     d_phi[:, src] += d_pred
                 else:
-                    pred_grads, _ = backward(net, x_p.T, d_pred[n:, :].T, tape=tape_p)
+                    pred_grads, _ = net.backward(x_p.T, d_pred[n:, :].T, tape=tape_p)
     params = net.get_params()
     penalty = 0.0
     if cfg.lambda_l1:
@@ -663,7 +748,7 @@ def _full_row_loss(model, snaps, cfg, cols=None, pcols=None, plan=None, grad=Fal
     total = cfg.gamma * pred + cfg.beta * recon + penalty
     if not grad:
         return recon, pred, total
-    grads, _ = backward(net, x.T, d_phi[n:, :].T, tape=tape)
+    grads, _ = net.backward(x.T, d_phi[n:, :].T, tape=tape)
     if pred_grads is not None:
         grads += pred_grads
     if cfg.lambda_l1:
@@ -710,7 +795,7 @@ def _oracle_case(case):
     n = snaps.X.shape[0]
     n_total = n + net.shape[-1]
     p = snaps.U.shape[0]
-    model = KoopmanModel(kind="kan" if case == "kan_plan" else "mlp", network=net,
+    model = KoopmanModel(network=net,
                          K=np.eye(n_total) + 0.1 * rng.standard_normal((n_total, n_total)),
                          B=0.3 * rng.standard_normal((n_total, p)), n=n, n_total=n_total)
     if case == "kan_plan":
@@ -736,7 +821,7 @@ def test_state_row_loss_bit_identical_to_full_rows(case, corrected):
     _assert_same_bits(loss(model, snaps, cfg, cols, pcols, plan=plan), want)
     if cols is None:
         # The logged loss of an epoch: the lift of every X column is given.
-        phi_x = _lift_cols(model.kind, model.network, snaps.X)
+        phi_x = _lift_cols(model.network, snaps.X)
         want = _full_row_loss(model, snaps, cfg, phi_x=phi_x)
         _assert_same_bits(loss(model, snaps, cfg, plan=plan, phi_x=phi_x), want)
 
@@ -753,13 +838,12 @@ def _where_selu_deriv(x):
 def test_adam_train_history_bit_identical_to_full_rows(monkeypatch):
     trajs = generate_pendulum_dataset(3, seed=8)
     cfg = TrainConfig(alpha=3, gamma=0.5, beta=1.0, epochs=2, optimizer="adam",
-                      learning_rate=3e-3, batch_size=64, weight_decay=1e-5, seed=4,
-                      shape=[2, 6, 6, 2])
-    model, hist = train("mlp", trajs, cfg)
+                      learning_rate=3e-3, batch_size=64, weight_decay=1e-5, seed=4)
+    model, hist = train(mlp_init([2, 6, 6, 2], cfg.seed), trajs, cfg)
     monkeypatch.setattr(koopman, "loss", _full_row_loss)
     monkeypatch.setattr(mlp, "selu", _where_selu)
     monkeypatch.setattr(mlp, "selu_deriv", _where_selu_deriv)
-    model_ref, hist_ref = train("mlp", trajs, cfg)
+    model_ref, hist_ref = train(mlp_init([2, 6, 6, 2], cfg.seed), trajs, cfg)
     assert hist == hist_ref
     assert np.array_equal(model.network.get_params(), model_ref.network.get_params())
     assert np.array_equal(model.K, model_ref.K) and np.array_equal(model.B, model_ref.B)

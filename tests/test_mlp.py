@@ -11,9 +11,7 @@ from kooplift.mlp import (
     MlpNetwork,
     mlp_backward,
     mlp_forward,
-    mlp_from_dict,
     mlp_init,
-    mlp_to_dict,
     selu,
     selu_deriv,
 )
@@ -269,8 +267,8 @@ def test_taped_forward_and_backward_equal_untaped(shape, batch):
 
 def test_json_roundtrip_exact():
     net = mlp_init([2, 5, 3], seed=31)
-    doc = json.loads(json.dumps(mlp_to_dict(net)))
-    back = mlp_from_dict(doc)
+    doc = json.loads(json.dumps(net.to_dict()))
+    back = MlpNetwork.from_dict(doc)
     assert back.shape == net.shape
     assert np.array_equal(back.get_params(), net.get_params())
     x = np.array([0.2, -0.4])

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,16 +61,20 @@ from .mlp import mlp_init
 
 OUT_ENV_VAR = "KOOPLIFT_OUT"
 
+# n_ic: the default number of initial conditions of a dataset and of an
+# evaluation section.
 _SYSTEMS = {
     "pendulum": {
         "n": 2,
         "state_names": PENDULUM_STATE_NAMES,
         "control_names": PENDULUM_CONTROL_NAMES,
+        "n_ic": {"dataset": 15, "evaluation": 5},
     },
     "twobody": {
         "n": 4,
         "state_names": TWOBODY_STATE_NAMES,
         "control_names": TWOBODY_CONTROL_NAMES,
+        "n_ic": {"dataset": 30, "evaluation": 3},
     },
 }
 
@@ -125,6 +129,7 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
+        """Check every section, and set train_config, the train section's TrainConfig."""
         if self.system not in _SYSTEMS:
             raise ConfigError(
                 f"system must be one of {sorted(_SYSTEMS)}, got {self.system!r}"
@@ -145,40 +150,26 @@ class RunConfig:
         for key, low in (("dataset.n_ic", 1), ("evaluation.n_ic", 1),
                          ("network.n_observables", 1), ("network.hidden_layers", 0),
                          ("network.neurons", 1), ("dataset.seed", 0),
-                         ("dataset.points_per_orbit", 1), ("train.seed", 0),
-                         ("train.alpha", 1), ("train.epochs", 0),
-                         ("train.lbfgs_max_iter", 1), ("train.lbfgs_history", 1),
-                         ("evaluation.seed", 0)):
+                         ("dataset.points_per_orbit", 1), ("evaluation.seed", 0)):
             section, name = key.split(".")
             value = getattr(self, section).get(name, low)
             if type(value) is not int or value < low:  # bool is not an int here
                 kind = "positive" if low else "non-negative"
                 raise ConfigError(f"{key} must be a {kind} integer, got {value!r}")
-        positive = ("control.dt", "control.duration", "control.u_limit", "control.q_state",
-                    "control.r", "train.learning_rate")
-        for key in positive + ("train.gamma", "train.beta", "train.weight_decay",
-                               "train.lambda_l1", "train.lambda_l2"):
-            section, name = key.split(".")
-            value = getattr(self, section).get(name, 1.0)
-            kind = "positive" if key in positive else "non-negative"
-            if type(value) not in (int, float) or not 0.0 <= value < float("inf") or (
-                    value == 0 and kind == "positive"):
-                raise ConfigError(f"{key} must be a {kind} finite number, got {value!r}")
-        corrected = self.train.get("corrected_pred_loss", False)
-        if type(corrected) is not bool:
-            raise ConfigError(f"train.corrected_pred_loss must be a boolean, got {corrected!r}")
-        batch = self.train.get("batch_size")
-        if batch is not None and (type(batch) is not int or batch < 1):
-            raise ConfigError(f"train.batch_size must be a positive integer or null, "
-                              f"got {batch!r}")
-        if self.train.get("optimizer", "lbfgs") not in ("lbfgs", "adam"):
-            raise ConfigError("train.optimizer must be a known optimizer, 'lbfgs' or "
-                              f"'adam', got {self.train['optimizer']!r}")
-        x0 = self.control.get("x0", [0.0] * self.n_states)
-        if type(x0) is not list or len(x0) != self.n_states or not all(
-                type(v) in (int, float) and abs(v) < float("inf") for v in x0):
+        for name in ("dt", "duration", "u_limit", "q_state", "r"):
+            value = self.control.get(name, 1.0)
+            if type(value) not in (int, float) or not 0.0 < value < float("inf"):
+                raise ConfigError(f"control.{name} must be a positive finite number, "
+                                  f"got {value!r}")
+        x0 = self.control.get("x0")
+        if "x0" in self.control and (type(x0) is not list or len(x0) != self.n_states or not all(
+                type(v) in (int, float) and abs(v) < float("inf") for v in x0)):
             raise ConfigError(f"control.x0 must be a list of {self.n_states} finite numbers, "
                               f"got {x0!r}")
+        try:
+            self.train_config = TrainConfig(**self.train)
+        except ValueError as exc:
+            raise ConfigError(f"train.{exc}") from None
 
     @property
     def n_states(self) -> int:
@@ -196,14 +187,13 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid network.grid: {exc}") from exc
 
-    def train_config(self, seed_override: int | None) -> TrainConfig:
-        doc = dict(self.train)
-        if seed_override is not None:
-            doc["seed"] = seed_override
-        try:
-            return TrainConfig(**doc)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid train section: {exc}") from exc
+    @property
+    def points_per_orbit(self) -> int:
+        return self.dataset.get("points_per_orbit", 800)
+
+    @property
+    def x0(self) -> np.ndarray:
+        return np.asarray(self.control.get("x0", [1.0, 0.0]), dtype=float)
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -219,21 +209,22 @@ def _dataset_dir(cfg: RunConfig, out_dir: Path) -> Path:
     return out_dir / "dataset"
 
 
-def _generate(cfg: RunConfig, seed: int):
+def _trajectories(cfg: RunConfig, seed: int, doc: dict, role: str):
+    """The trajectories a dataset or evaluation section doc describes; role,
+    "dataset" or "evaluation", picks the default n_ic."""
+    n_ic = doc.get("n_ic", _SYSTEMS[cfg.system]["n_ic"][role])
     if cfg.system == "pendulum":
-        return generate_pendulum_dataset(
-            cfg.dataset.get("n_ic", 15), seed, cfg.train.get("alpha", 25)
-        )
-    return generate_twobody_dataset(
-        cfg.dataset.get("n_ic", 30),
-        seed,
-        cfg.dataset.get("points_per_orbit", 800),
-    )
+        return generate_pendulum_dataset(n_ic, seed, cfg.train.get("alpha", 25))
+    kwargs = {}
+    if doc.get("radius_range"):
+        lo, hi = doc["radius_range"]
+        kwargs["radius_range"] = (float(lo), float(hi))
+    return generate_twobody_dataset(n_ic, seed, cfg.points_per_orbit, **kwargs)
 
 
 def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     seed = seed_override if seed_override is not None else cfg.dataset.get("seed", 0)
-    trajs = _generate(cfg, seed)
+    trajs = _trajectories(cfg, seed, cfg.dataset, "dataset")
     names = _SYSTEMS[cfg.system]
     dataset_dir = _dataset_dir(cfg, out_dir)
     manifest = save_dataset(
@@ -245,11 +236,7 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> in
             "system": cfg.system,
             "seed": seed,
             "n_ic": len(trajs),
-            **(
-                {"points_per_orbit": cfg.dataset.get("points_per_orbit", 800)}
-                if cfg.system == "twobody"
-                else {}
-            ),
+            **({"points_per_orbit": cfg.points_per_orbit} if cfg.system == "twobody" else {}),
         },
     )
     print(f"wrote {len(trajs)} trajectories under {dataset_dir} ({manifest.name})")
@@ -259,7 +246,9 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> in
 def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     dataset_dir = _dataset_dir(cfg, out_dir)
     trajs = load_dataset(dataset_dir)
-    tc = cfg.train_config(seed_override)
+    tc = cfg.train_config
+    if seed_override is not None:
+        tc = replace(tc, seed=seed_override)
     shape = cfg.network_shape()
     network = (kan_init(shape, cfg.spline_grid(), tc.seed) if cfg.backend == "kan"
                else mlp_init(shape, tc.seed))
@@ -301,23 +290,6 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     return 0
 
 
-def _eval_trajectories(cfg: RunConfig, seed: int, section: dict):
-    if cfg.system == "pendulum":
-        return generate_pendulum_dataset(
-            section.get("n_ic", 5), seed, cfg.train.get("alpha", 25)
-        )
-    kwargs = {}
-    if section.get("radius_range"):
-        lo, hi = section["radius_range"]
-        kwargs["radius_range"] = (float(lo), float(hi))
-    return generate_twobody_dataset(
-        section.get("n_ic", 3),
-        seed,
-        cfg.dataset.get("points_per_orbit", 800),
-        **kwargs,
-    )
-
-
 def _evaluate_into(cfg: RunConfig, model, trajs, dest: Path) -> dict:
     """Corrected rollouts of every IC in one batch against the truth; per-IC
     CSVs plus a metrics dict."""
@@ -348,19 +320,23 @@ def _evaluate_into(cfg: RunConfig, model, trajs, dest: Path) -> dict:
     return metrics
 
 
+def _load_model_file(path: Path):
+    """The model stored at path; a missing file raises FileNotFoundError."""
+    if not path.is_file():
+        raise FileNotFoundError(f"model file not found: {path}")
+    return load_model(path)[0]
+
+
 def cmd_evaluate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     model_path = Path(cfg.model_path) if cfg.model_path else out_dir / "model.json"
-    if not model_path.is_file():
-        raise FileNotFoundError(f"model file not found: {model_path}")
-    model, _, _ = load_model(model_path)
-    section = cfg.evaluation
-    seed = seed_override if seed_override is not None else section.get("seed", 900)
-    trajs = _eval_trajectories(cfg, seed, section)
+    model = _load_model_file(model_path)
+    seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
+    trajs = _trajectories(cfg, seed, cfg.evaluation, "evaluation")
     metrics = _evaluate_into(cfg, model, trajs, out_dir / "eval")
     metrics["seed"] = seed
-    extra = section.get("extrapolation")
+    extra = cfg.evaluation.get("extrapolation")
     if extra and cfg.system == "twobody":
-        extra_trajs = _eval_trajectories(cfg, seed + 1, extra)
+        extra_trajs = _trajectories(cfg, seed + 1, extra, "evaluation")
         metrics["extrapolation"] = _evaluate_into(
             cfg, model, extra_trajs, out_dir / "eval_extrapolation"
         )
@@ -377,10 +353,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> in
 
 def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     del seed_override  # the control loop is deterministic
-    model_path = Path(cfg.model_path) if cfg.model_path else out_dir / "model.json"
-    if not model_path.is_file():
-        raise FileNotFoundError(f"model file not found: {model_path}")
-    model, _, _ = load_model(model_path)
+    model = _load_model_file(Path(cfg.model_path) if cfg.model_path else out_dir / "model.json")
     if model.B.shape[1] == 0:
         print("error: model has no control input; nothing to regulate",
               file=sys.stderr)
@@ -398,7 +371,7 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
         model,
         gain,
         pendulum_deriv,
-        np.asarray(section.get("x0", [1.0, 0.0]), dtype=float),
+        cfg.x0,
         duration=float(section.get("duration", 10.0)),
         dt=float(section.get("dt", PENDULUM_DT)),
         u_limit=float(section.get("u_limit", 5.0)),
@@ -418,7 +391,7 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     }
     _write_json(dest / "control_metrics.json", metrics)
     settle_text = "never" if settle is None else f"{settle:.2f}s"
-    x0_text = [float(v) for v in np.asarray(section.get("x0", [1.0, 0.0]))]
+    x0_text = [float(v) for v in cfg.x0]
     print(
         f"closed loop from {x0_text}: "
         f"settled {settle_text}, peak |u| {metrics['peak_abs_control']:.3g}"
@@ -431,17 +404,11 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     if not section.get("model_a") or not section.get("model_b"):
         raise ConfigError("compare requires compare.model_a and compare.model_b")
     rows = []
-    seed = (
-        seed_override
-        if seed_override is not None
-        else cfg.evaluation.get("seed", 900)
-    )
-    trajs = _eval_trajectories(cfg, seed, cfg.evaluation)
+    seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
+    trajs = _trajectories(cfg, seed, cfg.evaluation, "evaluation")
     for label in ("model_a", "model_b"):
         path = Path(section[label])
-        if not path.is_file():
-            raise FileNotFoundError(f"model file not found: {path}")
-        model, _, meta = load_model(path)
+        model = _load_model_file(path)
         metrics = _evaluate_into(
             cfg, model, trajs, out_dir / "compare" / f"eval_{label}"
         )
@@ -519,6 +486,13 @@ def _resolve_out(flag: str | None, cfg: RunConfig) -> Path:
     return Path("runs") / f"{cfg.system}_{cfg.backend}"
 
 
+def _seed(text: str) -> int:
+    """--seed's type: a non-negative integer, else an argparse usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="kooplift",
@@ -536,7 +510,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", help="output directory (overrides config and env)")
-        p.add_argument("--seed", type=int, help="override the command's seed")
+        p.add_argument("--seed", type=_seed, help="override the command's seed")
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
@@ -545,14 +519,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc} (in {args.config})", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TrainingDivergedError, RolloutDivergedError, InstabilityError,
-            UncontrollableModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError, TrainingDivergedError, RolloutDivergedError,
+            InstabilityError, UncontrollableModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

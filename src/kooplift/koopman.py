@@ -11,6 +11,7 @@ optional per-step correction through re-lifting.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -85,8 +86,16 @@ class KoopmanModel:
         return self.network.n_params
 
 
+def _is(value, kind) -> bool:
+    """isinstance(value, kind), where a bool is never a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainConfig:
+    """Training settings; each field is checked here, for library callers,
+    run configs and model files alike."""
+
     alpha: int = 1
     gamma: float = 1.0
     beta: float = 1.0
@@ -97,32 +106,41 @@ class TrainConfig:
     weight_decay: float = 0.0
     lambda_l1: float = 0.0
     lambda_l2: float = 0.0
-    corrected_pred_loss: bool = False
     lbfgs_max_iter: int = 20
     lbfgs_history: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
-        if self.gamma < 0 or self.beta < 0:
-            raise ValueError("gamma and beta must be nonnegative")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        """Raises ValueError('<field> must be a ..., got <value>')."""
+        for name, low in (("seed", 0), ("alpha", 1), ("epochs", 0), ("lbfgs_max_iter", 1),
+                          ("lbfgs_history", 1)):
+            value = getattr(self, name)
+            if not _is(value, numbers.Integral) or value < low:
+                kind = "positive" if low else "non-negative"
+                raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+        for name in ("learning_rate", "gamma", "beta", "weight_decay", "lambda_l1",
+                     "lambda_l2"):
+            value = getattr(self, name)
+            kind = "positive" if name == "learning_rate" else "non-negative"
+            if not (_is(value, numbers.Real) and 0.0 <= value < float("inf")) or (
+                    value == 0 and kind == "positive"):
+                raise ValueError(f"{name} must be a {kind} finite number, got {value!r}")
+        batch = self.batch_size
+        if batch is not None and (not _is(batch, numbers.Integral) or batch < 1):
+            raise ValueError(f"batch_size must be a positive integer or null, got {batch!r}")
         if self.optimizer not in ("lbfgs", "adam"):
-            raise ValueError("optimizer must be 'lbfgs' or 'adam'")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError("optimizer must be a known optimizer, 'lbfgs' or 'adam', "
+                             f"got {self.optimizer!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        """Skips shape and grid, which older model.json files still hold."""
-        return cls(**{k: v for k, v in doc.items() if k not in ("shape", "grid")})
+        """Skips shape, grid and corrected_pred_loss, which older model.json
+        files still hold."""
+        return cls(**{k: v for k, v in doc.items()
+                      if k not in ("shape", "grid", "corrected_pred_loss")})
 
 
 @dataclass
@@ -255,49 +273,16 @@ class _TrainPlan:
         self.forcing = list(_forcing_terms(model, snaps, self.powers, snaps.pred_cols))
 
 
-def _pred_corrected_terms(model: KoopmanModel, snaps: SnapshotSet, src: np.ndarray):
-    """Alpha-step propagation from the X columns src, re-lifting every step.
-
-    Returns the predicted states and the per-step inputs the gradient replays.
-    """
-    x = snaps.X[:, src]
-    inter = []
-    for i in range(snaps.alpha):
-        inter.append(x)
-        x = _state_rows(model.K, _lift_cols(model.network, x), model.n)
-        if model.B.shape[1]:
-            x += _state_rows(model.B, snaps.U[:, src + i], model.n)
-    return x, inter
-
-
-def _corrected_pred_grad(model: KoopmanModel, inter: list, dx: np.ndarray) -> np.ndarray:
-    """Backprop dx, the gradient w.r.t. the predicted states, through the
-    re-lift chain of the corrected prediction loss.
-
-    Each per-step lift contributes its own network gradient; the chain
-    starts from raw data states, which carry no parameter dependence.
-    """
-    net, n = model.network, model.n
-    grads = np.zeros(net.n_params)
-    for x in reversed(inter):
-        # x_{i+1} = P (K lift(x_i) + B u_i), so dz_i = (P K)^T dx_{i+1}.
-        dz = model.K[:n].T @ dx
-        g_i, dx_in = net.backward(x.T, dz[n:, :].T)
-        grads += g_i
-        dx = dz[:n, :] + dx_in.T
-    return grads
-
-
 def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, pcols=None,
          plan: _TrainPlan | None = None, grad: bool = False, phi_x=None):
     """(recon, pred, total) with total = gamma*pred + beta*recon + penalties.
 
     recon and pred are the mean squared one-step and alpha-step state
-    errors; pred re-lifts every step with cfg.corrected_pred_loss. grad
-    appends the exact gradient w.r.t. the network parameters with (K, B)
-    frozen, and skips pred (reading 0) when gamma is 0. cols and pcols are
-    the X columns and prediction pairs to average over, None meaning all.
-    Only the full-batch linear prediction shares the recon lift of X.
+    errors, pred advancing the lifted state linearly. grad appends the
+    exact gradient w.r.t. the network parameters with (K, B) frozen, and
+    skips pred (reading 0) when gamma is 0. cols and pcols are the X
+    columns and prediction pairs to average over, None meaning all. Only
+    the full-batch prediction shares the recon lift of X.
     phi_x, the lift of all X columns, replaces that lift; a plan refit to
     model's (K, B) serves the full batch.
     """
@@ -318,35 +303,28 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
         if pcols is not None:
             src, x_alpha = src[pcols], x_alpha[:, pcols]
         shared = cols is None and pcols is None
-        if cfg.corrected_pred_loss:
-            x_hat, inter = _pred_corrected_terms(model, snaps, src)
+        if plan is None or pcols is not None:
+            powers = _powers(model.K, snaps.alpha)
+            forcing = _forcing_terms(model, snaps, powers, src)
         else:
-            if plan is None or pcols is not None:
-                powers = _powers(model.K, snaps.alpha)
-                forcing = _forcing_terms(model, snaps, powers, src)
-            else:
-                powers, forcing = plan.powers, plan.forcing
-            if shared:
-                phi_p = phi_x[:, src]
-            else:
-                x_p = snaps.X[:, src]
-                tape_p = [] if grad else None
-                phi_p = _lift_cols(net, x_p, tape_p)
-            x_hat = _state_rows(powers[snaps.alpha], phi_p, n)
-            for term in forcing:
-                x_hat += term
+            powers, forcing = plan.powers, plan.forcing
+        if shared:
+            phi_p = phi_x[:, src]
+        else:
+            x_p = snaps.X[:, src]
+            tape_p = [] if grad else None
+            phi_p = _lift_cols(net, x_p, tape_p)
+        x_hat = _state_rows(powers[snaps.alpha], phi_p, n)
+        for term in forcing:
+            x_hat += term
         err_p = x_hat - x_alpha
         pred = float(np.sum(err_p * err_p)) / err_p.shape[1]
         if grad:
-            scale = 2.0 * cfg.gamma / err_p.shape[1]
-            if cfg.corrected_pred_loss:
-                pred_grads = _corrected_pred_grad(model, inter, scale * err_p)
+            d_pred = (2.0 * cfg.gamma / err_p.shape[1]) * (powers[snaps.alpha][:n].T @ err_p)
+            if shared:
+                d_phi[:, src] += d_pred
             else:
-                d_pred = scale * (powers[snaps.alpha][:n].T @ err_p)
-                if shared:
-                    d_phi[:, src] += d_pred
-                else:
-                    pred_grads, _ = net.backward(x_p.T, d_pred[n:, :].T, tape=tape_p)
+                pred_grads, _ = net.backward(x_p.T, d_pred[n:, :].T, tape=tape_p)
     params = net.get_params()
     penalty = 0.0
     if cfg.lambda_l1:
@@ -484,25 +462,17 @@ def rollout(model: KoopmanModel, x0, controls, dt, correct: bool = True) -> Traj
     k_t, b_t = model.K.T, model.B.T
     has_input = model.B.shape[1] > 0
     with np.errstate(over="ignore", invalid="ignore"):
-        if correct:
-            x = x0
-            for k in range(n_steps):
-                z = _row_products(lift(model, x), k_t)
-                if has_input:
-                    z = z + _row_products(controls[k], b_t)
-                x = z[..., : model.n]
-                if not np.isfinite(x).all():
-                    raise RolloutDivergedError(k)
-                states[k + 1] = x
-        else:
-            z = lift(model, x0)
-            for k in range(n_steps):
-                z = _row_products(z, k_t)
-                if has_input:
-                    z = z + _row_products(controls[k], b_t)
-                if not np.isfinite(z).all():
-                    raise RolloutDivergedError(k)
-                states[k + 1] = z[..., : model.n]
+        x = x0
+        for k in range(n_steps):
+            if correct or not k:
+                z = lift(model, x)
+            z = _row_products(z, k_t)
+            if has_input:
+                z = z + _row_products(controls[k], b_t)
+            x = z[..., : model.n]
+            if not np.isfinite(x if correct else z).all():
+                raise RolloutDivergedError(k)
+            states[k + 1] = x
     return Trajectory(dt=dt, states=states, controls=controls)
 
 
@@ -530,9 +500,10 @@ def load_model(path):
     """Returns (model, config-or-None, metadata dict).
 
     Raises ValueError naming path when the file is not JSON, a key is
-    missing, the backend kind is unknown, K or B disagrees with n_total, the
-    network or config section does not parse, or the network's input width
-    is not n or n plus its output width is not n_total.
+    missing, the backend kind is unknown, n or n_total is not an integer,
+    K or B is not a matrix of numbers or disagrees with n_total, the network
+    or config section does not parse, or the network's input width is not n
+    or n plus its output width is not n_total.
     """
     with open(path) as fh:
         try:
@@ -543,18 +514,21 @@ def load_model(path):
                if not isinstance(doc, dict) or key not in doc]
     if missing:
         raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
-    kind = doc["kind"]
-    if kind not in _NETWORKS:
+    kind, n, n_total = doc["kind"], doc["n"], doc["n_total"]
+    if type(kind) is not str or kind not in _NETWORKS:
         raise ValueError(f"{path}: unknown backend kind {kind!r}")
-    n_total = int(doc["n_total"])
-    k = np.asarray(doc["K"], dtype=float)
-    b = np.asarray(doc["B"], dtype=float)
+    if not (_is(n, numbers.Integral) and _is(n_total, numbers.Integral) and 0 < n < n_total):
+        raise ValueError(f"{path}: n and n_total must be integers with 0 < n < n_total, "
+                         f"got {n!r} and {n_total!r}")
+    try:
+        k, b = (np.asarray(doc[key], dtype=float) for key in ("K", "B"))
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: K and B must be matrices of numbers") from None
     if b.size == 0:
         b = b.reshape(n_total, 0)
     if k.shape != (n_total, n_total) or b.ndim != 2 or b.shape[0] != n_total:
         raise ValueError(f"{path}: K {k.shape} and B {b.shape} do not fit n_total={n_total}")
     network = _parsed(path, "network", _NETWORKS[kind].from_dict, doc["network"])
-    n = int(doc["n"])
     if network.shape[0] != n or n + network.shape[-1] != n_total:
         raise ValueError(f"{path}: network {network.shape[0]} -> {network.shape[-1]} "
                          f"does not fit n={n} and n_total={n_total}")

@@ -8,7 +8,7 @@ evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class LbfgsResult:
     n_iter: int
     n_evals: int
     stop_reason: str = ""
-    history: list = field(default_factory=list)
 
 
 class Lbfgs:

@@ -34,3 +34,20 @@ def test_bench_harness_runs_and_reports_schema(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+# The dispatch tables these sites name were folded into the network classes;
+# tracing.py still lists them, and nothing is bound there any more.
+DEAD_SITES = {"kooplift.koopman:_FORWARD[kan]", "kooplift.koopman:_FORWARD[mlp]",
+              "kooplift.koopman:_BACKWARD[kan]", "kooplift.koopman:_BACKWARD[mlp]"}
+
+
+def test_tracing_binds_every_live_site():
+    # A rename in src/ of a name the benchmark traces would drop its
+    # per-layer metrics silently; here it fails instead.
+    probe = ("import json, sys; sys.path[:0] = ['benchmarks', 'src']; import tracing; "
+             "print(json.dumps(tracing.install().missing_sites))")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) <= DEAD_SITES

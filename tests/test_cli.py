@@ -281,6 +281,7 @@ def test_unknown_config_key_exits_2(tmp_path):
     ("generate", "dataset", "nic"),
     ("train", "train", "shape"),
     ("train", "train", "grid"),
+    ("train", "train", "corrected_pred_loss"),
     ("train", "network", "neuron"),
     ("evaluate", "evaluation", "nic"),
     ("evaluate", "evaluation.extrapolation", "seed"),
@@ -365,8 +366,19 @@ def _set(path, value):
     (_set(["network", "biases", 1], [0.0, 0.0]),
      "bad network section: weight and bias shapes [(3, 2), (1, 3), (3,), (2,)] do not fit "
      "shape [2, 3, 1]", True),
+    (_set(["config"], {"lbfgs_max_iter": 0}),
+     "bad config section: lbfgs_max_iter must be a positive integer, got 0", False),
+    (_set(["config"], {"alpha": 1.5}),
+     "bad config section: alpha must be a positive integer, got 1.5", False),
+    (_set(["kind"], ["kan"]), "unknown backend kind ['kan']", False),
+    (_set(["n_total"], "abc"),
+     "n and n_total must be integers with 0 < n < n_total, got 2 and 'abc'", False),
+    (_set(["n"], "x"), "n and n_total must be integers with 0 < n < n_total, got 'x' and 3",
+     False),
+    (_set(["K", 1], [1.0]), "K and B must be matrices of numbers", False),
 ], ids=["no-layers", "network-str", "config-unknown-key", "coeffs-shape", "grid-order-0",
-        "network-kind", "mlp-bias-shape"])
+        "network-kind", "mlp-bias-shape", "config-lbfgs_max_iter-0", "config-alpha-float",
+        "kind-list", "n_total-str", "n-str", "K-ragged"])
 def test_model_malformed_network_or_config_exits_1(pendulum_cfg, tmp_path, capsys, edit,
                                                    detail, mlp):
     network = mlp_init([2, 3, 1], seed=0) if mlp else None
@@ -471,8 +483,6 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     ("train", "train.batch_size", True),
     ("train", "train.batch_size", 2.5),
     ("train", "train.optimizer", "sgd"),
-    ("train", "train.corrected_pred_loss", "no"),
-    ("train", "train.corrected_pred_loss", 1),
 ], ids=["n_observables-str", "hidden_layers-float", "neurons-zero", "dataset-seed-str",
         "train-seed-negative", "evaluation-seed-float", "dt-zero", "duration-nan",
         "n_ic-bool", "alpha-float", "epochs-bool", "epochs-negative", "lbfgs_max_iter-zero",
@@ -480,8 +490,7 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
         "q_state-str", "q_state-zero", "r-zero", "r-negative", "x0-str", "x0-short",
         "x0-nan", "x0-bool", "gamma-negative", "beta-nan", "weight_decay-str",
         "lambda_l1-negative", "lambda_l2-inf", "learning_rate-zero", "learning_rate-inf",
-        "batch_size-zero", "batch_size-bool", "batch_size-float", "optimizer-unknown",
-        "corrected_pred_loss-str", "corrected_pred_loss-int"])
+        "batch_size-zero", "batch_size-bool", "batch_size-float", "optimizer-unknown"])
 def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, value):
     doc = json.loads(Path(pendulum_cfg).read_text())
     section, name = key.split(".")
@@ -492,6 +501,18 @@ def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, 
     assert err.startswith(f"config error: {key} must be a ")
     assert err.rstrip("\n").endswith(f"(in {cfg})")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_negative_seed_flag_exits_2(pendulum_cfg, tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", pendulum_cfg, "--out", str(tmp_path / "run"),
+              "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.rstrip("\n").endswith(
+        "error: argument --seed: must be a non-negative integer, got '-1'")
+    assert not (tmp_path / "run").exists()
 
 
 def test_python_m_kooplift_help():

@@ -20,7 +20,6 @@ from kooplift.koopman import (
     TrainConfig,
     TrainingDivergedError,
     _TrainPlan,
-    _corrected_pred_grad,
     _lift_cols,
     _powers,
     build_snapshots,
@@ -203,7 +202,6 @@ def test_losses_vanish_on_exact_linear_system():
     recon, pred, _ = loss(model, snaps, TrainConfig(alpha=5))
     assert recon <= 1e-16
     assert pred <= 1e-16
-    assert loss(model, snaps, TrainConfig(alpha=5, corrected_pred_loss=True))[1] <= 1e-16
 
 
 def test_recon_loss_single_pair_definition():
@@ -293,9 +291,8 @@ def _fd_param_grad(model, snaps, cfg, cols=None, pcols=None, h=1e-6):
     return fd
 
 
-@pytest.mark.parametrize("corrected", [False, True])
 @pytest.mark.parametrize("batch", ["full", "sampled"])
-def test_training_gradient_matches_fd(batch, corrected):
+def test_training_gradient_matches_fd(batch):
     rng = np.random.default_rng(17)
     trajs = generate_pendulum_dataset(1, seed=2)
     # Shorten so the FD loop stays fast.
@@ -306,8 +303,7 @@ def test_training_gradient_matches_fd(batch, corrected):
     k = np.eye(3) + 0.02 * rng.standard_normal((3, 3))
     b = 0.05 * rng.standard_normal((3, 1))
     model = KoopmanModel(network=net, K=k, B=b, n=2, n_total=3)
-    cfg = TrainConfig(alpha=4, gamma=0.8, beta=1.0, lambda_l2=0.01,
-                      corrected_pred_loss=corrected)
+    cfg = TrainConfig(alpha=4, gamma=0.8, beta=1.0, lambda_l2=0.01)
     cols = pcols = None
     if batch == "sampled":
         cols = rng.choice(snaps.n_pairs, size=10, replace=False)
@@ -340,24 +336,20 @@ def _plan_case(case):
     return model, snaps, plan
 
 
-@pytest.mark.parametrize("corrected", [False, True])
 @pytest.mark.parametrize("case", ["kan_control", "kan_deep_no_input", "mlp"])
-def test_planned_loss_and_grad_equal_untaped(case, corrected):
+def test_planned_loss_and_grad_equal_untaped(case):
     model, snaps, plan = _plan_case(case)
-    cfg = TrainConfig(alpha=3, gamma=0.8, beta=1.5, lambda_l2=0.01,
-                      corrected_pred_loss=corrected)
+    cfg = TrainConfig(alpha=3, gamma=0.8, beta=1.5, lambda_l2=0.01)
     plain = loss(model, snaps, cfg, grad=True)
     planned = loss(model, snaps, cfg, plan=plan, grad=True)
     for a, b in zip(plain, planned):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("corrected", [False, True])
 @pytest.mark.parametrize("case", ["kan_control", "kan_deep_no_input", "mlp"])
-def test_loss_on_every_column_equals_full_batch(case, corrected):
+def test_loss_on_every_column_equals_full_batch(case):
     model, snaps, _ = _plan_case(case)
-    cfg = TrainConfig(alpha=3, gamma=0.8, beta=1.5, lambda_l1=0.01,
-                      corrected_pred_loss=corrected)
+    cfg = TrainConfig(alpha=3, gamma=0.8, beta=1.5, lambda_l1=0.01)
     full = loss(model, snaps, cfg, grad=True)
     every = loss(model, snaps, cfg, np.arange(snaps.n_pairs),
                  np.arange(snaps.n_pred_pairs), grad=True)
@@ -427,12 +419,11 @@ def test_train_loss_history_non_increasing_on_easy_problem():
         assert later <= earlier + 1e-9
 
 
-@pytest.mark.parametrize("gamma, corrected", [(0.0, False), (0.5, True)])
-def test_train_adam_path_runs_and_descends(gamma, corrected):
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_train_adam_path_runs_and_descends(gamma):
     trajs = generate_pendulum_dataset(3, seed=5)
     cfg = TrainConfig(alpha=1, gamma=gamma, beta=1.0, epochs=8, optimizer="adam",
-                      learning_rate=3e-3, batch_size=128, weight_decay=1e-5,
-                      corrected_pred_loss=corrected, seed=12)
+                      learning_rate=3e-3, batch_size=128, weight_decay=1e-5, seed=12)
     model, hist = train(mlp_init([2, 4, 4, 2], cfg.seed), trajs, cfg)
     assert len(hist) == 9
     assert hist[-1].total < hist[0].total
@@ -574,7 +565,7 @@ def test_save_load_model_round_trip_property(tmp_path):
         TrainConfig, alpha=st.integers(1, 30), gamma=st.floats(0.0, 1e3),
         epochs=st.integers(0, 50), optimizer=st.sampled_from(["lbfgs", "adam"]),
         learning_rate=st.floats(1e-6, 10.0), batch_size=st.none() | st.integers(1, 4096),
-        corrected_pred_loss=st.booleans(), seed=st.integers(0, 2**32))
+        seed=st.integers(0, 2**32))
     path = tmp_path / "model.json"
 
     @settings(max_examples=60, deadline=None)
@@ -604,17 +595,21 @@ def test_save_load_model_round_trip_property(tmp_path):
 
 
 def test_model_file_with_shape_and_grid_in_config_loads(tmp_path):
-    # Model files written while TrainConfig held the network shape and grid
-    # still carry them in their config.
+    # Model files written while TrainConfig held the network shape and grid,
+    # or the corrected_pred_loss switch, still carry them in their config.
     doc = json.loads(FIXTURE.read_text())
-    assert {"shape", "grid"} <= doc["config"].keys()
-    rest = {k: v for k, v in doc["config"].items() if k not in ("shape", "grid")}
-    model, cfg, _ = load_model(FIXTURE)
-    assert cfg.to_dict() == rest
-    assert model.network.shape == doc["config"]["shape"]
-    path = tmp_path / "model.json"
-    save_model(model, path, cfg=cfg)
-    assert json.loads(path.read_text())["config"] == rest
+    assert {"shape", "grid", "corrected_pred_loss"} <= doc["config"].keys()
+    rest = {k: v for k, v in doc["config"].items()
+            if k not in ("shape", "grid", "corrected_pred_loss")}
+    old, path = tmp_path / "old.json", tmp_path / "model.json"
+    for corrected in (False, True):
+        doc["config"]["corrected_pred_loss"] = corrected
+        old.write_text(json.dumps(doc))
+        model, cfg, _ = load_model(old)
+        assert cfg.to_dict() == rest
+        assert model.network.shape == doc["config"]["shape"]
+        save_model(model, path, cfg=cfg)
+        assert json.loads(path.read_text())["config"] == rest
 
 
 def test_network_calls_route_through_module_functions(monkeypatch):
@@ -681,18 +676,6 @@ def _full_row_forcing(model, snaps, powers, cols):
             yield powers[snaps.alpha - 1 - i] @ (model.B @ snaps.U[:, cols + i])
 
 
-def _full_row_corrected(model, snaps, src):
-    x = snaps.X[:, src]
-    inter = []
-    for i in range(snaps.alpha):
-        inter.append(x)
-        z = model.K @ _lift_cols(model.network, x)
-        if model.B.shape[1]:
-            z += model.B @ snaps.U[:, src + i]
-        x = z[: model.n]
-    return x, inter
-
-
 def _full_row_loss(model, snaps, cfg, cols=None, pcols=None, plan=None, grad=False,
                    phi_x=None):
     del plan  # the oracle always rebuilds powers and forcing terms
@@ -713,32 +696,24 @@ def _full_row_loss(model, snaps, cfg, cols=None, pcols=None, plan=None, grad=Fal
         if pcols is not None:
             src, x_alpha = src[pcols], x_alpha[:, pcols]
         shared = cols is None and pcols is None
-        if cfg.corrected_pred_loss:
-            x_hat, inter = _full_row_corrected(model, snaps, src)
+        powers = _powers(model.K, snaps.alpha)
+        if shared:
+            phi_p = phi_x[:, src]
         else:
-            powers = _powers(model.K, snaps.alpha)
-            if shared:
-                phi_p = phi_x[:, src]
-            else:
-                x_p = snaps.X[:, src]
-                tape_p = [] if grad else None
-                phi_p = _lift_cols(net, x_p, tape_p)
-            z = powers[snaps.alpha] @ phi_p
-            for term in _full_row_forcing(model, snaps, powers, src):
-                z += term
-            x_hat = z[:n]
-        err_p = x_hat - x_alpha
+            x_p = snaps.X[:, src]
+            tape_p = [] if grad else None
+            phi_p = _lift_cols(net, x_p, tape_p)
+        z = powers[snaps.alpha] @ phi_p
+        for term in _full_row_forcing(model, snaps, powers, src):
+            z += term
+        err_p = z[:n] - x_alpha
         pred = float(np.sum(err_p * err_p)) / err_p.shape[1]
         if grad:
-            scale = 2.0 * cfg.gamma / err_p.shape[1]
-            if cfg.corrected_pred_loss:
-                pred_grads = _corrected_pred_grad(model, inter, scale * err_p)
+            d_pred = (2.0 * cfg.gamma / err_p.shape[1]) * (powers[snaps.alpha][:n].T @ err_p)
+            if shared:
+                d_phi[:, src] += d_pred
             else:
-                d_pred = scale * (powers[snaps.alpha][:n].T @ err_p)
-                if shared:
-                    d_phi[:, src] += d_pred
-                else:
-                    pred_grads, _ = net.backward(x_p.T, d_pred[n:, :].T, tape=tape_p)
+                pred_grads, _ = net.backward(x_p.T, d_pred[n:, :].T, tape=tape_p)
     params = net.get_params()
     penalty = 0.0
     if cfg.lambda_l1:
@@ -808,13 +783,11 @@ def _oracle_case(case):
     return model, snaps, plan, cols, pcols
 
 
-@pytest.mark.parametrize("corrected", [False, True])
 @pytest.mark.parametrize("case", ["adam_minibatch", "width_one", "kan_plan", "no_input",
                                   "two_controls", "one_state"])
-def test_state_row_loss_bit_identical_to_full_rows(case, corrected):
+def test_state_row_loss_bit_identical_to_full_rows(case):
     model, snaps, plan, cols, pcols = _oracle_case(case)
-    cfg = TrainConfig(alpha=4, gamma=0.7, beta=1.3, lambda_l2=0.01,
-                      corrected_pred_loss=corrected)
+    cfg = TrainConfig(alpha=4, gamma=0.7, beta=1.3, lambda_l2=0.01)
     want = _full_row_loss(model, snaps, cfg, cols, pcols, grad=True)
     _assert_same_bits(loss(model, snaps, cfg, cols, pcols, plan=plan, grad=True), want)
     want = _full_row_loss(model, snaps, cfg, cols, pcols)

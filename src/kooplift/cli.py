@@ -214,7 +214,10 @@ def _trajectories(cfg: RunConfig, seed: int, doc: dict, role: str):
     "dataset" or "evaluation", picks the default n_ic."""
     n_ic = doc.get("n_ic", _SYSTEMS[cfg.system]["n_ic"][role])
     if cfg.system == "pendulum":
-        return generate_pendulum_dataset(n_ic, seed, cfg.train.get("alpha", 25))
+        try:
+            return generate_pendulum_dataset(n_ic, seed, cfg.train.get("alpha", 25))
+        except ValueError as exc:  # n_ic is checked at load, so this is train.alpha
+            raise ConfigError(f"train.{exc}") from None
     kwargs = {}
     if doc.get("radius_range"):
         lo, hi = doc["radius_range"]
@@ -265,7 +268,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
                   "dataset": str(dataset_dir)},
     )
     save_history(history, out_dir / "loss_history.csv")
-    last = history[-1]
+    last, best = history[-1], min(history, key=lambda r: r.total)
     summary = {
         "system": cfg.system,
         "backend": cfg.backend,
@@ -277,7 +280,8 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
         "final_recon": last.recon,
         "final_pred": last.pred,
         "final_total": last.total,
-        "best_total": min(r.total for r in history),
+        "best_total": best.total,
+        "best_epoch": best.epoch,  # the saved model's: the first epoch at best_total
         "model_file": model_path.name,
         "history_file": "loss_history.csv",
     }
@@ -415,8 +419,10 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
         summary_path = path.parent / "summary.json"
         wall = None
         if summary_path.is_file():
-            with open(summary_path) as fh:
-                wall = json.load(fh).get("wall_time_s")
+            try:
+                wall = json.loads(summary_path.read_text()).get("wall_time_s")
+            except (json.JSONDecodeError, AttributeError) as exc:
+                raise ValueError(f"{summary_path}: not a JSON object ({exc})") from None
         headline = (
             metrics["max_abs_angle_error"]
             if cfg.system == "pendulum"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -351,8 +351,10 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
     record the loss, then run one optimizer phase on the network parameters
     with (K, B) frozen - a full LBFGS inner solve for 'lbfgs', one pass of
     minibatch steps for 'adam'. The loss history has epochs+1 rows (the
-    last row evaluates the final refit with no further step). Returns the
-    best-total-loss model and the history.
+    last row evaluates the final refit with no further step). An L-BFGS
+    phase that leaves the parameter bits unchanged ends the loop, and its
+    row is copied to the remaining epochs. Returns the best-total-loss
+    model and the history.
     """
     snaps = build_snapshots(trajs, cfg.alpha)
     n = snaps.X.shape[0]
@@ -397,11 +399,19 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
         if epoch == cfg.epochs:
             break
         if plan is not None:
+            start = network.get_params().tobytes()
             _lbfgs_phase(model, snaps, cfg, plan)
         else:
             _adam_phase(model, snaps, cfg, rng, adam)
-        if not np.all(np.isfinite(network.get_params())):
+        params = network.get_params()
+        if not np.all(np.isfinite(params)):
             raise TrainingDivergedError(epoch, "non-finite network parameters")
+        if plan is not None and params.tobytes() == start:
+            # Same parameter bits give the same lift, refit, loss and L-BFGS
+            # run, so every later epoch repeats this one.
+            history += [replace(history[-1], epoch=e)
+                        for e in range(epoch + 1, cfg.epochs + 1)]
+            break
 
     network.set_params(best_params)
     model = KoopmanModel(network=network, K=best_kb[0], B=best_kb[1], n=n, n_total=n_total)

@@ -1,10 +1,12 @@
 """Smoke test of the benchmark harness: one pass per workload and its JSON line.
 
-pendulum_kan runs the preset pipeline; pendulum_mlp_scaled runs the scaled
-MLP/Adam pipeline, whose pass is only correct when the held-out angle error is
-at most 0.5 rad; pendulum_kan_infer runs the trained fixture through rollouts
-and LQR, and its pass is only correct when the 95th-percentile angle error is
-inside the limit and every closed loop settles.
+pendulum_kan and twobody_kan run the preset pipelines; pendulum_mlp_scaled
+runs the scaled MLP/Adam pipeline, whose pass is only correct when the
+held-out angle error is at most 0.5 rad; pendulum_kan_infer runs the trained
+fixture through rollouts and LQR, and its pass is only correct when the
+95th-percentile angle error is inside the limit and every closed loop settles.
+The training workloads must also reproduce the loss-history and model digests
+of benchmarks/fingerprints.json bit for bit.
 """
 
 import json
@@ -17,8 +19,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# pendulum_kan_infer's recorded lqr_gain digest predates the doubling Riccati
+# solver, so its report reads false until that digest is re-recorded.
+BIT_IDENTICAL = {"pendulum_kan", "pendulum_mlp_scaled", "twobody_kan"}
+
+
 @pytest.mark.parametrize("workload", ["pendulum_kan", "pendulum_mlp_scaled",
-                                      "pendulum_kan_infer"])
+                                      "pendulum_kan_infer", "twobody_kan"])
 def test_bench_harness_runs_and_reports_schema(workload):
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seconds", "0"],
@@ -34,6 +41,9 @@ def test_bench_harness_runs_and_reports_schema(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+    if workload in BIT_IDENTICAL:
+        report = [line.split() for line in proc.stdout.splitlines()]
+        assert [words[1] for words in report if words[:1] == ["bit_identical"]] == ["true"]
 
 
 # The dispatch tables these sites name were folded into the network classes;

@@ -141,7 +141,9 @@ def test_train_writes_model_history_summary(pendulum_cfg, tmp_path):
     with open(out / "summary.json") as fh:
         summary = json.load(fh)
     assert summary["n_params"] == 30
-    assert summary["best_total"] == min(r.total for r in history)
+    totals = [r.total for r in history]
+    assert summary["best_total"] == min(totals)
+    assert summary["best_epoch"] == totals.index(min(totals))
     assert summary["wall_time_s"] > 0
 
 
@@ -435,6 +437,34 @@ def test_truncated_dataset_csv_exits_1(tmp_path, capsys):
     assert str(path) in err and "the manifest says 201" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "model.json").exists()
+
+
+def test_pendulum_alpha_beyond_trajectory_exits_2(pendulum_cfg, tmp_path, capsys):
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    doc["train"]["alpha"] = 500
+    cfg = write_config(tmp_path / "long_alpha.json", doc)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: train.alpha must be in [1, 200] (in {cfg})\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1]"], ids=["truncated", "not-object"])
+def test_compare_bad_summary_exits_1(pendulum_cfg, tmp_path, capsys, text):
+    run = tmp_path / "run"
+    run.mkdir()
+    model_path = run / "model.json"
+    save_model(KoopmanModel(network=kan_init([2, 1], SplineGrid(), seed=0),
+                            K=np.eye(3), B=np.zeros((3, 1)), n=2, n_total=3), model_path)
+    summary = run / "summary.json"
+    summary.write_text(text)
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    doc["compare"] = {"model_a": str(model_path), "model_b": str(model_path)}
+    cfg = write_config(tmp_path / "cmp.json", doc)
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {summary}: not a JSON object (")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("n_ic", [0, -2, 1.5, "3"])

@@ -33,6 +33,7 @@ from kooplift.koopman import (
     train,
 )
 from kooplift.mlp import SELU_ALPHA, SELU_LAMBDA, MlpNetwork, mlp_init
+from kooplift.optim import Lbfgs
 
 
 def load_history(path) -> list[LossRecord]:
@@ -442,6 +443,93 @@ def test_train_diverged_error_names_epoch():
     with pytest.raises(TrainingDivergedError) as err:
         train(net, trajs, cfg)
     assert err.value.epoch == 0
+
+
+def _train_every_epoch(network, trajs, cfg):
+    """train's L-BFGS loop written out with no early stop: every epoch lifts,
+    refits, logs the loss and runs a fresh Lbfgs. Returns the history, the
+    best epoch's (K, B, parameters) and each phase's LbfgsResult."""
+    snaps = build_snapshots(trajs, cfg.alpha)
+    n = snaps.X.shape[0]
+    history, results, best = [], [], None
+    for epoch in range(cfg.epochs + 1):
+        phi_s = _lift_cols(network, snaps.states)
+        phi_x = phi_s[:, snaps.x_cols]
+        k_op, b_op = fit_edmdc(phi_x, phi_s[:, snaps.xn_cols], snaps.U)
+        model = KoopmanModel(network=network, K=k_op, B=b_op, n=n, n_total=k_op.shape[0])
+        recon, pred, total = loss(model, snaps, cfg, phi_x=phi_x)
+        history.append(LossRecord(epoch, recon, pred, total))
+        if best is None or total < best[0]:
+            best = (total, k_op, b_op, network.get_params())
+        if epoch == cfg.epochs:
+            break
+
+        def closure(theta):
+            network.set_params(theta)
+            return loss(model, snaps, cfg, grad=True)[2:]
+
+        result = Lbfgs(lr=cfg.learning_rate, history=cfg.lbfgs_history).minimize(
+            closure, network.get_params(), max_iter=cfg.lbfgs_max_iter)
+        network.set_params(result.x)
+        results.append(result)
+    return history, best[1:], results
+
+
+def _history_bits(history):
+    return [(r.epoch, np.array([r.recon, r.pred, r.total]).tobytes()) for r in history]
+
+
+def _log_phases(monkeypatch, name):
+    """Wrap koopman.<name>, an optimizer phase; the returned list gains, per
+    call, whether the phase left the parameter bytes unchanged."""
+    unchanged, phase = [], getattr(koopman, name)
+
+    def logged(model, *args):
+        start = model.network.get_params().tobytes()
+        phase(model, *args)
+        unchanged.append(model.network.get_params().tobytes() == start)
+
+    monkeypatch.setattr(koopman, name, logged)
+    return unchanged
+
+
+@pytest.mark.parametrize("case", ["twobody_fixed_point", "pendulum_moving"])
+def test_lbfgs_fixed_point_stop_matches_every_epoch_loop(monkeypatch, case):
+    if case == "twobody_fixed_point":
+        # Exact circular orbits put the preset-shaped KAN's loss at the rounding
+        # floor: every phase stops at iteration 0 with the parameters unchanged.
+        trajs = generate_twobody_dataset(2, seed=202)
+        grid = SplineGrid(lo=-3.0, hi=3.0, intervals=5, order=3)
+        cfg = TrainConfig(alpha=15, epochs=4, learning_rate=1e-4, seed=0)
+        make = lambda: kan_init([4, 1, 1, 1, 1], grid, cfg.seed)
+    else:
+        trajs = generate_pendulum_dataset(2, seed=33)
+        cfg = TrainConfig(alpha=3, epochs=3, lbfgs_max_iter=4, seed=1)
+        make = lambda: kan_init([2, 1, 1], GRID, cfg.seed)
+    want, (k_want, b_want, params_want), results = _train_every_epoch(make(), trajs, cfg)
+    fixed = case == "twobody_fixed_point"
+    assert len(results) == cfg.epochs
+    for result in results:
+        assert ((result.n_iter, result.stop_reason) == (0, "grad_tol")) == fixed
+    unchanged = _log_phases(monkeypatch, "_lbfgs_phase")
+    model, hist = train(make(), trajs, cfg)
+    # The fixed point ends training after its first phase; moving phases all run.
+    assert unchanged == ([True] if fixed else [False] * cfg.epochs)
+    assert _history_bits(hist) == _history_bits(want)
+    assert model.K.tobytes() == k_want.tobytes() and model.B.tobytes() == b_want.tobytes()
+    assert model.network.get_params().tobytes() == params_want.tobytes()
+
+
+def test_adam_phases_never_stop_early(monkeypatch):
+    # beta = gamma = 0 zeroes every gradient, so each Adam phase leaves the
+    # parameters unchanged; the phases still all run, as each draws from rng.
+    trajs = generate_pendulum_dataset(2, seed=5)
+    cfg = TrainConfig(alpha=1, gamma=0.0, beta=0.0, epochs=3, optimizer="adam",
+                      learning_rate=1e-3, batch_size=64, seed=2)
+    unchanged = _log_phases(monkeypatch, "_adam_phase")
+    _, hist = train(mlp_init([2, 4, 2], cfg.seed), trajs, cfg)
+    assert unchanged == [True] * cfg.epochs
+    assert [r.epoch for r in hist] == [0, 1, 2, 3]
 
 
 def test_rollout_zero_controls():

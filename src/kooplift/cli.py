@@ -87,6 +87,7 @@ class ConfigError(Exception):
 _SECTION_KEYS = {
     "dataset": {"n_ic", "seed", "points_per_orbit", "path"},
     "network": {"n_observables", "hidden_layers", "neurons", "grid"},
+    "network.grid": {"lo", "hi", "intervals", "order"},
     "train": set(TrainConfig.__dataclass_fields__),
     "evaluation": {"n_ic", "seed", "radius_range", "extrapolation"},
     "evaluation.extrapolation": {"n_ic", "radius_range"},
@@ -137,10 +138,7 @@ class RunConfig:
         if self.backend not in ("kan", "mlp"):
             raise ConfigError(f"backend must be 'kan' or 'mlp', got {self.backend!r}")
         for section, known in _SECTION_KEYS.items():
-            if section == "evaluation.extrapolation":  # optional
-                doc = self.evaluation.get("extrapolation") or {}
-            else:
-                doc = getattr(self, section)
+            doc = self._section(section)
             if not isinstance(doc, dict):
                 raise ConfigError(f"config section {section!r} must be an object")
             unknown = sorted(set(doc) - known)
@@ -148,14 +146,22 @@ class RunConfig:
                 raise ConfigError(f"unknown key(s) in section {section!r}: "
                                   f"{', '.join(unknown)}")
         for key, low in (("dataset.n_ic", 1), ("evaluation.n_ic", 1),
+                         ("evaluation.extrapolation.n_ic", 1),
                          ("network.n_observables", 1), ("network.hidden_layers", 0),
                          ("network.neurons", 1), ("dataset.seed", 0),
                          ("dataset.points_per_orbit", 1), ("evaluation.seed", 0)):
-            section, name = key.split(".")
-            value = getattr(self, section).get(name, low)
+            section, name = key.rsplit(".", 1)
+            value = self._section(section).get(name, low)
             if type(value) is not int or value < low:  # bool is not an int here
                 kind = "positive" if low else "non-negative"
                 raise ConfigError(f"{key} must be a {kind} integer, got {value!r}")
+        for section in ("evaluation", "evaluation.extrapolation"):
+            pair = self._section(section).get("radius_range")
+            if pair is not None and not (
+                    type(pair) is list and len(pair) == 2 and all(type(v) in (int, float)
+                    for v in pair) and 0 < pair[0] <= pair[1] < float("inf")):
+                raise ConfigError(f"{section}.radius_range must be a list [lo, hi] of numbers "
+                                  f"with 0 < lo <= hi, got {pair!r}")
         for name in ("dt", "duration", "u_limit", "q_state", "r"):
             value = self.control.get(name, 1.0)
             if type(value) not in (int, float) or not 0.0 < value < float("inf"):
@@ -166,10 +172,17 @@ class RunConfig:
                 type(v) in (int, float) and abs(v) < float("inf") for v in x0)):
             raise ConfigError(f"control.x0 must be a list of {self.n_states} finite numbers, "
                               f"got {x0!r}")
+        self.spline_grid()
         try:
             self.train_config = TrainConfig(**self.train)
         except ValueError as exc:
             raise ConfigError(f"train.{exc}") from None
+
+    def _section(self, name: str):
+        """The section at a dotted name; an absent or empty subsection reads as {}."""
+        top, _, sub = name.partition(".")
+        doc = getattr(self, top)
+        return (doc.get(sub) or {}) if sub else doc
 
     @property
     def n_states(self) -> int:
@@ -181,11 +194,10 @@ class RunConfig:
         return [self.n_states] + hidden + [net.get("n_observables", 1)]
 
     def spline_grid(self) -> SplineGrid:
-        doc = self.network.get("grid") or {}
         try:
-            return SplineGrid(**doc)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid network.grid: {exc}") from exc
+            return SplineGrid(**self._section("network.grid"))
+        except ValueError as exc:
+            raise ConfigError(f"network.grid.{exc}") from None
 
     @property
     def points_per_orbit(self) -> int:
@@ -449,24 +461,6 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     report = {"system": cfg.system, "eval_seed": seed, "models": rows,
               ratio_label: ratio}
     _write_json(out_dir / "compare" / "compare.json", report)
-
-    err_unit = "rad" if cfg.system == "pendulum" else "km"
-    lines = [
-        f"# Backend comparison ({cfg.system})",
-        "",
-        "| model | kind | parameters | lifted size | train time (s) "
-        f"| max abs error ({err_unit}) |",
-        "| --- | --- | --- | --- | --- | --- |",
-    ]
-    for row in rows:
-        wall = "n/a" if row["train_wall_time_s"] is None else f"{row['train_wall_time_s']:.2f}"
-        lines.append(
-            f"| {row['label']} | {row['kind']} | {row['n_params']} "
-            f"| {row['lifted_size']} | {wall} | {row['max_abs_error']:.6g} |"
-        )
-    if ratio is not None:
-        lines += ["", f"Error ratio ({ratio_label.replace('_', ' ')}): {ratio:.4g}"]
-    (out_dir / "compare" / "compare.md").write_text("\n".join(lines) + "\n")
     print(f"compared {rows[0]['kind']} vs {rows[1]['kind']}: "
           f"errors {rows[0]['max_abs_error']:.4g} / {rows[1]['max_abs_error']:.4g}")
     return 0

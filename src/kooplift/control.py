@@ -32,8 +32,6 @@ class InstabilityError(RuntimeError):
 @dataclass
 class LqrGain:
     F: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
 
 
 def default_weights(n: int, n_total: int, p: int, q_state: float = 1.0,
@@ -67,7 +65,7 @@ def dlqr(k: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> LqrGain:
         raise UncontrollableModelError(
             f"LQR gain leaves closed-loop spectral radius {rho:.4g} >= 1; "
             "Q does not weigh an unstable mode")
-    return LqrGain(F=f, Q=q, R=r)
+    return LqrGain(F=f)
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -81,15 +79,15 @@ def closed_loop_sim(
     x0,
     duration: float,
     dt: float,
-    u_limit: float | None = 5.0,
+    u_limit: float = 5.0,
     state_bound: float = 1e6,
 ) -> Trajectory:
     """Run the regulator against the true plant for a fixed duration.
 
     Per step: lift the measured plant state, evaluate the linear law
-    u = -F * lift(x), saturate it to [-u_limit, u_limit] unless u_limit is
-    None, and integrate the plant one RK4 step under that input. The
-    returned Trajectory carries the applied control history.
+    u = -F * lift(x), saturate it to [-u_limit, u_limit], and integrate the
+    plant one RK4 step under that input. The returned Trajectory carries the
+    applied control history.
 
     plant is a callable (state, u) -> state derivative.
     """
@@ -103,8 +101,7 @@ def closed_loop_sim(
     neg_f = -gain.F
     for k in range(n_steps):
         u = neg_f @ lift(model, x)
-        if u_limit is not None:  # np.clip's values, without its overhead
-            u = np.minimum(np.maximum(u, -u_limit), u_limit)
+        u = np.minimum(np.maximum(u, -u_limit), u_limit)  # np.clip's values, less overhead
         x = rk4_step(plant, x, u, dt)
         if np.abs(x).max() > state_bound:
             raise InstabilityError(k, state_bound)

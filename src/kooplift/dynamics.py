@@ -21,6 +21,7 @@ PENDULUM_DURATION = 2.0
 PENDULUM_ANGLE_RANGE = (-2.0, 2.0)
 PENDULUM_RATE_RANGE = (-2.0, 2.0)
 PENDULUM_CONTROL_RANGE = (-0.1, 0.1)
+PENDULUM_G = 9.81  # m/s^2, over a 1 m arm with unit control gain
 
 EARTH_MU = 398600.4418  # km^3/s^2
 TWOBODY_RADIUS_RANGE = (6578.0, 11378.0)  # km, periapsis sampling range
@@ -37,26 +38,6 @@ class SingularityError(ValueError):
 
 class BlowupError(RuntimeError):
     """Integration produced non-finite values."""
-
-
-@dataclass(frozen=True)
-class PendulumParams:
-    g: float = 9.81
-    l: float = 1.0
-    control_gain: float = 1.0
-
-    def __post_init__(self):
-        if self.g <= 0 or self.l <= 0:
-            raise ValueError("g and l must be positive")
-
-
-@dataclass(frozen=True)
-class TwoBodyParams:
-    mu: float = EARTH_MU
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
 
 
 @dataclass
@@ -110,8 +91,8 @@ class Trajectory:
                 for i, dt in enumerate(np.broadcast_to(self.dt, self.states.shape[1]))]
 
 
-def pendulum_deriv(state, u, p: PendulumParams = PendulumParams()) -> np.ndarray:
-    """Pendulum vector field: theta'' = -(g/l) sin(theta) + control_gain * u.
+def pendulum_deriv(state, u) -> np.ndarray:
+    """Pendulum vector field: theta'' = -g sin(theta) + u, with g = PENDULUM_G.
 
     Takes one state (2,) with a scalar or length-1 u, or a stack (..., 2)
     with u of shape (..., 1).
@@ -120,22 +101,23 @@ def pendulum_deriv(state, u, p: PendulumParams = PendulumParams()) -> np.ndarray
         # One state, as in the closed loop: float math, half the array cost.
         theta, theta_dot = float(state[0]), float(state[1])
         uval = np.asarray(u, dtype=float).ravel()[0]
-        return np.array([theta_dot, -(p.g / p.l) * math.sin(theta) + p.control_gain * uval])
+        return np.array([theta_dot, -PENDULUM_G * math.sin(theta) + uval])
     theta, theta_dot = np.asarray(state, dtype=float).T
-    return np.array([theta_dot, -(p.g / p.l) * np.sin(theta)
-                     + p.control_gain * np.asarray(u, dtype=float).T[0]]).T
+    return np.array([theta_dot, -PENDULUM_G * np.sin(theta)
+                     + np.asarray(u, dtype=float).T[0]]).T
 
 
-def twobody_deriv(state, p: TwoBodyParams = TwoBodyParams()) -> np.ndarray:
-    """Planar two-body vector field with attractive inverse-square gravity;
-    one state (4,) or a stack (..., 4)."""
+def twobody_deriv(state, u=None) -> np.ndarray:
+    """Planar two-body vector field with attractive inverse-square gravity
+    (mu = EARTH_MU); one state (4,) or a stack (..., 4). u is ignored: the
+    system has no control input."""
     x, y, vx, vy = np.asarray(state, dtype=float).T
     # math.hypot and np.float_power(r, 3) round like Python floats; np.hypot
     # (1 % of inputs) and the array r**3 (5 %) would change datasets in the last bit.
     r = np.asarray(np.frompyfunc(math.hypot, 2, 1)(x, y), dtype=float)
     if np.any(r == 0.0):
         raise SingularityError("two-body state at the origin")
-    a = -p.mu / np.float_power(r, 3)
+    a = -EARTH_MU / np.float_power(r, 3)
     return np.array([vx, vy, a * x, a * y]).T
 
 
@@ -181,7 +163,6 @@ def generate_pendulum_dataset(
     n_ic: int,
     seed: int,
     alpha: int = 25,
-    params: PendulumParams = PendulumParams(),
 ) -> list[Trajectory]:
     """Random pendulum trajectories: 2 s at dt=0.01 under random torques.
 
@@ -202,15 +183,13 @@ def generate_pendulum_dataset(
         rng = np.random.default_rng((seed, i))
         x0[i] = rng.uniform(*PENDULUM_ANGLE_RANGE), rng.uniform(*PENDULUM_RATE_RANGE)
         controls[:, i] = rng.uniform(*PENDULUM_CONTROL_RANGE, size=(n_steps, 1))
-    deriv = lambda state, u: pendulum_deriv(state, u, params)
-    return simulate(deriv, x0, controls, PENDULUM_DT).unstack()
+    return simulate(pendulum_deriv, x0, controls, PENDULUM_DT).unstack()
 
 
 def generate_twobody_dataset(
     n_ic: int,
     seed: int,
     points_per_orbit: int = 800,
-    params: TwoBodyParams = TwoBodyParams(),
     radius_range: tuple[float, float] = TWOBODY_RADIUS_RANGE,
 ) -> list[Trajectory]:
     """Random circular orbits sampled for exactly one period each.
@@ -229,12 +208,11 @@ def generate_twobody_dataset(
         raise ValueError("radius_range must be positive and ordered")
     r = np.array([np.random.default_rng((seed, i)).uniform(*radius_range)
                   for i in range(n_ic)])
-    period = 2.0 * math.pi * np.sqrt(np.float_power(r, 3) / params.mu)
+    period = 2.0 * math.pi * np.sqrt(np.float_power(r, 3) / EARTH_MU)
     zeros = np.zeros(n_ic)
-    x0 = np.column_stack([r, zeros, zeros, np.sqrt(params.mu / r)])
+    x0 = np.column_stack([r, zeros, zeros, np.sqrt(EARTH_MU / r)])
     controls = np.zeros((points_per_orbit - 1, n_ic, 0))
-    deriv = lambda state, u: twobody_deriv(state, params)
-    return simulate(deriv, x0, controls, period / points_per_orbit).unstack()
+    return simulate(twobody_deriv, x0, controls, period / points_per_orbit).unstack()
 
 
 def write_csv(path, header, table, blank_tail: int = 0) -> None:

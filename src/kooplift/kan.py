@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,12 +35,15 @@ class SplineGrid:
     order: int = 3
 
     def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ValueError("hi must exceed lo")
-        if self.intervals < 1:
-            raise ValueError("intervals must be >= 1")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        """Raises ValueError('<field> must be ..., got <value>')."""
+        ends = (self.lo, self.hi)
+        if not (all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in ends)
+                and -np.inf < self.lo < self.hi < np.inf):
+            raise ValueError(f"lo and hi must be finite numbers with lo < hi, got {ends}")
+        for name in ("intervals", "order"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
     @property
     def n_basis(self) -> int:
@@ -164,14 +168,6 @@ class KanLayer:
     w_base: np.ndarray
     w_spline: np.ndarray
 
-    @property
-    def n_out(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def n_in(self) -> int:
-        return self.coeffs.shape[1]
-
 
 @dataclass
 class KanNetwork:
@@ -208,8 +204,8 @@ class KanNetwork:
     def forward(self, x, tape=None, basis=None) -> np.ndarray:
         return kan_forward(self, x, tape=tape, basis=basis)
 
-    def backward(self, x, upstream, tape=None):
-        return kan_backward(self, x, upstream, tape=tape)
+    def backward(self, upstream, tape):
+        return kan_backward(self, upstream, tape)
 
     def to_dict(self) -> dict:
         return {
@@ -266,8 +262,8 @@ def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
     """Evaluate the network; accepts one state (1-D) or a batch (2-D).
 
     A tape list, when given, receives (input, basis, deriv, silu(input))
-    per layer for kan_backward. basis, when given, is
-    first_layer_basis(net, x); the tape then holds no first-layer deriv.
+    per layer for kan_backward; the first layer's deriv is None. basis,
+    when given, is first_layer_basis(net, x).
     """
     a = np.asarray(x, dtype=float)
     squeeze = a.ndim == 1
@@ -280,7 +276,7 @@ def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
         if li == 0 and basis is not None:
             b, db = basis, None
         else:
-            b, db = _basis_tables(a.ravel(), net.grid, deriv=tape is not None)
+            b, db = _basis_tables(a.ravel(), net.grid, deriv=tape is not None and li > 0)
             b = b.reshape(m, n_in, net.grid.n_basis)
             if db is not None:
                 db = db.reshape(m, n_in, net.grid.n_basis)
@@ -293,26 +289,11 @@ def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
     return a[0] if squeeze else a
 
 
-# The backward pass calls the forward through this name, so a wrapper
-# installed on kan_forward (benchmarks/tracing.py) sees outside calls only.
-_forward = kan_forward
-
-
-def kan_backward(net: KanNetwork, x, upstream_grad, tape=None):
-    """Exact gradients of sum(upstream * output) w.r.t. parameters and input.
-
-    Returns (grads, input_grad) with grads a flat vector in get_params
-    order. input_grad matches the shape of x. A tape filled by
-    kan_forward(net, x, tape=...) replaces the forward pass; if that call
-    was given a first-layer basis, input_grad is None.
-    """
-    if tape is None:
-        tape = []
-        _forward(net, x, tape=tape)
-    u = np.asarray(upstream_grad, dtype=float)
-    squeeze = np.ndim(x) == 1
-    if squeeze:
-        u = u[None, :]
+def kan_backward(net: KanNetwork, upstream, tape):
+    """Exact gradient of sum(upstream * output) w.r.t. the parameters, flat
+    in get_params order, from the tape of kan_forward(net, x, tape=...) on a
+    batch x."""
+    u = np.asarray(upstream, dtype=float)
     out_shape = (tape[0][0].shape[0], net.shape[-1])
     if u.shape != out_shape:
         raise ValueError(f"upstream shape {u.shape} != output shape {out_shape}")
@@ -325,13 +306,8 @@ def kan_backward(net: KanNetwork, x, upstream_grad, tape=None):
         d_w_spline = np.einsum("jig,jig->ji", t, layer.coeffs)
         d_w_base = u.T @ silu_a
         parts[li] = [d_coeffs.ravel(), d_w_base.ravel(), d_w_spline.ravel()]
-        if dbasis is None:
-            u = None
-        else:
+        if li > 0:
             eff = layer.w_spline[:, :, None] * layer.coeffs
             spline_part = np.einsum("mj,jig->mig", u, eff)
             u = (u @ layer.w_base) * silu_deriv(a) + np.sum(spline_part * dbasis, axis=2)
-    flat = np.concatenate([seg for layer_parts in parts for seg in layer_parts])
-    if u is None:
-        return flat, None
-    return flat, (u[0] if squeeze else u)
+    return np.concatenate([seg for layer_parts in parts for seg in layer_parts])

@@ -205,19 +205,17 @@ def build_snapshots(trajs: list[Trajectory], alpha: int) -> SnapshotSet:
     )
 
 
-def fit_edmdc(lifted_x: np.ndarray, lifted_xnext: np.ndarray, u: np.ndarray | None = None):
+def fit_edmdc(lifted_x: np.ndarray, lifted_xnext: np.ndarray, u: np.ndarray):
     """Least-squares operator fit: [K B] = lifted_xnext @ pinv([lifted_x; u]).
 
-    With no control rows (u None or zero-row) this is a plain one-matrix
-    fit and B comes back with zero columns.
+    With no control rows (u zero-row) this is a plain one-matrix fit and B
+    comes back with zero columns.
     """
     lifted_x = np.asarray(lifted_x, dtype=float)
     lifted_xnext = np.asarray(lifted_xnext, dtype=float)
     if lifted_x.size == 0 or lifted_x.shape[1] == 0:
         raise ValueError("empty snapshot matrix")
     n_total = lifted_x.shape[0]
-    if u is None:
-        u = np.zeros((0, lifted_x.shape[1]))
     u = np.asarray(u, dtype=float)
     if u.shape[1] != lifted_x.shape[1] or lifted_xnext.shape[1] != lifted_x.shape[1]:
         raise ValueError("column counts must match")
@@ -283,14 +281,14 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     skips pred (reading 0) when gamma is 0. cols and pcols are the X
     columns and prediction pairs to average over, None meaning all. Only
     the full-batch prediction shares the recon lift of X.
-    phi_x, the lift of all X columns, replaces that lift; a plan refit to
-    model's (K, B) serves the full batch.
+    phi_x, the lift of all X columns, replaces that lift in calls without
+    grad; a plan refit to model's (K, B) serves the full batch.
     """
     net, n = model.network, model.n
     x, x_next, u = snaps.X, snaps.X_next, snaps.U
     if cols is not None:
         x, x_next, u = x[:, cols], x_next[:, cols], u[:, cols]
-    tape = [] if grad and phi_x is None else None
+    tape = [] if grad else None
     if phi_x is None:
         phi_x = _lift_cols(net, x, tape, None if plan is None else plan.basis)
     err = _state_rows(model.K, phi_x, n) + _state_rows(model.B, u, n) - x_next
@@ -324,7 +322,7 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
             if shared:
                 d_phi[:, src] += d_pred
             else:
-                pred_grads, _ = net.backward(x_p.T, d_pred[n:, :].T, tape=tape_p)
+                pred_grads = net.backward(d_pred[n:, :].T, tape_p)
     params = net.get_params()
     penalty = 0.0
     if cfg.lambda_l1:
@@ -334,7 +332,7 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     total = cfg.gamma * pred + cfg.beta * recon + penalty
     if not grad:
         return recon, pred, total
-    grads, _ = net.backward(x.T, d_phi[n:, :].T, tape=tape)
+    grads = net.backward(d_phi[n:, :].T, tape)
     if pred_grads is not None:
         grads += pred_grads
     if cfg.lambda_l1:

@@ -16,21 +16,14 @@ import numpy as np
 class AdamW:
     """Adam with decoupled weight decay on a flat parameter vector."""
 
-    def __init__(
-        self,
-        n_params: int,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, n_params: int, lr: float = 1e-3, weight_decay: float = 0.0):
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
@@ -67,28 +60,21 @@ class Lbfgs:
     Hessian by s'y / y'y, and skips pairs whose curvature s'y is not safely
     positive. ``lr`` acts as the trial step scale: the first iteration tries
     lr * min(1, 1/||g||_1) and later iterations try lr directly, as the
-    two-loop direction is already well scaled.
+    two-loop direction is already well scaled. A step must meet the Wolfe
+    constants c1 and c2 within max_line_evals evaluations; the run stops
+    once the gradient's inf-norm is at most grad_tol.
     """
 
-    def __init__(
-        self,
-        lr: float = 1.0,
-        history: int = 10,
-        c1: float = 1e-4,
-        c2: float = 0.9,
-        grad_tol: float = 1e-10,
-        max_line_evals: int = 25,
-    ):
+    c1 = 1e-4
+    c2 = 0.9
+    grad_tol = 1e-10
+    max_line_evals = 25
+
+    def __init__(self, lr: float = 1.0, history: int = 10):
         if lr <= 0:
             raise ValueError("lr must be positive")
-        if not 0 < c1 < c2 < 1:
-            raise ValueError("need 0 < c1 < c2 < 1")
         self.lr = lr
         self.history = history
-        self.c1 = c1
-        self.c2 = c2
-        self.grad_tol = grad_tol
-        self.max_line_evals = max_line_evals
 
     def minimize(self, fun, x0, max_iter: int = 20) -> LbfgsResult:
         x = np.array(x0, dtype=float)

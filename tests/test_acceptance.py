@@ -18,8 +18,7 @@ import pytest
 import kooplift
 from kooplift.control import closed_loop_sim, default_weights, dlqr, spectral_radius
 from kooplift.dynamics import (
-    PendulumParams,
-    TwoBodyParams,
+    EARTH_MU,
     generate_pendulum_dataset,
     generate_twobody_dataset,
     pendulum_deriv,
@@ -177,9 +176,8 @@ def test_criterion_5_lqr_regulation(capsys, pendulum_kan_run):
     gain = dlqr(model.K, model.B, q, r)
     rho = spectral_radius(model.K - model.B @ gain.F)
 
-    params = PendulumParams()
     traj = closed_loop_sim(
-        model, gain, lambda x, u: pendulum_deriv(x, u, params),
+        model, gain, pendulum_deriv,
         np.array([1.0, 0.0]), duration=ctl["duration"], dt=ctl["dt"],
         u_limit=ctl["u_limit"],
     )
@@ -218,7 +216,9 @@ def test_criterion_6_property_suite(capsys):
             fwd, bwd = mlp_forward, mlp_backward
         x = rng.normal(0.0, 1.0, size=(4, shape[0]))
         upstream = rng.normal(0.0, 1.0, size=(4, shape[-1]))
-        grads, _ = bwd(net, x, upstream)
+        tape = []
+        fwd(net, x, tape=tape)
+        grads = bwd(net, upstream, tape)
         params = net.get_params()
         for idx in rng.choice(params.size, size=min(25, params.size), replace=False):
             bumped = params.copy()
@@ -269,24 +269,22 @@ def test_criterion_6_property_suite(capsys):
     net = kan_init([4, 1], SplineGrid(), seed=3)
     phi = np.concatenate([snaps.X, kan_forward(net, snaps.X.T).T], 0)
     phin = np.concatenate([snaps.X_next, kan_forward(net, snaps.X_next.T).T], 0)
-    k, b = fit_edmdc(phi, phin)
+    k, b = fit_edmdc(phi, phin, snaps.U)
     m2 = KoopmanModel(net, k, b, 4, 5)
     r, p, _ = loss(m2, snaps, TrainConfig())
     if abs(r - p) > 1e-14 * max(1.0, abs(r)):
         failures.append(f"alpha=1 pred != recon ({abs(r - p):.2e})")
 
     # RK4 order: halving dt shrinks one-step-sequence error ~16x.
-    params = PendulumParams()
     x0 = np.array([0.9, -0.3])
-    deriv = lambda x, u: pendulum_deriv(x, u, params)
     errs = []
     for dt in (0.02, 0.01):
         n = round(1.0 / dt)
         states = np.empty((n + 1, 2))
         states[0] = x0
         for k_ in range(n):
-            states[k_ + 1] = rk4_step(deriv, states[k_], 0.0, dt)
-        fine = simulate(deriv, x0, np.zeros((round(1.0 / 1e-5), 1)), 1e-5)
+            states[k_ + 1] = rk4_step(pendulum_deriv, states[k_], 0.0, dt)
+        fine = simulate(pendulum_deriv, x0, np.zeros((round(1.0 / 1e-5), 1)), 1e-5)
         errs.append(float(np.max(np.abs(states[-1] - fine.states[-1]))))
     ratio = errs[0] / errs[1]
     if not 14.0 <= ratio <= 18.0:
@@ -294,7 +292,7 @@ def test_criterion_6_property_suite(capsys):
 
     # Two-body specific energy drift over one orbit.
     tb = generate_twobody_dataset(1, 5, points_per_orbit=400)[0]
-    mu = TwoBodyParams().mu
+    mu = EARTH_MU
     rr = np.linalg.norm(tb.states[:, :2], axis=1)
     vv = np.linalg.norm(tb.states[:, 2:], axis=1)
     energy = 0.5 * vv**2 - mu / rr

@@ -258,7 +258,7 @@ def test_compare_same_model_gives_unit_ratio(pendulum_cfg, tmp_path):
     assert report["models"][0]["n_params"] == report["models"][1]["n_params"]
     if report["a_over_b_error_ratio"] is not None:
         assert report["a_over_b_error_ratio"] == pytest.approx(1.0)
-    assert (out / "compare" / "compare.md").read_text().startswith("# Backend")
+    assert [row["label"] for row in report["models"]] == ["model_a", "model_b"]
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -363,7 +363,13 @@ def _set(path, value):
     (_set(["network", "layers", 0, "coeffs"], [[1.0]]),
      "bad network section: layer shapes (coeffs, w_base, w_spline) [((1, 1), (1, 2), (1, 2))] "
      "do not fit shape [2, 1] with 8 bases per edge", False),
-    (_set(["network", "grid", "order"], 0), "bad network section: order must be >= 1", False),
+    (_set(["network", "grid", "order"], 0),
+     "bad network section: order must be a positive integer, got 0", False),
+    (_set(["network", "grid", "intervals"], 2.5),
+     "bad network section: intervals must be a positive integer, got 2.5", False),
+    (_set(["network", "grid", "lo"], "a"),
+     "bad network section: lo and hi must be finite numbers with lo < hi, got ('a', 3.0)",
+     False),
     (_set(["network", "kind"], "mlp"), "bad network section: not a kan document", False),
     (_set(["network", "biases", 1], [0.0, 0.0]),
      "bad network section: weight and bias shapes [(3, 2), (1, 3), (3,), (2,)] do not fit "
@@ -379,6 +385,7 @@ def _set(path, value):
      False),
     (_set(["K", 1], [1.0]), "K and B must be matrices of numbers", False),
 ], ids=["no-layers", "network-str", "config-unknown-key", "coeffs-shape", "grid-order-0",
+        "grid-intervals-float", "grid-lo-str",
         "network-kind", "mlp-bias-shape", "config-lbfgs_max_iter-0", "config-alpha-float",
         "kind-list", "n_total-str", "n-str", "K-ragged"])
 def test_model_malformed_network_or_config_exits_1(pendulum_cfg, tmp_path, capsys, edit,
@@ -513,6 +520,17 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     ("train", "train.batch_size", True),
     ("train", "train.batch_size", 2.5),
     ("train", "train.optimizer", "sgd"),
+    ("evaluate", "evaluation.extrapolation.n_ic", "3"),
+    ("evaluate", "evaluation.extrapolation.n_ic", 1.5),
+    ("evaluate", "evaluation.extrapolation.n_ic", 0),
+    ("evaluate", "evaluation.radius_range", [1]),
+    ("evaluate", "evaluation.radius_range", "abc"),
+    ("evaluate", "evaluation.radius_range", [True, 3]),
+    ("evaluate", "evaluation.radius_range", [9000, 7000]),
+    ("evaluate", "evaluation.extrapolation.radius_range", [1]),
+    ("evaluate", "evaluation.extrapolation.radius_range", [1, 2, 3]),
+    ("train", "network.grid.intervals", 2.5),
+    ("train", "network.grid.order", True),
 ], ids=["n_observables-str", "hidden_layers-float", "neurons-zero", "dataset-seed-str",
         "train-seed-negative", "evaluation-seed-float", "dt-zero", "duration-nan",
         "n_ic-bool", "alpha-float", "epochs-bool", "epochs-negative", "lbfgs_max_iter-zero",
@@ -520,11 +538,18 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
         "q_state-str", "q_state-zero", "r-zero", "r-negative", "x0-str", "x0-short",
         "x0-nan", "x0-bool", "gamma-negative", "beta-nan", "weight_decay-str",
         "lambda_l1-negative", "lambda_l2-inf", "learning_rate-zero", "learning_rate-inf",
-        "batch_size-zero", "batch_size-bool", "batch_size-float", "optimizer-unknown"])
+        "batch_size-zero", "batch_size-bool", "batch_size-float", "optimizer-unknown",
+        "extrapolation-n_ic-str", "extrapolation-n_ic-float", "extrapolation-n_ic-zero",
+        "radius_range-short", "radius_range-str", "radius_range-bool", "radius_range-reversed",
+        "extrapolation-radius_range-short", "extrapolation-radius_range-long",
+        "grid-intervals-float", "grid-order-bool"])
 def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, value):
     doc = json.loads(Path(pendulum_cfg).read_text())
-    section, name = key.split(".")
-    doc[section][name] = value
+    *sections, name = key.split(".")
+    section = doc
+    for part in sections:
+        section = section.setdefault(part, {})
+    section[name] = value
     cfg = write_config(tmp_path / "bad.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err

@@ -128,7 +128,7 @@ def test_closed_loop_instability_error():
     def runaway(x, u):
         return 5.0 * x
 
-    gain = LqrGain(F=np.zeros((1, 4)), Q=np.zeros((4, 4)), R=np.eye(1))
+    gain = LqrGain(F=np.zeros((1, 4)))
     with pytest.raises(InstabilityError) as err:
         closed_loop_sim(model, gain, runaway, [1.0, 1.0], duration=5.0, dt=0.01,
                         state_bound=1e3)
@@ -137,7 +137,7 @@ def test_closed_loop_instability_error():
 
 def test_closed_loop_saturates_at_u_limit():
     model, plant, dt = _linear_plant_model()
-    gain = LqrGain(F=np.full((1, 4), 10.0), Q=np.zeros((4, 4)), R=np.eye(1))
+    gain = LqrGain(F=np.full((1, 4), 10.0))
     traj = closed_loop_sim(model, gain, plant, [1.0, 1.0], duration=1.0, dt=dt,
                            u_limit=0.3)
     # every applied |u| is at most 0.3, and the bound is reached

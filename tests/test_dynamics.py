@@ -17,10 +17,8 @@ from kooplift.dynamics import (
     PENDULUM_STATE_NAMES,
     TWOBODY_RADIUS_RANGE,
     TWOBODY_STATE_NAMES,
-    PendulumParams,
     SingularityError,
     Trajectory,
-    TwoBodyParams,
     generate_pendulum_dataset,
     generate_twobody_dataset,
     load_dataset,
@@ -91,13 +89,9 @@ def test_rk4_requires_positive_dt():
         rk4_step(lambda x, u: x, [1.0], 0.0, 0.0)
 
 
-def _pend(state, u):
-    return pendulum_deriv(state, u, PendulumParams())
-
-
 def _integrate(x0, t_end, dt):
     n = round(t_end / dt)
-    return simulate(_pend, x0, np.zeros((n, 1)), dt).states[-1]
+    return simulate(pendulum_deriv, x0, np.zeros((n, 1)), dt).states[-1]
 
 
 def test_rk4_one_step_order():
@@ -117,12 +111,12 @@ def test_rk4_global_order_on_pendulum():
 
 
 def test_simulate_equilibrium_constant():
-    traj = simulate(_pend, [0.0, 0.0], np.zeros((50, 1)), 0.01)
+    traj = simulate(pendulum_deriv, [0.0, 0.0], np.zeros((50, 1)), 0.01)
     assert np.max(np.abs(traj.states)) == 0.0
 
 
 def test_simulate_pendulum_length():
-    traj = simulate(_pend, [0.1, 0.0], np.zeros((200, 1)), 0.01)
+    traj = simulate(pendulum_deriv, [0.1, 0.0], np.zeros((200, 1)), 0.01)
     assert traj.states.shape == (201, 2)
     assert traj.controls.shape == (200, 1)
     assert traj.times[-1] == pytest.approx(2.0)
@@ -132,8 +126,7 @@ def test_circular_orbit_closes():
     r = 7000.0
     period = 2.0 * math.pi * math.sqrt(r**3 / EARTH_MU)
     dt = period / 800
-    deriv = lambda s, u: twobody_deriv(s, TwoBodyParams())
-    traj = simulate(deriv, [r, 0.0, 0.0, math.sqrt(EARTH_MU / r)], np.zeros((800, 0)), dt)
+    traj = simulate(twobody_deriv, [r, 0.0, 0.0, math.sqrt(EARTH_MU / r)], np.zeros((800, 0)), dt)
     radii = np.hypot(traj.states[:, 0], traj.states[:, 1])
     assert np.max(np.abs(radii - r)) / r < 1e-3
 
@@ -236,15 +229,16 @@ def test_load_missing_manifest(tmp_path):
 # that the batch-first code replaced. The batch must reproduce them bit for
 # bit (arrays) and byte for byte (files).
 
-def _oracle_pendulum(state, u, p=PendulumParams()):
+def _oracle_pendulum(state, u):
+    # g = 9.81 over a 1 m arm, unit control gain.
     theta, theta_dot = float(state[0]), float(state[1])
-    return np.array([theta_dot, -(p.g / p.l) * math.sin(theta) + p.control_gain * float(u[0])])
+    return np.array([theta_dot, -(9.81 / 1.0) * math.sin(theta) + 1.0 * float(u[0])])
 
 
-def _oracle_twobody(state, u, p=TwoBodyParams()):
+def _oracle_twobody(state, u):
     x, y, vx, vy = (float(v) for v in state)
     r = math.hypot(x, y)
-    a = -p.mu / r**3
+    a = -EARTH_MU / r**3
     return np.array([vx, vy, a * x, a * y])
 
 
@@ -324,30 +318,29 @@ def test_twobody_stack_with_a_state_at_the_origin_is_singular():
 
 
 def test_rk4_step_with_a_dt_column_equals_per_row_steps():
-    deriv = lambda x, u: twobody_deriv(x)
     states = np.array([[7000.0, 0.0, 0.0, 7.5], [0.0, 9000.0, -6.6, 0.0]])
     dts = np.array([[5.0], [7.5]])
-    batch = rk4_step(deriv, states, None, dts)
+    batch = rk4_step(twobody_deriv, states, None, dts)
     for row, x, dt in zip(batch, states, dts[:, 0]):
-        assert np.array_equal(row, rk4_step(deriv, x, None, float(dt)))
+        assert np.array_equal(row, rk4_step(twobody_deriv, x, None, float(dt)))
     with pytest.raises(ValueError):
-        rk4_step(deriv, states, None, np.array([[5.0], [0.0]]))
+        rk4_step(twobody_deriv, states, None, np.array([[5.0], [0.0]]))
 
 
 def test_simulate_stack_is_time_major_and_unstacks():
     x0 = np.array([[0.1, 0.0], [1.0, -0.5], [-1.5, 2.0]])
     controls = np.zeros((20, 3, 1))
-    batch = simulate(_pend, x0, controls, 0.01)
+    batch = simulate(pendulum_deriv, x0, controls, 0.01)
     assert batch.states.shape == (21, 3, 2)
     assert batch.controls.shape == (20, 3, 1)
     assert batch.n_states == 2 and batch.n_controls == 1
     assert batch.times.shape == (21,)
     for i, traj in enumerate(batch.unstack()):
-        one = simulate(_pend, x0[i], controls[:, i], 0.01)
+        one = simulate(pendulum_deriv, x0[i], controls[:, i], 0.01)
         assert np.array_equal(traj.states, one.states)
         assert np.array_equal(traj.controls, one.controls)
         assert traj.states.flags.c_contiguous
-    per_ic = simulate(lambda s, u: twobody_deriv(s), [[7000.0, 0, 0, 7.5], [8000.0, 0, 0, 7.0]],
+    per_ic = simulate(twobody_deriv, [[7000.0, 0, 0, 7.5], [8000.0, 0, 0, 7.0]],
                       np.zeros((5, 2, 0)), [3.0, 4.0])
     assert per_ic.times.shape == (6, 2)
     assert [traj.dt for traj in per_ic.unstack()] == [3.0, 4.0]

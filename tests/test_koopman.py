@@ -166,7 +166,7 @@ def test_fit_edmdc_no_input_reduces_to_plain_fit():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 40))
     a_true = rng.standard_normal((3, 3)) * 0.4
-    k, b = fit_edmdc(x, a_true @ x, None)
+    k, b = fit_edmdc(x, a_true @ x, np.zeros((0, 40)))
     assert b.shape == (3, 0)
     assert np.max(np.abs(k - a_true)) <= 1e-10
 
@@ -174,13 +174,13 @@ def test_fit_edmdc_no_input_reduces_to_plain_fit():
 def test_fit_edmdc_fixed_point_preserved():
     z_star = np.array([[1.0], [2.0], [-0.5]])
     data = np.repeat(z_star, 7, axis=1)
-    k, _ = fit_edmdc(data, data, None)
+    k, _ = fit_edmdc(data, data, np.zeros((0, 7)))
     assert np.max(np.abs(k @ z_star - z_star)) <= 1e-12
 
 
 def test_fit_edmdc_rejects_empty():
     with pytest.raises(ValueError):
-        fit_edmdc(np.zeros((3, 0)), np.zeros((3, 0)), None)
+        fit_edmdc(np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((0, 0)))
 
 
 def test_fit_edmdc_residual_is_minimal():
@@ -771,7 +771,7 @@ def _full_row_loss(model, snaps, cfg, cols=None, pcols=None, plan=None, grad=Fal
     x, x_next, u = snaps.X, snaps.X_next, snaps.U
     if cols is not None:
         x, x_next, u = x[:, cols], x_next[:, cols], u[:, cols]
-    tape = [] if grad and phi_x is None else None
+    tape = [] if grad else None  # phi_x comes only without grad
     if phi_x is None:
         phi_x = _lift_cols(net, x, tape)
     err = (model.K @ phi_x + model.B @ u)[:n] - x_next
@@ -801,7 +801,7 @@ def _full_row_loss(model, snaps, cfg, cols=None, pcols=None, plan=None, grad=Fal
             if shared:
                 d_phi[:, src] += d_pred
             else:
-                pred_grads, _ = net.backward(x_p.T, d_pred[n:, :].T, tape=tape_p)
+                pred_grads = net.backward(d_pred[n:, :].T, tape_p)
     params = net.get_params()
     penalty = 0.0
     if cfg.lambda_l1:
@@ -811,7 +811,7 @@ def _full_row_loss(model, snaps, cfg, cols=None, pcols=None, plan=None, grad=Fal
     total = cfg.gamma * pred + cfg.beta * recon + penalty
     if not grad:
         return recon, pred, total
-    grads, _ = net.backward(x.T, d_phi[n:, :].T, tape=tape)
+    grads = net.backward(d_phi[n:, :].T, tape)
     if pred_grads is not None:
         grads += pred_grads
     if cfg.lambda_l1:

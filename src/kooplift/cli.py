@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dynamics
 from .control import (
     InstabilityError,
     UncontrollableModelError,
@@ -155,6 +156,11 @@ class RunConfig:
             if type(value) is not int or value < low:  # bool is not an int here
                 kind = "positive" if low else "non-negative"
                 raise ConfigError(f"{key} must be a {kind} integer, got {value!r}")
+        for key in ("out_dir", "model_path", "dataset.path", "compare.model_a", "compare.model_b"):
+            section, _, name = key.rpartition(".")
+            value = self._section(section).get(name) if section else getattr(self, name)
+            if value is not None and type(value) is not str:
+                raise ConfigError(f"{key} must be a path string, got {value!r}")
         for section in ("evaluation", "evaluation.extrapolation"):
             pair = self._section(section).get("radius_range")
             if pair is not None and not (
@@ -221,20 +227,44 @@ def _dataset_dir(cfg: RunConfig, out_dir: Path) -> Path:
     return out_dir / "dataset"
 
 
+def _twobody_args(cfg: RunConfig, doc: dict, role: str) -> dict:
+    """The arguments but the seed of generate_twobody_dataset (and of
+    twobody_initial_states) that a two-body dataset or evaluation section doc
+    describes; role, "dataset" or "evaluation", picks the default n_ic."""
+    lo, hi = doc.get("radius_range") or dynamics.TWOBODY_RADIUS_RANGE
+    return {"n_ic": doc.get("n_ic", _SYSTEMS["twobody"]["n_ic"][role]),
+            "points_per_orbit": cfg.points_per_orbit, "radius_range": (float(lo), float(hi))}
+
+
 def _trajectories(cfg: RunConfig, seed: int, doc: dict, role: str):
     """The trajectories a dataset or evaluation section doc describes; role,
     "dataset" or "evaluation", picks the default n_ic."""
-    n_ic = doc.get("n_ic", _SYSTEMS[cfg.system]["n_ic"][role])
+    if cfg.system == "twobody":
+        return generate_twobody_dataset(seed=seed, **_twobody_args(cfg, doc, role))
+    n_ic = doc.get("n_ic", _SYSTEMS["pendulum"]["n_ic"][role])
+    try:
+        return generate_pendulum_dataset(n_ic, seed, cfg.train.get("alpha", 25))
+    except ValueError as exc:  # n_ic is checked at load, so this is train.alpha
+        raise ConfigError(f"train.{exc}") from None
+
+
+def _evaluation_sets(cfg: RunConfig, seed: int, out_dir: Path) -> list:
+    """(trajectories, destination) of each evaluation set: the held-out ICs from
+    seed and, for the two-body system when configured, the extrapolation band
+    from seed + 1. The two-body sets are integrated in one batch."""
     if cfg.system == "pendulum":
-        try:
-            return generate_pendulum_dataset(n_ic, seed, cfg.train.get("alpha", 25))
-        except ValueError as exc:  # n_ic is checked at load, so this is train.alpha
-            raise ConfigError(f"train.{exc}") from None
-    kwargs = {}
-    if doc.get("radius_range"):
-        lo, hi = doc["radius_range"]
-        kwargs["radius_range"] = (float(lo), float(hi))
-    return generate_twobody_dataset(n_ic, seed, cfg.points_per_orbit, **kwargs)
+        return [(_trajectories(cfg, seed, cfg.evaluation, "evaluation"), out_dir / "eval")]
+    docs = {"eval": cfg.evaluation}
+    if cfg.evaluation.get("extrapolation"):
+        docs["eval_extrapolation"] = cfg.evaluation["extrapolation"]
+    draws = [dynamics.twobody_initial_states(seed=seed + i, **_twobody_args(cfg, doc, "evaluation"))
+             for i, doc in enumerate(docs.values())]
+    x0, dt = (np.concatenate(parts) for parts in zip(*draws))
+    # dynamics.simulate is looked up at call time, so a wrapper installed on it
+    # (benchmarks/tracing.py) sees this call too.
+    trajs = iter(dynamics.simulate(dynamics.twobody_deriv, x0,
+                                   np.zeros((cfg.points_per_orbit - 1, dt.size, 0)), dt).unstack())
+    return [([next(trajs) for _ in x], out_dir / name) for (x, _), name in zip(draws, docs)]
 
 
 def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
@@ -306,34 +336,39 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     return 0
 
 
-def _evaluate_into(cfg: RunConfig, model, trajs, dest: Path) -> dict:
-    """Corrected rollouts of every IC in one batch against the truth; per-IC
-    CSVs plus a metrics dict."""
+def _evaluate_into(cfg: RunConfig, model, sets) -> list[dict]:
+    """Corrected rollouts of every IC of every (trajectories, dest) set in one
+    batch against the truth; per set, its per-IC CSVs and a metrics dict."""
     names = _SYSTEMS[cfg.system]["state_names"]
-    dest.mkdir(parents=True, exist_ok=True)
+    trajs = [traj for set_trajs, _ in sets for traj in set_trajs]
     truth = np.stack([t.states for t in trajs], axis=1)
     pred = rollout(model, truth[0], np.stack([t.controls for t in trajs], axis=1),
                    np.array([t.dt for t in trajs]), correct=True)
     err = np.abs(pred.states - truth)
     header = ["t"] + [f"{kind}_{s}" for kind in ("true", "pred", "abs_err") for s in names]
     table = np.concatenate([pred.times[..., None], truth, pred.states, err], axis=2)
-    for i in range(len(trajs)):
-        write_csv(dest / f"eval_{i:03d}.csv", header, table[:, i])
-    ic_max = err.max(axis=0)
-    worst = ic_max.max(axis=0)
-    metrics = {
-        "n_ic": len(trajs),
-        "max_abs_error": {s: float(e) for s, e in zip(names, worst)},
-        "per_ic": [{
-            "initial_state": [float(v) for v in x0],
-            "max_abs_error": {s: float(e) for s, e in zip(names, row)},
-        } for x0, row in zip(truth[0], ic_max)],
-    }
-    if cfg.system == "pendulum":
-        metrics["max_abs_angle_error"] = float(worst[0])
-    else:
-        metrics["max_abs_position_error"] = float(max(worst[0], worst[1]))
-    return metrics
+    out, stops = [], np.cumsum([len(set_trajs) for set_trajs, _ in sets])
+    for (set_trajs, dest), stop in zip(sets, stops):
+        rows = slice(stop - len(set_trajs), stop)
+        dest.mkdir(parents=True, exist_ok=True)
+        for i in range(len(set_trajs)):
+            write_csv(dest / f"eval_{i:03d}.csv", header, table[:, rows.start + i])
+        ic_max = err[:, rows].max(axis=0)
+        worst = ic_max.max(axis=0)
+        metrics = {
+            "n_ic": len(set_trajs),
+            "max_abs_error": {s: float(e) for s, e in zip(names, worst)},
+            "per_ic": [{
+                "initial_state": [float(v) for v in x0],
+                "max_abs_error": {s: float(e) for s, e in zip(names, row)},
+            } for x0, row in zip(truth[0, rows], ic_max)],
+        }
+        if cfg.system == "pendulum":
+            metrics["max_abs_angle_error"] = float(worst[0])
+        else:
+            metrics["max_abs_position_error"] = float(max(worst[0], worst[1]))
+        out.append(metrics)
+    return out
 
 
 def _load_model_file(path: Path):
@@ -347,16 +382,11 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> in
     model_path = Path(cfg.model_path) if cfg.model_path else out_dir / "model.json"
     model = _load_model_file(model_path)
     seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
-    trajs = _trajectories(cfg, seed, cfg.evaluation, "evaluation")
-    metrics = _evaluate_into(cfg, model, trajs, out_dir / "eval")
+    metrics, *extrapolation = _evaluate_into(cfg, model, _evaluation_sets(cfg, seed, out_dir))
     metrics["seed"] = seed
-    extra = cfg.evaluation.get("extrapolation")
-    if extra and cfg.system == "twobody":
-        extra_trajs = _trajectories(cfg, seed + 1, extra, "evaluation")
-        metrics["extrapolation"] = _evaluate_into(
-            cfg, model, extra_trajs, out_dir / "eval_extrapolation"
-        )
-        metrics["extrapolation"]["radius_range"] = extra.get("radius_range")
+    if extrapolation:
+        radius_range = cfg.evaluation["extrapolation"].get("radius_range")
+        metrics["extrapolation"] = {**extrapolation[0], "radius_range": radius_range}
     _write_json(out_dir / "eval" / "metrics.json", metrics)
     headline = (
         f"max abs angle error {metrics['max_abs_angle_error']:.4g} rad"
@@ -425,9 +455,7 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     for label in ("model_a", "model_b"):
         path = Path(section[label])
         model = _load_model_file(path)
-        metrics = _evaluate_into(
-            cfg, model, trajs, out_dir / "compare" / f"eval_{label}"
-        )
+        metrics = _evaluate_into(cfg, model, [(trajs, out_dir / "compare" / f"eval_{label}")])[0]
         summary_path = path.parent / "summary.json"
         wall = None
         if summary_path.is_file():

@@ -16,6 +16,9 @@ from .koopman import KoopmanModel, lift
 from .numerics import ConvergenceError, solve_dare
 
 
+STATE_BOUND = 1e6  # closed_loop_sim stops once a plant state passes this magnitude
+
+
 class UncontrollableModelError(RuntimeError):
     """No stabilizing LQR gain exists for (K, B) with the given weights."""
 
@@ -80,7 +83,6 @@ def closed_loop_sim(
     duration: float,
     dt: float,
     u_limit: float = 5.0,
-    state_bound: float = 1e6,
 ) -> Trajectory:
     """Run the regulator against the true plant for a fixed duration.
 
@@ -89,7 +91,8 @@ def closed_loop_sim(
     plant one RK4 step under that input. The returned Trajectory carries the
     applied control history.
 
-    plant is a callable (state, u) -> state derivative.
+    plant is a callable (state, u) -> state derivative. Raises InstabilityError
+    once a state component's magnitude passes STATE_BOUND.
     """
     if duration <= 0 or dt <= 0:
         raise ValueError("duration and dt must be positive")
@@ -103,8 +106,8 @@ def closed_loop_sim(
         u = neg_f @ lift(model, x)
         u = np.minimum(np.maximum(u, -u_limit), u_limit)  # np.clip's values, less overhead
         x = rk4_step(plant, x, u, dt)
-        if np.abs(x).max() > state_bound:
-            raise InstabilityError(k, state_bound)
+        if np.abs(x).max() > STATE_BOUND:
+            raise InstabilityError(k, STATE_BOUND)
         states[k + 1] = x
         controls[k] = u
     return Trajectory(dt=dt, states=states, controls=controls)

@@ -107,15 +107,18 @@ def pendulum_deriv(state, u) -> np.ndarray:
                      + np.asarray(u, dtype=float).T[0]]).T
 
 
+# math.hypot and np.float_power(r, 3) round like Python floats; np.hypot
+# (1 % of inputs) and the array r**3 (5 %) would change datasets in the last bit.
+_HYPOT = np.frompyfunc(math.hypot, 2, 1)
+
+
 def twobody_deriv(state, u=None) -> np.ndarray:
     """Planar two-body vector field with attractive inverse-square gravity
     (mu = EARTH_MU); one state (4,) or a stack (..., 4). u is ignored: the
     system has no control input."""
     x, y, vx, vy = np.asarray(state, dtype=float).T
-    # math.hypot and np.float_power(r, 3) round like Python floats; np.hypot
-    # (1 % of inputs) and the array r**3 (5 %) would change datasets in the last bit.
-    r = np.asarray(np.frompyfunc(math.hypot, 2, 1)(x, y), dtype=float)
-    if np.any(r == 0.0):
+    r = np.asarray(_HYPOT(x, y), dtype=float)  # one state gives a Python float
+    if (r == 0.0).any():
         raise SingularityError("two-body state at the origin")
     a = -EARTH_MU / np.float_power(r, 3)
     return np.array([vx, vy, a * x, a * y]).T
@@ -186,19 +189,19 @@ def generate_pendulum_dataset(
     return simulate(pendulum_deriv, x0, controls, PENDULUM_DT).unstack()
 
 
-def generate_twobody_dataset(
+def twobody_initial_states(
     n_ic: int,
     seed: int,
     points_per_orbit: int = 800,
     radius_range: tuple[float, float] = TWOBODY_RADIUS_RANGE,
-) -> list[Trajectory]:
-    """Random circular orbits sampled for exactly one period each.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The initial states (n_ic, 4) and steps (n_ic,) of random circular orbits
+    sampled for exactly one period each.
 
     Per trajectory i, the stream default_rng((seed, i)) draws the periapsis
     radius r ~ U[radius_range] km (default [6578, 11378]); the initial state
     is [r, 0, 0, sqrt(mu/r)] and the step is dt = T / points_per_orbit with
-    T the orbital period, so every trajectory holds points_per_orbit
-    samples. No control input. All orbits are integrated in one batch.
+    T the orbital period, so every trajectory holds points_per_orbit samples.
     """
     if n_ic < 1:
         raise ValueError("n_ic must be >= 1")
@@ -211,8 +214,14 @@ def generate_twobody_dataset(
     period = 2.0 * math.pi * np.sqrt(np.float_power(r, 3) / EARTH_MU)
     zeros = np.zeros(n_ic)
     x0 = np.column_stack([r, zeros, zeros, np.sqrt(EARTH_MU / r)])
-    controls = np.zeros((points_per_orbit - 1, n_ic, 0))
-    return simulate(twobody_deriv, x0, controls, period / points_per_orbit).unstack()
+    return x0, period / points_per_orbit
+
+
+def generate_twobody_dataset(n_ic: int, seed: int, points_per_orbit: int = 800,
+                             radius_range=TWOBODY_RADIUS_RANGE) -> list[Trajectory]:
+    """The orbits of twobody_initial_states, integrated in one batch; no control input."""
+    x0, dt = twobody_initial_states(n_ic, seed, points_per_orbit, radius_range)
+    return simulate(twobody_deriv, x0, np.zeros((points_per_orbit - 1, n_ic, 0)), dt).unstack()
 
 
 def write_csv(path, header, table, blank_tail: int = 0) -> None:

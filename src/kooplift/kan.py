@@ -71,7 +71,7 @@ def silu_deriv(x):
 
 
 _BLOCK = 4096  # points per _basis_tables block: its tables (~0.5 MB) fit in L2
-_SPAN_POINTS = 3  # up to this many values-only points take the span-local path
+_SPAN_POINTS = 8  # values-only calls of up to this many points take the span-local path
 
 
 @functools.cache
@@ -85,9 +85,11 @@ def _recurrence(grid: SplineGrid):
 
 @functools.cache
 def _span_terms(grid: SplineGrid):
-    """Knots as floats and, per knot span, its first basis, its basis count and
-    its triangle's terms (t_j, den_left, t_j+d+1, -den_right, slot, slot); the
-    slots index lower-degree values, 0 the structural zero and 1 the 1.0."""
+    """Knots as floats; per knot span, its first basis, its basis count and its
+    triangle's terms (t_j, den_left, t_j+d+1, -den_right, slot, slot), whose
+    slots index lower-degree values, 0 the structural zero and 1 the 1.0; and
+    the largest knot magnitude and smallest denominator magnitude, which bound
+    every quotient (x - t_j) / den of the recurrence."""
     t, dens = _recurrence(grid)
     knots = t.ravel().tolist()
     spans = []
@@ -100,18 +102,26 @@ def _span_terms(grid: SplineGrid):
                 terms.append((knots[j], den_l[j, 0].item(), knots[j + d + 1],
                               neg_den_r[j, 0].item(), prev.get(j, 0), prev.get(j + 1, 0)))
         spans.append((min(slot), len(slot), terms))
-    return knots, spans
+    dens = np.abs(np.concatenate([d for pair in dens for d in pair]))
+    return knots, spans, (np.abs(t).max().item(), dens.min().item())
 
 
 def _span_basis(xs: list, grid: SplineGrid) -> np.ndarray | None:
-    """_basis_tables' values for a few points in [t_0, t_last), else None: its
-    terms in Python floats on each point's triangle of k + 1 bases, keeping
-    the structural zeros at the edges so every sign of zero matches."""
-    knots, spans = _span_terms(grid)
+    """_basis_tables' values for a few points, or None. A point in [t_0, t_last)
+    gets its terms in Python floats on its triangle of k + 1 bases, keeping
+    the structural zeros at the edges so every sign of zero matches; a point
+    outside gets the all-+0.0 row that the blocked kernel computes there. NaN,
+    +-inf, and a point far enough out for some (x - t_j) / den to overflow
+    (a NaN row in the blocked kernel) give None."""
+    knots, spans, (reach, den) = _span_terms(grid)
     rows = [0.0] * (len(xs) * grid.n_basis)
     for i, x in enumerate(xs):
         if not knots[0] <= x < knots[-1]:
-            return None
+            # |x - t_j| <= |x| + reach and every |den| >= den: a finite bound
+            # means no quotient overflows; NaN and inf fail it too.
+            if not (abs(x) + reach) / den < np.inf:
+                return None
+            continue
         first, n, terms = spans[bisect.bisect_right(knots, x) - 1]
         v = [0.0, 1.0]
         for tl, dl, tr, ndr, a, b in terms:

@@ -47,7 +47,6 @@ class AdamW:
 class LbfgsResult:
     x: np.ndarray
     value: float
-    grad: np.ndarray
     n_iter: int
     n_evals: int
     stop_reason: str = ""
@@ -117,7 +116,7 @@ class Lbfgs:
                 if len(mem) > self.history:
                     mem.pop(0)
         return LbfgsResult(
-            x=best_x, value=best_f, grad=g, n_iter=it, n_evals=n_evals, stop_reason=stop
+            x=best_x, value=best_f, n_iter=it, n_evals=n_evals, stop_reason=stop
         )
 
     @staticmethod

@@ -15,8 +15,9 @@ import pytest
 
 import kooplift
 from kooplift.cli import RunConfig, main
+from kooplift.dynamics import TWOBODY_STATE_NAMES, generate_twobody_dataset, write_csv
 from kooplift.kan import SplineGrid, kan_init
-from kooplift.koopman import KoopmanModel, load_model, save_model
+from kooplift.koopman import KoopmanModel, load_model, rollout, save_model
 from kooplift.mlp import mlp_init
 from test_koopman import load_history
 
@@ -236,6 +237,68 @@ def test_twobody_pipeline_with_extrapolation(twobody_cfg, tmp_path):
     assert metrics["extrapolation"]["n_ic"] == 1
     assert metrics["extrapolation"]["radius_range"] == [11378, 12378]
     assert (out / "eval_extrapolation" / "eval_000.csv").is_file()
+
+
+def _evaluate_set_alone(model, trajs, dest):
+    """One evaluation set generated, rolled out and written on its own, the
+    way evaluate handled each set before it batched them: per-IC CSVs and
+    the set's metrics dict."""
+    names = TWOBODY_STATE_NAMES
+    dest.mkdir(parents=True)
+    truth = np.stack([t.states for t in trajs], axis=1)
+    pred = rollout(model, truth[0], np.stack([t.controls for t in trajs], axis=1),
+                   np.array([t.dt for t in trajs]), correct=True)
+    err = np.abs(pred.states - truth)
+    header = ["t"] + [f"{kind}_{s}" for kind in ("true", "pred", "abs_err") for s in names]
+    table = np.concatenate([pred.times[..., None], truth, pred.states, err], axis=2)
+    for i in range(len(trajs)):
+        write_csv(dest / f"eval_{i:03d}.csv", header, table[:, i])
+    ic_max = err.max(axis=0)
+    worst = ic_max.max(axis=0)
+    return {
+        "n_ic": len(trajs),
+        "max_abs_error": dict(zip(names, worst.tolist())),
+        "per_ic": [{"initial_state": x0.tolist(), "max_abs_error": dict(zip(names, row.tolist()))}
+                   for x0, row in zip(truth[0], ic_max)],
+        "max_abs_position_error": float(max(worst[0], worst[1])),
+    }
+
+
+@pytest.mark.parametrize("seed", [91, 901, 15001, None])
+def test_twobody_evaluate_matches_sets_evaluated_alone(twobody_cfg, tmp_path, seed):
+    # The held-out set (3 ICs) and the extrapolation band (2 ICs) share one
+    # integration and one rollout; each set's files must be those of the set
+    # generated, rolled out and written on its own. seed None drops the
+    # evaluation section: the 3 default ICs at seed 900 and no band.
+    doc = json.loads(Path(twobody_cfg).read_text())
+    del doc["evaluation"]
+    if seed is not None:
+        doc["evaluation"] = {"n_ic": 3, "seed": seed,
+                             "extrapolation": {"n_ic": 2, "radius_range": [11378, 12378]}}
+    cfg = write_config(tmp_path / "eval.json", doc)
+    out = tmp_path / "run"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 0
+
+    model = load_model(out / "model.json")[0]
+    ref = tmp_path / "ref"
+    n_csv = {"eval": 3}
+    metrics = _evaluate_set_alone(model, generate_twobody_dataset(3, seed or 900, 50), ref / "eval")
+    metrics["seed"] = seed or 900
+    if seed is not None:
+        band = generate_twobody_dataset(2, seed + 1, 50, (11378.0, 12378.0))
+        metrics["extrapolation"] = _evaluate_set_alone(model, band, ref / "eval_extrapolation")
+        metrics["extrapolation"]["radius_range"] = [11378, 12378]
+        n_csv["eval_extrapolation"] = 2
+    with open(ref / "eval" / "metrics.json", "w") as fh:
+        json.dump(metrics, fh, indent=2)
+        fh.write("\n")
+    assert sorted(p.name for p in out.glob("eval*")) == sorted(n_csv)
+    for name, n in n_csv.items():
+        files = read_bytes_sorted(out / name)
+        assert len([f for f in files if f.endswith(".csv")]) == n
+        assert files == read_bytes_sorted(ref / name)
 
 
 def test_compare_same_model_gives_unit_ratio(pendulum_cfg, tmp_path):
@@ -531,6 +594,11 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     ("evaluate", "evaluation.extrapolation.radius_range", [1, 2, 3]),
     ("train", "network.grid.intervals", 2.5),
     ("train", "network.grid.order", True),
+    ("evaluate", "model_path", 5),
+    ("generate", "dataset.path", 5),
+    ("compare", "compare.model_a", 5),
+    ("compare", "compare.model_b", ["a.json"]),
+    ("train", "out_dir", False),
 ], ids=["n_observables-str", "hidden_layers-float", "neurons-zero", "dataset-seed-str",
         "train-seed-negative", "evaluation-seed-float", "dt-zero", "duration-nan",
         "n_ic-bool", "alpha-float", "epochs-bool", "epochs-negative", "lbfgs_max_iter-zero",
@@ -542,7 +610,8 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
         "extrapolation-n_ic-str", "extrapolation-n_ic-float", "extrapolation-n_ic-zero",
         "radius_range-short", "radius_range-str", "radius_range-bool", "radius_range-reversed",
         "extrapolation-radius_range-short", "extrapolation-radius_range-long",
-        "grid-intervals-float", "grid-order-bool"])
+        "grid-intervals-float", "grid-order-bool", "model_path-int", "dataset-path-int",
+        "compare-model_a-int", "compare-model_b-list", "out_dir-bool"])
 def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, value):
     doc = json.loads(Path(pendulum_cfg).read_text())
     *sections, name = key.split(".")

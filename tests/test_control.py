@@ -130,9 +130,8 @@ def test_closed_loop_instability_error():
 
     gain = LqrGain(F=np.zeros((1, 4)))
     with pytest.raises(InstabilityError) as err:
-        closed_loop_sim(model, gain, runaway, [1.0, 1.0], duration=5.0, dt=0.01,
-                        state_bound=1e3)
-    assert err.value.step >= 0
+        closed_loop_sim(model, gain, runaway, [1.0, 1.0], duration=5.0, dt=0.01)
+    assert err.value.step >= 0 and err.value.bound == 1e6
 
 
 def test_closed_loop_saturates_at_u_limit():

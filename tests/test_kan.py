@@ -252,7 +252,7 @@ SPAN_GRIDS = pytest.mark.parametrize("grid", [
 def _assert_values_only_match(x, grid):
     """The values-only table equals the blocked kernel's (deriv=True never
     takes the span-local path) and the oracle recurrence, bit for bit."""
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         values, none = _basis_tables(x, grid, deriv=False)
         assert none is None
         _assert_same_bits_or_nan(values, _basis_tables(x, grid)[0])
@@ -263,23 +263,35 @@ def _assert_values_only_match(x, grid):
 @SPAN_GRIDS
 def test_span_basis_bit_identical_to_blocked_kernel(grid, size):
     knots = grid.knots()
+    width = knots[-1] - knots[0]
     rng = np.random.default_rng(size)
     x = np.concatenate([knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
-                        [0.0, -0.0], rng.uniform(knots[0], knots[-1], size=300)])
+                        [0.0, -0.0, 7000.0, -7000.0, 1e300, -1e300],
+                        rng.uniform(knots[0], knots[-1], size=300),
+                        rng.uniform(knots[0] - 2.0 * width, knots[-1] + 2.0 * width, size=100)])
     rng.shuffle(x)
     for points in x[: x.size - x.size % size].reshape(-1, size):
-        inside = bool(np.all((knots[0] <= points) & (points < knots[-1])))
-        assert (_span_basis(points.tolist(), grid) is not None) == inside
+        # Finite points, inside the support or not, and no quotient overflows
+        # on these grids, so the span-local path takes them all.
+        assert _span_basis(points.tolist(), grid) is not None
         _assert_values_only_match(points, grid)
 
 
 @SPAN_GRIDS
 def test_span_basis_falls_back_outside_support(grid, monkeypatch):
     knots = grid.knots()
-    mid = 0.5 * (knots[0] + knots[1])
-    for points in ([np.nan], [np.inf], [-np.inf], [1e300], [-1e300], [knots[-1]],
-                   [knots[0] - grid.step], [np.nextafter(knots[0], -np.inf)],
-                   [mid, np.nan], [knots[-1], mid], [mid, mid, 1e300]):
+    mid = float(0.5 * (knots[0] + knots[1]))
+    # A finite point outside [t_0, t_last) gets the blocked kernel's +0.0 row.
+    for points in ([1e300], [-1e300], [knots[-1]], [knots[0] - grid.step],
+                   [np.nextafter(knots[0], -np.inf)], [knots[-1], mid], [mid, mid, 1e300]):
+        points = [float(p) for p in points]
+        table = _span_basis(points, grid)
+        outside = [not knots[0] <= p < knots[-1] for p in points]
+        assert table is not None
+        assert table[outside].tobytes() == bytes(8 * grid.n_basis * sum(outside))
+        _assert_values_only_match(np.array(points), grid)
+    # NaN and +-inf propagate into NaN rows, which only the blocked kernel writes.
+    for points in ([np.nan], [np.inf], [-np.inf], [mid, np.nan], [mid, -np.inf, mid]):
         assert _span_basis(points, grid) is None
         _assert_values_only_match(np.array(points), grid)
     assert _basis_tables(np.empty(0), grid, deriv=False)[0].shape == (0, grid.n_basis)
@@ -292,21 +304,47 @@ def test_span_basis_falls_back_outside_support(grid, monkeypatch):
     _basis_tables(np.array([mid]), grid)
 
 
+def test_span_basis_overflow_falls_back():
+    # Step 0.01: (x - t_j) / den overflows for |x| near the largest double, so
+    # the blocked kernel writes NaN rows there; the span-local path refuses.
+    grid = SplineGrid(lo=-0.025, hi=0.025, intervals=5, order=3)
+    huge = float(np.finfo(float).max)
+    for points in ([huge], [-huge], [0.0, 1.7e308], [-1.7e308, 5.0, 0.01]):
+        with np.errstate(invalid="ignore", over="ignore"):
+            blocked = _basis_tables(np.array(points), grid)[0]
+        assert np.isnan(blocked).any()
+        assert _span_basis(points, grid) is None
+        _assert_values_only_match(np.array(points), grid)
+    assert _span_basis([1e300, -1e300, 0.01], grid) is not None
+
+
 def test_span_basis_bit_identical_property():
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.floats(-50.0, 50.0), st.floats(0.01, 20.0), st.integers(1, 12),
-           st.integers(1, 5), st.lists(st.tuples(st.floats(-0.1, 1.1), st.booleans()),
-                                       min_size=1, max_size=_SPAN_POINTS))
+    near = st.tuples(st.just("near"), st.floats(-0.1, 1.1), st.booleans())
+    far = st.tuples(st.just("far"), st.floats(allow_nan=True, allow_infinity=True),
+                    st.booleans())
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(-50.0, 50.0), st.floats(1e-3, 20.0), st.integers(1, 12),
+           st.integers(1, 5), st.lists(st.one_of(near, far), min_size=1,
+                                       max_size=_SPAN_POINTS))
     def check(lo, width, intervals, order, draws):
         grid = SplineGrid(lo=lo, hi=lo + width, intervals=intervals, order=order)
         knots = grid.knots()
-        x = knots[0] + np.array([f for f, _ in draws]) * (knots[-1] - knots[0])
-        on_knot = np.array([snap for _, snap in draws])
-        x[on_knot] = knots[np.abs(knots[:, None] - x[on_knot]).argmin(axis=0)]
+        x = np.array([knots[0] + f * (knots[-1] - knots[0]) if kind == "near" else f
+                      for kind, f, _ in draws])
+        near_knot = np.array([kind == "near" and snap for kind, _, snap in draws])
+        x[near_knot] = knots[np.abs(knots[:, None] - x[near_knot]).argmin(axis=0)]
         _assert_values_only_match(x, grid)
+        with np.errstate(invalid="ignore", over="ignore"):
+            blocked = _basis_tables(x, grid)[0]
+        table = _span_basis(x.tolist(), grid)
+        if np.isnan(blocked).any():
+            assert table is None
+        elif np.abs(x).max() < 0.25 * float(np.finfo(float).max) * grid.step:
+            _assert_same_bits(table, blocked)
 
     check()
 

@@ -168,6 +168,9 @@ class RunConfig:
                     for v in pair) and 0 < pair[0] <= pair[1] < float("inf")):
                 raise ConfigError(f"{section}.radius_range must be a list [lo, hi] of numbers "
                                   f"with 0 < lo <= hi, got {pair!r}")
+        stray = [key for key in ("radius_range", "extrapolation") if key in self.evaluation]
+        if self.system == "pendulum" and stray:
+            raise ConfigError(f"evaluation.{stray[0]} must be a two-body key, not a pendulum one")
         for name in ("dt", "duration", "u_limit", "q_state", "r"):
             value = self.control.get(name, 1.0)
             if type(value) not in (int, float) or not 0.0 < value < float("inf"):
@@ -183,6 +186,10 @@ class RunConfig:
             self.train_config = TrainConfig(**self.train)
         except ValueError as exc:
             raise ConfigError(f"train.{exc}") from None
+        alpha = self.train_config.alpha
+        if self.system == "twobody" and alpha >= self.points_per_orbit:
+            raise ConfigError(f"train.alpha must be a positive integer below "
+                              f"dataset.points_per_orbit = {self.points_per_orbit}, got {alpha}")
 
     def _section(self, name: str):
         """The section at a dotted name; an absent or empty subsection reads as {}."""
@@ -294,6 +301,11 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     tc = cfg.train_config
     if seed_override is not None:
         tc = replace(tc, seed=seed_override)
+    short = next((i for i, t in enumerate(trajs) if len(t.states) <= tc.alpha), None)
+    if short is not None:
+        name = json.loads((dataset_dir / "manifest.json").read_text())["files"][short]["name"]
+        raise ValueError(f"{dataset_dir / name}: {len(trajs[short].states)} states, but "
+                         f"train.alpha = {tc.alpha} needs at least {tc.alpha + 1}")
     shape = cfg.network_shape()
     network = (kan_init(shape, cfg.spline_grid(), tc.seed) if cfg.backend == "kan"
                else mlp_init(shape, tc.seed))
@@ -324,6 +336,8 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
         "final_total": last.total,
         "best_total": best.total,
         "best_epoch": best.epoch,  # the saved model's: the first epoch at best_total
+        "closure_evals": sum(row.evals for row in history),  # loss evaluations or Adam steps
+        "stop_reasons": [row.stop_reason for row in history if row.stop_reason],  # per L-BFGS phase
         "model_file": model_path.name,
         "history_file": "loss_history.csv",
     }

@@ -261,11 +261,11 @@ def kan_init(shape, grid: SplineGrid, seed: int) -> KanNetwork:
     return KanNetwork(shape=shape, grid=grid, layers=layers)
 
 
-def first_layer_basis(net: KanNetwork, x) -> np.ndarray:
-    """Basis table of the first layer for a batch x, for kan_forward(basis=)."""
+def first_layer_basis(net: KanNetwork, x) -> tuple[np.ndarray, np.ndarray]:
+    """The first layer's basis table and silu for a batch x, for kan_forward(basis=)."""
     a = np.asarray(x, dtype=float)
     basis, _ = _basis_tables(a.ravel(), net.grid, deriv=False)
-    return basis.reshape(-1, a.shape[-1], net.grid.n_basis)
+    return basis.reshape(-1, a.shape[-1], net.grid.n_basis), silu(a.reshape(-1, a.shape[-1]))
 
 
 def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
@@ -273,7 +273,8 @@ def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
 
     A tape list, when given, receives (input, basis, deriv, silu(input))
     per layer for kan_backward; the first layer's deriv is None. basis,
-    when given, is first_layer_basis(net, x).
+    when given, is first_layer_basis(net, x): the first layer's basis table
+    and silu, which stay fixed while the parameters change.
     """
     a = np.asarray(x, dtype=float)
     squeeze = a.ndim == 1
@@ -284,13 +285,13 @@ def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
     for li, layer in enumerate(net.layers):
         m, n_in = a.shape
         if li == 0 and basis is not None:
-            b, db = basis, None
+            (b, silu_a), db = basis, None
         else:
             b, db = _basis_tables(a.ravel(), net.grid, deriv=tape is not None and li > 0)
             b = b.reshape(m, n_in, net.grid.n_basis)
             if db is not None:
                 db = db.reshape(m, n_in, net.grid.n_basis)
-        silu_a = silu(a)
+            silu_a = silu(a)
         eff = layer.w_spline[:, :, None] * layer.coeffs
         out = silu_a @ layer.w_base.T + np.einsum("mig,jig->mj", b, eff)
         if tape is not None:

@@ -10,6 +10,7 @@ optional per-step correction through re-lifting.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from dataclasses import asdict, dataclass, replace
@@ -65,6 +66,14 @@ class SnapshotSet:
     @property
     def n_pred_pairs(self) -> int:
         return self.X_alpha.shape[1]
+
+    @functools.cached_property
+    def pair_index(self) -> np.ndarray:
+        """Per X column, its prediction pair (its index in pred_cols), or
+        n_pred_pairs, one past the last pair, for a column without one."""
+        index = np.full(self.n_pairs, self.n_pred_pairs)
+        index[self.pred_cols] = np.arange(self.n_pred_pairs)
+        return index
 
 
 @dataclass
@@ -145,10 +154,16 @@ class TrainConfig:
 
 @dataclass
 class LossRecord:
+    """The losses after one epoch's refit, and what the optimizer phase that
+    followed did: its loss evaluations (L-BFGS closure calls or Adam steps)
+    and L-BFGS stop reason. The last epoch runs no phase."""
+
     epoch: int
     recon: float
     pred: float
     total: float
+    evals: int = 0
+    stop_reason: str = ""
 
 
 def lift(model: KoopmanModel, x) -> np.ndarray:
@@ -158,15 +173,18 @@ def lift(model: KoopmanModel, x) -> np.ndarray:
     return np.concatenate([x, obs], axis=x.ndim - 1)
 
 
-def _lift_cols(network, cols: np.ndarray, tape=None, basis=None) -> np.ndarray:
+def _lift_cols(network, cols: np.ndarray, tape=None, plan=None) -> np.ndarray:
     """Lift an n x m column matrix to n_total x m.
 
-    tape (a list to fill for the backward pass) and basis (the first KAN
-    layer's basis table for cols.T) pass through to the network's forward.
+    tape (a list to fill for the backward pass) passes through to the
+    network's forward. A plan, refit for cols = X, supplies the first KAN
+    layer's basis and silu, and the lift is written into its buffer.
     """
-    extra = {} if basis is None else {"basis": basis}
-    obs = network.forward(cols.T, tape=tape, **extra)
-    return np.vstack([cols, obs.T])
+    if plan is None:
+        return np.vstack([cols, network.forward(cols.T, tape=tape).T])
+    extra = {} if plan.basis is None else {"basis": plan.basis}
+    plan.lifted[cols.shape[0]:] = network.forward(cols.T, tape=tape, **extra).T
+    return plan.lifted
 
 
 def build_snapshots(trajs: list[Trajectory], alpha: int) -> SnapshotSet:
@@ -257,18 +275,22 @@ def _forcing_terms(model: KoopmanModel, snaps: SnapshotSet, powers, cols):
 class _TrainPlan:
     """Loss inputs that stay fixed while the network parameters change.
 
-    basis is the first KAN layer's basis table for the snapshot states X
-    (None for an MLP). refit() stores, for one frozen (K, B), the powers of
-    K up to alpha and the forcing terms of the linear prediction loss.
+    basis is first_layer_basis of the snapshot states X, the first KAN
+    layer's basis table and silu (None for an MLP). refit() stores, for one
+    frozen (K, B), the powers of K up to alpha, the forcing terms of the
+    linear prediction loss, and lifted, the n_total x N_d lift buffer whose
+    state rows hold X.
     """
 
-    basis: np.ndarray | None
+    basis: tuple | None
     powers: list | None = None
     forcing: list | None = None
+    lifted: np.ndarray | None = None
 
     def refit(self, model: KoopmanModel, snaps: SnapshotSet) -> None:
         self.powers = _powers(model.K, snaps.alpha)
         self.forcing = list(_forcing_terms(model, snaps, self.powers, snaps.pred_cols))
+        self.lifted = np.vstack([snaps.X, np.empty((model.n_total - model.n, snaps.n_pairs))])
 
 
 def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, pcols=None,
@@ -287,19 +309,20 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     net, n = model.network, model.n
     x, x_next, u = snaps.X, snaps.X_next, snaps.U
     if cols is not None:
-        x, x_next, u = x[:, cols], x_next[:, cols], u[:, cols]
+        x, x_next, u = (np.take(a, cols, axis=1) for a in (x, x_next, u))
     tape = [] if grad else None
     if phi_x is None:
-        phi_x = _lift_cols(net, x, tape, None if plan is None else plan.basis)
+        phi_x = _lift_cols(net, x, tape, plan)
     err = _state_rows(model.K, phi_x, n) + _state_rows(model.B, u, n) - x_next
     recon = float(np.sum(err * err)) / err.shape[1]
     if grad:
-        d_phi = (2.0 * cfg.beta / err.shape[1]) * (model.K[:n].T @ err)
+        # Only the network rows n: of d loss / d phi feed the backward pass.
+        d_obs = (2.0 * cfg.beta / err.shape[1]) * (model.K[:n].T @ err)[n:]
     pred, pred_grads = 0.0, None
     if cfg.gamma or not grad:
         src, x_alpha = snaps.pred_cols, snaps.X_alpha
         if pcols is not None:
-            src, x_alpha = src[pcols], x_alpha[:, pcols]
+            src, x_alpha = src[pcols], np.take(x_alpha, pcols, axis=1)
         shared = cols is None and pcols is None
         if plan is None or pcols is not None:
             powers = _powers(model.K, snaps.alpha)
@@ -307,9 +330,9 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
         else:
             powers, forcing = plan.powers, plan.forcing
         if shared:
-            phi_p = phi_x[:, src]
+            phi_p = np.take(phi_x, src, axis=1)
         else:
-            x_p = snaps.X[:, src]
+            x_p = np.take(snaps.X, src, axis=1)
             tape_p = [] if grad else None
             phi_p = _lift_cols(net, x_p, tape_p)
         x_hat = _state_rows(powers[snaps.alpha], phi_p, n)
@@ -318,11 +341,14 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
         err_p = x_hat - x_alpha
         pred = float(np.sum(err_p * err_p)) / err_p.shape[1]
         if grad:
-            d_pred = (2.0 * cfg.gamma / err_p.shape[1]) * (powers[snaps.alpha][:n].T @ err_p)
+            d_pred = (2.0 * cfg.gamma / err_p.shape[1]) * (powers[snaps.alpha][:n].T @ err_p)[n:]
             if shared:
-                d_phi[:, src] += d_pred
+                # Gather-add of each X column's pair; a column without one adds
+                # the -0.0 pad, and x + -0.0 == x bit for bit for every float.
+                pad = np.concatenate([d_pred, np.full((len(d_pred), 1), -0.0)], axis=1)
+                d_obs += np.take(pad, snaps.pair_index, axis=1)
             else:
-                pred_grads = net.backward(d_pred[n:, :].T, tape_p)
+                pred_grads = net.backward(d_pred.T, tape_p)
     params = net.get_params()
     penalty = 0.0
     if cfg.lambda_l1:
@@ -332,7 +358,7 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     total = cfg.gamma * pred + cfg.beta * recon + penalty
     if not grad:
         return recon, pred, total
-    grads = net.backward(d_phi[n:, :].T, tape)
+    grads = net.backward(d_obs.T, tape)
     if pred_grads is not None:
         grads += pred_grads
     if cfg.lambda_l1:
@@ -381,6 +407,9 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
         phi_s = _lift_cols(network, snaps.states)
         if not np.all(np.isfinite(phi_s)):
             raise TrainingDivergedError(epoch, "non-finite lifted data")
+        # Fancy indexing on purpose: fit_edmdc's product rounds by operand
+        # layout, and these are column-major copies where np.take makes
+        # row-major ones (which also raised the scaled MLP run's peak RSS).
         phi_x = phi_s[:, snaps.x_cols]
         k_op, b_op = fit_edmdc(phi_x, phi_s[:, snaps.xn_cols], snaps.U)
         model = KoopmanModel(network=network, K=k_op, B=b_op, n=n, n_total=n_total)
@@ -398,16 +427,17 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
             break
         if plan is not None:
             start = network.get_params().tobytes()
-            _lbfgs_phase(model, snaps, cfg, plan)
+            result = _lbfgs_phase(model, snaps, cfg, plan)
+            history[-1].evals, history[-1].stop_reason = result.n_evals, result.stop_reason
         else:
-            _adam_phase(model, snaps, cfg, rng, adam)
+            history[-1].evals = _adam_phase(model, snaps, cfg, rng, adam)
         params = network.get_params()
         if not np.all(np.isfinite(params)):
             raise TrainingDivergedError(epoch, "non-finite network parameters")
         if plan is not None and params.tobytes() == start:
             # Same parameter bits give the same lift, refit, loss and L-BFGS
             # run, so every later epoch repeats this one.
-            history += [replace(history[-1], epoch=e)
+            history += [replace(history[-1], epoch=e, evals=0, stop_reason="")
                         for e in range(epoch + 1, cfg.epochs + 1)]
             break
 
@@ -428,22 +458,25 @@ def _lbfgs_phase(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig,
         closure, net.get_params(), max_iter=cfg.lbfgs_max_iter
     )
     net.set_params(result.x)
+    return result
 
 
 def _adam_phase(model, snaps: SnapshotSet, cfg: TrainConfig, rng, opt: AdamW):
     """One epoch of minibatch steps: ceil(N_d / batch) draws without replacement.
 
     The prediction term samples its own column subset of the same size so
-    both loss terms see comparable batch noise.
+    both loss terms see comparable batch noise. Returns the step count.
     """
     net = model.network
     n_d, n_a = snaps.n_pairs, snaps.n_pred_pairs
     batch = min(cfg.batch_size or n_d, n_d)
-    for _ in range(-(-n_d // batch)):
+    steps = -(-n_d // batch)
+    for _ in range(steps):
         cols = rng.choice(n_d, size=batch, replace=False)
         pcols = rng.choice(n_a, size=min(batch, n_a), replace=False) if cfg.gamma else None
         grads = loss(model, snaps, cfg, cols, pcols, grad=True)[3]
         net.set_params(opt.step(net.get_params(), grads))
+    return steps
 
 
 def _row_products(a: np.ndarray, m: np.ndarray) -> np.ndarray:

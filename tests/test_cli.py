@@ -146,6 +146,10 @@ def test_train_writes_model_history_summary(pendulum_cfg, tmp_path):
     assert summary["best_total"] == min(totals)
     assert summary["best_epoch"] == totals.index(min(totals))
     assert summary["wall_time_s"] > 0
+    # Two L-BFGS phases of 5 iterations: at least one closure call per
+    # iteration plus each phase's first.
+    assert summary["stop_reasons"] == ["max_iter", "max_iter"]
+    assert summary["closure_evals"] >= 12
 
 
 def test_train_model_file_is_deterministic(pendulum_cfg, tmp_path):
@@ -213,6 +217,37 @@ def test_control_unstabilizable_model_exits_1(pendulum_cfg, tmp_path, capsys):
     assert "spectral radius 1.2 >= 1" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "control").exists()
+
+
+@pytest.mark.parametrize("points, alpha", [(10, 15), (10, 10)])
+def test_twobody_alpha_not_below_points_per_orbit_exits_2(twobody_cfg, tmp_path, capsys,
+                                                           points, alpha):
+    doc = json.loads(Path(twobody_cfg).read_text())
+    doc["dataset"]["points_per_orbit"], doc["train"]["alpha"] = points, alpha
+    cfg = write_config(tmp_path / "short.json", doc)
+    for command in ("generate", "train"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: train.alpha must be a positive integer below "
+                       f"dataset.points_per_orbit = {points}, got {alpha} (in {cfg})\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_names_first_csv_shorter_than_alpha(twobody_cfg, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["generate", "--config", twobody_cfg, "--out", str(out)]) == 0
+    manifest_path = out / "dataset" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    short = out / "dataset" / manifest["files"][1]["name"]
+    short.write_text("".join(short.read_text().splitlines(keepends=True)[:7]))
+    manifest["files"][1]["n_samples"] = 6
+    manifest_path.write_text(json.dumps(manifest))
+    doc = json.loads(Path(twobody_cfg).read_text())
+    doc["train"]["alpha"] = 6
+    cfg = write_config(tmp_path / "alpha6.json", doc)
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {short}: 6 states, but train.alpha = 6 needs at least 7\n")
 
 
 def test_twobody_pipeline_with_extrapolation(twobody_cfg, tmp_path):
@@ -599,6 +634,8 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     ("compare", "compare.model_a", 5),
     ("compare", "compare.model_b", ["a.json"]),
     ("train", "out_dir", False),
+    ("evaluate", "evaluation.radius_range", [1, 2]),
+    ("evaluate", "evaluation.extrapolation", {"n_ic": 4, "radius_range": [1, 2]}),
 ], ids=["n_observables-str", "hidden_layers-float", "neurons-zero", "dataset-seed-str",
         "train-seed-negative", "evaluation-seed-float", "dt-zero", "duration-nan",
         "n_ic-bool", "alpha-float", "epochs-bool", "epochs-negative", "lbfgs_max_iter-zero",
@@ -611,7 +648,8 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
         "radius_range-short", "radius_range-str", "radius_range-bool", "radius_range-reversed",
         "extrapolation-radius_range-short", "extrapolation-radius_range-long",
         "grid-intervals-float", "grid-order-bool", "model_path-int", "dataset-path-int",
-        "compare-model_a-int", "compare-model_b-list", "out_dir-bool"])
+        "compare-model_a-int", "compare-model_b-list", "out_dir-bool",
+        "pendulum-radius_range", "pendulum-extrapolation"])
 def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, value):
     doc = json.loads(Path(pendulum_cfg).read_text())
     *sections, name = key.split(".")

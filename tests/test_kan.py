@@ -229,7 +229,9 @@ def test_first_layer_basis_and_tape_span_blocks():
     assert x.size > 2 * _BLOCK
     ref_basis, ref_deriv = recurrence_basis_tables(x, GRID)
     shape = x.shape + (GRID.n_basis,)
-    _assert_same_bits(first_layer_basis(net, x), ref_basis.reshape(shape))
+    basis, silu_x = first_layer_basis(net, x)
+    _assert_same_bits(basis, ref_basis.reshape(shape))
+    _assert_same_bits(silu_x, silu(x))
     tape = []
     kan_forward(net, x, tape=tape)
     _assert_same_bits(tape[0][1], ref_basis.reshape(shape))

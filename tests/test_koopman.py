@@ -1,6 +1,7 @@
 """Tests for lifting, operator fitting, losses, training, and rollout."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,10 @@ from kooplift.koopman import (
     TrainConfig,
     TrainingDivergedError,
     _TrainPlan,
+    _forcing_terms,
     _lift_cols,
     _powers,
+    _state_rows,
     build_snapshots,
     fit_edmdc,
     lift,
@@ -486,8 +489,9 @@ def _log_phases(monkeypatch, name):
 
     def logged(model, *args):
         start = model.network.get_params().tobytes()
-        phase(model, *args)
+        out = phase(model, *args)
         unchanged.append(model.network.get_params().tobytes() == start)
+        return out
 
     monkeypatch.setattr(koopman, name, logged)
     return unchanged
@@ -516,6 +520,9 @@ def test_lbfgs_fixed_point_stop_matches_every_epoch_loop(monkeypatch, case):
     # The fixed point ends training after its first phase; moving phases all run.
     assert unchanged == ([True] if fixed else [False] * cfg.epochs)
     assert _history_bits(hist) == _history_bits(want)
+    # Each row records the phase that followed it; rows past the stop ran none.
+    ran = [(r.n_evals, r.stop_reason) for r in results[: len(unchanged)]]
+    assert [(r.evals, r.stop_reason) for r in hist] == ran + [(0, "")] * (len(hist) - len(ran))
     assert model.K.tobytes() == k_want.tobytes() and model.B.tobytes() == b_want.tobytes()
     assert model.network.get_params().tobytes() == params_want.tobytes()
 
@@ -530,6 +537,8 @@ def test_adam_phases_never_stop_early(monkeypatch):
     _, hist = train(mlp_init([2, 4, 2], cfg.seed), trajs, cfg)
     assert unchanged == [True] * cfg.epochs
     assert [r.epoch for r in hist] == [0, 1, 2, 3]
+    steps = -(-build_snapshots(trajs, cfg.alpha).n_pairs // 64)
+    assert [(r.evals, r.stop_reason) for r in hist] == [(steps, "")] * cfg.epochs + [(0, "")]
 
 
 def test_rollout_zero_controls():
@@ -885,6 +894,136 @@ def test_state_row_loss_bit_identical_to_full_rows(case):
         phi_x = _lift_cols(model.network, snaps.X)
         want = _full_row_loss(model, snaps, cfg, phi_x=phi_x)
         _assert_same_bits(loss(model, snaps, cfg, plan=plan, phi_x=phi_x), want)
+
+
+# The loss as it stood before its index-free gathers: fancy-index column
+# gathers, the prediction gradient scatter-added into every row of
+# d loss / d phi, and each lift stacked under its states with the first KAN
+# layer computed from the data. loss must reproduce it bit for bit.
+def _fancy_index_loss(model, snaps, cfg, cols=None, pcols=None, plan=None, grad=False):
+    net, n = model.network, model.n
+    x, x_next, u = snaps.X, snaps.X_next, snaps.U
+    if cols is not None:
+        x, x_next, u = x[:, cols], x_next[:, cols], u[:, cols]
+    tape = [] if grad else None
+    phi_x = np.vstack([x, net.forward(x.T, tape=tape).T])
+    err = _state_rows(model.K, phi_x, n) + _state_rows(model.B, u, n) - x_next
+    recon = float(np.sum(err * err)) / err.shape[1]
+    if grad:
+        d_phi = (2.0 * cfg.beta / err.shape[1]) * (model.K[:n].T @ err)
+    pred, pred_grads = 0.0, None
+    if cfg.gamma or not grad:
+        src, x_alpha = snaps.pred_cols, snaps.X_alpha
+        if pcols is not None:
+            src, x_alpha = src[pcols], x_alpha[:, pcols]
+        shared = cols is None and pcols is None
+        if plan is None or pcols is not None:
+            powers = _powers(model.K, snaps.alpha)
+            forcing = _forcing_terms(model, snaps, powers, src)
+        else:
+            powers, forcing = plan.powers, plan.forcing
+        if shared:
+            phi_p = phi_x[:, src]
+        else:
+            x_p = snaps.X[:, src]
+            tape_p = [] if grad else None
+            phi_p = np.vstack([x_p, net.forward(x_p.T, tape=tape_p).T])
+        x_hat = _state_rows(powers[snaps.alpha], phi_p, n)
+        for term in forcing:
+            x_hat += term
+        err_p = x_hat - x_alpha
+        pred = float(np.sum(err_p * err_p)) / err_p.shape[1]
+        if grad:
+            d_pred = (2.0 * cfg.gamma / err_p.shape[1]) * (powers[snaps.alpha][:n].T @ err_p)
+            if shared:
+                d_phi[:, src] += d_pred
+            else:
+                pred_grads = net.backward(d_pred[n:, :].T, tape_p)
+    params = net.get_params()
+    penalty = 0.0
+    if cfg.lambda_l1:
+        penalty += cfg.lambda_l1 * float(np.sum(np.abs(params)))
+    if cfg.lambda_l2:
+        penalty += cfg.lambda_l2 * float(params @ params)
+    total = cfg.gamma * pred + cfg.beta * recon + penalty
+    if not grad:
+        return recon, pred, total
+    grads = net.backward(d_phi[n:, :].T, tape)
+    if pred_grads is not None:
+        grads += pred_grads
+    if cfg.lambda_l1:
+        grads += cfg.lambda_l1 * np.sign(params)
+    if cfg.lambda_l2:
+        grads += 2.0 * cfg.lambda_l2 * params
+    return recon, pred, total, grads
+
+
+def _gather_case(case):
+    """(model, snaps, plan or None, cols, pcols, cfg) for one gather-oracle case."""
+    if case in ("kan_control", "kan_deep_no_input"):
+        model, snaps, plan = _plan_case(case)
+        return model, snaps, plan, None, None, TrainConfig(alpha=3, gamma=0.8, beta=1.5,
+                                                           lambda_l1=0.01, lambda_l2=0.02)
+    rng = np.random.default_rng(17)
+    if case == "unequal_lengths":
+        trajs = [Trajectory(dt=0.1, states=rng.uniform(-3.5, 3.5, size=(m, 2)),
+                            controls=rng.uniform(-1.0, 1.0, size=(m - 1, 1)))
+                 for m in (40, 57, 33)]
+        net, alpha = kan_init([2, 3, 2], GRID, seed=8), 5
+    else:
+        trajs, net, alpha = generate_pendulum_dataset(3, seed=6), mlp_init([2, 6, 6, 2], 6), 4
+    snaps = build_snapshots(trajs, alpha)
+    n, n_total = 2, 2 + net.shape[-1]
+    model = KoopmanModel(network=net,
+                         K=np.eye(n_total) + 0.1 * rng.standard_normal((n_total, n_total)),
+                         B=0.3 * rng.standard_normal((n_total, 1)), n=n, n_total=n_total)
+    gamma = 0.0 if case == "mlp_minibatch_gamma0" else 0.7
+    cfg = TrainConfig(alpha=alpha, gamma=gamma, beta=1.3, lambda_l2=0.01)
+    if case == "unequal_lengths":
+        plan = _TrainPlan(basis=first_layer_basis(net, snaps.X.T))
+        plan.refit(model, snaps)
+        return model, snaps, plan, None, None, cfg
+    cols = rng.choice(snaps.n_pairs, size=40, replace=False)
+    pcols = rng.choice(snaps.n_pred_pairs, size=40, replace=False) if gamma else None
+    return model, snaps, None, cols, pcols, cfg
+
+
+@pytest.mark.parametrize("case", ["kan_control", "kan_deep_no_input", "mlp_minibatch",
+                                  "mlp_minibatch_gamma0", "unequal_lengths"])
+def test_loss_bit_identical_to_fancy_index_loss(case):
+    model, snaps, plan, cols, pcols, cfg = _gather_case(case)
+    for grad in (True, False):
+        want = _fancy_index_loss(model, snaps, cfg, cols, pcols, plan=plan, grad=grad)
+        got = loss(model, snaps, cfg, cols, pcols, plan=plan, grad=grad)
+        assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+    if plan is not None:
+        # A second evaluation reuses the plan's lift buffer.
+        model.network.set_params(model.network.get_params() * 0.9)
+        want = _fancy_index_loss(model, snaps, cfg, plan=plan, grad=True)
+        got = loss(model, snaps, cfg, plan=plan, grad=True)
+        assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+
+
+def test_prediction_gather_add_keeps_signed_zeros(monkeypatch):
+    # beta = 0 leaves d loss / d phi all +-0.0 before the prediction term is
+    # added; columns without a prediction pair must keep each zero's sign.
+    model, snaps, plan, _, _, cfg = _gather_case("unequal_lengths")
+    cfg = replace(cfg, beta=0.0, lambda_l1=0.0, lambda_l2=0.0)
+    upstreams, backward = [], kan.kan_backward
+
+    def recorded(net, upstream, tape):
+        upstreams.append(np.array(upstream))
+        return backward(net, upstream, tape)
+
+    monkeypatch.setattr(kan, "kan_backward", recorded)
+    loss(model, snaps, cfg, plan=plan, grad=True)
+    _fancy_index_loss(model, snaps, cfg, plan=plan, grad=True)
+    got, want = upstreams
+    no_pair = snaps.pair_index == snaps.n_pred_pairs
+    assert no_pair.sum() == snaps.n_pairs - snaps.n_pred_pairs
+    assert np.all(want[no_pair] == 0.0)
+    assert np.signbit(want[no_pair]).any() and not np.signbit(want[no_pair]).all()
+    assert got.tobytes() == want.tobytes()
 
 
 def _where_selu(x, out=None):

@@ -168,9 +168,11 @@ class RunConfig:
                     for v in pair) and 0 < pair[0] <= pair[1] < float("inf")):
                 raise ConfigError(f"{section}.radius_range must be a list [lo, hi] of numbers "
                                   f"with 0 < lo <= hi, got {pair!r}")
-        stray = [key for key in ("radius_range", "extrapolation") if key in self.evaluation]
+        stray = [f"{section}.{name}" for section, name in (
+            ("evaluation", "radius_range"), ("evaluation", "extrapolation"),
+            ("dataset", "points_per_orbit")) if name in self._section(section)]
         if self.system == "pendulum" and stray:
-            raise ConfigError(f"evaluation.{stray[0]} must be a two-body key, not a pendulum one")
+            raise ConfigError(f"{stray[0]} must be a two-body key, not a pendulum one")
         for name in ("dt", "duration", "u_limit", "q_state", "r"):
             value = self.control.get(name, 1.0)
             if type(value) not in (int, float) or not 0.0 < value < float("inf"):

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import FlatParams
+
 
 @dataclass(frozen=True)
 class SplineGrid:
@@ -180,34 +182,14 @@ class KanLayer:
 
 
 @dataclass
-class KanNetwork:
+class KanNetwork(FlatParams):
     kind = "kan"
     shape: list[int]
     grid: SplineGrid
     layers: list[KanLayer] = field(default_factory=list)
 
-    @property
-    def n_params(self) -> int:
-        return sum(
-            layer.coeffs.size + layer.w_base.size + layer.w_spline.size
-            for layer in self.layers
-        )
-
-    def get_params(self) -> np.ndarray:
-        parts = []
-        for layer in self.layers:
-            parts += [layer.coeffs.ravel(), layer.w_base.ravel(), layer.w_spline.ravel()]
-        return np.concatenate(parts)
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
-        pos = 0
-        for layer in self.layers:
-            for arr in (layer.coeffs, layer.w_base, layer.w_spline):
-                arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
-                pos += arr.size
+    def param_arrays(self) -> list[np.ndarray]:
+        return [arr for la in self.layers for arr in (la.coeffs, la.w_base, la.w_spline)]
 
     # The methods call the module functions by name at call time, so a
     # wrapper installed on them (benchmarks/tracing.py) sees every call.

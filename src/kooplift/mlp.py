@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import FlatParams
+
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
@@ -43,32 +45,14 @@ def selu_deriv(x):
 
 
 @dataclass
-class MlpNetwork:
+class MlpNetwork(FlatParams):
     kind = "mlp"
     shape: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def get_params(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts += [w.ravel(), b.ravel()]
-        return np.concatenate(parts)
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
-        pos = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = flat[pos : pos + w.size].reshape(w.shape)
-            pos += w.size
-            b[...] = flat[pos : pos + b.size]
-            pos += b.size
+    def param_arrays(self) -> list[np.ndarray]:
+        return [arr for wb in zip(self.weights, self.biases) for arr in wb]
 
     # Called by name at call time, like KanNetwork's methods.
     def forward(self, x, tape=None) -> np.ndarray:

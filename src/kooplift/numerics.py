@@ -1,12 +1,39 @@
-"""Dense linear-algebra kernels: SVD pseudoinverse and a doubling DARE solver.
+"""Dense linear-algebra kernels: SVD pseudoinverse and a doubling DARE solver,
+plus the flat parameter vector the lifting networks share.
 
-Everything here operates on plain 2-D float64 numpy arrays and is a pure
-function of its inputs.
+The kernels operate on plain 2-D float64 numpy arrays and are pure
+functions of their inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+PINV_RTOL = 1e-12  # pinv zeroes singular values below this times the largest
+
+
+class FlatParams:
+    """Parameters as one flat vector over the arrays of param_arrays(), in order.
+
+    A subclass returns its parameter arrays from param_arrays(); set_params
+    writes into those arrays in place, so references to them stay valid.
+    """
+
+    @property
+    def n_params(self) -> int:
+        return sum(arr.size for arr in self.param_arrays())
+
+    def get_params(self) -> np.ndarray:
+        return np.concatenate([arr.ravel() for arr in self.param_arrays()])
+
+    def set_params(self, flat: np.ndarray) -> None:
+        flat = np.asarray(flat, dtype=float)
+        if flat.shape != (self.n_params,):
+            raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
+        pos = 0
+        for arr in self.param_arrays():
+            arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
+            pos += arr.size
 
 
 class ConvergenceError(RuntimeError):
@@ -22,19 +49,17 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return arr
 
 
-def pinv(m, tol: float = 1e-12) -> np.ndarray:
+def pinv(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below ``tol * sigma_max`` are treated as zero, so the
-    result is rank-robust on ill-conditioned snapshot matrices.
+    Singular values below ``PINV_RTOL * sigma_max`` are treated as zero, so
+    the result is rank-robust on ill-conditioned snapshot matrices.
     """
     mat = _as_matrix(m, "m")
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
     if mat.size == 0:
         return np.zeros((mat.shape[1], mat.shape[0]))
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    cutoff = tol * (s[0] if s.size else 0.0)
+    cutoff = PINV_RTOL * (s[0] if s.size else 0.0)
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vt.T * inv_s) @ u.T
 

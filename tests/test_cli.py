@@ -636,6 +636,7 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     ("train", "out_dir", False),
     ("evaluate", "evaluation.radius_range", [1, 2]),
     ("evaluate", "evaluation.extrapolation", {"n_ic": 4, "radius_range": [1, 2]}),
+    ("generate", "dataset.points_per_orbit", 7),
 ], ids=["n_observables-str", "hidden_layers-float", "neurons-zero", "dataset-seed-str",
         "train-seed-negative", "evaluation-seed-float", "dt-zero", "duration-nan",
         "n_ic-bool", "alpha-float", "epochs-bool", "epochs-negative", "lbfgs_max_iter-zero",
@@ -649,7 +650,7 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
         "extrapolation-radius_range-short", "extrapolation-radius_range-long",
         "grid-intervals-float", "grid-order-bool", "model_path-int", "dataset-path-int",
         "compare-model_a-int", "compare-model_b-list", "out_dir-bool",
-        "pendulum-radius_range", "pendulum-extrapolation"])
+        "pendulum-radius_range", "pendulum-extrapolation", "pendulum-points_per_orbit"])
 def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, value):
     doc = json.loads(Path(pendulum_cfg).read_text())
     *sections, name = key.split(".")

@@ -43,7 +43,6 @@ from .dynamics import (
     generate_pendulum_dataset,
     generate_twobody_dataset,
     load_dataset,
-    pendulum_deriv,
     save_dataset,
     write_csv,
 )
@@ -63,19 +62,25 @@ from .mlp import mlp_init
 OUT_ENV_VAR = "KOOPLIFT_OUT"
 
 # n_ic: the default number of initial conditions of a dataset and of an
-# evaluation section.
+# evaluation section. draw: an evaluation set's (x0, controls, dt), integrated
+# under deriv. headline: the metrics key, state count and unit of the headline
+# error, the largest absolute error over the system's first states.
 _SYSTEMS = {
     "pendulum": {
-        "n": 2,
         "state_names": PENDULUM_STATE_NAMES,
         "control_names": PENDULUM_CONTROL_NAMES,
         "n_ic": {"dataset": 15, "evaluation": 5},
+        "draw": dynamics.pendulum_initial_states,
+        "deriv": dynamics.pendulum_deriv,
+        "headline": ("max_abs_angle_error", 1, "rad"),
     },
     "twobody": {
-        "n": 4,
         "state_names": TWOBODY_STATE_NAMES,
         "control_names": TWOBODY_CONTROL_NAMES,
         "n_ic": {"dataset": 30, "evaluation": 3},
+        "draw": dynamics.twobody_initial_states,
+        "deriv": dynamics.twobody_deriv,
+        "headline": ("max_abs_position_error", 2, "km"),
     },
 }
 
@@ -201,7 +206,7 @@ class RunConfig:
 
     @property
     def n_states(self) -> int:
-        return _SYSTEMS[self.system]["n"]
+        return len(_SYSTEMS[self.system]["state_names"])
 
     def network_shape(self) -> list[int]:
         net = self.network
@@ -236,49 +241,45 @@ def _dataset_dir(cfg: RunConfig, out_dir: Path) -> Path:
     return out_dir / "dataset"
 
 
-def _twobody_args(cfg: RunConfig, doc: dict, role: str) -> dict:
-    """The arguments but the seed of generate_twobody_dataset (and of
-    twobody_initial_states) that a two-body dataset or evaluation section doc
-    describes; role, "dataset" or "evaluation", picks the default n_ic."""
-    lo, hi = doc.get("radius_range") or dynamics.TWOBODY_RADIUS_RANGE
-    return {"n_ic": doc.get("n_ic", _SYSTEMS["twobody"]["n_ic"][role]),
-            "points_per_orbit": cfg.points_per_orbit, "radius_range": (float(lo), float(hi))}
-
-
-def _trajectories(cfg: RunConfig, seed: int, doc: dict, role: str):
-    """The trajectories a dataset or evaluation section doc describes; role,
-    "dataset" or "evaluation", picks the default n_ic."""
+def _from_section(cfg: RunConfig, make, seed: int, doc: dict, role: str):
+    """make(n_ic, seed, ...), for make a generate_<system>_dataset or a
+    <system>_initial_states, with the arguments they share read from a dataset
+    or evaluation section doc; role, "dataset" or "evaluation", picks the
+    default n_ic."""
+    n_ic = doc.get("n_ic", _SYSTEMS[cfg.system]["n_ic"][role])
     if cfg.system == "twobody":
-        return generate_twobody_dataset(seed=seed, **_twobody_args(cfg, doc, role))
-    n_ic = doc.get("n_ic", _SYSTEMS["pendulum"]["n_ic"][role])
+        lo, hi = doc.get("radius_range") or dynamics.TWOBODY_RADIUS_RANGE
+        return make(n_ic, seed, cfg.points_per_orbit, (float(lo), float(hi)))
     try:
-        return generate_pendulum_dataset(n_ic, seed, cfg.train.get("alpha", 25))
+        return make(n_ic, seed, cfg.train.get("alpha", 25))
     except ValueError as exc:  # n_ic is checked at load, so this is train.alpha
         raise ConfigError(f"train.{exc}") from None
 
 
 def _evaluation_sets(cfg: RunConfig, seed: int, out_dir: Path) -> list:
     """(trajectories, destination) of each evaluation set: the held-out ICs from
-    seed and, for the two-body system when configured, the extrapolation band
-    from seed + 1. The two-body sets are integrated in one batch."""
-    if cfg.system == "pendulum":
-        return [(_trajectories(cfg, seed, cfg.evaluation, "evaluation"), out_dir / "eval")]
+    seed and, when configured, the extrapolation band from seed + 1, integrated
+    in one batch."""
     docs = {"eval": cfg.evaluation}
     if cfg.evaluation.get("extrapolation"):
         docs["eval_extrapolation"] = cfg.evaluation["extrapolation"]
-    draws = [dynamics.twobody_initial_states(seed=seed + i, **_twobody_args(cfg, doc, "evaluation"))
+    system = _SYSTEMS[cfg.system]
+    draws = [_from_section(cfg, system["draw"], seed + i, doc, "evaluation")
              for i, doc in enumerate(docs.values())]
-    x0, dt = (np.concatenate(parts) for parts in zip(*draws))
+    x0, controls, dt = zip(*draws)
     # dynamics.simulate is looked up at call time, so a wrapper installed on it
     # (benchmarks/tracing.py) sees this call too.
-    trajs = iter(dynamics.simulate(dynamics.twobody_deriv, x0,
-                                   np.zeros((cfg.points_per_orbit - 1, dt.size, 0)), dt).unstack())
-    return [([next(trajs) for _ in x], out_dir / name) for (x, _), name in zip(draws, docs)]
+    trajs = iter(dynamics.simulate(system["deriv"], np.concatenate(x0), np.concatenate(
+        controls, axis=1), np.concatenate(dt)).unstack())
+    return [([next(trajs) for _ in x], out_dir / name) for x, name in zip(x0, docs)]
 
 
 def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     seed = seed_override if seed_override is not None else cfg.dataset.get("seed", 0)
-    trajs = _trajectories(cfg, seed, cfg.dataset, "dataset")
+    # Looked up at call time, so a wrapper installed on these names
+    # (benchmarks/tracing.py) sees the call.
+    generate = {"pendulum": generate_pendulum_dataset, "twobody": generate_twobody_dataset}
+    trajs = _from_section(cfg, generate[cfg.system], seed, cfg.dataset, "dataset")
     names = _SYSTEMS[cfg.system]
     dataset_dir = _dataset_dir(cfg, out_dir)
     manifest = save_dataset(
@@ -379,10 +380,8 @@ def _evaluate_into(cfg: RunConfig, model, sets) -> list[dict]:
                 "max_abs_error": {s: float(e) for s, e in zip(names, row)},
             } for x0, row in zip(truth[0, rows], ic_max)],
         }
-        if cfg.system == "pendulum":
-            metrics["max_abs_angle_error"] = float(worst[0])
-        else:
-            metrics["max_abs_position_error"] = float(max(worst[0], worst[1]))
+        key, n_head, _ = _SYSTEMS[cfg.system]["headline"]
+        metrics[key] = float(worst[:n_head].max())
         out.append(metrics)
     return out
 
@@ -404,12 +403,9 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> in
         radius_range = cfg.evaluation["extrapolation"].get("radius_range")
         metrics["extrapolation"] = {**extrapolation[0], "radius_range": radius_range}
     _write_json(out_dir / "eval" / "metrics.json", metrics)
-    headline = (
-        f"max abs angle error {metrics['max_abs_angle_error']:.4g} rad"
-        if cfg.system == "pendulum"
-        else f"max abs position error {metrics['max_abs_position_error']:.4g} km"
-    )
-    print(f"evaluated {model_path.name} on {metrics['n_ic']} held-out ICs: {headline}")
+    key, _, unit = _SYSTEMS[cfg.system]["headline"]
+    print(f"evaluated {model_path.name} on {metrics['n_ic']} held-out ICs: "
+          f"{key.replace('_', ' ')} {metrics[key]:.4g} {unit}")
     return 0
 
 
@@ -432,7 +428,7 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     traj = closed_loop_sim(
         model,
         gain,
-        pendulum_deriv,
+        _SYSTEMS[cfg.system]["deriv"],
         cfg.x0,
         duration=float(section.get("duration", 10.0)),
         dt=float(section.get("dt", PENDULUM_DT)),
@@ -467,7 +463,7 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
         raise ConfigError("compare requires compare.model_a and compare.model_b")
     rows = []
     seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
-    trajs = _trajectories(cfg, seed, cfg.evaluation, "evaluation")
+    (trajs, _), *_ = _evaluation_sets(cfg, seed, out_dir)
     for label in ("model_a", "model_b"):
         path = Path(section[label])
         model = _load_model_file(path)
@@ -479,11 +475,6 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
                 wall = json.loads(summary_path.read_text()).get("wall_time_s")
             except (json.JSONDecodeError, AttributeError) as exc:
                 raise ValueError(f"{summary_path}: not a JSON object ({exc})") from None
-        headline = (
-            metrics["max_abs_angle_error"]
-            if cfg.system == "pendulum"
-            else metrics["max_abs_position_error"]
-        )
         rows.append({
             "label": label,
             "path": str(path),
@@ -491,7 +482,7 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
             "n_params": model.n_params,
             "lifted_size": model.n_total,
             "train_wall_time_s": wall,
-            "max_abs_error": headline,
+            "max_abs_error": metrics[_SYSTEMS[cfg.system]["headline"][0]],
         })
     kinds = {row["kind"]: row for row in rows}
     if {"mlp", "kan"} <= set(kinds) and kinds["kan"]["max_abs_error"] > 0:
@@ -566,6 +557,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ValueError, TrainingDivergedError, RolloutDivergedError,
             InstabilityError, UncontrollableModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size in the config too large to allocate
+        print(f"error: {exc} (in {args.config})", file=sys.stderr)
         return 1
 
 

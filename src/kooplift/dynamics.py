@@ -162,18 +162,19 @@ def simulate(deriv, x0, controls, dt) -> Trajectory:
     return Trajectory(dt=dt, states=states, controls=controls)
 
 
-def generate_pendulum_dataset(
+def pendulum_initial_states(
     n_ic: int,
     seed: int,
     alpha: int = 25,
-) -> list[Trajectory]:
-    """Random pendulum trajectories: 2 s at dt=0.01 under random torques.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The initial states (n_ic, 2), time-major controls (200, n_ic, 1) and
+    steps (n_ic,) of random pendulum trajectories: 2 s at dt=0.01 under random
+    torques.
 
     Per trajectory i, the stream default_rng((seed, i)) draws, in order:
     theta_0 ~ U[-2, 2], theta_dot_0 ~ U[-2, 2], then the full control
-    sequence ~ U[-0.1, 0.1]. All trajectories are integrated in one batch.
-    alpha is the multi-step horizon the data must support and is only
-    validated against the trajectory length.
+    sequence ~ U[-0.1, 0.1]. alpha is the multi-step horizon the data must
+    support and is only validated against the trajectory length.
     """
     if n_ic < 1:
         raise ValueError("n_ic must be >= 1")
@@ -186,7 +187,12 @@ def generate_pendulum_dataset(
         rng = np.random.default_rng((seed, i))
         x0[i] = rng.uniform(*PENDULUM_ANGLE_RANGE), rng.uniform(*PENDULUM_RATE_RANGE)
         controls[:, i] = rng.uniform(*PENDULUM_CONTROL_RANGE, size=(n_steps, 1))
-    return simulate(pendulum_deriv, x0, controls, PENDULUM_DT).unstack()
+    return x0, controls, np.full(n_ic, PENDULUM_DT)
+
+
+def generate_pendulum_dataset(n_ic: int, seed: int, alpha: int = 25) -> list[Trajectory]:
+    """The trajectories of pendulum_initial_states, integrated in one batch."""
+    return simulate(pendulum_deriv, *pendulum_initial_states(n_ic, seed, alpha)).unstack()
 
 
 def twobody_initial_states(
@@ -194,9 +200,10 @@ def twobody_initial_states(
     seed: int,
     points_per_orbit: int = 800,
     radius_range: tuple[float, float] = TWOBODY_RADIUS_RANGE,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The initial states (n_ic, 4) and steps (n_ic,) of random circular orbits
-    sampled for exactly one period each.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The initial states (n_ic, 4), zero-width controls (points_per_orbit - 1,
+    n_ic, 0) and steps (n_ic,) of random circular orbits sampled for exactly
+    one period each.
 
     Per trajectory i, the stream default_rng((seed, i)) draws the periapsis
     radius r ~ U[radius_range] km (default [6578, 11378]); the initial state
@@ -214,14 +221,14 @@ def twobody_initial_states(
     period = 2.0 * math.pi * np.sqrt(np.float_power(r, 3) / EARTH_MU)
     zeros = np.zeros(n_ic)
     x0 = np.column_stack([r, zeros, zeros, np.sqrt(EARTH_MU / r)])
-    return x0, period / points_per_orbit
+    return x0, np.zeros((points_per_orbit - 1, n_ic, 0)), period / points_per_orbit
 
 
 def generate_twobody_dataset(n_ic: int, seed: int, points_per_orbit: int = 800,
                              radius_range=TWOBODY_RADIUS_RANGE) -> list[Trajectory]:
     """The orbits of twobody_initial_states, integrated in one batch; no control input."""
-    x0, dt = twobody_initial_states(n_ic, seed, points_per_orbit, radius_range)
-    return simulate(twobody_deriv, x0, np.zeros((points_per_orbit - 1, n_ic, 0)), dt).unstack()
+    draw = twobody_initial_states(n_ic, seed, points_per_orbit, radius_range)
+    return simulate(twobody_deriv, *draw).unstack()
 
 
 def write_csv(path, header, table, blank_tail: int = 0) -> None:
@@ -285,22 +292,35 @@ def save_dataset(
 def load_dataset(in_dir) -> list[Trajectory]:
     """Read back a dataset written by :func:`save_dataset`.
 
-    Every CSV is checked against the manifest: n_samples rows after the
-    header, 1 + n_state + n_ctrl cells per row, numbers in every cell but
-    the last row's control cells, which are empty. A mismatch raises a
-    ValueError naming the file.
+    The manifest must be a JSON object whose state_names, control_names and
+    files are lists, with at least one file entry, each holding a string name,
+    a positive finite dt and an integer n_samples. Every CSV is checked
+    against it: n_samples rows after the header, 1 + n_state + n_ctrl cells
+    per row, numbers in every cell but the last row's control cells, which
+    are empty. A mismatch raises a ValueError naming the file.
     """
     in_dir = Path(in_dir)
     manifest_path = in_dir / "manifest.json"
     if not manifest_path.is_file():
         raise FileNotFoundError(f"no manifest.json under {in_dir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{manifest_path}: not valid JSON ({exc})") from None
+    if not (type(manifest) is dict and manifest.get("files") and all(
+            type(manifest.get(k)) is list for k in ("state_names", "control_names", "files"))):
+        raise ValueError(f"{manifest_path}: must be an object whose state_names, control_names "
+                         "and files are lists, with at least one file")
     n_state = len(manifest["state_names"])
     n_ctrl = len(manifest["control_names"])
     width = 1 + n_state + n_ctrl
     out = []
     for entry in manifest["files"]:
+        if not (type(entry) is dict and type(entry.get("name")) is str
+                and type(entry.get("n_samples")) is int
+                and type(entry.get("dt")) in (int, float) and 0 < entry["dt"] < math.inf):
+            raise ValueError(f"{manifest_path}: a file entry needs a string name, a positive "
+                             f"finite dt and an integer n_samples, got {entry!r}")
         path = in_dir / entry["name"]
         with open(path, newline="") as fh:
             body = fh.read().splitlines()[1:]

@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 PINV_RTOL = 1e-12  # pinv zeroes singular values below this times the largest
+DARE_MAX_ITER = 10_000  # solve_dare's budget of doublings
+DARE_TOL = 1e-10  # solve_dare stops when the update of H is below this in max-norm
 
 
 class FlatParams:
@@ -64,14 +66,7 @@ def pinv(m) -> np.ndarray:
     return (vt.T * inv_s) @ u.T
 
 
-def solve_dare(
-    a,
-    b,
-    q,
-    r,
-    max_iter: int = 10_000,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def solve_dare(a, b, q, r) -> np.ndarray:
     """Solve the discrete algebraic Riccati equation by doubling.
 
         P = A'PA - A'PB (R + B'PB)^-1 B'PA + Q
@@ -79,13 +74,13 @@ def solve_dare(
     Structure-preserving doubling (Chu, Fan & Lin 2005): start from A,
     G = B R^-1 B' (zero when p = 0) and H = Q; each step sets W = I + GH and
     A, G, H <- A W^-1 A, G + A W^-1 G A', H + A' H W^-1 A. H converges
-    quadratically to P, so ``max_iter`` counts doublings; iteration stops
-    when the update of H is below ``tol`` in max-norm.
+    quadratically to P, so ``DARE_MAX_ITER`` counts doublings; iteration
+    stops when the update of H is below ``DARE_TOL`` in max-norm.
 
     Raises:
         ValueError: r is not symmetric positive definite (or shapes mismatch).
         ConvergenceError: A, G or H became non-finite, or no convergence
-            within ``max_iter`` doublings.
+            within ``DARE_MAX_ITER`` doublings.
     """
     amat = _as_matrix(a, "a")
     bmat = _as_matrix(b, "b")
@@ -115,7 +110,7 @@ def solve_dare(
     h = qmat.copy()
     eye = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(DARE_MAX_ITER):
             w = eye + g @ h
             wa = np.linalg.solve(w, amat)
             h_next = h + amat.T @ h @ wa
@@ -125,9 +120,9 @@ def solve_dare(
             amat = amat @ wa
             if not all(np.isfinite(m).all() for m in (amat, g, h_next)):
                 raise ConvergenceError("DARE doubling iteration diverged")
-            if np.max(np.abs(h_next - h)) <= tol:
+            if np.max(np.abs(h_next - h)) <= DARE_TOL:
                 return h_next
             h = h_next
     raise ConvergenceError(
-        f"DARE doubling iteration did not converge within {max_iter} doublings"
+        f"DARE doubling iteration did not converge within {DARE_MAX_ITER} doublings"
     )

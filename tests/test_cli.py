@@ -14,8 +14,13 @@ import numpy as np
 import pytest
 
 import kooplift
-from kooplift.cli import RunConfig, main
-from kooplift.dynamics import TWOBODY_STATE_NAMES, generate_twobody_dataset, write_csv
+from kooplift.cli import RunConfig, _evaluation_sets, main
+from kooplift.dynamics import (
+    TWOBODY_STATE_NAMES,
+    generate_pendulum_dataset,
+    generate_twobody_dataset,
+    write_csv,
+)
 from kooplift.kan import SplineGrid, kan_init
 from kooplift.koopman import KoopmanModel, load_model, rollout, save_model
 from kooplift.mlp import mlp_init
@@ -336,6 +341,53 @@ def test_twobody_evaluate_matches_sets_evaluated_alone(twobody_cfg, tmp_path, se
         assert files == read_bytes_sorted(ref / name)
 
 
+def assert_same_trajectories(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.float64(a.dt).tobytes() == np.float64(b.dt).tobytes()
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.controls.tobytes() == b.controls.tobytes()
+
+
+def test_pendulum_preset_evaluation_set_is_the_generated_dataset(tmp_path):
+    cfg = RunConfig.load(PRESET_DIR / "pendulum_kan.json")
+    [(trajs, dest)] = _evaluation_sets(cfg, 900, tmp_path)
+    assert dest == tmp_path / "eval"
+    assert_same_trajectories(trajs, generate_pendulum_dataset(5, 900))
+
+
+def test_twobody_preset_evaluation_sets_are_the_generated_datasets(tmp_path):
+    cfg = RunConfig.load(PRESET_DIR / "twobody_kan.json")
+    (held_out, dest), (band, band_dest) = _evaluation_sets(cfg, 901, tmp_path)
+    assert (dest, band_dest) == (tmp_path / "eval", tmp_path / "eval_extrapolation")
+    assert_same_trajectories(held_out, generate_twobody_dataset(3, 901))
+    assert_same_trajectories(band, generate_twobody_dataset(3, 902, 800, (11378.0, 12500.0)))
+
+
+def test_twobody_compare_with_a_band_reports_the_held_out_set(twobody_cfg, tmp_path):
+    # compare rolls out only the held-out set, and its report keeps its keys;
+    # each model's error is evaluate's headline on the same seed.
+    out = tmp_path / "run"
+    for command in ("generate", "train", "evaluate"):
+        assert main([command, "--config", twobody_cfg, "--out", str(out)]) == 0
+    doc = json.loads(Path(twobody_cfg).read_text())
+    doc["compare"] = {"model_a": str(out / "model.json"), "model_b": str(out / "model.json")}
+    cfg = write_config(tmp_path / "cmp.json", doc)
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "compare" / "compare.json").read_text())
+    assert sorted(report) == ["a_over_b_error_ratio", "eval_seed", "models", "system"]
+    assert sorted(p.name for p in (out / "compare").iterdir()) == [
+        "compare.json", "eval_model_a", "eval_model_b"]
+    metrics = json.loads((out / "eval" / "metrics.json").read_text())
+    for row in report["models"]:
+        assert sorted(row) == ["kind", "label", "lifted_size", "max_abs_error", "n_params",
+                               "path", "train_wall_time_s"]
+        assert row["max_abs_error"] == metrics["max_abs_position_error"]
+        assert read_bytes_sorted(out / "compare" / f"eval_{row['label']}") == {
+            name: data for name, data in read_bytes_sorted(out / "eval").items()
+            if name != "metrics.json"}
+
+
 def test_compare_same_model_gives_unit_ratio(pendulum_cfg, tmp_path):
     out = tmp_path / "run"
     main(["generate", "--config", pendulum_cfg, "--out", str(out)])
@@ -570,6 +622,51 @@ def test_compare_bad_summary_exits_1(pendulum_cfg, tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {summary}: not a JSON object (")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.pop("files"),
+    lambda m: [m],
+    lambda m: "{bad",
+    lambda m: m["files"][0].update(dt=-1),
+    lambda m: m.update(files=[]),
+    lambda m: m["files"][1].update(dt=float("nan")),
+    lambda m: m["files"][0].update(name=3),
+    lambda m: m["files"][1].update(n_samples="201"),
+    lambda m: m.update(state_names=2),
+    lambda m: m["files"].__setitem__(0, "traj_0000.csv"),
+], ids=["no-files", "list", "truncated", "dt-negative", "files-empty", "dt-nan", "name-int",
+        "n_samples-str", "state_names-int", "entry-str"])
+def test_malformed_manifest_exits_1(pendulum_cfg, tmp_path, capsys, edit):
+    # edit changes the manifest in place or returns what replaces it.
+    out = tmp_path / "run"
+    assert main(["generate", "--config", pendulum_cfg, "--out", str(out)]) == 0
+    path = out / "dataset" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    new = edit(manifest)
+    path.write_text(new if isinstance(new, str) else json.dumps(manifest if new is None else new))
+    capsys.readouterr()
+    assert main(["train", "--config", pendulum_cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("preset, section, key", [
+    ("pendulum_kan.json", "dataset", "n_ic"),
+    ("twobody_kan.json", "dataset", "points_per_orbit"),
+])
+def test_size_too_large_to_allocate_exits_1(tmp_path, capsys, preset, section, key):
+    # numpy refuses these arrays (146 TiB and 8.5 PiB) before allocating them.
+    doc = json.loads((PRESET_DIR / preset).read_text())
+    doc[section][key] = 10**13
+    cfg = write_config(tmp_path / "huge.json", doc)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip("\n").endswith(f"(in {cfg})")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("n_ic", [0, -2, 1.5, "3"])

@@ -23,10 +23,12 @@ from kooplift.dynamics import (
     generate_twobody_dataset,
     load_dataset,
     pendulum_deriv,
+    pendulum_initial_states,
     rk4_step,
     save_dataset,
     simulate,
     twobody_deriv,
+    twobody_initial_states,
 )
 
 
@@ -167,6 +169,42 @@ def test_pendulum_dataset_prefix_stable():
     big = generate_pendulum_dataset(5, seed=7)
     for ts, tb in zip(small, big):
         assert np.array_equal(ts.states, tb.states)
+
+
+def test_pendulum_initial_states_are_the_generators_draws():
+    x0, controls, dt = pendulum_initial_states(4, seed=7, alpha=5)
+    assert x0.shape == (4, 2) and controls.shape == (200, 4, 1)
+    assert dt.tobytes() == np.full(4, PENDULUM_DT).tobytes()
+    for i, traj in enumerate(generate_pendulum_dataset(4, seed=7, alpha=5)):
+        rng = np.random.default_rng((7, i))
+        theta, theta_dot = rng.uniform(*PENDULUM_ANGLE_RANGE), rng.uniform(*PENDULUM_RATE_RANGE)
+        drawn = rng.uniform(*PENDULUM_CONTROL_RANGE, size=(200, 1))
+        assert x0[i].tolist() == [theta, theta_dot] == traj.states[0].tolist()
+        assert controls[:, i].tobytes() == drawn.tobytes() == traj.controls.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0, 201])
+def test_pendulum_initial_states_reject_alpha_beyond_the_trajectory(alpha):
+    with pytest.raises(ValueError, match=r"alpha must be in \[1, 200\]"):
+        pendulum_initial_states(2, seed=0, alpha=alpha)
+
+
+@pytest.mark.parametrize("system", ["pendulum", "twobody"])
+def test_generators_integrate_their_initial_states(system):
+    # Both draws return (x0, controls, dt) with one step per IC; the two-body
+    # controls are zero-width. simulate on a draw is the generated dataset.
+    if system == "pendulum":
+        draw, deriv = pendulum_initial_states(3, seed=5), pendulum_deriv
+        trajs = generate_pendulum_dataset(3, seed=5)
+    else:
+        draw, deriv = twobody_initial_states(3, seed=5, points_per_orbit=40), twobody_deriv
+        trajs = generate_twobody_dataset(3, seed=5, points_per_orbit=40)
+        assert draw[1].shape == (39, 3, 0)
+    assert draw[2].shape == (3,)
+    for got, want in zip(simulate(deriv, *draw).unstack(), trajs, strict=True):
+        assert type(got.dt) is type(want.dt) is float and got.dt == want.dt
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.controls.tobytes() == want.controls.tobytes()
 
 
 def test_twobody_dataset_geometry():

@@ -156,7 +156,7 @@ def test_dare_unstabilizable_raises():
     a = np.array([[2.0]])
     b = np.array([[0.0]])
     with pytest.raises(ConvergenceError):
-        solve_dare(a, b, np.array([[1.0]]), np.array([[1.0]]), max_iter=200)
+        solve_dare(a, b, np.array([[1.0]]), np.array([[1.0]]))
 
 
 # Independent oracles: scipy's Schur-based DARE and Lyapunov solvers.

@@ -183,6 +183,10 @@ class RunConfig:
             if type(value) not in (int, float) or not 0.0 < value < float("inf"):
                 raise ConfigError(f"control.{name} must be a positive finite number, "
                                   f"got {value!r}")
+        duration, dt = self.control.get("duration", 10.0), self.control.get("dt", PENDULUM_DT)
+        if round(duration / dt) < 1:  # closed_loop_sim's step count
+            raise ConfigError(f"control.duration must be a time of at least half of "
+                              f"control.dt = {dt!r}, got {duration!r}")
         x0 = self.control.get("x0")
         if "x0" in self.control and (type(x0) is not list or len(x0) != self.n_states or not all(
                 type(v) in (int, float) and abs(v) < float("inf") for v in x0)):
@@ -555,7 +559,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc} (in {args.config})", file=sys.stderr)
         return 2
     except (FileNotFoundError, ValueError, TrainingDivergedError, RolloutDivergedError,
-            InstabilityError, UncontrollableModelError) as exc:
+            InstabilityError, UncontrollableModelError, dynamics.BlowupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a size in the config too large to allocate

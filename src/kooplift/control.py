@@ -91,25 +91,30 @@ def closed_loop_sim(
     plant one RK4 step under that input. The returned Trajectory carries the
     applied control history.
 
-    plant is a callable (state, u) -> state derivative. Raises InstabilityError
-    once a state component's magnitude passes STATE_BOUND.
+    plant is a callable (state, u) -> state derivative; with a float form
+    (see dynamics.rk4_step) each step runs on Python floats. Raises ValueError
+    when duration / dt rounds to no step, and InstabilityError once a state
+    component's magnitude passes STATE_BOUND.
     """
     if duration <= 0 or dt <= 0:
         raise ValueError("duration and dt must be positive")
     n_steps = round(duration / dt)
+    if n_steps < 1:
+        raise ValueError(f"duration {duration} is under half of dt {dt}: no step to take")
     x = np.asarray(x0, dtype=float)
     states = np.empty((n_steps + 1, x.size))
     controls = np.empty((n_steps, gain.F.shape[0]))
     states[0] = x
     neg_f = -gain.F
-    for k in range(n_steps):
-        u = neg_f @ lift(model, x)
-        u = np.minimum(np.maximum(u, -u_limit), u_limit)  # np.clip's values, less overhead
-        x = rk4_step(plant, x, u, dt)
-        if np.abs(x).max() > STATE_BOUND:
-            raise InstabilityError(k, STATE_BOUND)
-        states[k + 1] = x
-        controls[k] = u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            u = neg_f @ lift(model, x)
+            u = np.minimum(np.maximum(u, -u_limit), u_limit)  # np.clip's values, less overhead
+            x = rk4_step(plant, x, u, dt)
+            if max(map(abs, x.tolist())) > STATE_BOUND:
+                raise InstabilityError(k, STATE_BOUND)
+            states[k + 1] = x
+            controls[k] = u
     return Trajectory(dt=dt, states=states, controls=controls)
 
 

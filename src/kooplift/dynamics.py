@@ -98,13 +98,21 @@ def pendulum_deriv(state, u) -> np.ndarray:
     with u of shape (..., 1).
     """
     if np.ndim(state) == 1:
-        # One state, as in the closed loop: float math, half the array cost.
-        theta, theta_dot = float(state[0]), float(state[1])
-        uval = np.asarray(u, dtype=float).ravel()[0]
-        return np.array([theta_dot, -PENDULUM_G * math.sin(theta) + uval])
+        return np.array(_pendulum_floats(np.asarray(state, dtype=float).tolist(),
+                                         np.asarray(u, dtype=float).ravel().tolist()))
     theta, theta_dot = np.asarray(state, dtype=float).T
     return np.array([theta_dot, -PENDULUM_G * np.sin(theta)
                      + np.asarray(u, dtype=float).T[0]]).T
+
+
+def _pendulum_floats(x: list, u: list) -> tuple:
+    """pendulum_deriv for one state and input as Python floats."""
+    return x[1], -PENDULUM_G * math.sin(x[0]) + u[0]
+
+
+# A field's float form, (state list, input list) -> derivative floats, lets
+# rk4_step integrate one state without an array per stage.
+pendulum_deriv.floats = _pendulum_floats
 
 
 # math.hypot and np.float_power(r, 3) round like Python floats; np.hypot
@@ -127,16 +135,35 @@ def twobody_deriv(state, u=None) -> np.ndarray:
 def rk4_step(deriv, state, u, dt) -> np.ndarray:
     """One classical Runge-Kutta 4 step with the control held over the step;
     dt is a float (checked without np.min, for speed) or, for a stack of
-    states (b, n), a column (b, 1)."""
+    states (b, n), a column (b, 1). One state with a float dt runs on Python
+    floats when deriv has a float form (deriv.floats), in the same order."""
     if (dt if isinstance(dt, float) else np.min(dt)) <= 0:
         raise ValueError("dt must be positive")
     x = np.asarray(state, dtype=float)
+    floats = getattr(deriv, "floats", None)
+    if floats is not None and x.ndim == 1 and isinstance(dt, float):
+        out = _rk4_floats(floats, x.tolist(), np.asarray(u, dtype=float).ravel().tolist(), dt)
+        return np.array(out, dtype=float)
     k1 = deriv(x, u)
     k2 = deriv(x + 0.5 * dt * k1, u)
     k3 = deriv(x + 0.5 * dt * k2, u)
     k4 = deriv(x + dt * k3, u)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(out).all():
+        raise BlowupError("non-finite state after RK4 step")
+    return out
+
+
+def _rk4_floats(floats, x: list, u: list, dt: float) -> list:
+    """rk4_step's stages on Python floats, for a float form of a field."""
+    half = 0.5 * dt
+    k1 = floats(x, u)
+    k2 = floats([a + half * k for a, k in zip(x, k1)], u)
+    k3 = floats([a + half * k for a, k in zip(x, k2)], u)
+    k4 = floats([a + dt * k for a, k in zip(x, k3)], u)
+    sixth = dt / 6.0
+    out = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
         raise BlowupError("non-finite state after RK4 step")
     return out
 
@@ -216,11 +243,11 @@ def twobody_initial_states(
         raise ValueError("points_per_orbit must be >= 2")
     if not radius_range[1] >= radius_range[0] > 0:
         raise ValueError("radius_range must be positive and ordered")
-    r = np.array([np.random.default_rng((seed, i)).uniform(*radius_range)
-                  for i in range(n_ic)])
+    x0, r = np.zeros((n_ic, 4)), np.empty(n_ic)  # a size too large fails before any draw
+    for i in range(n_ic):
+        r[i] = np.random.default_rng((seed, i)).uniform(*radius_range)
+    x0[:, 0], x0[:, 3] = r, np.sqrt(EARTH_MU / r)
     period = 2.0 * math.pi * np.sqrt(np.float_power(r, 3) / EARTH_MU)
-    zeros = np.zeros(n_ic)
-    x0 = np.column_stack([r, zeros, zeros, np.sqrt(EARTH_MU / r)])
     return x0, np.zeros((points_per_orbit - 1, n_ic, 0)), period / points_per_orbit
 
 

@@ -87,50 +87,55 @@ def _recurrence(grid: SplineGrid):
 
 @functools.cache
 def _span_terms(grid: SplineGrid):
-    """Knots as floats; per knot span, its first basis, its basis count and its
-    triangle's terms (t_j, den_left, t_j+d+1, -den_right, slot, slot), whose
-    slots index lower-degree values, 0 the structural zero and 1 the 1.0; and
-    the largest knot magnitude and smallest denominator magnitude, which bound
-    every quotient (x - t_j) / den of the recurrence."""
+    """Knots as floats; per knot span, a straight-line function of x that runs
+    the span's triangle of the recurrence and returns the point's row of
+    G + k basis values; and the largest knot magnitude and smallest
+    denominator magnitude, which bound every quotient (x - t_j) / den.
+
+    Each triangle term is (x - t_j) / den_left * lower + (x - t_j+d+1) /
+    -den_right * lower', with the knots and denominators as literals. A
+    lower-degree value off the triangle is the literal 0.0 and the span's
+    degree-0 value the literal 1.0, so the structural zeros at the edges keep
+    every sign of zero; bases off the span are +0.0, as in the blocked kernel."""
     t, dens = _recurrence(grid)
     knots = t.ravel().tolist()
     spans = []
     for s in range(len(knots) - 1):
-        slot, terms = {s: 1}, []
+        name, lines = {s: "1.0"}, []
         for d, (den_l, neg_den_r) in enumerate(dens, start=1):
-            prev, slot = slot, {}
+            prev, name = name, {}
             for j in range(max(s - d, 0), min(s, len(den_l) - 1) + 1):
-                slot[j] = len(terms) + 2
-                terms.append((knots[j], den_l[j, 0].item(), knots[j + d + 1],
-                              neg_den_r[j, 0].item(), prev.get(j, 0), prev.get(j + 1, 0)))
-        spans.append((min(slot), len(slot), terms))
+                name[j] = f"v{len(lines)}"
+                lines.append(f"    {name[j]} = (x - {knots[j]!r}) / {den_l[j, 0].item()!r} * "
+                             f"{prev.get(j, '0.0')} + (x - {knots[j + d + 1]!r}) / "
+                             f"{neg_den_r[j, 0].item()!r} * {prev.get(j + 1, '0.0')}")
+        row = ", ".join(name.get(i, "0.0") for i in range(grid.n_basis))
+        scope = {}
+        exec("def span(x):\n" + "\n".join(lines) + f"\n    return [{row}]\n", scope)
+        spans.append(scope["span"])
     dens = np.abs(np.concatenate([d for pair in dens for d in pair]))
     return knots, spans, (np.abs(t).max().item(), dens.min().item())
 
 
 def _span_basis(xs: list, grid: SplineGrid) -> np.ndarray | None:
     """_basis_tables' values for a few points, or None. A point in [t_0, t_last)
-    gets its terms in Python floats on its triangle of k + 1 bases, keeping
-    the structural zeros at the edges so every sign of zero matches; a point
+    gets its span's triangle of k + 1 bases in Python floats, keeping the
+    structural zeros at the edges so every sign of zero matches; a point
     outside gets the all-+0.0 row that the blocked kernel computes there. NaN,
     +-inf, and a point far enough out for some (x - t_j) / den to overflow
     (a NaN row in the blocked kernel) give None."""
     knots, spans, (reach, den) = _span_terms(grid)
-    rows = [0.0] * (len(xs) * grid.n_basis)
-    for i, x in enumerate(xs):
-        if not knots[0] <= x < knots[-1]:
-            # |x - t_j| <= |x| + reach and every |den| >= den: a finite bound
-            # means no quotient overflows; NaN and inf fail it too.
-            if not (abs(x) + reach) / den < np.inf:
-                return None
-            continue
-        first, n, terms = spans[bisect.bisect_right(knots, x) - 1]
-        v = [0.0, 1.0]
-        for tl, dl, tr, ndr, a, b in terms:
-            v.append((x - tl) / dl * v[a] + (x - tr) / ndr * v[b])
-        start = i * grid.n_basis + first
-        rows[start : start + n] = v[-n:]
-    return np.array(rows).reshape(len(xs), grid.n_basis)
+    rows = []
+    for x in xs:
+        if knots[0] <= x < knots[-1]:
+            rows += spans[bisect.bisect_right(knots, x) - 1](x)
+        # |x - t_j| <= |x| + reach and every |den| >= den: a finite bound
+        # means no quotient overflows; NaN and inf fail it too.
+        elif (abs(x) + reach) / den < np.inf:
+            rows += [0.0] * grid.n_basis
+        else:
+            return None
+    return np.array(rows, dtype=float).reshape(len(xs), grid.n_basis)
 
 
 def _basis_tables(x: np.ndarray, grid: SplineGrid, deriv: bool = True):
@@ -183,13 +188,29 @@ class KanLayer:
 
 @dataclass
 class KanNetwork(FlatParams):
+    """Layers of edges on one spline grid. Parameters change only through
+    set_params (or before the first forward), because forward reuses per-layer
+    products of them that set_params drops."""
+
     kind = "kan"
     shape: list[int]
     grid: SplineGrid
     layers: list[KanLayer] = field(default_factory=list)
+    _weights: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def param_arrays(self) -> list[np.ndarray]:
         return [arr for la in self.layers for arr in (la.coeffs, la.w_base, la.w_spline)]
+
+    def set_params(self, flat: np.ndarray) -> None:
+        super().set_params(flat)
+        self._weights = None
+
+    def layer_weights(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per layer, w_spline[:, :, None] * coeffs and w_base.T; built on first use."""
+        if self._weights is None:
+            self._weights = [(la.w_spline[:, :, None] * la.coeffs, la.w_base.T)
+                             for la in self.layers]
+        return self._weights
 
     # The methods call the module functions by name at call time, so a
     # wrapper installed on them (benchmarks/tracing.py) sees every call.
@@ -264,18 +285,23 @@ def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
         a = a[None, :]
     if a.shape[1] != net.shape[0]:
         raise ValueError(f"input width {a.shape[1]} != network input {net.shape[0]}")
-    for li, layer in enumerate(net.layers):
+    grid = net.grid
+    for li, (eff, base_t) in enumerate(net.layer_weights()):
         m, n_in = a.shape
+        b = db = None
         if li == 0 and basis is not None:
-            (b, silu_a), db = basis, None
+            b, silu_a = basis
         else:
-            b, db = _basis_tables(a.ravel(), net.grid, deriv=tape is not None and li > 0)
-            b = b.reshape(m, n_in, net.grid.n_basis)
+            if tape is None and a.size <= _SPAN_POINTS:
+                b = _span_basis(a.ravel().tolist(), grid)
+            if b is None:
+                b, db = _basis_tables(a.ravel(), grid, deriv=tape is not None and li > 0)
+            b = b.reshape(m, n_in, grid.n_basis)
             if db is not None:
-                db = db.reshape(m, n_in, net.grid.n_basis)
-            silu_a = silu(a)
-        eff = layer.w_spline[:, :, None] * layer.coeffs
-        out = silu_a @ layer.w_base.T + np.einsum("mig,jig->mj", b, eff)
+                db = db.reshape(m, n_in, grid.n_basis)
+            half = 0.5 * a  # silu(a), without its asarray
+            silu_a = half * (1.0 + np.tanh(half))
+        out = silu_a @ base_t + np.einsum("mig,jig->mj", b, eff)
         if tape is not None:
             tape.append((a, b, db, silu_a))
         a = out
@@ -300,7 +326,6 @@ def kan_backward(net: KanNetwork, upstream, tape):
         d_w_base = u.T @ silu_a
         parts[li] = [d_coeffs.ravel(), d_w_base.ravel(), d_w_spline.ravel()]
         if li > 0:
-            eff = layer.w_spline[:, :, None] * layer.coeffs
-            spline_part = np.einsum("mj,jig->mig", u, eff)
+            spline_part = np.einsum("mj,jig->mig", u, net.layer_weights()[li][0])
             u = (u @ layer.w_base) * silu_deriv(a) + np.sum(spline_part * dbasis, axis=2)
     return np.concatenate([seg for layer_parts in parts for seg in layer_parts])

@@ -497,23 +497,27 @@ def rollout(model: KoopmanModel, x0, controls, dt, correct: bool = True) -> Traj
     controls = np.asarray(controls, dtype=float)
     if controls.ndim == x0.ndim:
         controls = controls[..., None]
-    n_steps = controls.shape[0]
+    n_steps, n = controls.shape[0], model.n
     states = np.empty((n_steps + 1,) + x0.shape)
     states[0] = x0
-    k_t, b_t = model.K.T, model.B.T
-    has_input = model.B.shape[1] > 0
+    k_t = model.K.T
+    # Every step's forcing in one call; each row rounds like its own product.
+    forcing = _row_products(controls, model.B.T) if model.B.shape[1] else None
     with np.errstate(over="ignore", invalid="ignore"):
         x = x0
         for k in range(n_steps):
             if correct or not k:
                 z = lift(model, x)
             z = _row_products(z, k_t)
-            if has_input:
-                z = z + _row_products(controls[k], b_t)
-            x = z[..., : model.n]
-            if not np.isfinite(x if correct else z).all():
+            if forcing is not None:
+                z = z + forcing[k]
+            # Lifted mode never stores z's network rows, so it checks them here.
+            if not correct and not np.isfinite(z).all():
                 raise RolloutDivergedError(k)
-            states[k + 1] = x
+            x = states[k + 1] = z[..., :n]
+    bad = np.flatnonzero(~np.isfinite(states[1:].reshape(n_steps, x0.size)).all(axis=1))
+    if bad.size:
+        raise RolloutDivergedError(int(bad[0]))
     return Trajectory(dt=dt, states=states, controls=controls)
 
 

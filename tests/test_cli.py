@@ -224,6 +224,34 @@ def test_control_unstabilizable_model_exits_1(pendulum_cfg, tmp_path, capsys):
     assert not (out / "control").exists()
 
 
+@pytest.mark.parametrize("coupling, line", [
+    (0.1, "error: closed-loop state exceeded |x| = 1000000.0 at step 0"),
+    (0.0, "error: non-finite state after RK4 step"),
+], ids=["state-bound", "non-finite"])
+def test_control_from_an_overflowing_state_prints_one_line(pendulum_cfg, tmp_path,
+                                                           coupling, line):
+    # From x0 = 1e308 the lift overflows. With the lifted coordinate coupled
+    # into the state, the gain weighs it and the input saturates; without,
+    # its gain is 0 and 0 * inf makes the input NaN. A separate interpreter,
+    # so that numpy's overflow warnings would reach stderr.
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    doc["control"]["x0"] = [1e308, 0.0]
+    cfg = write_config(tmp_path / "huge_x0.json", doc)
+    out = tmp_path / "run"
+    out.mkdir()
+    net = kan_init([2, 1], SplineGrid(), seed=0)
+    net.layers[0].w_base[...] = 2.0
+    k = np.array([[0.5, 0.0, coupling], [0.0, 0.5, coupling], [0.0, 0.0, 0.5]])
+    save_model(KoopmanModel(network=net, K=k, B=np.ones((3, 1)), n=2, n_total=3),
+               out / "model.json")
+    src = str(Path(kooplift.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "kooplift", "control", "--config", cfg,
+                           "--out", str(out)], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line + "\n")
+    assert not (out / "control").exists()
+
+
 @pytest.mark.parametrize("points, alpha", [(10, 15), (10, 10)])
 def test_twobody_alpha_not_below_points_per_orbit_exits_2(twobody_cfg, tmp_path, capsys,
                                                            points, alpha):
@@ -656,9 +684,11 @@ def test_malformed_manifest_exits_1(pendulum_cfg, tmp_path, capsys, edit):
 @pytest.mark.parametrize("preset, section, key", [
     ("pendulum_kan.json", "dataset", "n_ic"),
     ("twobody_kan.json", "dataset", "points_per_orbit"),
+    ("twobody_kan.json", "dataset", "n_ic"),
 ])
 def test_size_too_large_to_allocate_exits_1(tmp_path, capsys, preset, section, key):
-    # numpy refuses these arrays (146 TiB and 8.5 PiB) before allocating them.
+    # numpy refuses these arrays (146 TiB, 8.5 PiB and 291 TiB) before
+    # allocating them, and before any per-IC draw.
     doc = json.loads((PRESET_DIR / preset).read_text())
     doc[section][key] = 10**13
     cfg = write_config(tmp_path / "huge.json", doc)
@@ -734,6 +764,7 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     ("evaluate", "evaluation.radius_range", [1, 2]),
     ("evaluate", "evaluation.extrapolation", {"n_ic": 4, "radius_range": [1, 2]}),
     ("generate", "dataset.points_per_orbit", 7),
+    ("control", "control.duration", 0.001),
 ], ids=["n_observables-str", "hidden_layers-float", "neurons-zero", "dataset-seed-str",
         "train-seed-negative", "evaluation-seed-float", "dt-zero", "duration-nan",
         "n_ic-bool", "alpha-float", "epochs-bool", "epochs-negative", "lbfgs_max_iter-zero",
@@ -747,7 +778,8 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
         "extrapolation-radius_range-short", "extrapolation-radius_range-long",
         "grid-intervals-float", "grid-order-bool", "model_path-int", "dataset-path-int",
         "compare-model_a-int", "compare-model_b-list", "out_dir-bool",
-        "pendulum-radius_range", "pendulum-extrapolation", "pendulum-points_per_orbit"])
+        "pendulum-radius_range", "pendulum-extrapolation", "pendulum-points_per_orbit",
+        "duration-under-half-dt"])
 def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, value):
     doc = json.loads(Path(pendulum_cfg).read_text())
     *sections, name = key.split(".")

@@ -13,7 +13,8 @@ from kooplift.control import (
     settling_time,
     spectral_radius,
 )
-from kooplift.dynamics import Trajectory
+from kooplift.dynamics import Trajectory, pendulum_deriv
+from kooplift.kan import SplineGrid, kan_init
 from kooplift.koopman import KoopmanModel, build_snapshots, fit_edmdc, lift
 from kooplift.mlp import mlp_init
 
@@ -141,6 +142,30 @@ def test_closed_loop_saturates_at_u_limit():
                            u_limit=0.3)
     # every applied |u| is at most 0.3, and the bound is reached
     assert np.max(np.abs(traj.controls)) == 0.3
+
+
+def test_closed_loop_float_plant_steps_equal_array_steps():
+    # pendulum_deriv has a float form; the wrapper has none, so its RK4 steps
+    # run on arrays. Both loops must agree bit for bit.
+    model = KoopmanModel(network=kan_init([2, 1], SplineGrid(), seed=0), K=np.eye(3),
+                         B=np.ones((3, 1)), n=2, n_total=3)
+    gain = LqrGain(F=np.array([[2.0, 0.8, 0.3]]))
+    for x0 in ([1.0, 0.0], [-2.5, 3.0], [0.0, -0.0]):
+        fast = closed_loop_sim(model, gain, pendulum_deriv, x0, duration=3.0, dt=0.01,
+                               u_limit=1.5)
+        slow = closed_loop_sim(model, gain, lambda x, u: pendulum_deriv(x, u), x0,
+                               duration=3.0, dt=0.01, u_limit=1.5)
+        assert fast.states.tobytes() == slow.states.tobytes()
+        assert fast.controls.tobytes() == slow.controls.tobytes()
+
+
+def test_closed_loop_needs_one_step():
+    model, plant, dt = _linear_plant_model()
+    gain = LqrGain(F=np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="no step"):
+        closed_loop_sim(model, gain, plant, [1.0, 0.0], duration=0.004, dt=0.01)
+    assert closed_loop_sim(model, gain, plant, [1.0, 0.0], duration=0.006,
+                           dt=0.01).states.shape == (2, 2)
 
 
 def test_settling_time():

@@ -13,10 +13,12 @@ from kooplift.dynamics import (
     PENDULUM_CONTROL_NAMES,
     PENDULUM_CONTROL_RANGE,
     PENDULUM_DT,
+    PENDULUM_G,
     PENDULUM_RATE_RANGE,
     PENDULUM_STATE_NAMES,
     TWOBODY_RADIUS_RANGE,
     TWOBODY_STATE_NAMES,
+    BlowupError,
     SingularityError,
     Trajectory,
     generate_pendulum_dataset,
@@ -363,6 +365,33 @@ def test_rk4_step_with_a_dt_column_equals_per_row_steps():
         assert np.array_equal(row, rk4_step(twobody_deriv, x, None, float(dt)))
     with pytest.raises(ValueError):
         rk4_step(twobody_deriv, states, None, np.array([[5.0], [0.0]]))
+
+
+def _one_state_pendulum(state, u):
+    """pendulum_deriv's one-state field returning an array, with no float form,
+    so rk4_step runs its array stages on it."""
+    theta, theta_dot = float(state[0]), float(state[1])
+    return np.array([theta_dot, -PENDULUM_G * math.sin(theta)
+                     + np.asarray(u, dtype=float).ravel()[0]])
+
+
+def test_float_rk4_step_bit_identical_to_array_step():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-5.0, 5.0),
+           st.floats(1e-4, 0.1))
+    def check(theta, theta_dot, u, dt):
+        x = np.array([theta, theta_dot])
+        want = rk4_step(_one_state_pendulum, x, np.array([u]), dt)
+        for control in (np.array([u]), u, [u]):
+            got = rk4_step(pendulum_deriv, x, control, dt)
+            assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+
+    check()
+    with pytest.raises(BlowupError):
+        rk4_step(pendulum_deriv, [0.0, 1e308], 1e308, 0.1)
 
 
 def test_simulate_stack_is_time_major_and_unstacks():

@@ -544,3 +544,20 @@ def test_json_roundtrip_exact():
     assert np.array_equal(back.get_params(), net.get_params())
     x = np.array([0.3, -0.9])
     assert np.array_equal(kan_forward(back, x), kan_forward(net, x))
+
+
+@pytest.mark.parametrize("shape", [[2, 1], [2, 3, 2]])
+def test_forward_after_set_params_equals_a_fresh_network(shape):
+    # The forward pass reuses per-layer products of the parameters; set_params
+    # must drop them, so a network that ran before equals one loaded with v.
+    net = kan_init(shape, GRID, seed=5)
+    one, batch = np.array([0.4, -1.3]), np.random.default_rng(5).uniform(-4, 4, (7, 2))
+    for scale in (1.0, 0.5, -2.0):
+        kan_forward(net, one)
+        kan_forward(net, batch)
+        v = net.get_params() * scale + 0.01
+        net.set_params(v)
+        fresh = KanNetwork.from_dict(json.loads(json.dumps(net.to_dict())))
+        assert fresh.get_params().tobytes() == v.tobytes()
+        for x in (one, batch):
+            assert kan_forward(net, x).tobytes() == kan_forward(fresh, x).tobytes()

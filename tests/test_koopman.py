@@ -627,6 +627,72 @@ def test_batched_rollout_keeps_per_ic_dt():
         assert np.max(np.abs(pred.states - one.states)) <= 1e-12 * np.max(np.abs(one.states))
 
 
+def per_step_rollout(model, x0, controls, correct):
+    """rollout's stepping loop with a control product and a finiteness check
+    at every step, used as an oracle: the states it returns, or the
+    RolloutDivergedError it raises."""
+    x0 = np.asarray(x0, dtype=float)
+    controls = np.asarray(controls, dtype=float)
+    states = np.empty((controls.shape[0] + 1,) + x0.shape)
+    states[0] = x0
+    k_t, b_t = model.K.T, model.B.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x0
+        for k in range(controls.shape[0]):
+            if correct or not k:
+                z = lift(model, x)
+            z = koopman._row_products(z, k_t)
+            if model.B.shape[1] > 0:
+                z = z + koopman._row_products(controls[k], b_t)
+            x = z[..., : model.n]
+            if not np.isfinite(x if correct else z).all():
+                raise RolloutDivergedError(k)
+            states[k + 1] = x
+    return states
+
+
+def synthetic_model(kind, p, scale=0.45, seed=0):
+    """An untrained [2, 2] network with random (K, B) and p inputs."""
+    net = kan_init([2, 2], GRID, seed=seed) if kind == "kan" else mlp_init([2, 2], seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    return KoopmanModel(network=net, K=scale * rng.standard_normal((4, 4)),
+                        B=rng.standard_normal((4, p)), n=2, n_total=4)
+
+
+ROLLOUT_STARTS = {"one": (2,), "row": (1, 2), "batch": (3, 2)}
+
+
+@pytest.mark.parametrize("correct", [True, False], ids=["corrected", "lifted"])
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("start", sorted(ROLLOUT_STARTS))
+@pytest.mark.parametrize("kind", ["kan", "mlp"])
+def test_rollout_bit_identical_to_per_step_loop(kind, start, p, correct):
+    model = synthetic_model(kind, p)
+    rng = np.random.default_rng(p)
+    x0 = rng.uniform(-2.0, 2.0, size=ROLLOUT_STARTS[start])
+    controls = rng.uniform(-1.0, 1.0, size=(40,) + x0.shape[:-1] + (p,))
+    got = rollout(model, x0, controls, 0.01, correct=correct)
+    assert got.states.tobytes() == per_step_rollout(model, x0, controls, correct).tobytes()
+    assert got.states.shape == (41,) + x0.shape
+
+
+@pytest.mark.parametrize("correct", [True, False], ids=["corrected", "lifted"])
+@pytest.mark.parametrize("start", sorted(ROLLOUT_STARTS))
+@pytest.mark.parametrize("kind", ["kan", "mlp"])
+def test_rollout_diverges_at_the_per_step_loops_step(kind, start, correct):
+    # K's growth of about 1e60 a step overflows within a few steps. The MLP's
+    # observables are linear, so the batch's rows, started at different
+    # sizes, diverge at different steps; the first one counts.
+    model = synthetic_model(kind, 1, scale=1e60)
+    x0 = np.resize([1e-290, 0.0, 1e-150, 2e-150, 1.0, -0.5], ROLLOUT_STARTS[start])
+    controls = np.zeros((30,) + x0.shape[:-1] + (1,))
+    with pytest.raises(RolloutDivergedError) as want:
+        per_step_rollout(model, x0, controls, correct)
+    with pytest.raises(RolloutDivergedError) as got:
+        rollout(model, x0, controls, 0.01, correct=correct)
+    assert 0 < got.value.step == want.value.step
+
+
 def test_model_roundtrip(tmp_path):
     trajs = generate_pendulum_dataset(2, seed=8)
     cfg = TrainConfig(alpha=2, epochs=1, optimizer="lbfgs", seed=3, lbfgs_max_iter=3)

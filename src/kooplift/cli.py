@@ -201,6 +201,8 @@ class RunConfig:
         if self.system == "twobody" and alpha >= self.points_per_orbit:
             raise ConfigError(f"train.alpha must be a positive integer below "
                               f"dataset.points_per_orbit = {self.points_per_orbit}, got {alpha}")
+        if self.system == "pendulum" and alpha > dynamics.PENDULUM_STEPS:
+            raise ConfigError(f"train.alpha must be in [1, {dynamics.PENDULUM_STEPS}]")
 
     def _section(self, name: str):
         """The section at a dotted name; an absent or empty subsection reads as {}."""
@@ -254,10 +256,7 @@ def _from_section(cfg: RunConfig, make, seed: int, doc: dict, role: str):
     if cfg.system == "twobody":
         lo, hi = doc.get("radius_range") or dynamics.TWOBODY_RADIUS_RANGE
         return make(n_ic, seed, cfg.points_per_orbit, (float(lo), float(hi)))
-    try:
-        return make(n_ic, seed, cfg.train.get("alpha", 25))
-    except ValueError as exc:  # n_ic is checked at load, so this is train.alpha
-        raise ConfigError(f"train.{exc}") from None
+    return make(n_ic, seed, cfg.train_config.alpha)
 
 
 def _evaluation_sets(cfg: RunConfig, seed: int, out_dir: Path) -> list:

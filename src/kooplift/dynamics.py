@@ -18,6 +18,7 @@ import numpy as np
 
 PENDULUM_DT = 0.01
 PENDULUM_DURATION = 2.0
+PENDULUM_STEPS = round(PENDULUM_DURATION / PENDULUM_DT)  # per trajectory
 PENDULUM_ANGLE_RANGE = (-2.0, 2.0)
 PENDULUM_RATE_RANGE = (-2.0, 2.0)
 PENDULUM_CONTROL_RANGE = (-0.1, 0.1)
@@ -205,15 +206,14 @@ def pendulum_initial_states(
     """
     if n_ic < 1:
         raise ValueError("n_ic must be >= 1")
-    n_steps = round(PENDULUM_DURATION / PENDULUM_DT)
-    if not 1 <= alpha < n_steps + 1:
-        raise ValueError(f"alpha must be in [1, {n_steps}]")
+    if not 1 <= alpha < PENDULUM_STEPS + 1:
+        raise ValueError(f"alpha must be in [1, {PENDULUM_STEPS}]")
     x0 = np.empty((n_ic, 2))
-    controls = np.empty((n_steps, n_ic, 1))
+    controls = np.empty((PENDULUM_STEPS, n_ic, 1))
     for i in range(n_ic):
         rng = np.random.default_rng((seed, i))
         x0[i] = rng.uniform(*PENDULUM_ANGLE_RANGE), rng.uniform(*PENDULUM_RATE_RANGE)
-        controls[:, i] = rng.uniform(*PENDULUM_CONTROL_RANGE, size=(n_steps, 1))
+        controls[:, i] = rng.uniform(*PENDULUM_CONTROL_RANGE, size=(PENDULUM_STEPS, 1))
     return x0, controls, np.full(n_ic, PENDULUM_DT)
 
 
@@ -323,8 +323,8 @@ def load_dataset(in_dir) -> list[Trajectory]:
     files are lists, with at least one file entry, each holding a string name,
     a positive finite dt and an integer n_samples. Every CSV is checked
     against it: n_samples rows after the header, 1 + n_state + n_ctrl cells
-    per row, numbers in every cell but the last row's control cells, which
-    are empty. A mismatch raises a ValueError naming the file.
+    per row, finite numbers in every cell but the last row's control cells,
+    which are empty. A mismatch raises a ValueError naming the file.
     """
     in_dir = Path(in_dir)
     manifest_path = in_dir / "manifest.json"
@@ -367,6 +367,9 @@ def load_dataset(in_dir) -> list[Trajectory]:
             table = np.array(",".join(body).split(","), dtype=float).reshape(-1, width)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        finite = np.isfinite(table).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{path}: row {finite.argmin() + 1} holds a non-finite number")
         # Copies, not views: strided views raised the 500-IC training peak by 6 MB.
         states, controls = table[:, 1 : 1 + n_state].copy(), table[:-1, 1 + n_state :].copy()
         out.append(Trajectory(dt=float(entry["dt"]), states=states, controls=controls))

@@ -59,6 +59,48 @@ class SplineGrid:
         g, k = self.intervals, self.order
         return self.lo + self.step * np.arange(-k, g + k + 1)
 
+    # The two tables below are built on first use and kept in the instance
+    # dict, which the fields-only __eq__ and __hash__ never read.
+    @functools.cached_property
+    def recurrence(self):
+        """Knots, and per degree d the Cox-de Boor denominators t[i+d] - t[i]
+        and, negated, t[i+d+1] - t[i+1], as columns. Callers never write."""
+        t = self.knots()[:, None]
+        return t, [(t[d:-1] - t[: -d - 1], t[1:-d] - t[d + 1 :])
+                   for d in range(1, self.order + 1)]
+
+    @functools.cached_property
+    def span_terms(self):
+        """Knots as floats; per knot span, a straight-line function of x that
+        runs the span's triangle of the recurrence and returns the point's row
+        of G + k basis values; and the largest knot magnitude and smallest
+        denominator magnitude, which bound every quotient (x - t_j) / den.
+
+        Each triangle term is (x - t_j) / den_left * lower + (x - t_j+d+1) /
+        -den_right * lower', with the knots and denominators as literals. A
+        lower-degree value off the triangle is the literal 0.0 and the span's
+        degree-0 value the literal 1.0, so the structural zeros at the edges
+        keep every sign of zero; bases off the span are +0.0, as in the
+        blocked kernel."""
+        t, dens = self.recurrence
+        knots = t.ravel().tolist()
+        spans = []
+        for s in range(len(knots) - 1):
+            name, lines = {s: "1.0"}, []
+            for d, (den_l, neg_den_r) in enumerate(dens, start=1):
+                prev, name = name, {}
+                for j in range(max(s - d, 0), min(s, len(den_l) - 1) + 1):
+                    name[j] = f"v{len(lines)}"
+                    lines.append(f"    {name[j]} = (x - {knots[j]!r}) / {den_l[j, 0].item()!r} * "
+                                 f"{prev.get(j, '0.0')} + (x - {knots[j + d + 1]!r}) / "
+                                 f"{neg_den_r[j, 0].item()!r} * {prev.get(j + 1, '0.0')}")
+            row = ", ".join(name.get(i, "0.0") for i in range(self.n_basis))
+            scope = {}
+            exec("def span(x):\n" + "\n".join(lines) + f"\n    return [{row}]\n", scope)
+            spans.append(scope["span"])
+        dens = np.abs(np.concatenate([d for pair in dens for d in pair]))
+        return knots, spans, (np.abs(t).max().item(), dens.min().item())
+
 
 def silu(x):
     """x * sigmoid(x), evaluated through tanh for overflow safety."""
@@ -76,47 +118,6 @@ _BLOCK = 4096  # points per _basis_tables block: its tables (~0.5 MB) fit in L2
 _SPAN_POINTS = 8  # values-only calls of up to this many points take the span-local path
 
 
-@functools.cache
-def _recurrence(grid: SplineGrid):
-    """Knots, and per degree d the Cox-de Boor denominators t[i+d] - t[i]
-    and, negated, t[i+d+1] - t[i+1], as columns. Cached; callers never write."""
-    t = grid.knots()[:, None]
-    return t, [(t[d:-1] - t[: -d - 1], t[1:-d] - t[d + 1 :])
-               for d in range(1, grid.order + 1)]
-
-
-@functools.cache
-def _span_terms(grid: SplineGrid):
-    """Knots as floats; per knot span, a straight-line function of x that runs
-    the span's triangle of the recurrence and returns the point's row of
-    G + k basis values; and the largest knot magnitude and smallest
-    denominator magnitude, which bound every quotient (x - t_j) / den.
-
-    Each triangle term is (x - t_j) / den_left * lower + (x - t_j+d+1) /
-    -den_right * lower', with the knots and denominators as literals. A
-    lower-degree value off the triangle is the literal 0.0 and the span's
-    degree-0 value the literal 1.0, so the structural zeros at the edges keep
-    every sign of zero; bases off the span are +0.0, as in the blocked kernel."""
-    t, dens = _recurrence(grid)
-    knots = t.ravel().tolist()
-    spans = []
-    for s in range(len(knots) - 1):
-        name, lines = {s: "1.0"}, []
-        for d, (den_l, neg_den_r) in enumerate(dens, start=1):
-            prev, name = name, {}
-            for j in range(max(s - d, 0), min(s, len(den_l) - 1) + 1):
-                name[j] = f"v{len(lines)}"
-                lines.append(f"    {name[j]} = (x - {knots[j]!r}) / {den_l[j, 0].item()!r} * "
-                             f"{prev.get(j, '0.0')} + (x - {knots[j + d + 1]!r}) / "
-                             f"{neg_den_r[j, 0].item()!r} * {prev.get(j + 1, '0.0')}")
-        row = ", ".join(name.get(i, "0.0") for i in range(grid.n_basis))
-        scope = {}
-        exec("def span(x):\n" + "\n".join(lines) + f"\n    return [{row}]\n", scope)
-        spans.append(scope["span"])
-    dens = np.abs(np.concatenate([d for pair in dens for d in pair]))
-    return knots, spans, (np.abs(t).max().item(), dens.min().item())
-
-
 def _span_basis(xs: list, grid: SplineGrid) -> np.ndarray | None:
     """_basis_tables' values for a few points, or None. A point in [t_0, t_last)
     gets its span's triangle of k + 1 bases in Python floats, keeping the
@@ -124,7 +125,7 @@ def _span_basis(xs: list, grid: SplineGrid) -> np.ndarray | None:
     outside gets the all-+0.0 row that the blocked kernel computes there. NaN,
     +-inf, and a point far enough out for some (x - t_j) / den to overflow
     (a NaN row in the blocked kernel) give None."""
-    knots, spans, (reach, den) = _span_terms(grid)
+    knots, spans, (reach, den) = grid.span_terms
     rows = []
     for x in xs:
         if knots[0] <= x < knots[-1]:
@@ -147,14 +148,10 @@ def _basis_tables(x: np.ndarray, grid: SplineGrid, deriv: bool = True):
     contiguous row slice; uniform knots keep every denominator positive
     so no zero-guard is needed. Every term is a quotient of diff = x - t;
     the right term (t - x) / den is taken as diff / -den, which is the
-    same float because negation is exact. Few-point values go to _span_basis.
+    same float because negation is exact.
     """
     x = np.asarray(x, dtype=float).ravel()
-    if not deriv and 0 < x.size <= _SPAN_POINTS:
-        basis = _span_basis(x.tolist(), grid)
-        if basis is not None:
-            return basis, None
-    t, dens = _recurrence(grid)
+    t, dens = grid.recurrence
     basis = np.empty((x.size, grid.n_basis))
     dbasis = np.empty_like(basis) if deriv else None
     for start in range(0, x.size, _BLOCK):
@@ -171,6 +168,20 @@ def _basis_tables(x: np.ndarray, grid: SplineGrid, deriv: bool = True):
         if deriv:
             dbasis[rows] = ((prev[:-1] - prev[1:]) / grid.step).T
     return basis, dbasis
+
+
+def layer_basis(a: np.ndarray, grid: SplineGrid, deriv: bool = False):
+    """(basis, deriv or None, silu(a)) for a layer input a of shape (m, n_in),
+    the tables of shape (m, n_in, G + k). Values-only calls of at most
+    _SPAN_POINTS points take _span_basis, the rest, and the points it
+    refuses, the blocked kernel."""
+    shape = a.shape + (grid.n_basis,)
+    basis = dbasis = None
+    if not deriv and a.size <= _SPAN_POINTS:
+        basis = _span_basis(a.ravel().tolist(), grid)
+    if basis is None:
+        basis, dbasis = _basis_tables(a, grid, deriv)
+    return basis.reshape(shape), dbasis.reshape(shape) if deriv else None, silu(a)
 
 
 @dataclass
@@ -264,20 +275,13 @@ def kan_init(shape, grid: SplineGrid, seed: int) -> KanNetwork:
     return KanNetwork(shape=shape, grid=grid, layers=layers)
 
 
-def first_layer_basis(net: KanNetwork, x) -> tuple[np.ndarray, np.ndarray]:
-    """The first layer's basis table and silu for a batch x, for kan_forward(basis=)."""
-    a = np.asarray(x, dtype=float)
-    basis, _ = _basis_tables(a.ravel(), net.grid, deriv=False)
-    return basis.reshape(-1, a.shape[-1], net.grid.n_basis), silu(a.reshape(-1, a.shape[-1]))
-
-
 def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
     """Evaluate the network; accepts one state (1-D) or a batch (2-D).
 
     A tape list, when given, receives (input, basis, deriv, silu(input))
     per layer for kan_backward; the first layer's deriv is None. basis,
-    when given, is first_layer_basis(net, x): the first layer's basis table
-    and silu, which stay fixed while the parameters change.
+    when given, is layer_basis(x, net.grid) for a batch x: the first
+    layer's tables and silu, which stay fixed while the parameters change.
     """
     a = np.asarray(x, dtype=float)
     squeeze = a.ndim == 1
@@ -285,22 +289,11 @@ def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
         a = a[None, :]
     if a.shape[1] != net.shape[0]:
         raise ValueError(f"input width {a.shape[1]} != network input {net.shape[0]}")
-    grid = net.grid
     for li, (eff, base_t) in enumerate(net.layer_weights()):
-        m, n_in = a.shape
-        b = db = None
         if li == 0 and basis is not None:
-            b, silu_a = basis
+            b, db, silu_a = basis
         else:
-            if tape is None and a.size <= _SPAN_POINTS:
-                b = _span_basis(a.ravel().tolist(), grid)
-            if b is None:
-                b, db = _basis_tables(a.ravel(), grid, deriv=tape is not None and li > 0)
-            b = b.reshape(m, n_in, grid.n_basis)
-            if db is not None:
-                db = db.reshape(m, n_in, grid.n_basis)
-            half = 0.5 * a  # silu(a), without its asarray
-            silu_a = half * (1.0 + np.tanh(half))
+            b, db, silu_a = layer_basis(a, net.grid, deriv=tape is not None and li > 0)
         out = silu_a @ base_t + np.einsum("mig,jig->mj", b, eff)
         if tape is not None:
             tape.append((a, b, db, silu_a))

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .dynamics import Trajectory
-from .kan import KanNetwork, first_layer_basis
+from .kan import KanNetwork, layer_basis
 from .mlp import MlpNetwork
 from .numerics import pinv
 from .optim import AdamW, Lbfgs
@@ -275,8 +275,8 @@ def _forcing_terms(model: KoopmanModel, snaps: SnapshotSet, powers, cols):
 class _TrainPlan:
     """Loss inputs that stay fixed while the network parameters change.
 
-    basis is first_layer_basis of the snapshot states X, the first KAN
-    layer's basis table and silu (None for an MLP). refit() stores, for one
+    basis is layer_basis(X.T, grid) of the snapshot states X, the first KAN
+    layer's tables and silu (None for an MLP). refit() stores, for one
     frozen (K, B), the powers of K up to alpha, the forcing terms of the
     linear prediction loss, and lifted, the n_total x N_d lift buffer whose
     state rows hold X.
@@ -400,7 +400,7 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
     # samples its own columns each step.
     plan = None
     if cfg.optimizer == "lbfgs":
-        basis = first_layer_basis(network, snaps.X.T) if network.kind == "kan" else None
+        basis = layer_basis(snaps.X.T, network.grid) if network.kind == "kan" else None
         plan = _TrainPlan(basis=basis)
 
     for epoch in range(cfg.epochs + 1):
@@ -547,8 +547,9 @@ def load_model(path):
     Raises ValueError naming path when the file is not JSON, a key is
     missing, the backend kind is unknown, n or n_total is not an integer,
     K or B is not a matrix of numbers or disagrees with n_total, the network
-    or config section does not parse, or the network's input width is not n
-    or n plus its output width is not n_total.
+    or config section does not parse, the network's input width is not n
+    or n plus its output width is not n_total, or K, B or a network
+    parameter is not finite.
     """
     with open(path) as fh:
         try:
@@ -577,6 +578,8 @@ def load_model(path):
     if network.shape[0] != n or n + network.shape[-1] != n_total:
         raise ValueError(f"{path}: network {network.shape[0]} -> {network.shape[-1]} "
                          f"does not fit n={n} and n_total={n_total}")
+    if not all(np.isfinite(arr).all() for arr in (k, b, *network.param_arrays())):
+        raise ValueError(f"{path}: K, B and the network parameters must be finite")
     model = KoopmanModel(network=network, K=k, B=b, n=n, n_total=n_total)
     cfg = None
     if doc.get("config"):

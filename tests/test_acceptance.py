@@ -324,6 +324,7 @@ def test_criterion_6_property_suite(capsys):
             f"MP {worst_mp:.1e}, RK4 ratio {ratio:.2f}, drift {drift:.1e})")
 
 
+@pytest.mark.slow
 def test_criterion_7_scaled_mlp_smoke(capsys):
     trajs = generate_pendulum_dataset(500, 101, alpha=25)
     cfg = TrainConfig(alpha=25, gamma=0.0, beta=1.0, epochs=100,

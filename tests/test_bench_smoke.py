@@ -24,6 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BIT_IDENTICAL = {"pendulum_kan", "pendulum_mlp_scaled", "twobody_kan"}
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("workload", ["pendulum_kan", "pendulum_mlp_scaled",
                                       "pendulum_kan_infer", "twobody_kan"])
 def test_bench_harness_runs_and_reports_schema(workload):

@@ -533,6 +533,9 @@ def _set(path, value):
     return edit
 
 
+NON_FINITE = "K, B and the network parameters must be finite"
+
+
 @pytest.mark.parametrize("edit, detail, mlp", [
     (lambda doc: doc["network"].pop("layers"), "bad network section: missing key 'layers'",
      False),
@@ -562,16 +565,24 @@ def _set(path, value):
     (_set(["n"], "x"), "n and n_total must be integers with 0 < n < n_total, got 'x' and 3",
      False),
     (_set(["K", 1], [1.0]), "K and B must be matrices of numbers", False),
+    (_set(["K", 0, 0], float("nan")), NON_FINITE, False),
+    (_set(["B", 2, 0], float("-inf")), NON_FINITE, False),
+    (_set(["network", "layers", 0, "coeffs", 0, 1, 4], float("inf")), NON_FINITE, False),
+    (_set(["network", "biases", 0, 2], float("nan")), NON_FINITE, True),
 ], ids=["no-layers", "network-str", "config-unknown-key", "coeffs-shape", "grid-order-0",
         "grid-intervals-float", "grid-lo-str",
         "network-kind", "mlp-bias-shape", "config-lbfgs_max_iter-0", "config-alpha-float",
-        "kind-list", "n_total-str", "n-str", "K-ragged"])
+        "kind-list", "n_total-str", "n-str", "K-ragged", "K-nan", "B-inf", "coeffs-inf",
+        "mlp-bias-nan"])
 def test_model_malformed_network_or_config_exits_1(pendulum_cfg, tmp_path, capsys, edit,
                                                    detail, mlp):
     network = mlp_init([2, 3, 1], seed=0) if mlp else None
     path, err = _evaluate_broken_model(pendulum_cfg, tmp_path, capsys, edit, network)
     assert err.startswith(f"error: {path}: {detail}")
     assert err.count("\n") == 1 and "Traceback" not in err
+    # control loads the model the same way.
+    assert main(["control", "--config", pendulum_cfg, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("key, shape", [("K", (3, 2)), ("B", (2, 1))], ids=["K", "B"])
@@ -628,10 +639,20 @@ def test_pendulum_alpha_beyond_trajectory_exits_2(pendulum_cfg, tmp_path, capsys
     doc = json.loads(Path(pendulum_cfg).read_text())
     doc["train"]["alpha"] = 500
     cfg = write_config(tmp_path / "long_alpha.json", doc)
-    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err == (
-        f"config error: train.alpha must be in [1, 200] (in {cfg})\n")
-    assert not (tmp_path / "run").exists()
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "fresh")]) == 2
+    assert not (tmp_path / "fresh").exists()
+    # With a dataset and a model in place, every command still refuses the config.
+    out = str(tmp_path / "run")
+    for command in ("generate", "train"):
+        assert main([command, "--config", pendulum_cfg, "--out", out]) == 0
+    files = lambda: {p: p.read_bytes() for p in sorted(Path(out).rglob("*")) if p.is_file()}
+    before = files()
+    for command in ("generate", "train", "evaluate", "control"):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: train.alpha must be in [1, 200] (in {cfg})\n")
+    assert files() == before
 
 
 @pytest.mark.parametrize("text", ["{bad", "[1]"], ids=["truncated", "not-object"])

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -435,7 +436,11 @@ def test_save_dataset_is_byte_identical_to_csv_writer(tmp_path, system):
     (lambda text: text[:-2] + "0.0\r\n", "control cells empty"),
     (lambda text: text.replace(",", ",x", 5), "could not convert"),
     (lambda text: text.replace("\r\n", "\r\nx", 1), "could not convert"),
-], ids=["truncated", "extra-field", "last-control", "not-a-number", "time-not-a-number"])
+    (lambda text: re.sub(r"\r\n0\.01,[^,]*", "\r\n0.01,nan", text, count=1),
+     "row 2 holds a non-finite number"),
+    (lambda text: text.replace("\r\n0.01,", "\r\ninf,", 1), "row 2 holds a non-finite number"),
+], ids=["truncated", "extra-field", "last-control", "not-a-number", "time-not-a-number",
+        "state-nan", "time-inf"])
 def test_load_dataset_checks_files_against_the_manifest(tmp_path, cut, what):
     save_dataset(generate_pendulum_dataset(2, seed=3), tmp_path,
                  PENDULUM_STATE_NAMES, PENDULUM_CONTROL_NAMES)

@@ -14,10 +14,10 @@ from kooplift.kan import (
     SplineGrid,
     _basis_tables,
     _span_basis,
-    first_layer_basis,
     kan_backward,
     kan_forward,
     kan_init,
+    layer_basis,
     silu,
     silu_deriv,
 )
@@ -106,6 +106,14 @@ def test_grid_structure():
     assert knots.size == 5 + 2 * 3 + 1
     assert np.allclose(np.diff(knots), GRID.step)
     assert knots[3] == -3.0 and knots[-4] == 3.0
+
+
+def test_grid_tables_leave_equality_and_hash_alone():
+    built, fresh = SplineGrid(lo=-2.0, hi=2.0), SplineGrid(lo=-2.0, hi=2.0)
+    assert built.span_terms is built.span_terms  # built once, then kept
+    assert built == fresh and hash(built) == hash(fresh)
+    assert "span_terms" in vars(built) and "span_terms" not in vars(fresh)
+    assert built != SplineGrid(lo=-2.0, hi=2.5)
 
 
 def test_degree_one_indicator_at_midpoint():
@@ -229,7 +237,8 @@ def test_first_layer_basis_and_tape_span_blocks():
     assert x.size > 2 * _BLOCK
     ref_basis, ref_deriv = recurrence_basis_tables(x, GRID)
     shape = x.shape + (GRID.n_basis,)
-    basis, silu_x = first_layer_basis(net, x)
+    basis, none, silu_x = layer_basis(x, GRID)
+    assert none is None
     _assert_same_bits(basis, ref_basis.reshape(shape))
     _assert_same_bits(silu_x, silu(x))
     tape = []
@@ -252,11 +261,13 @@ SPAN_GRIDS = pytest.mark.parametrize("grid", [
 
 
 def _assert_values_only_match(x, grid):
-    """The values-only table equals the blocked kernel's (deriv=True never
-    takes the span-local path) and the oracle recurrence, bit for bit."""
+    """layer_basis' values-only table of the points x (span-local for up to
+    _SPAN_POINTS points) equals the blocked kernel's and the oracle
+    recurrence's, bit for bit."""
     with np.errstate(invalid="ignore", over="ignore"):
-        values, none = _basis_tables(x, grid, deriv=False)
+        values, none, _ = layer_basis(x.reshape(1, -1), grid)
         assert none is None
+        values = values[0]
         _assert_same_bits_or_nan(values, _basis_tables(x, grid)[0])
         _assert_same_bits_or_nan(values, recurrence_basis_tables(x, grid)[0])
 
@@ -298,12 +309,18 @@ def test_span_basis_falls_back_outside_support(grid, monkeypatch):
         _assert_values_only_match(np.array(points), grid)
     assert _basis_tables(np.empty(0), grid, deriv=False)[0].shape == (0, grid.n_basis)
 
-    def refuse(xs, grid):
-        raise AssertionError("span-local path taken")
-
-    monkeypatch.setattr(kan, "_span_basis", refuse)
-    _basis_tables(np.full(_SPAN_POINTS + 1, mid), grid, deriv=False)
-    _basis_tables(np.array([mid]), grid)
+    # Only layer_basis calls the span-local path, and only for values-only
+    # calls of at most _SPAN_POINTS points; its None falls back to the
+    # blocked kernel.
+    calls = []
+    monkeypatch.setattr(kan, "_span_basis", lambda xs, grid: calls.append(len(xs)))
+    for size in (1, _SPAN_POINTS, _SPAN_POINTS + 1):
+        x = np.full((1, size), mid)
+        values, none, _ = layer_basis(x, grid)
+        assert none is None
+        _assert_same_bits(values[0], _basis_tables(x, grid, deriv=False)[0])
+        _assert_same_bits(layer_basis(x, grid, deriv=True)[1][0], _basis_tables(x, grid)[1])
+    assert calls == [1, _SPAN_POINTS]
 
 
 def test_span_basis_overflow_falls_back():
@@ -515,7 +532,7 @@ def test_taped_forward_and_backward_equal_untaped(shape, batch):
     grads = kan_backward(net, np.atleast_2d(upstream), tape)
     # A tape built on a given first-layer basis gives the same gradient.
     tape_b = []
-    out_b = kan_forward(net, x, tape=tape_b, basis=first_layer_basis(net, x))
+    out_b = kan_forward(net, x, tape=tape_b, basis=layer_basis(np.atleast_2d(x), GRID))
     assert np.array_equal(out_b, out)
     assert np.array_equal(kan_backward(net, np.atleast_2d(upstream), tape_b), grads)
 

@@ -13,7 +13,7 @@ from kooplift.dynamics import (
     generate_pendulum_dataset,
     generate_twobody_dataset,
 )
-from kooplift.kan import SplineGrid, first_layer_basis, kan_init
+from kooplift.kan import SplineGrid, kan_init, layer_basis
 from kooplift.koopman import (
     KoopmanModel,
     LossRecord,
@@ -334,7 +334,7 @@ def _plan_case(case):
     model = KoopmanModel(network=net,
                          K=np.eye(n_total) + 0.05 * rng.standard_normal((n_total, n_total)),
                          B=0.1 * rng.standard_normal((n_total, p)), n=n, n_total=n_total)
-    basis = first_layer_basis(net, snaps.X.T) if model.kind == "kan" else None
+    basis = layer_basis(snaps.X.T, net.grid) if model.kind == "kan" else None
     plan = _TrainPlan(basis=basis)
     plan.refit(model, snaps)
     return model, snaps, plan
@@ -937,7 +937,7 @@ def _oracle_case(case):
                          K=np.eye(n_total) + 0.1 * rng.standard_normal((n_total, n_total)),
                          B=0.3 * rng.standard_normal((n_total, p)), n=n, n_total=n_total)
     if case == "kan_plan":
-        plan = _TrainPlan(basis=first_layer_basis(net, snaps.X.T))
+        plan = _TrainPlan(basis=layer_basis(snaps.X.T, net.grid))
         plan.refit(model, snaps)
     if case in ("adam_minibatch", "width_one"):
         size = 1 if case == "width_one" else 40
@@ -1046,7 +1046,7 @@ def _gather_case(case):
     gamma = 0.0 if case == "mlp_minibatch_gamma0" else 0.7
     cfg = TrainConfig(alpha=alpha, gamma=gamma, beta=1.3, lambda_l2=0.01)
     if case == "unequal_lengths":
-        plan = _TrainPlan(basis=first_layer_basis(net, snaps.X.T))
+        plan = _TrainPlan(basis=layer_basis(snaps.X.T, net.grid))
         plan.refit(model, snaps)
         return model, snaps, plan, None, None, cfg
     cols = rng.choice(snaps.n_pairs, size=40, replace=False)

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -256,7 +257,7 @@ def _from_section(cfg: RunConfig, make, seed: int, doc: dict, role: str):
     if cfg.system == "twobody":
         lo, hi = doc.get("radius_range") or dynamics.TWOBODY_RADIUS_RANGE
         return make(n_ic, seed, cfg.points_per_orbit, (float(lo), float(hi)))
-    return make(n_ic, seed, cfg.train_config.alpha)
+    return make(n_ic, seed)
 
 
 def _evaluation_sets(cfg: RunConfig, seed: int, out_dir: Path) -> list:
@@ -304,6 +305,7 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> in
 def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     dataset_dir = _dataset_dir(cfg, out_dir)
     trajs = load_dataset(dataset_dir)
+    _check_fit(cfg, dataset_dir / "manifest.json", trajs[0].n_states, trajs[0].n_controls)
     tc = cfg.train_config
     if seed_override is not None:
         tc = replace(tc, seed=seed_override)
@@ -389,18 +391,41 @@ def _evaluate_into(cfg: RunConfig, model, sets) -> list[dict]:
     return out
 
 
-def _load_model_file(path: Path):
-    """The model stored at path; a missing file raises FileNotFoundError."""
+def _check_fit(cfg: RunConfig, path: Path, n: int, p: int) -> None:
+    """Raise a ValueError naming path unless its n states and p inputs are the system's."""
+    names = _SYSTEMS[cfg.system]
+    want = len(names["state_names"]), len(names["control_names"])
+    if (n, p) != want:
+        raise ValueError(f"{path}: {n} states and {p} inputs do not fit the {cfg.system} "
+                         f"system's {want[0]} and {want[1]}")
+
+
+def _load_model_file(cfg: RunConfig, path: Path):
+    """The model stored at path, checked against the system; a missing file
+    raises FileNotFoundError."""
     if not path.is_file():
         raise FileNotFoundError(f"model file not found: {path}")
-    return load_model(path)[0]
+    model = load_model(path)[0]
+    _check_fit(cfg, path, model.n, model.B.shape[1])
+    return model
+
+
+@contextlib.contextmanager
+def _blaming(path: Path):
+    """Raise a loaded model's divergence or missing stabilizing gain as one
+    ValueError naming its file."""
+    try:
+        yield
+    except (RolloutDivergedError, UncontrollableModelError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     model_path = Path(cfg.model_path) if cfg.model_path else out_dir / "model.json"
-    model = _load_model_file(model_path)
+    model = _load_model_file(cfg, model_path)
     seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
-    metrics, *extrapolation = _evaluate_into(cfg, model, _evaluation_sets(cfg, seed, out_dir))
+    with _blaming(model_path):
+        metrics, *extrapolation = _evaluate_into(cfg, model, _evaluation_sets(cfg, seed, out_dir))
     metrics["seed"] = seed
     if extrapolation:
         radius_range = cfg.evaluation["extrapolation"].get("radius_range")
@@ -414,20 +439,18 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> in
 
 def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     del seed_override  # the control loop is deterministic
-    model = _load_model_file(Path(cfg.model_path) if cfg.model_path else out_dir / "model.json")
-    if model.B.shape[1] == 0:
-        print("error: model has no control input; nothing to regulate",
-              file=sys.stderr)
-        return 1
     if cfg.system != "pendulum":
         raise ConfigError("closed-loop control is implemented for the pendulum")
+    model_path = Path(cfg.model_path) if cfg.model_path else out_dir / "model.json"
+    model = _load_model_file(cfg, model_path)
     section = cfg.control
     q, r = default_weights(
         model.n, model.n_total, model.B.shape[1],
         q_state=float(section.get("q_state", 1.0)),
         r=float(section.get("r", 0.1)),
     )
-    gain = dlqr(model.K, model.B, q, r)
+    with _blaming(model_path):
+        gain = dlqr(model.K, model.B, q, r)
     traj = closed_loop_sim(
         model,
         gain,
@@ -469,8 +492,10 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     (trajs, _), *_ = _evaluation_sets(cfg, seed, out_dir)
     for label in ("model_a", "model_b"):
         path = Path(section[label])
-        model = _load_model_file(path)
-        metrics = _evaluate_into(cfg, model, [(trajs, out_dir / "compare" / f"eval_{label}")])[0]
+        model = _load_model_file(cfg, path)
+        dest = out_dir / "compare" / f"eval_{label}"
+        with _blaming(path):
+            metrics = _evaluate_into(cfg, model, [(trajs, dest)])[0]
         summary_path = path.parent / "summary.json"
         wall = None
         if summary_path.is_file():
@@ -557,8 +582,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc} (in {args.config})", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, TrainingDivergedError, RolloutDivergedError,
-            InstabilityError, UncontrollableModelError, dynamics.BlowupError) as exc:
+    except (FileNotFoundError, ValueError, TrainingDivergedError, InstabilityError,
+            dynamics.BlowupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a size in the config too large to allocate

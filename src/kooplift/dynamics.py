@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,21 +52,18 @@ class Trajectory:
 
     dt: float | np.ndarray
     states: np.ndarray
-    controls: np.ndarray = field(default=None)  # type: ignore[assignment]
+    controls: np.ndarray
 
     def __post_init__(self):
-        self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        if self.controls is None:
-            self.controls = np.zeros((self.states.shape[0] - 1, 0))
+        self.states = np.asarray(self.states, dtype=float)
         self.controls = np.asarray(self.controls, dtype=float)
-        if self.controls.ndim == self.states.ndim - 1:
-            self.controls = self.controls[..., None]
         if np.min(self.dt) <= 0:
             raise ValueError("dt must be positive")
-        if self.states.shape[0] != self.controls.shape[0] + 1:
+        if (self.states.shape[0], self.states.ndim) != (self.controls.shape[0] + 1,
+                                                        self.controls.ndim):
             raise ValueError(
-                f"states length {self.states.shape[0]} must be controls "
-                f"length {self.controls.shape[0]} plus one"
+                f"states {self.states.shape} must be controls {self.controls.shape} "
+                "plus one step, with as many axes"
             )
         if not np.all(np.isfinite(self.states)):
             raise ValueError("states contain non-finite entries")
@@ -95,12 +92,9 @@ class Trajectory:
 def pendulum_deriv(state, u) -> np.ndarray:
     """Pendulum vector field: theta'' = -g sin(theta) + u, with g = PENDULUM_G.
 
-    Takes one state (2,) with a scalar or length-1 u, or a stack (..., 2)
-    with u of shape (..., 1).
+    Takes one state (2,) with u of shape (1,), or a stack (..., 2) with u of
+    shape (..., 1).
     """
-    if np.ndim(state) == 1:
-        return np.array(_pendulum_floats(np.asarray(state, dtype=float).tolist(),
-                                         np.asarray(u, dtype=float).ravel().tolist()))
     theta, theta_dot = np.asarray(state, dtype=float).T
     return np.array([theta_dot, -PENDULUM_G * np.sin(theta)
                      + np.asarray(u, dtype=float).T[0]]).T
@@ -179,8 +173,6 @@ def simulate(deriv, x0, controls, dt) -> Trajectory:
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 contains non-finite entries")
     controls = np.asarray(controls, dtype=float)
-    if controls.ndim == x.ndim:
-        controls = controls[..., None]
     step = np.asarray(dt, dtype=float)[:, None] if np.ndim(dt) else dt
     states = np.empty((controls.shape[0] + 1,) + x.shape)
     states[0] = x
@@ -190,24 +182,17 @@ def simulate(deriv, x0, controls, dt) -> Trajectory:
     return Trajectory(dt=dt, states=states, controls=controls)
 
 
-def pendulum_initial_states(
-    n_ic: int,
-    seed: int,
-    alpha: int = 25,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pendulum_initial_states(n_ic: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The initial states (n_ic, 2), time-major controls (200, n_ic, 1) and
     steps (n_ic,) of random pendulum trajectories: 2 s at dt=0.01 under random
     torques.
 
     Per trajectory i, the stream default_rng((seed, i)) draws, in order:
     theta_0 ~ U[-2, 2], theta_dot_0 ~ U[-2, 2], then the full control
-    sequence ~ U[-0.1, 0.1]. alpha is the multi-step horizon the data must
-    support and is only validated against the trajectory length.
+    sequence ~ U[-0.1, 0.1].
     """
     if n_ic < 1:
         raise ValueError("n_ic must be >= 1")
-    if not 1 <= alpha < PENDULUM_STEPS + 1:
-        raise ValueError(f"alpha must be in [1, {PENDULUM_STEPS}]")
     x0 = np.empty((n_ic, 2))
     controls = np.empty((PENDULUM_STEPS, n_ic, 1))
     for i in range(n_ic):
@@ -217,9 +202,9 @@ def pendulum_initial_states(
     return x0, controls, np.full(n_ic, PENDULUM_DT)
 
 
-def generate_pendulum_dataset(n_ic: int, seed: int, alpha: int = 25) -> list[Trajectory]:
+def generate_pendulum_dataset(n_ic: int, seed: int) -> list[Trajectory]:
     """The trajectories of pendulum_initial_states, integrated in one batch."""
-    return simulate(pendulum_deriv, *pendulum_initial_states(n_ic, seed, alpha)).unstack()
+    return simulate(pendulum_deriv, *pendulum_initial_states(n_ic, seed)).unstack()
 
 
 def twobody_initial_states(

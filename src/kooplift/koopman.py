@@ -495,8 +495,6 @@ def rollout(model: KoopmanModel, x0, controls, dt, correct: bool = True) -> Traj
     """
     x0 = np.asarray(x0, dtype=float)
     controls = np.asarray(controls, dtype=float)
-    if controls.ndim == x0.ndim:
-        controls = controls[..., None]
     n_steps, n = controls.shape[0], model.n
     states = np.empty((n_steps + 1,) + x0.shape)
     states[0] = x0

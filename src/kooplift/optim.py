@@ -146,7 +146,7 @@ class Lbfgs:
             f, g = fun(x + alpha * d)
             return f, g, float(g @ d)
 
-        alpha_prev, f_prev, dg_prev = 0.0, f0, dg0
+        alpha_prev, f_prev = 0.0, f0
         alpha = alpha0
         bracket = None
         while evals < self.max_line_evals:
@@ -154,34 +154,34 @@ class Lbfgs:
             if not np.isfinite(f_a) or f_a > f0 + c1 * alpha * dg0 or (
                 alpha_prev > 0.0 and f_a >= f_prev
             ):
-                bracket = (alpha_prev, f_prev, dg_prev, alpha, f_a, dg_a)
+                bracket = (alpha_prev, f_prev, alpha)
                 break
             if abs(dg_a) <= -c2 * dg0:
                 return alpha, f_a, g_a, evals
             if dg_a >= 0:
-                bracket = (alpha, f_a, dg_a, alpha_prev, f_prev, dg_prev)
+                bracket = (alpha, f_a, alpha_prev)
                 break
-            alpha_prev, f_prev, dg_prev = alpha, f_a, dg_a
+            alpha_prev, f_prev = alpha, f_a
             alpha *= 2.0
             if alpha > 1e10:
                 return None, None, None, evals
         if bracket is None:
             return None, None, None, evals
 
-        lo, f_lo, dg_lo, hi, f_hi, dg_hi = bracket
+        lo, f_lo, hi = bracket
         best = None
         while evals < self.max_line_evals:
             alpha = 0.5 * (lo + hi)
             f_a, g_a, dg_a = phi(alpha)
             if not np.isfinite(f_a) or f_a > f0 + c1 * alpha * dg0 or f_a >= f_lo:
-                hi, f_hi, dg_hi = alpha, f_a, dg_a
+                hi = alpha
             else:
                 if abs(dg_a) <= -c2 * dg0:
                     return alpha, f_a, g_a, evals
                 best = (alpha, f_a, g_a)
                 if dg_a * (hi - lo) >= 0:
-                    hi, f_hi, dg_hi = lo, f_lo, dg_lo
-                lo, f_lo, dg_lo = alpha, f_a, dg_a
+                    hi = lo
+                lo, f_lo = alpha, f_a
             if abs(hi - lo) < 1e-14 * max(1.0, abs(lo)):
                 break
         if best is not None:

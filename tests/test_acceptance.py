@@ -74,9 +74,7 @@ def _max_abs_err(model, trajs, component_slice):
 @pytest.fixture(scope="module")
 def pendulum_kan_run():
     doc = _load_preset("pendulum_kan.json")
-    trajs = generate_pendulum_dataset(
-        doc["dataset"]["n_ic"], doc["dataset"]["seed"], doc["train"]["alpha"]
-    )
+    trajs = generate_pendulum_dataset(doc["dataset"]["n_ic"], doc["dataset"]["seed"])
     shape = [2] + [doc["network"]["neurons"]] * doc["network"]["hidden_layers"] \
         + [doc["network"]["n_observables"]]
     cfg = TrainConfig(**doc["train"])
@@ -110,9 +108,7 @@ def test_criterion_1_exact_linear_recovery(capsys):
 
 def test_criterion_2_pendulum_accuracy(capsys, pendulum_kan_run):
     doc, model, _, wall = pendulum_kan_run
-    eval_trajs = generate_pendulum_dataset(
-        doc["evaluation"]["n_ic"], doc["evaluation"]["seed"], doc["train"]["alpha"]
-    )
+    eval_trajs = generate_pendulum_dataset(doc["evaluation"]["n_ic"], doc["evaluation"]["seed"])
     err = _max_abs_err(model, eval_trajs, 0)
     ok = (err <= 0.2 and wall <= 300.0
           and doc["dataset"]["n_ic"] == 15
@@ -301,8 +297,8 @@ def test_criterion_6_property_suite(capsys):
         failures.append(f"two-body energy drift {drift:.2e}")
 
     # Fixed-seed bit reproducibility of data and of training history.
-    d1 = generate_pendulum_dataset(3, 77, alpha=5)
-    d2 = generate_pendulum_dataset(3, 77, alpha=5)
+    d1 = generate_pendulum_dataset(3, 77)
+    d2 = generate_pendulum_dataset(3, 77)
     same_data = all(
         np.array_equal(a.states, b.states) and np.array_equal(a.controls, b.controls)
         for a, b in zip(d1, d2)
@@ -326,14 +322,14 @@ def test_criterion_6_property_suite(capsys):
 
 @pytest.mark.slow
 def test_criterion_7_scaled_mlp_smoke(capsys):
-    trajs = generate_pendulum_dataset(500, 101, alpha=25)
+    trajs = generate_pendulum_dataset(500, 101)
     cfg = TrainConfig(alpha=25, gamma=0.0, beta=1.0, epochs=100,
                       optimizer="adam", learning_rate=1e-3, batch_size=4096,
                       seed=0)
     started = time.perf_counter()
     model, _ = train(mlp_init([2, 6, 6, 6, 6, 6, 6, 6, 6, 2], cfg.seed), trajs, cfg)
     wall = time.perf_counter() - started
-    eval_trajs = generate_pendulum_dataset(5, 900, alpha=25)
+    eval_trajs = generate_pendulum_dataset(5, 900)
     err = _max_abs_err(model, eval_trajs, 0)
     ok = err <= 0.5 and model.n_params == 326
     _report(capsys, 7, "scaled MLP smoke run",

@@ -16,9 +16,11 @@ import pytest
 import kooplift
 from kooplift.cli import RunConfig, _evaluation_sets, main
 from kooplift.dynamics import (
+    TWOBODY_CONTROL_NAMES,
     TWOBODY_STATE_NAMES,
     generate_pendulum_dataset,
     generate_twobody_dataset,
+    save_dataset,
     write_csv,
 )
 from kooplift.kan import SplineGrid, kan_init
@@ -27,6 +29,8 @@ from kooplift.mlp import mlp_init
 from test_koopman import load_history
 
 PRESET_DIR = Path(kooplift.__file__).parent / "presets"
+FIXTURE = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / \
+    "pendulum_kan_model.json"
 
 
 def write_config(path, doc):
@@ -615,6 +619,58 @@ def test_model_network_not_fitting_n_exits_1(pendulum_cfg, tmp_path, capsys):
 
     path, err = _evaluate_broken_model(pendulum_cfg, tmp_path, capsys, edit)
     assert path in err and "network 2 -> 1 does not fit n=1 and n_total=3" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, system", [
+    ("evaluate", "twobody"), ("compare", "twobody"), ("evaluate", "pendulum"),
+    ("control", "pendulum"), ("train", "pendulum"),
+], ids=["evaluate-pendulum-model", "compare-pendulum-model", "evaluate-twobody-model",
+        "control-twobody-model", "train-twobody-dataset"])
+def test_model_or_dataset_of_the_other_system_exits_1(pendulum_cfg, twobody_cfg, tmp_path,
+                                                      capsys, command, system):
+    # The model (or, for train, the dataset) is the other system's.
+    doc = json.loads(Path(pendulum_cfg if system == "pendulum" else twobody_cfg).read_text())
+    out = tmp_path / "run"
+    n, p = (4, 0) if system == "pendulum" else (2, 1)
+    if command == "train":
+        path = save_dataset(generate_twobody_dataset(1, 0, 5), out / "dataset",
+                            TWOBODY_STATE_NAMES, TWOBODY_CONTROL_NAMES)
+    else:
+        out.mkdir()
+        path = out / "model.json"
+        save_model(KoopmanModel(network=kan_init([n, 1], SplineGrid(), seed=0), K=np.eye(n + 1),
+                                B=np.zeros((n + 1, p)), n=n, n_total=n + 1), path)
+        doc["compare"] = {"model_a": str(path), "model_b": str(path)}
+    cfg = write_config(tmp_path / "other.json", doc)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    want = (2, 1) if system == "pendulum" else (4, 0)
+    assert capsys.readouterr().err == (f"error: {path}: {n} states and {p} inputs do not fit "
+                                       f"the {system} system's {want[0]} and {want[1]}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command, edit, detail", [
+    ("evaluate", _set(["K", 0, 0], 1e308), "rollout produced non-finite state at step "),
+    ("compare", _set(["K", 0, 0], 1e308), "rollout produced non-finite state at step "),
+    ("control", _set(["K", 0, 0], 1e308), "Riccati iteration did not converge"),
+    ("control", _set(["B"], [[0.0]] * 3), "Riccati iteration did not converge"),
+], ids=["evaluate-huge-K", "compare-huge-K", "control-huge-K", "control-zero-B"])
+def test_diverging_or_unstabilizable_model_names_its_file(pendulum_cfg, tmp_path, capsys,
+                                                          command, edit, detail):
+    out = tmp_path / "run"
+    out.mkdir()
+    path = out / "model.json"
+    doc = json.loads(FIXTURE.read_text())
+    edit(doc)
+    write_config(path, doc)
+    cfg = json.loads(Path(pendulum_cfg).read_text())
+    cfg["compare"] = {"model_a": str(path), "model_b": str(path)}
+    cfg = write_config(tmp_path / "probe.json", cfg)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {detail}")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

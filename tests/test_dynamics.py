@@ -36,16 +36,16 @@ from kooplift.dynamics import (
 
 
 def test_pendulum_equilibrium():
-    assert np.allclose(pendulum_deriv([0.0, 0.0], 0.0), [0.0, 0.0])
+    assert np.allclose(pendulum_deriv([0.0, 0.0], [0.0]), [0.0, 0.0])
 
 
 def test_pendulum_quarter_turn():
-    d = pendulum_deriv([math.pi / 2, 0.0], 0.0)
+    d = pendulum_deriv([math.pi / 2, 0.0], [0.0])
     assert np.allclose(d, [0.0, -9.81], atol=1e-12)
 
 
 def test_pendulum_with_torque():
-    d = pendulum_deriv([0.3, 0.1], 0.05)
+    d = pendulum_deriv([0.3, 0.1], [0.05])
     assert np.allclose(d, [0.1, -9.81 * math.sin(0.3) + 0.05], atol=1e-12)
 
 
@@ -175,21 +175,15 @@ def test_pendulum_dataset_prefix_stable():
 
 
 def test_pendulum_initial_states_are_the_generators_draws():
-    x0, controls, dt = pendulum_initial_states(4, seed=7, alpha=5)
+    x0, controls, dt = pendulum_initial_states(4, seed=7)
     assert x0.shape == (4, 2) and controls.shape == (200, 4, 1)
     assert dt.tobytes() == np.full(4, PENDULUM_DT).tobytes()
-    for i, traj in enumerate(generate_pendulum_dataset(4, seed=7, alpha=5)):
+    for i, traj in enumerate(generate_pendulum_dataset(4, seed=7)):
         rng = np.random.default_rng((7, i))
         theta, theta_dot = rng.uniform(*PENDULUM_ANGLE_RANGE), rng.uniform(*PENDULUM_RATE_RANGE)
         drawn = rng.uniform(*PENDULUM_CONTROL_RANGE, size=(200, 1))
         assert x0[i].tolist() == [theta, theta_dot] == traj.states[0].tolist()
         assert controls[:, i].tobytes() == drawn.tobytes() == traj.controls.tobytes()
-
-
-@pytest.mark.parametrize("alpha", [0, 201])
-def test_pendulum_initial_states_reject_alpha_beyond_the_trajectory(alpha):
-    with pytest.raises(ValueError, match=r"alpha must be in \[1, 200\]"):
-        pendulum_initial_states(2, seed=0, alpha=alpha)
 
 
 @pytest.mark.parametrize("system", ["pendulum", "twobody"])
@@ -233,6 +227,8 @@ def test_trajectory_validation():
         Trajectory(dt=0.0, states=np.zeros((2, 2)), controls=np.zeros((1, 1)))
     with pytest.raises(ValueError):
         Trajectory(dt=0.1, states=np.full((2, 2), np.nan), controls=np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="as many axes"):  # controls without their input axis
+        Trajectory(dt=0.1, states=np.zeros((3, 2)), controls=np.zeros(2))
 
 
 def test_dataset_roundtrip_bit_exact(tmp_path):

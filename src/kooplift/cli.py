@@ -487,15 +487,12 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     section = cfg.compare
     if not section.get("model_a") or not section.get("model_b"):
         raise ConfigError("compare requires compare.model_a and compare.model_b")
-    rows = []
-    seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
-    (trajs, _), *_ = _evaluation_sets(cfg, seed, out_dir)
+    # Both models and their summaries are loaded and checked before anything
+    # is written, so a bad model_b leaves no model_a output behind.
+    loaded = []
     for label in ("model_a", "model_b"):
         path = Path(section[label])
         model = _load_model_file(cfg, path)
-        dest = out_dir / "compare" / f"eval_{label}"
-        with _blaming(path):
-            metrics = _evaluate_into(cfg, model, [(trajs, dest)])[0]
         summary_path = path.parent / "summary.json"
         wall = None
         if summary_path.is_file():
@@ -503,6 +500,14 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
                 wall = json.loads(summary_path.read_text()).get("wall_time_s")
             except (json.JSONDecodeError, AttributeError) as exc:
                 raise ValueError(f"{summary_path}: not a JSON object ({exc})") from None
+        loaded.append((label, path, model, wall))
+    rows = []
+    seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
+    (trajs, _), *_ = _evaluation_sets(cfg, seed, out_dir)
+    for label, path, model, wall in loaded:
+        dest = out_dir / "compare" / f"eval_{label}"
+        with _blaming(path):
+            metrics = _evaluate_into(cfg, model, [(trajs, dest)])[0]
         rows.append({
             "label": label,
             "path": str(path),

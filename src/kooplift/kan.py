@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -118,13 +119,14 @@ _BLOCK = 4096  # points per _basis_tables block: its tables (~0.5 MB) fit in L2
 _SPAN_POINTS = 8  # values-only calls of up to this many points take the span-local path
 
 
-def _span_basis(xs: list, grid: SplineGrid) -> np.ndarray | None:
-    """_basis_tables' values for a few points, or None. A point in [t_0, t_last)
-    gets its span's triangle of k + 1 bases in Python floats, keeping the
-    structural zeros at the edges so every sign of zero matches; a point
-    outside gets the all-+0.0 row that the blocked kernel computes there. NaN,
-    +-inf, and a point far enough out for some (x - t_j) / den to overflow
-    (a NaN row in the blocked kernel) give None."""
+def _basis_rows(xs: list, grid: SplineGrid) -> list | None:
+    """The rows of G + k basis values of the points xs, end to end, in Python
+    floats, or None. Point by point: one in [t_0, t_last) gets its span's
+    triangle of k + 1 bases, keeping the structural zeros at the edges so
+    every sign of zero matches the blocked kernel; one outside gets the
+    all-+0.0 row that the blocked kernel computes there. NaN, +-inf, and a
+    point far enough out for some (x - t_j) / den to overflow (a NaN row in
+    the blocked kernel) give None."""
     knots, spans, (reach, den) = grid.span_terms
     rows = []
     for x in xs:
@@ -136,7 +138,14 @@ def _span_basis(xs: list, grid: SplineGrid) -> np.ndarray | None:
             rows += [0.0] * grid.n_basis
         else:
             return None
-    return np.array(rows, dtype=float).reshape(len(xs), grid.n_basis)
+    return rows
+
+
+def _span_basis(xs: list, grid: SplineGrid) -> np.ndarray | None:
+    """_basis_tables' values for a few points, or None when _basis_rows
+    refuses one of them."""
+    rows = _basis_rows(xs, grid)
+    return None if rows is None else np.array(rows).reshape(len(xs), grid.n_basis)
 
 
 def _basis_tables(x: np.ndarray, grid: SplineGrid, deriv: bool = True):
@@ -208,13 +217,14 @@ class KanNetwork(FlatParams):
     grid: SplineGrid
     layers: list[KanLayer] = field(default_factory=list)
     _weights: list | None = field(default=None, init=False, repr=False, compare=False)
+    _row_weights: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def param_arrays(self) -> list[np.ndarray]:
         return [arr for la in self.layers for arr in (la.coeffs, la.w_base, la.w_spline)]
 
     def set_params(self, flat: np.ndarray) -> None:
         super().set_params(flat)
-        self._weights = None
+        self._weights = self._row_weights = None
 
     def layer_weights(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per layer, w_spline[:, :, None] * coeffs and w_base.T; built on first use."""
@@ -222,6 +232,16 @@ class KanNetwork(FlatParams):
             self._weights = [(la.w_spline[:, :, None] * la.coeffs, la.w_base.T)
                              for la in self.layers]
         return self._weights
+
+    def row_weights(self) -> list[list[list[float]]]:
+        """Per layer and output node, its base weights and then its
+        layer_weights() spline products in input and basis order, as Python
+        floats; built on first use."""
+        if self._row_weights is None:
+            self._row_weights = [[w_b + eff_j for w_b, eff_j in zip(
+                base_t.T.tolist(), eff.reshape(len(eff), -1).tolist())]
+                for eff, base_t in self.layer_weights()]
+        return self._row_weights
 
     # The methods call the module functions by name at call time, so a
     # wrapper installed on them (benchmarks/tracing.py) sees every call.
@@ -275,13 +295,37 @@ def kan_init(shape, grid: SplineGrid, seed: int) -> KanNetwork:
     return KanNetwork(shape=shape, grid=grid, layers=layers)
 
 
+def _float_layers(net: KanNetwork, xs: list) -> list | None:
+    """Each layer's input of a one-row forward pass, and the output last, in
+    Python floats; None when a point has no safe basis row. Each output is one
+    sequential sum: the base terms, then the spline terms in input and basis
+    order."""
+    layers = [xs]
+    for rows in net.row_weights():
+        basis = _basis_rows(xs, net.grid)
+        if basis is None:
+            return None
+        terms = [0.5 * x * (1.0 + math.tanh(0.5 * x)) for x in xs] + basis
+        xs = []
+        for weights in rows:
+            total = 0.0
+            for w, t in zip(weights, terms):
+                total += w * t
+            xs.append(total)
+        layers.append(xs)
+    return layers
+
+
 def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
     """Evaluate the network; accepts one state (1-D) or a batch (2-D).
 
-    A tape list, when given, receives (input, basis, deriv, silu(input))
-    per layer for kan_backward; the first layer's deriv is None. basis,
-    when given, is layer_basis(x, net.grid) for a batch x: the first
-    layer's tables and silu, which stay fixed while the parameters change.
+    One row, 1-D or (1, n), runs on Python floats (_float_layers), so it may
+    differ from the same row of a batch in the last bits; a point with no
+    safe basis row sends it to the numpy loop. A tape list, when given,
+    receives (input, basis, deriv, silu(input)) per layer for kan_backward;
+    the first layer's deriv is None. basis, when given, is layer_basis(x,
+    net.grid) for a batch x: the first layer's tables and silu, which stay
+    fixed while the parameters change. A one-row call does not read it.
     """
     a = np.asarray(x, dtype=float)
     squeeze = a.ndim == 1
@@ -289,6 +333,14 @@ def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
         a = a[None, :]
     if a.shape[1] != net.shape[0]:
         raise ValueError(f"input width {a.shape[1]} != network input {net.shape[0]}")
+    layers = _float_layers(net, a[0].tolist()) if len(a) == 1 else None
+    if layers is not None:
+        if tape is not None:
+            for li, xs in enumerate(layers[:-1]):
+                row = np.array([xs])
+                tape.append((row, *layer_basis(row, net.grid, deriv=li > 0)))
+        out = np.array(layers[-1])
+        return out if squeeze else out[None, :]
     for li, (eff, base_t) in enumerate(net.layer_weights()):
         if li == 0 and basis is not None:
             b, db, silu_a = basis

@@ -45,8 +45,8 @@ class SnapshotSet:
     p x N_d, X_alpha is n x N_a holding states alpha steps ahead, and
     pred_cols maps each X_alpha column to the X column it continues, so
     multi-step pairs never straddle trajectory boundaries. states holds
-    every trajectory's states side by side; X and X_next are its columns
-    x_cols and xn_cols, so one lift of states covers both.
+    every trajectory's states side by side, column-major; X and X_next are
+    its columns x_cols and xn_cols, so one lift of states covers both.
     """
 
     X: np.ndarray
@@ -308,8 +308,14 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     """
     net, n = model.network, model.n
     x, x_next, u = snaps.X, snaps.X_next, snaps.U
+    # Column subsets are gathered as rows of the row-major states.T: on the
+    # column-major X, X_next and X_alpha, np.take(a, idx, axis=1) first copies
+    # all of a. The gather is made row-major, the layout np.take returns.
+    def gather(idx):
+        return np.ascontiguousarray(np.take(snaps.states.T, idx, axis=0).T)
     if cols is not None:
-        x, x_next, u = (np.take(a, cols, axis=1) for a in (x, x_next, u))
+        x, x_next = gather(snaps.x_cols[cols]), gather(snaps.xn_cols[cols])
+        u = np.take(u, cols, axis=1)
     tape = [] if grad else None
     if phi_x is None:
         phi_x = _lift_cols(net, x, tape, plan)
@@ -322,7 +328,7 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     if cfg.gamma or not grad:
         src, x_alpha = snaps.pred_cols, snaps.X_alpha
         if pcols is not None:
-            src, x_alpha = src[pcols], np.take(x_alpha, pcols, axis=1)
+            src, x_alpha = src[pcols], gather(snaps.x_cols[src[pcols]] + snaps.alpha)
         shared = cols is None and pcols is None
         if plan is None or pcols is not None:
             powers = _powers(model.K, snaps.alpha)
@@ -332,7 +338,7 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
         if shared:
             phi_p = np.take(phi_x, src, axis=1)
         else:
-            x_p = np.take(snaps.X, src, axis=1)
+            x_p = gather(snaps.x_cols[src])
             tape_p = [] if grad else None
             phi_p = _lift_cols(net, x_p, tape_p)
         x_hat = _state_rows(powers[snaps.alpha], phi_p, n)

@@ -4,7 +4,8 @@ Each criterion prints a [criterion N] PASS/FAIL line straight to the real
 stdout so the lines survive pytest capture, then asserts. Criteria 2 and 5
 share one trained pendulum model via a module fixture; criterion 3 trains
 its own orbit model; criterion 7 runs the scaled-down MLP smoke training.
-Tolerances are fixed here and nowhere loosened at runtime.
+Tolerances are fixed here and nowhere loosened at runtime. Criteria 2, 3
+and 5 also pin their printed values (PINNED).
 """
 
 import json
@@ -41,6 +42,10 @@ from kooplift.mlp import mlp_backward, mlp_forward, mlp_init
 from kooplift.numerics import pinv
 
 PRESET_DIR = Path(kooplift.__file__).parent / "presets"
+
+# The acceptance lines' values at their printed precision, which a change
+# that only moves rounding must leave alone (ROADMAP aim 2).
+PINNED = {2: "0.0599", 3: "6.038e-07", 5: ("0.63", "0.9954")}
 
 
 def bspline_basis(x, grid):
@@ -117,6 +122,7 @@ def test_criterion_2_pendulum_accuracy(capsys, pendulum_kan_run):
     _report(capsys, 2, "pendulum held-out accuracy",
             ok, f"max abs angle err {err:.4f} rad on {len(eval_trajs)} ICs, "
                 f"train {wall:.1f}s")
+    assert f"{err:.4f}" == PINNED[2], f"criterion 2's error moved: {err!r}"
 
 
 def test_criterion_3_twobody_accuracy(capsys):
@@ -143,6 +149,7 @@ def test_criterion_3_twobody_accuracy(capsys):
     _report(capsys, 3, "two-body held-out accuracy",
             ok, f"max abs position err {err:.3e} km on {len(eval_trajs)} radii, "
                 f"train {wall:.1f}s")
+    assert f"{err:.3e}" == PINNED[3], f"criterion 3's error moved: {err!r}"
 
 
 def test_criterion_4_parameter_efficiency(capsys):
@@ -185,6 +192,7 @@ def test_criterion_5_lqr_regulation(capsys, pendulum_kan_run):
     _report(capsys, 5, "LQR pendulum regulation",
             ok, f"|theta|<0.05 rad at t={first:.2f}s, final "
                 f"{abs(theta[-1]):.2e} rad, closed-loop spectral radius {rho:.4f}")
+    assert (f"{first:.2f}", f"{rho:.4f}") == PINNED[5], f"criterion 5 moved: {first!r}, {rho!r}"
 
 
 def test_criterion_6_property_suite(capsys):

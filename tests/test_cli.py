@@ -729,6 +729,32 @@ def test_compare_bad_summary_exits_1(pendulum_cfg, tmp_path, capsys, text):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", ["missing", "not-json", "other-system", "bad-summary"])
+def test_compare_bad_model_b_writes_nothing(pendulum_cfg, tmp_path, capsys, bad):
+    # model_a is good; model_b and its summary are checked before model_a's
+    # CSVs are written, so the error leaves no compare/ file behind.
+    for name, n, p in (("a", 2, 1), ("b", 4, 0) if bad == "other-system" else ("b", 2, 1)):
+        (tmp_path / name).mkdir()
+        save_model(KoopmanModel(network=kan_init([n, 1], SplineGrid(), seed=0), K=np.eye(n + 1),
+                                B=np.zeros((n + 1, p)), n=n, n_total=n + 1),
+                   tmp_path / name / "model.json")
+    path = tmp_path / "b" / ("summary.json" if bad == "bad-summary" else "model.json")
+    if bad == "missing":
+        path.unlink()
+    elif bad in ("not-json", "bad-summary"):
+        path.write_text("{bad")
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    doc["compare"] = {"model_a": str(tmp_path / "a" / "model.json"),
+                      "model_b": str(tmp_path / "b" / "model.json")}
+    cfg = write_config(tmp_path / "cmp.json", doc)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "compare").exists()
+
+
 @pytest.mark.parametrize("edit", [
     lambda m: m.pop("files"),
     lambda m: [m],

@@ -537,6 +537,71 @@ def test_taped_forward_and_backward_equal_untaped(shape, batch):
     assert np.array_equal(kan_backward(net, np.atleast_2d(upstream), tape_b), grads)
 
 
+ONE_ROW_SHAPES = pytest.mark.parametrize("shape", [[2, 1], [2, 3, 2], [4, 1, 1, 1, 1]])
+
+
+@ONE_ROW_SHAPES
+def test_one_row_forward_within_a_sequential_sum_of_the_batch_row(shape):
+    # A one-row call sums each output's terms in order on Python floats; a
+    # batch sums the same terms of that row with BLAS and einsum. Each sum lies
+    # within gamma_m * sum|terms| of the exact one, gamma_m = m u / (1 - m u)
+    # for m products (Higham, Accuracy and Stability, 3.1). The basis values
+    # are the same bits; silu's math.tanh and np.tanh agree to a few ulp, so
+    # the silu values of x to 8 u |x|, times |w_base|. Layer by layer, each
+    # fed the one-row call's own input, so no earlier rounding is compared.
+    net = kan_init(shape, GRID, seed=len(shape))
+    knots = GRID.knots()
+    rng = np.random.default_rng(len(shape))
+    points = np.concatenate([knots, [0.0, -0.0, 7.0, -7.0, 1e3, -1e3],
+                             rng.uniform(knots[0], knots[-1], size=40)])
+    u = np.finfo(float).eps / 2
+    for _ in range(30):
+        x = rng.choice(points, size=shape[0])
+        layers = kan._float_layers(net, x.tolist())
+        assert layers is not None
+        out = kan_forward(net, x)
+        assert out.tobytes() == np.array(layers[-1]).tobytes()
+        assert kan_forward(net, x[None, :]).tobytes() == out.tobytes()
+        tape = []
+        assert kan_forward(net, x[None, :], tape=tape).tobytes() == out.tobytes()
+        for layer, a, b in zip(net.layers, layers, layers[1:]):
+            a = np.array([a])
+            assert tape.pop(0)[0].tobytes() == a.tobytes()
+            batch = np.concatenate([a, rng.uniform(-4.0, 4.0, size=(2, a.shape[1]))])
+            want = kan_forward(KanNetwork([a.shape[1], len(b)], GRID, [layer]), batch)[0]
+            basis, _, silu_a = layer_basis(a, GRID)
+            terms = np.concatenate([layer.w_base * silu_a, (
+                layer.w_spline[:, :, None] * layer.coeffs * basis).reshape(len(b), -1)], axis=1)
+            m = terms.shape[1]
+            bound = (2 * m * u / (1 - m * u) * np.abs(terms).sum(axis=1)
+                     + 8 * u * np.abs(layer.w_base) @ np.abs(a[0]))
+            assert np.all(np.abs(np.array(b) - want) <= bound)
+
+
+@ONE_ROW_SHAPES
+def test_one_row_forward_without_a_safe_basis_row_runs_the_numpy_loop(shape, monkeypatch):
+    # NaN, +-inf, or a point past the overflow bound, at the input or at a
+    # hidden layer, sends the whole call to the numpy loop: its non-finite rows.
+    tiny = SplineGrid(lo=-0.025, hi=0.025, intervals=5, order=3)
+    huge = float(np.finfo(float).max)
+    cases = [(grid, bad) for grid in (GRID, tiny) for bad in (np.nan, np.inf, -np.inf)]
+    cases = [(grid, [0.5] + [bad] * (shape[0] - 1))
+             for grid, bad in cases + [(tiny, huge), (tiny, -huge)]]
+    if len(shape) > 2:
+        cases.append((GRID, [huge] * shape[0]))  # finite input, inf after layer 0
+    for grid, x in cases:
+        net = kan_init(shape, grid, seed=1)
+        x = np.array(x)
+        assert kan._float_layers(net, x.tolist()) is None
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = [kan_forward(net, x), kan_forward(net, x[None, :])[0]]
+            with monkeypatch.context() as patch:
+                patch.setattr(kan, "_float_layers", lambda net, xs: None)
+                want = kan_forward(net, x)
+        assert not np.isfinite(want).all()
+        assert got[0].tobytes() == got[1].tobytes() == want.tobytes()
+
+
 def test_init_deterministic():
     a = kan_init([2, 2, 1], GRID, seed=99)
     b = kan_init([2, 2, 1], GRID, seed=99)
@@ -576,5 +641,6 @@ def test_forward_after_set_params_equals_a_fresh_network(shape):
         net.set_params(v)
         fresh = KanNetwork.from_dict(json.loads(json.dumps(net.to_dict())))
         assert fresh.get_params().tobytes() == v.tobytes()
+        assert net._row_weights is None  # one-row calls' float weights, dropped too
         for x in (one, batch):
             assert kan_forward(net, x).tobytes() == kan_forward(fresh, x).tobytes()

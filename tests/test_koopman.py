@@ -693,6 +693,23 @@ def test_rollout_diverges_at_the_per_step_loops_step(kind, start, correct):
     assert 0 < got.value.step == want.value.step
 
 
+@pytest.mark.parametrize("start", ["one", "row"])
+def test_one_row_kan_rollout_diverges_where_the_numpy_loop_does(start, monkeypatch):
+    # A one-row KAN lift runs on Python floats until an input has no safe basis
+    # row, and then runs the numpy loop, so the divergence step is the same.
+    model = synthetic_model("kan", 1, scale=1e60)
+    x0 = np.resize([1e-150, 2e-150], ROLLOUT_STARTS[start])
+    controls = np.zeros((30,) + x0.shape[:-1] + (1,))
+    steps = []
+    for numpy_only in (False, True):
+        if numpy_only:
+            monkeypatch.setattr(kan, "_float_layers", lambda net, xs: None)
+        with pytest.raises(RolloutDivergedError) as got:
+            rollout(model, x0, controls, 0.01)
+        steps.append(got.value.step)
+    assert 0 < steps[0] == steps[1]
+
+
 def test_model_roundtrip(tmp_path):
     trajs = generate_pendulum_dataset(2, seed=8)
     cfg = TrainConfig(alpha=2, epochs=1, optimizer="lbfgs", seed=3, lbfgs_max_iter=3)

@@ -358,23 +358,20 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     return 0
 
 
-def _evaluate_into(cfg: RunConfig, model, sets) -> list[dict]:
-    """Corrected rollouts of every IC of every (trajectories, dest) set in one
-    batch against the truth; per set, its per-IC CSVs and a metrics dict."""
+def _evaluate(cfg: RunConfig, model, sets: list[list]) -> list[tuple[dict, np.ndarray]]:
+    """Corrected rollouts of every IC of every set of trajectories in one batch
+    against the truth; per set, a metrics dict and its per-IC tables for
+    _write_tables. Writes nothing."""
     names = _SYSTEMS[cfg.system]["state_names"]
-    trajs = [traj for set_trajs, _ in sets for traj in set_trajs]
+    trajs = [traj for set_trajs in sets for traj in set_trajs]
     truth = np.stack([t.states for t in trajs], axis=1)
     pred = rollout(model, truth[0], np.stack([t.controls for t in trajs], axis=1),
                    np.array([t.dt for t in trajs]), correct=True)
     err = np.abs(pred.states - truth)
-    header = ["t"] + [f"{kind}_{s}" for kind in ("true", "pred", "abs_err") for s in names]
     table = np.concatenate([pred.times[..., None], truth, pred.states, err], axis=2)
-    out, stops = [], np.cumsum([len(set_trajs) for set_trajs, _ in sets])
-    for (set_trajs, dest), stop in zip(sets, stops):
+    out, stops = [], np.cumsum([len(set_trajs) for set_trajs in sets])
+    for set_trajs, stop in zip(sets, stops):
         rows = slice(stop - len(set_trajs), stop)
-        dest.mkdir(parents=True, exist_ok=True)
-        for i in range(len(set_trajs)):
-            write_csv(dest / f"eval_{i:03d}.csv", header, table[:, rows.start + i])
         ic_max = err[:, rows].max(axis=0)
         worst = ic_max.max(axis=0)
         metrics = {
@@ -387,8 +384,20 @@ def _evaluate_into(cfg: RunConfig, model, sets) -> list[dict]:
         }
         key, n_head, _ = _SYSTEMS[cfg.system]["headline"]
         metrics[key] = float(worst[:n_head].max())
-        out.append(metrics)
+        out.append((metrics, table[:, rows]))
     return out
+
+
+def _write_tables(cfg: RunConfig, dests: list[Path], evaluated) -> list[dict]:
+    """Write each _evaluate set's per-IC CSVs under its dest; return the sets'
+    metrics."""
+    names = _SYSTEMS[cfg.system]["state_names"]
+    header = ["t"] + [f"{kind}_{s}" for kind in ("true", "pred", "abs_err") for s in names]
+    for dest, (_, table) in zip(dests, evaluated):
+        dest.mkdir(parents=True, exist_ok=True)
+        for i in range(table.shape[1]):
+            write_csv(dest / f"eval_{i:03d}.csv", header, table[:, i])
+    return [metrics for metrics, _ in evaluated]
 
 
 def _check_fit(cfg: RunConfig, path: Path, n: int, p: int) -> None:
@@ -424,8 +433,10 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> in
     model_path = Path(cfg.model_path) if cfg.model_path else out_dir / "model.json"
     model = _load_model_file(cfg, model_path)
     seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
+    sets = _evaluation_sets(cfg, seed, out_dir)
     with _blaming(model_path):
-        metrics, *extrapolation = _evaluate_into(cfg, model, _evaluation_sets(cfg, seed, out_dir))
+        evaluated = _evaluate(cfg, model, [trajs for trajs, _ in sets])
+    metrics, *extrapolation = _write_tables(cfg, [dest for _, dest in sets], evaluated)
     metrics["seed"] = seed
     if extrapolation:
         radius_range = cfg.evaluation["extrapolation"].get("radius_range")
@@ -487,8 +498,9 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     section = cfg.compare
     if not section.get("model_a") or not section.get("model_b"):
         raise ConfigError("compare requires compare.model_a and compare.model_b")
-    # Both models and their summaries are loaded and checked before anything
-    # is written, so a bad model_b leaves no model_a output behind.
+    # Both models and their summaries are loaded and checked, and both models
+    # rolled out, before anything is written, so a bad model_b leaves no
+    # model_a output behind.
     loaded = []
     for label in ("model_a", "model_b"):
         path = Path(section[label])
@@ -501,13 +513,15 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
             except (json.JSONDecodeError, AttributeError) as exc:
                 raise ValueError(f"{summary_path}: not a JSON object ({exc})") from None
         loaded.append((label, path, model, wall))
-    rows = []
     seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
     (trajs, _), *_ = _evaluation_sets(cfg, seed, out_dir)
-    for label, path, model, wall in loaded:
-        dest = out_dir / "compare" / f"eval_{label}"
+    evaluated = []
+    for _, path, model, _ in loaded:
         with _blaming(path):
-            metrics = _evaluate_into(cfg, model, [(trajs, dest)])[0]
+            evaluated.append(_evaluate(cfg, model, [trajs]))
+    rows = []
+    for (label, path, model, wall), result in zip(loaded, evaluated):
+        (metrics,) = _write_tables(cfg, [out_dir / "compare" / f"eval_{label}"], result)
         rows.append({
             "label": label,
             "path": str(path),
@@ -587,7 +601,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc} (in {args.config})", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, TrainingDivergedError, InstabilityError,
+    except (OSError, ValueError, TrainingDivergedError, InstabilityError,
             dynamics.BlowupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

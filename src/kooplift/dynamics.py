@@ -306,7 +306,7 @@ def load_dataset(in_dir) -> list[Trajectory]:
 
     The manifest must be a JSON object whose state_names, control_names and
     files are lists, with at least one file entry, each holding a string name,
-    a positive finite dt and an integer n_samples. Every CSV is checked
+    a positive finite dt and a positive integer n_samples. Every CSV is checked
     against it: n_samples rows after the header, 1 + n_state + n_ctrl cells
     per row, finite numbers in every cell but the last row's control cells,
     which are empty. A mismatch raises a ValueError naming the file.
@@ -329,10 +329,10 @@ def load_dataset(in_dir) -> list[Trajectory]:
     out = []
     for entry in manifest["files"]:
         if not (type(entry) is dict and type(entry.get("name")) is str
-                and type(entry.get("n_samples")) is int
+                and type(entry.get("n_samples")) is int and entry["n_samples"] > 0
                 and type(entry.get("dt")) in (int, float) and 0 < entry["dt"] < math.inf):
             raise ValueError(f"{manifest_path}: a file entry needs a string name, a positive "
-                             f"finite dt and an integer n_samples, got {entry!r}")
+                             f"finite dt and a positive integer n_samples, got {entry!r}")
         path = in_dir / entry["name"]
         with open(path, newline="") as fh:
             body = fh.read().splitlines()[1:]

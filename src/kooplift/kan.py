@@ -141,13 +141,6 @@ def _basis_rows(xs: list, grid: SplineGrid) -> list | None:
     return rows
 
 
-def _span_basis(xs: list, grid: SplineGrid) -> np.ndarray | None:
-    """_basis_tables' values for a few points, or None when _basis_rows
-    refuses one of them."""
-    rows = _basis_rows(xs, grid)
-    return None if rows is None else np.array(rows).reshape(len(xs), grid.n_basis)
-
-
 def _basis_tables(x: np.ndarray, grid: SplineGrid, deriv: bool = True):
     """Degree-k basis values and first derivatives at each point of x.
 
@@ -182,14 +175,13 @@ def _basis_tables(x: np.ndarray, grid: SplineGrid, deriv: bool = True):
 def layer_basis(a: np.ndarray, grid: SplineGrid, deriv: bool = False):
     """(basis, deriv or None, silu(a)) for a layer input a of shape (m, n_in),
     the tables of shape (m, n_in, G + k). Values-only calls of at most
-    _SPAN_POINTS points take _span_basis, the rest, and the points it
-    refuses, the blocked kernel."""
+    _SPAN_POINTS points take their rows from _basis_rows; the rest, and the
+    points it refuses, take the blocked kernel."""
     shape = a.shape + (grid.n_basis,)
-    basis = dbasis = None
-    if not deriv and a.size <= _SPAN_POINTS:
-        basis = _span_basis(a.ravel().tolist(), grid)
-    if basis is None:
-        basis, dbasis = _basis_tables(a, grid, deriv)
+    rows = _basis_rows(a.ravel().tolist(), grid) if not deriv and a.size <= _SPAN_POINTS else None
+    if rows is not None:
+        return np.array(rows).reshape(shape), None, silu(a)
+    basis, dbasis = _basis_tables(a, grid, deriv)
     return basis.reshape(shape), dbasis.reshape(shape) if deriv else None, silu(a)
 
 
@@ -216,32 +208,28 @@ class KanNetwork(FlatParams):
     shape: list[int]
     grid: SplineGrid
     layers: list[KanLayer] = field(default_factory=list)
-    _weights: list | None = field(default=None, init=False, repr=False, compare=False)
-    _row_weights: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def param_arrays(self) -> list[np.ndarray]:
         return [arr for la in self.layers for arr in (la.coeffs, la.w_base, la.w_spline)]
 
     def set_params(self, flat: np.ndarray) -> None:
         super().set_params(flat)
-        self._weights = self._row_weights = None
+        for name in ("layer_weights", "row_weights"):
+            vars(self).pop(name, None)
 
+    @functools.cached_property
     def layer_weights(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per layer, w_spline[:, :, None] * coeffs and w_base.T; built on first use."""
-        if self._weights is None:
-            self._weights = [(la.w_spline[:, :, None] * la.coeffs, la.w_base.T)
-                             for la in self.layers]
-        return self._weights
+        """Per layer, w_spline[:, :, None] * coeffs and w_base.T."""
+        return [(la.w_spline[:, :, None] * la.coeffs, la.w_base.T) for la in self.layers]
 
+    @functools.cached_property
     def row_weights(self) -> list[list[list[float]]]:
         """Per layer and output node, its base weights and then its
-        layer_weights() spline products in input and basis order, as Python
-        floats; built on first use."""
-        if self._row_weights is None:
-            self._row_weights = [[w_b + eff_j for w_b, eff_j in zip(
-                base_t.T.tolist(), eff.reshape(len(eff), -1).tolist())]
-                for eff, base_t in self.layer_weights()]
-        return self._row_weights
+        layer_weights spline products in input and basis order, as Python
+        floats."""
+        return [[w_b + eff_j for w_b, eff_j in zip(
+            base_t.T.tolist(), eff.reshape(len(eff), -1).tolist())]
+            for eff, base_t in self.layer_weights]
 
     # The methods call the module functions by name at call time, so a
     # wrapper installed on them (benchmarks/tracing.py) sees every call.
@@ -295,13 +283,11 @@ def kan_init(shape, grid: SplineGrid, seed: int) -> KanNetwork:
     return KanNetwork(shape=shape, grid=grid, layers=layers)
 
 
-def _float_layers(net: KanNetwork, xs: list) -> list | None:
-    """Each layer's input of a one-row forward pass, and the output last, in
-    Python floats; None when a point has no safe basis row. Each output is one
-    sequential sum: the base terms, then the spline terms in input and basis
-    order."""
-    layers = [xs]
-    for rows in net.row_weights():
+def _float_forward(net: KanNetwork, xs: list) -> list | None:
+    """The output of a one-row forward pass in Python floats; None when a point
+    has no safe basis row. Each output is one sequential sum: the base terms,
+    then the spline terms in input and basis order."""
+    for rows in net.row_weights:
         basis = _basis_rows(xs, net.grid)
         if basis is None:
             return None
@@ -312,20 +298,20 @@ def _float_layers(net: KanNetwork, xs: list) -> list | None:
             for w, t in zip(weights, terms):
                 total += w * t
             xs.append(total)
-        layers.append(xs)
-    return layers
+    return xs
 
 
 def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
     """Evaluate the network; accepts one state (1-D) or a batch (2-D).
 
-    One row, 1-D or (1, n), runs on Python floats (_float_layers), so it may
-    differ from the same row of a batch in the last bits; a point with no
-    safe basis row sends it to the numpy loop. A tape list, when given,
-    receives (input, basis, deriv, silu(input)) per layer for kan_backward;
-    the first layer's deriv is None. basis, when given, is layer_basis(x,
-    net.grid) for a batch x: the first layer's tables and silu, which stay
-    fixed while the parameters change. A one-row call does not read it.
+    An untaped call on one row, 1-D or (1, n), runs on Python floats
+    (_float_forward), so it may differ from the same row of a batch in the
+    last bits; a point with no safe basis row sends it to the numpy loop,
+    which runs every other call. A tape list, when given, receives (input,
+    basis, deriv, silu(input)) per layer for kan_backward; the first layer's
+    deriv is None. basis, when given, is layer_basis(x, net.grid) for x: the
+    first layer's tables and silu, which stay fixed while the parameters
+    change. The float engine does not read it.
     """
     a = np.asarray(x, dtype=float)
     squeeze = a.ndim == 1
@@ -333,15 +319,10 @@ def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
         a = a[None, :]
     if a.shape[1] != net.shape[0]:
         raise ValueError(f"input width {a.shape[1]} != network input {net.shape[0]}")
-    layers = _float_layers(net, a[0].tolist()) if len(a) == 1 else None
-    if layers is not None:
-        if tape is not None:
-            for li, xs in enumerate(layers[:-1]):
-                row = np.array([xs])
-                tape.append((row, *layer_basis(row, net.grid, deriv=li > 0)))
-        out = np.array(layers[-1])
-        return out if squeeze else out[None, :]
-    for li, (eff, base_t) in enumerate(net.layer_weights()):
+    out = _float_forward(net, a[0].tolist()) if tape is None and len(a) == 1 else None
+    if out is not None:
+        return np.array(out) if squeeze else np.array([out])
+    for li, (eff, base_t) in enumerate(net.layer_weights):
         if li == 0 and basis is not None:
             b, db, silu_a = basis
         else:
@@ -371,6 +352,6 @@ def kan_backward(net: KanNetwork, upstream, tape):
         d_w_base = u.T @ silu_a
         parts[li] = [d_coeffs.ravel(), d_w_base.ravel(), d_w_spline.ravel()]
         if li > 0:
-            spline_part = np.einsum("mj,jig->mig", u, net.layer_weights()[li][0])
+            spline_part = np.einsum("mj,jig->mig", u, net.layer_weights[li][0])
             u = (u @ layer.w_base) * silu_deriv(a) + np.sum(spline_part * dbasis, axis=2)
     return np.concatenate([seg for layer_parts in parts for seg in layer_parts])

@@ -729,10 +729,12 @@ def test_compare_bad_summary_exits_1(pendulum_cfg, tmp_path, capsys, text):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("bad", ["missing", "not-json", "other-system", "bad-summary"])
+@pytest.mark.parametrize("bad", ["missing", "not-json", "other-system", "bad-summary",
+                                 "diverges"])
 def test_compare_bad_model_b_writes_nothing(pendulum_cfg, tmp_path, capsys, bad):
-    # model_a is good; model_b and its summary are checked before model_a's
-    # CSVs are written, so the error leaves no compare/ file behind.
+    # model_a is good; model_b and its summary are checked, and both models
+    # rolled out, before model_a's CSVs are written, so the error leaves no
+    # compare/ file behind.
     for name, n, p in (("a", 2, 1), ("b", 4, 0) if bad == "other-system" else ("b", 2, 1)):
         (tmp_path / name).mkdir()
         save_model(KoopmanModel(network=kan_init([n, 1], SplineGrid(), seed=0), K=np.eye(n + 1),
@@ -743,6 +745,10 @@ def test_compare_bad_model_b_writes_nothing(pendulum_cfg, tmp_path, capsys, bad)
         path.unlink()
     elif bad in ("not-json", "bad-summary"):
         path.write_text("{bad")
+    elif bad == "diverges":
+        doc = json.loads(FIXTURE.read_text())
+        _set(["K", 0, 0], 1e308)(doc)
+        write_config(path, doc)
     doc = json.loads(Path(pendulum_cfg).read_text())
     doc["compare"] = {"model_a": str(tmp_path / "a" / "model.json"),
                       "model_b": str(tmp_path / "b" / "model.json")}
@@ -766,8 +772,9 @@ def test_compare_bad_model_b_writes_nothing(pendulum_cfg, tmp_path, capsys, bad)
     lambda m: m["files"][1].update(n_samples="201"),
     lambda m: m.update(state_names=2),
     lambda m: m["files"].__setitem__(0, "traj_0000.csv"),
+    lambda m: m["files"][1].update(n_samples=0),
 ], ids=["no-files", "list", "truncated", "dt-negative", "files-empty", "dt-nan", "name-int",
-        "n_samples-str", "state_names-int", "entry-str"])
+        "n_samples-str", "state_names-int", "entry-str", "n_samples-0"])
 def test_malformed_manifest_exits_1(pendulum_cfg, tmp_path, capsys, edit):
     # edit changes the manifest in place or returns what replaces it.
     out = tmp_path / "run"
@@ -782,6 +789,27 @@ def test_malformed_manifest_exits_1(pendulum_cfg, tmp_path, capsys, edit):
     assert err.startswith(f"error: {path}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
+def test_out_path_that_is_a_file_exits_1(pendulum_cfg, tmp_path, capsys, command):
+    # --out names a regular file: generate fails at once, train after training
+    # and evaluate after its rollout, each with one line, leaving the file be.
+    run = tmp_path / "run"
+    for step in ("generate", "train"):
+        assert main([step, "--config", pendulum_cfg, "--out", str(run)]) == 0
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    if command != "generate":
+        doc["dataset"]["path"], doc["model_path"] = str(run / "dataset"), str(run / "model.json")
+    cfg = write_config(tmp_path / "elsewhere.json", doc)
+    out = tmp_path / "a_file"
+    out.write_bytes(b"not a directory\n")
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert out.read_bytes() == b"not a directory\n"
 
 
 @pytest.mark.parametrize("preset, section, key", [

@@ -1,6 +1,7 @@
 """Tests for the reference systems, integrator, and dataset round trips."""
 
 import csv
+import json
 import math
 import re
 import tempfile
@@ -445,6 +446,20 @@ def test_load_dataset_checks_files_against_the_manifest(tmp_path, cut, what):
     with pytest.raises(ValueError, match="traj_0001.csv") as err:
         load_dataset(tmp_path)
     assert what in str(err.value)
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_load_dataset_rejects_a_non_positive_n_samples(tmp_path, n_samples):
+    # A header-only CSV fails on its manifest entry, not on an empty body.
+    save_dataset(generate_pendulum_dataset(1, seed=3), tmp_path,
+                 PENDULUM_STATE_NAMES, PENDULUM_CONTROL_NAMES)
+    path = tmp_path / "traj_0000.csv"
+    path.write_bytes(path.read_bytes().split(b"\r\n")[0] + b"\r\n")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["files"][0]["n_samples"] = n_samples
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="manifest.json: .*a positive integer n_samples"):
+        load_dataset(tmp_path)
 
 
 def test_dataset_roundtrip_property():

@@ -12,8 +12,8 @@ from kooplift.kan import (
     _SPAN_POINTS,
     KanNetwork,
     SplineGrid,
+    _basis_rows,
     _basis_tables,
-    _span_basis,
     kan_backward,
     kan_forward,
     kan_init,
@@ -260,6 +260,12 @@ SPAN_GRIDS = pytest.mark.parametrize("grid", [
 ], ids=["preset", "pendulum-fixture", "order-1", "order-2", "order-5", "one-interval"])
 
 
+def _span_table(xs: list, grid: SplineGrid):
+    """_basis_rows' rows of the points xs as a (len(xs), G + k) table, or None."""
+    rows = _basis_rows(xs, grid)
+    return None if rows is None else np.array(rows).reshape(len(xs), grid.n_basis)
+
+
 def _assert_values_only_match(x, grid):
     """layer_basis' values-only table of the points x (span-local for up to
     _SPAN_POINTS points) equals the blocked kernel's and the oracle
@@ -286,7 +292,7 @@ def test_span_basis_bit_identical_to_blocked_kernel(grid, size):
     for points in x[: x.size - x.size % size].reshape(-1, size):
         # Finite points, inside the support or not, and no quotient overflows
         # on these grids, so the span-local path takes them all.
-        assert _span_basis(points.tolist(), grid) is not None
+        assert _basis_rows(points.tolist(), grid) is not None
         _assert_values_only_match(points, grid)
 
 
@@ -298,22 +304,21 @@ def test_span_basis_falls_back_outside_support(grid, monkeypatch):
     for points in ([1e300], [-1e300], [knots[-1]], [knots[0] - grid.step],
                    [np.nextafter(knots[0], -np.inf)], [knots[-1], mid], [mid, mid, 1e300]):
         points = [float(p) for p in points]
-        table = _span_basis(points, grid)
+        table = _span_table(points, grid)
         outside = [not knots[0] <= p < knots[-1] for p in points]
         assert table is not None
         assert table[outside].tobytes() == bytes(8 * grid.n_basis * sum(outside))
         _assert_values_only_match(np.array(points), grid)
     # NaN and +-inf propagate into NaN rows, which only the blocked kernel writes.
     for points in ([np.nan], [np.inf], [-np.inf], [mid, np.nan], [mid, -np.inf, mid]):
-        assert _span_basis(points, grid) is None
+        assert _basis_rows(points, grid) is None
         _assert_values_only_match(np.array(points), grid)
     assert _basis_tables(np.empty(0), grid, deriv=False)[0].shape == (0, grid.n_basis)
 
-    # Only layer_basis calls the span-local path, and only for values-only
-    # calls of at most _SPAN_POINTS points; its None falls back to the
-    # blocked kernel.
+    # layer_basis takes the span-local rows only for values-only calls of at
+    # most _SPAN_POINTS points; their None falls back to the blocked kernel.
     calls = []
-    monkeypatch.setattr(kan, "_span_basis", lambda xs, grid: calls.append(len(xs)))
+    monkeypatch.setattr(kan, "_basis_rows", lambda xs, grid: calls.append(len(xs)))
     for size in (1, _SPAN_POINTS, _SPAN_POINTS + 1):
         x = np.full((1, size), mid)
         values, none, _ = layer_basis(x, grid)
@@ -332,9 +337,9 @@ def test_span_basis_overflow_falls_back():
         with np.errstate(invalid="ignore", over="ignore"):
             blocked = _basis_tables(np.array(points), grid)[0]
         assert np.isnan(blocked).any()
-        assert _span_basis(points, grid) is None
+        assert _basis_rows(points, grid) is None
         _assert_values_only_match(np.array(points), grid)
-    assert _span_basis([1e300, -1e300, 0.01], grid) is not None
+    assert _basis_rows([1e300, -1e300, 0.01], grid) is not None
 
 
 def test_span_basis_bit_identical_property():
@@ -359,7 +364,7 @@ def test_span_basis_bit_identical_property():
         _assert_values_only_match(x, grid)
         with np.errstate(invalid="ignore", over="ignore"):
             blocked = _basis_tables(x, grid)[0]
-        table = _span_basis(x.tolist(), grid)
+        table = _span_table(x.tolist(), grid)
         if np.isnan(blocked).any():
             assert table is None
         elif np.abs(x).max() < 0.25 * float(np.finfo(float).max) * grid.step:
@@ -520,7 +525,7 @@ def test_backward_batch_accumulates():
 
 @pytest.mark.parametrize("batch", [None, 6])
 @pytest.mark.parametrize("shape", [[2, 1], [2, 3, 2], [4, 1, 1, 1, 1]])
-def test_taped_forward_and_backward_equal_untaped(shape, batch):
+def test_taped_forward_and_backward_equal_untaped(shape, batch, monkeypatch):
     net = kan_init(shape, GRID, seed=len(shape))
     rng = np.random.default_rng(5)
     lead = () if batch is None else (batch,)
@@ -528,13 +533,17 @@ def test_taped_forward_and_backward_equal_untaped(shape, batch):
     upstream = rng.standard_normal(lead + (shape[-1],))
     tape = []
     out = kan_forward(net, x, tape=tape)
-    assert np.array_equal(out, kan_forward(net, x))
+    # A taped call always runs the numpy loop; an untaped one row runs on
+    # Python floats unless that engine refuses it.
+    with monkeypatch.context() as patch:
+        patch.setattr(kan, "_float_forward", lambda net, xs: None)
+        assert out.tobytes() == kan_forward(net, x).tobytes()
     grads = kan_backward(net, np.atleast_2d(upstream), tape)
     # A tape built on a given first-layer basis gives the same gradient.
     tape_b = []
     out_b = kan_forward(net, x, tape=tape_b, basis=layer_basis(np.atleast_2d(x), GRID))
-    assert np.array_equal(out_b, out)
-    assert np.array_equal(kan_backward(net, np.atleast_2d(upstream), tape_b), grads)
+    assert out_b.tobytes() == out.tobytes()
+    assert kan_backward(net, np.atleast_2d(upstream), tape_b).tobytes() == grads.tobytes()
 
 
 ONE_ROW_SHAPES = pytest.mark.parametrize("shape", [[2, 1], [2, 3, 2], [4, 1, 1, 1, 1]])
@@ -548,7 +557,8 @@ def test_one_row_forward_within_a_sequential_sum_of_the_batch_row(shape):
     # for m products (Higham, Accuracy and Stability, 3.1). The basis values
     # are the same bits; silu's math.tanh and np.tanh agree to a few ulp, so
     # the silu values of x to 8 u |x|, times |w_base|. Layer by layer, each
-    # fed the one-row call's own input, so no earlier rounding is compared.
+    # a one-layer network fed the float engine's own input, so no earlier
+    # rounding is compared.
     net = kan_init(shape, GRID, seed=len(shape))
     knots = GRID.knots()
     rng = np.random.default_rng(len(shape))
@@ -557,18 +567,16 @@ def test_one_row_forward_within_a_sequential_sum_of_the_batch_row(shape):
     u = np.finfo(float).eps / 2
     for _ in range(30):
         x = rng.choice(points, size=shape[0])
-        layers = kan._float_layers(net, x.tolist())
-        assert layers is not None
         out = kan_forward(net, x)
-        assert out.tobytes() == np.array(layers[-1]).tobytes()
+        assert out.tobytes() == np.array(kan._float_forward(net, x.tolist())).tobytes()
         assert kan_forward(net, x[None, :]).tobytes() == out.tobytes()
-        tape = []
-        assert kan_forward(net, x[None, :], tape=tape).tobytes() == out.tobytes()
-        for layer, a, b in zip(net.layers, layers, layers[1:]):
-            a = np.array([a])
-            assert tape.pop(0)[0].tobytes() == a.tobytes()
+        b = x.tolist()
+        for layer in net.layers:
+            a = np.array([b])
+            one = KanNetwork([a.shape[1], len(layer.coeffs)], GRID, [layer])
+            b = kan._float_forward(one, b)
             batch = np.concatenate([a, rng.uniform(-4.0, 4.0, size=(2, a.shape[1]))])
-            want = kan_forward(KanNetwork([a.shape[1], len(b)], GRID, [layer]), batch)[0]
+            want = kan_forward(one, batch)[0]
             basis, _, silu_a = layer_basis(a, GRID)
             terms = np.concatenate([layer.w_base * silu_a, (
                 layer.w_spline[:, :, None] * layer.coeffs * basis).reshape(len(b), -1)], axis=1)
@@ -576,6 +584,7 @@ def test_one_row_forward_within_a_sequential_sum_of_the_batch_row(shape):
             bound = (2 * m * u / (1 - m * u) * np.abs(terms).sum(axis=1)
                      + 8 * u * np.abs(layer.w_base) @ np.abs(a[0]))
             assert np.all(np.abs(np.array(b) - want) <= bound)
+        assert np.array(b).tobytes() == out.tobytes()
 
 
 @ONE_ROW_SHAPES
@@ -592,11 +601,11 @@ def test_one_row_forward_without_a_safe_basis_row_runs_the_numpy_loop(shape, mon
     for grid, x in cases:
         net = kan_init(shape, grid, seed=1)
         x = np.array(x)
-        assert kan._float_layers(net, x.tolist()) is None
+        assert kan._float_forward(net, x.tolist()) is None
         with np.errstate(invalid="ignore", over="ignore"):
             got = [kan_forward(net, x), kan_forward(net, x[None, :])[0]]
             with monkeypatch.context() as patch:
-                patch.setattr(kan, "_float_layers", lambda net, xs: None)
+                patch.setattr(kan, "_float_forward", lambda net, xs: None)
                 want = kan_forward(net, x)
         assert not np.isfinite(want).all()
         assert got[0].tobytes() == got[1].tobytes() == want.tobytes()
@@ -641,6 +650,6 @@ def test_forward_after_set_params_equals_a_fresh_network(shape):
         net.set_params(v)
         fresh = KanNetwork.from_dict(json.loads(json.dumps(net.to_dict())))
         assert fresh.get_params().tobytes() == v.tobytes()
-        assert net._row_weights is None  # one-row calls' float weights, dropped too
+        assert not {"layer_weights", "row_weights"} & vars(net).keys()
         for x in (one, batch):
             assert kan_forward(net, x).tobytes() == kan_forward(fresh, x).tobytes()

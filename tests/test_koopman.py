@@ -703,11 +703,32 @@ def test_one_row_kan_rollout_diverges_where_the_numpy_loop_does(start, monkeypat
     steps = []
     for numpy_only in (False, True):
         if numpy_only:
-            monkeypatch.setattr(kan, "_float_layers", lambda net, xs: None)
+            monkeypatch.setattr(kan, "_float_forward", lambda net, xs: None)
         with pytest.raises(RolloutDivergedError) as got:
             rollout(model, x0, controls, 0.01)
         steps.append(got.value.step)
     assert 0 < steps[0] == steps[1]
+
+
+@pytest.mark.parametrize("case", ["adam-batch-1", "lbfgs-one-column"])
+def test_training_never_runs_the_float_engine(case, monkeypatch):
+    # Training lifts through taped calls and whole-state batches, so no loss
+    # history holds the float engine's rounding, even one column at a time.
+    def refuse(net, xs):
+        raise AssertionError("training reached the float engine")
+
+    monkeypatch.setattr(kan, "_float_forward", refuse)
+    if case == "adam-batch-1":
+        trajs = generate_pendulum_dataset(2, seed=5)
+        cfg = TrainConfig(alpha=3, gamma=1.0, beta=1.0, epochs=1, optimizer="adam",
+                          learning_rate=1e-3, batch_size=1, seed=0)
+    else:
+        trajs = [Trajectory(dt=0.01, states=np.array([[0.3, -0.2], [0.29, -0.25]]),
+                            controls=np.array([[0.1]]))]
+        cfg = TrainConfig(alpha=1, epochs=2, optimizer="lbfgs", lbfgs_max_iter=3, seed=0)
+    _, history = train(kan_init([2, 3, 2], SplineGrid(-6.5, 6.5, 10, 3), seed=0), trajs, cfg)
+    assert len(history) == cfg.epochs + 1
+    assert np.isfinite([row.total for row in history]).all()
 
 
 def test_model_roundtrip(tmp_path):

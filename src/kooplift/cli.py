@@ -61,6 +61,7 @@ from .koopman import (
 from .mlp import mlp_init
 
 OUT_ENV_VAR = "KOOPLIFT_OUT"
+_NUMPY_TOO_BIG = ("Maximum allowed dimension exceeded", "array is too big")
 
 # n_ic: the default number of initial conditions of a dataset and of an
 # evaluation section. draw: an evaluation set's (x0, controls, dt), integrated
@@ -90,6 +91,10 @@ class ConfigError(Exception):
     """The config document is structurally or semantically invalid."""
 
 
+# Each control setting's value when the control section leaves it out.
+_CONTROL_DEFAULTS = {"x0": [1.0, 0.0], "duration": 10.0, "dt": PENDULUM_DT, "q_state": 1.0,
+                     "r": 0.1, "u_limit": 5.0}
+
 # The keys each config section may hold; the train section holds TrainConfig's.
 _SECTION_KEYS = {
     "dataset": {"n_ic", "seed", "points_per_orbit", "path"},
@@ -98,7 +103,7 @@ _SECTION_KEYS = {
     "train": set(TrainConfig.__dataclass_fields__),
     "evaluation": {"n_ic", "seed", "radius_range", "extrapolation"},
     "evaluation.extrapolation": {"n_ic", "radius_range"},
-    "control": {"x0", "duration", "dt", "q_state", "r", "u_limit"},
+    "control": set(_CONTROL_DEFAULTS),
     "compare": {"model_a", "model_b"},
 }
 
@@ -138,7 +143,7 @@ class RunConfig:
 
     def validate(self) -> None:
         """Check every section, and set train_config, the train section's TrainConfig."""
-        if self.system not in _SYSTEMS:
+        if self.system not in tuple(_SYSTEMS):  # a list or an object is unhashable
             raise ConfigError(
                 f"system must be one of {sorted(_SYSTEMS)}, got {self.system!r}"
             )
@@ -179,18 +184,19 @@ class RunConfig:
             ("dataset", "points_per_orbit")) if name in self._section(section)]
         if self.system == "pendulum" and stray:
             raise ConfigError(f"{stray[0]} must be a two-body key, not a pendulum one")
+        control = self.control_settings
         for name in ("dt", "duration", "u_limit", "q_state", "r"):
-            value = self.control.get(name, 1.0)
-            if type(value) not in (int, float) or not 0.0 < value < float("inf"):
+            value = control[name]
+            if type(value) not in (int, float) or not 0.0 < value <= sys.float_info.max:
                 raise ConfigError(f"control.{name} must be a positive finite number, "
                                   f"got {value!r}")
-        duration, dt = self.control.get("duration", 10.0), self.control.get("dt", PENDULUM_DT)
-        if round(duration / dt) < 1:  # closed_loop_sim's step count
+        duration, dt, x0 = control["duration"], control["dt"], control["x0"]
+        if not 0.5 < duration / dt < float("inf"):  # closed_loop_sim's step count rounds to >= 1
             raise ConfigError(f"control.duration must be a time of at least half of "
-                              f"control.dt = {dt!r}, got {duration!r}")
-        x0 = self.control.get("x0")
+                              f"control.dt = {dt!r} and a finite number of its steps, "
+                              f"got {duration!r}")
         if "x0" in self.control and (type(x0) is not list or len(x0) != self.n_states or not all(
-                type(v) in (int, float) and abs(v) < float("inf") for v in x0)):
+                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in x0)):
             raise ConfigError(f"control.x0 must be a list of {self.n_states} finite numbers, "
                               f"got {x0!r}")
         self.spline_grid()
@@ -231,8 +237,9 @@ class RunConfig:
         return self.dataset.get("points_per_orbit", 800)
 
     @property
-    def x0(self) -> np.ndarray:
-        return np.asarray(self.control.get("x0", [1.0, 0.0]), dtype=float)
+    def control_settings(self) -> dict:
+        """The control section over _CONTROL_DEFAULTS."""
+        return {**_CONTROL_DEFAULTS, **self.control}
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -260,10 +267,10 @@ def _from_section(cfg: RunConfig, make, seed: int, doc: dict, role: str):
     return make(n_ic, seed)
 
 
-def _evaluation_sets(cfg: RunConfig, seed: int, out_dir: Path) -> list:
-    """(trajectories, destination) of each evaluation set: the held-out ICs from
-    seed and, when configured, the extrapolation band from seed + 1, integrated
-    in one batch."""
+def _evaluation_sets(cfg: RunConfig, seed: int) -> dict[str, list]:
+    """The trajectories of each evaluation set by name: "eval", the held-out ICs
+    from seed, and when configured "eval_extrapolation", the band from seed + 1,
+    integrated in one batch."""
     docs = {"eval": cfg.evaluation}
     if cfg.evaluation.get("extrapolation"):
         docs["eval_extrapolation"] = cfg.evaluation["extrapolation"]
@@ -275,7 +282,7 @@ def _evaluation_sets(cfg: RunConfig, seed: int, out_dir: Path) -> list:
     # (benchmarks/tracing.py) sees this call too.
     trajs = iter(dynamics.simulate(system["deriv"], np.concatenate(x0), np.concatenate(
         controls, axis=1), np.concatenate(dt)).unstack())
-    return [([next(trajs) for _ in x], out_dir / name) for x, name in zip(x0, docs)]
+    return {name: [next(trajs) for _ in x] for x, name in zip(x0, docs)}
 
 
 def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
@@ -358,46 +365,59 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     return 0
 
 
-def _evaluate(cfg: RunConfig, model, sets: list[list]) -> list[tuple[dict, np.ndarray]]:
-    """Corrected rollouts of every IC of every set of trajectories in one batch
-    against the truth; per set, a metrics dict and its per-IC tables for
-    _write_tables. Writes nothing."""
+def _evaluate(cfg: RunConfig, models: list, seed_override: int | None) -> list[tuple]:
+    """Corrected rollouts of each (path, model) in models, every IC of every
+    evaluation set in one batch, against the truth integrated once; per model,
+    its metrics.json document and each set's per-IC table by set name, for
+    _write_evaluation. Writes nothing."""
+    seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
+    sets = _evaluation_sets(cfg, seed)
     names = _SYSTEMS[cfg.system]["state_names"]
-    trajs = [traj for set_trajs in sets for traj in set_trajs]
+    key, n_head, _ = _SYSTEMS[cfg.system]["headline"]
+    trajs = [traj for set_trajs in sets.values() for traj in set_trajs]
     truth = np.stack([t.states for t in trajs], axis=1)
-    pred = rollout(model, truth[0], np.stack([t.controls for t in trajs], axis=1),
-                   np.array([t.dt for t in trajs]), correct=True)
-    err = np.abs(pred.states - truth)
-    table = np.concatenate([pred.times[..., None], truth, pred.states, err], axis=2)
-    out, stops = [], np.cumsum([len(set_trajs) for set_trajs in sets])
-    for set_trajs, stop in zip(sets, stops):
-        rows = slice(stop - len(set_trajs), stop)
-        ic_max = err[:, rows].max(axis=0)
-        worst = ic_max.max(axis=0)
-        metrics = {
-            "n_ic": len(set_trajs),
-            "max_abs_error": {s: float(e) for s, e in zip(names, worst)},
-            "per_ic": [{
-                "initial_state": [float(v) for v in x0],
-                "max_abs_error": {s: float(e) for s, e in zip(names, row)},
-            } for x0, row in zip(truth[0, rows], ic_max)],
-        }
-        key, n_head, _ = _SYSTEMS[cfg.system]["headline"]
-        metrics[key] = float(worst[:n_head].max())
-        out.append((metrics, table[:, rows]))
-    return out
+    controls, dt = np.stack([t.controls for t in trajs], axis=1), np.array([t.dt for t in trajs])
+    evaluated = []
+    for path, model in models:
+        with _blaming(path):
+            pred = rollout(model, truth[0], controls, dt, correct=True)
+        err = np.abs(pred.states - truth)
+        table = np.concatenate([pred.times[..., None], truth, pred.states, err], axis=2)
+        docs, tables, stop = [], {}, 0
+        for name, set_trajs in sets.items():
+            rows = slice(stop, stop + len(set_trajs))
+            stop = rows.stop
+            ic_max = err[:, rows].max(axis=0)
+            worst = ic_max.max(axis=0)
+            docs.append({
+                "n_ic": len(set_trajs),
+                "max_abs_error": {s: float(e) for s, e in zip(names, worst)},
+                "per_ic": [{
+                    "initial_state": [float(v) for v in x0],
+                    "max_abs_error": {s: float(e) for s, e in zip(names, row)},
+                } for x0, row in zip(truth[0, rows], ic_max)],
+                key: float(worst[:n_head].max()),
+            })
+            tables[name] = table[:, rows]
+        metrics, *band = docs
+        metrics["seed"] = seed
+        if band:
+            radius_range = cfg.evaluation["extrapolation"].get("radius_range")
+            metrics["extrapolation"] = {**band[0], "radius_range": radius_range}
+        evaluated.append((metrics, tables))
+    return evaluated
 
 
-def _write_tables(cfg: RunConfig, dests: list[Path], evaluated) -> list[dict]:
-    """Write each _evaluate set's per-IC CSVs under its dest; return the sets'
-    metrics."""
+def _write_evaluation(cfg: RunConfig, root: Path, metrics: dict, tables: dict) -> None:
+    """Write one model's _evaluate result under root: each set's per-IC CSVs
+    in root/<set name>, and its metrics document as root/eval/metrics.json."""
     names = _SYSTEMS[cfg.system]["state_names"]
     header = ["t"] + [f"{kind}_{s}" for kind in ("true", "pred", "abs_err") for s in names]
-    for dest, (_, table) in zip(dests, evaluated):
-        dest.mkdir(parents=True, exist_ok=True)
+    for name, table in tables.items():
+        (root / name).mkdir(parents=True, exist_ok=True)
         for i in range(table.shape[1]):
-            write_csv(dest / f"eval_{i:03d}.csv", header, table[:, i])
-    return [metrics for metrics, _ in evaluated]
+            write_csv(root / name / f"eval_{i:03d}.csv", header, table[:, i])
+    _write_json(root / "eval" / "metrics.json", metrics)
 
 
 def _check_fit(cfg: RunConfig, path: Path, n: int, p: int) -> None:
@@ -409,14 +429,16 @@ def _check_fit(cfg: RunConfig, path: Path, n: int, p: int) -> None:
                          f"system's {want[0]} and {want[1]}")
 
 
-def _load_model_file(cfg: RunConfig, path: Path):
-    """The model stored at path, checked against the system; a missing file
-    raises FileNotFoundError."""
+def _load_model_file(cfg: RunConfig, out_dir: Path, path: str | None = None):
+    """The path and the model stored there, checked against the system; path
+    defaults to the config's model_path, else out_dir's model.json. A missing
+    file raises FileNotFoundError."""
+    path = Path(path or cfg.model_path or out_dir / "model.json")
     if not path.is_file():
         raise FileNotFoundError(f"model file not found: {path}")
     model = load_model(path)[0]
     _check_fit(cfg, path, model.n, model.B.shape[1])
-    return model
+    return path, model
 
 
 @contextlib.contextmanager
@@ -430,18 +452,9 @@ def _blaming(path: Path):
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
-    model_path = Path(cfg.model_path) if cfg.model_path else out_dir / "model.json"
-    model = _load_model_file(cfg, model_path)
-    seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
-    sets = _evaluation_sets(cfg, seed, out_dir)
-    with _blaming(model_path):
-        evaluated = _evaluate(cfg, model, [trajs for trajs, _ in sets])
-    metrics, *extrapolation = _write_tables(cfg, [dest for _, dest in sets], evaluated)
-    metrics["seed"] = seed
-    if extrapolation:
-        radius_range = cfg.evaluation["extrapolation"].get("radius_range")
-        metrics["extrapolation"] = {**extrapolation[0], "radius_range": radius_range}
-    _write_json(out_dir / "eval" / "metrics.json", metrics)
+    model_path, model = _load_model_file(cfg, out_dir)
+    [(metrics, tables)] = _evaluate(cfg, [(model_path, model)], seed_override)
+    _write_evaluation(cfg, out_dir, metrics, tables)
     key, _, unit = _SYSTEMS[cfg.system]["headline"]
     print(f"evaluated {model_path.name} on {metrics['n_ic']} held-out ICs: "
           f"{key.replace('_', ' ')} {metrics[key]:.4g} {unit}")
@@ -452,24 +465,24 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     del seed_override  # the control loop is deterministic
     if cfg.system != "pendulum":
         raise ConfigError("closed-loop control is implemented for the pendulum")
-    model_path = Path(cfg.model_path) if cfg.model_path else out_dir / "model.json"
-    model = _load_model_file(cfg, model_path)
-    section = cfg.control
+    model_path, model = _load_model_file(cfg, out_dir)
+    settings = cfg.control_settings
     q, r = default_weights(
         model.n, model.n_total, model.B.shape[1],
-        q_state=float(section.get("q_state", 1.0)),
-        r=float(section.get("r", 0.1)),
+        q_state=float(settings["q_state"]),
+        r=float(settings["r"]),
     )
     with _blaming(model_path):
         gain = dlqr(model.K, model.B, q, r)
+    x0 = [float(v) for v in settings["x0"]]
     traj = closed_loop_sim(
         model,
         gain,
         _SYSTEMS[cfg.system]["deriv"],
-        cfg.x0,
-        duration=float(section.get("duration", 10.0)),
-        dt=float(section.get("dt", PENDULUM_DT)),
-        u_limit=float(section.get("u_limit", 5.0)),
+        np.asarray(x0),
+        duration=float(settings["duration"]),
+        dt=float(settings["dt"]),
+        u_limit=float(settings["u_limit"]),
     )
     dest = out_dir / "control"
     names = _SYSTEMS[cfg.system]
@@ -486,9 +499,8 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     }
     _write_json(dest / "control_metrics.json", metrics)
     settle_text = "never" if settle is None else f"{settle:.2f}s"
-    x0_text = [float(v) for v in cfg.x0]
     print(
-        f"closed loop from {x0_text}: "
+        f"closed loop from {x0}: "
         f"settled {settle_text}, peak |u| {metrics['peak_abs_control']:.3g}"
     )
     return 0
@@ -500,11 +512,10 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
         raise ConfigError("compare requires compare.model_a and compare.model_b")
     # Both models and their summaries are loaded and checked, and both models
     # rolled out, before anything is written, so a bad model_b leaves no
-    # model_a output behind.
-    loaded = []
+    # compare/ file behind.
+    models, rows = [], []
     for label in ("model_a", "model_b"):
-        path = Path(section[label])
-        model = _load_model_file(cfg, path)
+        path, model = _load_model_file(cfg, out_dir, section[label])
         summary_path = path.parent / "summary.json"
         wall = None
         if summary_path.is_file():
@@ -512,39 +523,21 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
                 wall = json.loads(summary_path.read_text()).get("wall_time_s")
             except (json.JSONDecodeError, AttributeError) as exc:
                 raise ValueError(f"{summary_path}: not a JSON object ({exc})") from None
-        loaded.append((label, path, model, wall))
-    seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
-    (trajs, _), *_ = _evaluation_sets(cfg, seed, out_dir)
-    evaluated = []
-    for _, path, model, _ in loaded:
-        with _blaming(path):
-            evaluated.append(_evaluate(cfg, model, [trajs]))
-    rows = []
-    for (label, path, model, wall), result in zip(loaded, evaluated):
-        (metrics,) = _write_tables(cfg, [out_dir / "compare" / f"eval_{label}"], result)
-        rows.append({
-            "label": label,
-            "path": str(path),
-            "kind": model.kind,
-            "n_params": model.n_params,
-            "lifted_size": model.n_total,
-            "train_wall_time_s": wall,
-            "max_abs_error": metrics[_SYSTEMS[cfg.system]["headline"][0]],
-        })
-    kinds = {row["kind"]: row for row in rows}
-    if {"mlp", "kan"} <= set(kinds) and kinds["kan"]["max_abs_error"] > 0:
-        ratio = kinds["mlp"]["max_abs_error"] / kinds["kan"]["max_abs_error"]
-        ratio_label = "mlp_over_kan_error_ratio"
-    elif rows[1]["max_abs_error"] > 0:
-        ratio = rows[0]["max_abs_error"] / rows[1]["max_abs_error"]
-        ratio_label = "a_over_b_error_ratio"
-    else:
-        ratio, ratio_label = None, "a_over_b_error_ratio"
-    report = {"system": cfg.system, "eval_seed": seed, "models": rows,
-              ratio_label: ratio}
-    _write_json(out_dir / "compare" / "compare.json", report)
+        models.append((path, model))
+        rows.append({"label": label, "path": str(path), "kind": model.kind,
+                     "n_params": model.n_params, "lifted_size": model.n_total,
+                     "train_wall_time_s": wall})
+    evaluated = _evaluate(cfg, models, seed_override)
+    for row, (metrics, tables) in zip(rows, evaluated):
+        _write_evaluation(cfg, out_dir / "compare" / row["label"], metrics, tables)
+        row["metrics"] = metrics
+    key = _SYSTEMS[cfg.system]["headline"][0]
+    error_a, error_b = (metrics[key] for metrics, _ in evaluated)
+    _write_json(out_dir / "compare" / "compare.json", {
+        "system": cfg.system, "models": rows,
+        "a_over_b_error_ratio": error_a / error_b if error_b > 0 else None})
     print(f"compared {rows[0]['kind']} vs {rows[1]['kind']}: "
-          f"errors {rows[0]['max_abs_error']:.4g} / {rows[1]['max_abs_error']:.4g}")
+          f"errors {error_a:.4g} / {error_b:.4g}")
     return 0
 
 
@@ -601,12 +594,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc} (in {args.config})", file=sys.stderr)
         return 2
-    except (OSError, ValueError, TrainingDivergedError, InstabilityError,
+    except (OSError, ValueError, MemoryError, TrainingDivergedError, InstabilityError,
             dynamics.BlowupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # a size in the config too large to allocate
-        print(f"error: {exc} (in {args.config})", file=sys.stderr)
+        # A size in the config too large to allocate: a MemoryError, or numpy's
+        # ValueError for an array past the largest it can address.
+        too_big = isinstance(exc, MemoryError) or str(exc).startswith(_NUMPY_TOO_BIG)
+        print(f"error: {exc}" + f" (in {args.config})" * too_big, file=sys.stderr)
         return 1
 
 

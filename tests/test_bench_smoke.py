@@ -10,6 +10,7 @@ of benchmarks/fingerprints.json bit for bit.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +63,31 @@ def test_tracing_binds_every_live_site():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(proc.stdout)) <= DEAD_SITES
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ["pendulum_kan_infer", "twobody_kan"])
+def test_traced_run_ends_with_a_strict_json_result(workload):
+    # A traced pass wraps the library's functions; its run must still end with
+    # a result line, and one that strict JSON accepts: json.dumps writes NaN
+    # and Infinity, which json.loads reads back unless told otherwise. The
+    # traced result carries the per-layer metrics; the end-to-end ones are in
+    # the report above it.
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--trace", "1",
+         "--seconds", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=170,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_no_constant)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0 and result["metrics"]
+    report = {words[0]: words[1] for words in map(str.split, proc.stdout.splitlines())
+              if len(words) > 1}
+    for name in ("wall_s", "setup_s", "peak_rss_mb"):
+        assert math.isfinite(float(report[name]))

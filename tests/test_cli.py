@@ -381,24 +381,25 @@ def assert_same_trajectories(got, want):
         assert a.controls.tobytes() == b.controls.tobytes()
 
 
-def test_pendulum_preset_evaluation_set_is_the_generated_dataset(tmp_path):
+def test_pendulum_preset_evaluation_set_is_the_generated_dataset():
     cfg = RunConfig.load(PRESET_DIR / "pendulum_kan.json")
-    [(trajs, dest)] = _evaluation_sets(cfg, 900, tmp_path)
-    assert dest == tmp_path / "eval"
-    assert_same_trajectories(trajs, generate_pendulum_dataset(5, 900))
+    sets = _evaluation_sets(cfg, 900)
+    assert list(sets) == ["eval"]
+    assert_same_trajectories(sets["eval"], generate_pendulum_dataset(5, 900))
 
 
-def test_twobody_preset_evaluation_sets_are_the_generated_datasets(tmp_path):
+def test_twobody_preset_evaluation_sets_are_the_generated_datasets():
     cfg = RunConfig.load(PRESET_DIR / "twobody_kan.json")
-    (held_out, dest), (band, band_dest) = _evaluation_sets(cfg, 901, tmp_path)
-    assert (dest, band_dest) == (tmp_path / "eval", tmp_path / "eval_extrapolation")
-    assert_same_trajectories(held_out, generate_twobody_dataset(3, 901))
-    assert_same_trajectories(band, generate_twobody_dataset(3, 902, 800, (11378.0, 12500.0)))
+    sets = _evaluation_sets(cfg, 901)
+    assert list(sets) == ["eval", "eval_extrapolation"]
+    assert_same_trajectories(sets["eval"], generate_twobody_dataset(3, 901))
+    assert_same_trajectories(sets["eval_extrapolation"],
+                             generate_twobody_dataset(3, 902, 800, (11378.0, 12500.0)))
 
 
-def test_twobody_compare_with_a_band_reports_the_held_out_set(twobody_cfg, tmp_path):
-    # compare rolls out only the held-out set, and its report keeps its keys;
-    # each model's error is evaluate's headline on the same seed.
+def test_twobody_compare_with_a_band_writes_evaluate_trees(twobody_cfg, tmp_path):
+    # compare runs evaluate's protocol on each model: with both models the one
+    # evaluate saw, each compare/<label>/ tree is evaluate's, byte for byte.
     out = tmp_path / "run"
     for command in ("generate", "train", "evaluate"):
         assert main([command, "--config", twobody_cfg, "--out", str(out)]) == 0
@@ -406,18 +407,21 @@ def test_twobody_compare_with_a_band_reports_the_held_out_set(twobody_cfg, tmp_p
     doc["compare"] = {"model_a": str(out / "model.json"), "model_b": str(out / "model.json")}
     cfg = write_config(tmp_path / "cmp.json", doc)
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
-    report = json.loads((out / "compare" / "compare.json").read_text())
-    assert sorted(report) == ["a_over_b_error_ratio", "eval_seed", "models", "system"]
     assert sorted(p.name for p in (out / "compare").iterdir()) == [
-        "compare.json", "eval_model_a", "eval_model_b"]
+        "compare.json", "model_a", "model_b"]
+    for label in ("model_a", "model_b"):
+        tree = out / "compare" / label
+        assert sorted(p.name for p in tree.iterdir()) == ["eval", "eval_extrapolation"]
+        for name in ("eval", "eval_extrapolation"):
+            assert read_bytes_sorted(tree / name) == read_bytes_sorted(out / name)
+    report = json.loads((out / "compare" / "compare.json").read_text())
+    assert sorted(report) == ["a_over_b_error_ratio", "models", "system"]
     metrics = json.loads((out / "eval" / "metrics.json").read_text())
-    for row in report["models"]:
-        assert sorted(row) == ["kind", "label", "lifted_size", "max_abs_error", "n_params",
-                               "path", "train_wall_time_s"]
-        assert row["max_abs_error"] == metrics["max_abs_position_error"]
-        assert read_bytes_sorted(out / "compare" / f"eval_{row['label']}") == {
-            name: data for name, data in read_bytes_sorted(out / "eval").items()
-            if name != "metrics.json"}
+    assert metrics["max_abs_position_error"] > 0
+    assert metrics["extrapolation"]["max_abs_position_error"] > 0
+    assert [row["metrics"] for row in report["models"]] == [metrics, metrics]
+    assert [row["label"] for row in report["models"]] == ["model_a", "model_b"]
+    assert report["a_over_b_error_ratio"] == 1
 
 
 def test_compare_same_model_gives_unit_ratio(pendulum_cfg, tmp_path):
@@ -486,11 +490,12 @@ def test_unknown_section_key_exits_2(pendulum_cfg, tmp_path, capsys, command, se
     assert not (tmp_path / "run").exists()
 
 
-def test_bad_system_exits_2(tmp_path):
-    cfg = write_config(
-        tmp_path / "cfg.json", {"system": "lorenz", "backend": "kan"}
-    )
-    assert main(["generate", "--config", cfg]) == 2
+def test_bad_system_exits_2(tmp_path, capsys):
+    for system in ("lorenz", [], {}):
+        cfg = write_config(tmp_path / "cfg.json", {"system": system, "backend": "kan"})
+        assert main(["generate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (f"config error: system must be one of "
+                                           f"['pendulum', 'twobody'], got {system!r} (in {cfg})\n")
 
 
 def test_evaluate_without_model_exits_1(pendulum_cfg, tmp_path):
@@ -830,6 +835,27 @@ def test_size_too_large_to_allocate_exits_1(tmp_path, capsys, preset, section, k
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("generate", "dataset.n_ic", 10**20),
+    ("evaluate", "evaluation.n_ic", 10**20),
+    ("control", "control.duration", 1e300),
+])
+def test_size_past_numpy_largest_array_names_the_config(pendulum_cfg, tmp_path, capsys,
+                                                        command, key, value):
+    # numpy refuses an array past the largest it can address with a ValueError,
+    # not a MemoryError; the line still names the config.
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    section, name = key.split(".")
+    doc[section][name] = value
+    doc["model_path"] = str(FIXTURE)
+    cfg = write_config(tmp_path / "huge.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip("\n").endswith(f"(in {cfg})")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("n_ic", [0, -2, 1.5, "3"])
 def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     doc = json.loads(Path(pendulum_cfg).read_text())
@@ -896,6 +922,9 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     ("evaluate", "evaluation.extrapolation", {"n_ic": 4, "radius_range": [1, 2]}),
     ("generate", "dataset.points_per_orbit", 7),
     ("control", "control.duration", 0.001),
+    ("control", "control.duration", 1e308),
+    ("control", "control.duration", 10**400),
+    ("control", "control.x0", [10**400, 0.0]),
 ], ids=["n_observables-str", "hidden_layers-float", "neurons-zero", "dataset-seed-str",
         "train-seed-negative", "evaluation-seed-float", "dt-zero", "duration-nan",
         "n_ic-bool", "alpha-float", "epochs-bool", "epochs-negative", "lbfgs_max_iter-zero",
@@ -910,7 +939,8 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
         "grid-intervals-float", "grid-order-bool", "model_path-int", "dataset-path-int",
         "compare-model_a-int", "compare-model_b-list", "out_dir-bool",
         "pendulum-radius_range", "pendulum-extrapolation", "pendulum-points_per_orbit",
-        "duration-under-half-dt"])
+        "duration-under-half-dt", "duration-steps-past-float", "duration-int-past-float",
+        "x0-int-past-float"])
 def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, value):
     doc = json.loads(Path(pendulum_cfg).read_text())
     *sections, name = key.split(".")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 import time
@@ -44,8 +43,10 @@ from .dynamics import (
     generate_pendulum_dataset,
     generate_twobody_dataset,
     load_dataset,
+    read_json,
     save_dataset,
     write_csv,
+    write_json,
 )
 from .kan import SplineGrid, kan_init
 from .koopman import (
@@ -127,12 +128,9 @@ class RunConfig:
         if not path.is_file():
             raise ConfigError("config file not found")
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be a JSON object")
+            doc = read_json(path)
+        except ValueError as exc:  # main's line names the file
+            raise ConfigError(str(exc).removeprefix(f"{path}: ")) from None
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
@@ -173,12 +171,16 @@ class RunConfig:
             if value is not None and type(value) is not str:
                 raise ConfigError(f"{key} must be a path string, got {value!r}")
         for section in ("evaluation", "evaluation.extrapolation"):
-            pair = self._section(section).get("radius_range")
+            pair, n = self._section(section).get("radius_range"), self.points_per_orbit
+            # The orbit step grows with the radius, so the ends decide.
             if pair is not None and not (
-                    type(pair) is list and len(pair) == 2 and all(type(v) in (int, float)
-                    for v in pair) and 0 < pair[0] <= pair[1] < float("inf")):
+                    type(pair) is list and len(pair) == 2
+                    and all(type(v) in (int, float) for v in pair) and 0 < pair[0] <= pair[1]
+                    and 0 < dynamics.orbit_step(pair[0], n)
+                    and dynamics.orbit_step(pair[1], n) < float("inf")):
                 raise ConfigError(f"{section}.radius_range must be a list [lo, hi] of numbers "
-                                  f"with 0 < lo <= hi, got {pair!r}")
+                                  f"with 0 < lo <= hi and a positive finite orbit step at "
+                                  f"each end, got {pair!r}")
         stray = [f"{section}.{name}" for section, name in (
             ("evaluation", "radius_range"), ("evaluation", "extrapolation"),
             ("dataset", "points_per_orbit")) if name in self._section(section)]
@@ -240,13 +242,6 @@ class RunConfig:
     def control_settings(self) -> dict:
         """The control section over _CONTROL_DEFAULTS."""
         return {**_CONTROL_DEFAULTS, **self.control}
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def _dataset_dir(cfg: RunConfig, out_dir: Path) -> Path:
@@ -318,7 +313,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
         tc = replace(tc, seed=seed_override)
     short = next((i for i, t in enumerate(trajs) if len(t.states) <= tc.alpha), None)
     if short is not None:
-        name = json.loads((dataset_dir / "manifest.json").read_text())["files"][short]["name"]
+        name = read_json(dataset_dir / "manifest.json")["files"][short]["name"]
         raise ValueError(f"{dataset_dir / name}: {len(trajs[short].states)} states, but "
                          f"train.alpha = {tc.alpha} needs at least {tc.alpha + 1}")
     shape = cfg.network_shape()
@@ -356,7 +351,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
         "model_file": model_path.name,
         "history_file": "loss_history.csv",
     }
-    _write_json(out_dir / "summary.json", summary)
+    write_json(out_dir / "summary.json", summary)
     print(
         f"trained {cfg.backend} on {cfg.system}: {model.n_params} parameters, "
         f"lifted size {model.n_total}, best total loss {summary['best_total']:.6g}, "
@@ -417,7 +412,7 @@ def _write_evaluation(cfg: RunConfig, root: Path, metrics: dict, tables: dict) -
         (root / name).mkdir(parents=True, exist_ok=True)
         for i in range(table.shape[1]):
             write_csv(root / name / f"eval_{i:03d}.csv", header, table[:, i])
-    _write_json(root / "eval" / "metrics.json", metrics)
+    write_json(root / "eval" / "metrics.json", metrics)
 
 
 def _check_fit(cfg: RunConfig, path: Path, n: int, p: int) -> None:
@@ -497,7 +492,7 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
         "final_state": [float(v) for v in traj.states[-1]],
         "closed_loop_spectral_radius": spectral_radius(model.K - model.B @ gain.F),
     }
-    _write_json(dest / "control_metrics.json", metrics)
+    write_json(dest / "control_metrics.json", metrics)
     settle_text = "never" if settle is None else f"{settle:.2f}s"
     print(
         f"closed loop from {x0}: "
@@ -517,12 +512,7 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     for label in ("model_a", "model_b"):
         path, model = _load_model_file(cfg, out_dir, section[label])
         summary_path = path.parent / "summary.json"
-        wall = None
-        if summary_path.is_file():
-            try:
-                wall = json.loads(summary_path.read_text()).get("wall_time_s")
-            except (json.JSONDecodeError, AttributeError) as exc:
-                raise ValueError(f"{summary_path}: not a JSON object ({exc})") from None
+        wall = read_json(summary_path).get("wall_time_s") if summary_path.is_file() else None
         models.append((path, model))
         rows.append({"label": label, "path": str(path), "kind": model.kind,
                      "n_params": model.n_params, "lifted_size": model.n_total,
@@ -533,7 +523,7 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
         row["metrics"] = metrics
     key = _SYSTEMS[cfg.system]["headline"][0]
     error_a, error_b = (metrics[key] for metrics, _ in evaluated)
-    _write_json(out_dir / "compare" / "compare.json", {
+    write_json(out_dir / "compare" / "compare.json", {
         "system": cfg.system, "models": rows,
         "a_over_b_error_ratio": error_a / error_b if error_b > 0 else None})
     print(f"compared {rows[0]['kind']} vs {rows[1]['kind']}: "

@@ -219,8 +219,8 @@ def twobody_initial_states(
 
     Per trajectory i, the stream default_rng((seed, i)) draws the periapsis
     radius r ~ U[radius_range] km (default [6578, 11378]); the initial state
-    is [r, 0, 0, sqrt(mu/r)] and the step is dt = T / points_per_orbit with
-    T the orbital period, so every trajectory holds points_per_orbit samples.
+    is [r, 0, 0, sqrt(mu/r)] and the step is orbit_step(r, points_per_orbit),
+    so every trajectory holds points_per_orbit samples over one period.
     """
     if n_ic < 1:
         raise ValueError("n_ic must be >= 1")
@@ -232,8 +232,14 @@ def twobody_initial_states(
     for i in range(n_ic):
         r[i] = np.random.default_rng((seed, i)).uniform(*radius_range)
     x0[:, 0], x0[:, 3] = r, np.sqrt(EARTH_MU / r)
-    period = 2.0 * math.pi * np.sqrt(np.float_power(r, 3) / EARTH_MU)
-    return x0, np.zeros((points_per_orbit - 1, n_ic, 0)), period / points_per_orbit
+    return x0, np.zeros((points_per_orbit - 1, n_ic, 0)), orbit_step(r, points_per_orbit)
+
+
+def orbit_step(r, points_per_orbit: int):
+    """The step T / points_per_orbit of circular orbits of radius r km, T the
+    period 2 pi sqrt(r^3 / mu); inf where r^3 overflows."""
+    with np.errstate(over="ignore"):
+        return 2.0 * math.pi * np.sqrt(np.float_power(r, 3) / EARTH_MU) / points_per_orbit
 
 
 def generate_twobody_dataset(n_ic: int, seed: int, points_per_orbit: int = 800,
@@ -241,6 +247,36 @@ def generate_twobody_dataset(n_ic: int, seed: int, points_per_orbit: int = 800,
     """The orbits of twobody_initial_states, integrated in one batch; no control input."""
     draw = twobody_initial_states(n_ic, seed, points_per_orbit, radius_range)
     return simulate(twobody_deriv, *draw).unstack()
+
+
+def _int_or_inf(text: str):
+    """A JSON integer literal as an int, or as +-inf when it lies past the
+    float range, where float() would overflow."""
+    value = float(text)
+    return int(text) if math.isfinite(value) else value
+
+
+def read_json(path) -> dict:
+    """The JSON object in the file at path. An integer literal past the float
+    range reads as +-inf, so every finiteness check refuses it as it refuses
+    1e400. Text that is not JSON, or a root that is not an object, raises one
+    ValueError naming path."""
+    try:
+        doc = json.loads(Path(path).read_text(), parse_int=_int_or_inf)
+    except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if type(doc) is not dict:
+        raise ValueError(f"{path}: not a JSON object (its root is a {type(doc).__name__})")
+    return doc
+
+
+def write_json(path, doc: dict) -> None:
+    """Write doc to path indented by 2 with a final newline, making any
+    missing parent directories."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def write_csv(path, header, table, blank_tail: int = 0) -> None:
@@ -295,9 +331,7 @@ def save_dataset(
     if manifest_extra:
         manifest.update(manifest_extra)
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 
@@ -315,11 +349,8 @@ def load_dataset(in_dir) -> list[Trajectory]:
     manifest_path = in_dir / "manifest.json"
     if not manifest_path.is_file():
         raise FileNotFoundError(f"no manifest.json under {in_dir}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{manifest_path}: not valid JSON ({exc})") from None
-    if not (type(manifest) is dict and manifest.get("files") and all(
+    manifest = read_json(manifest_path)
+    if not (manifest.get("files") and all(
             type(manifest.get(k)) is list for k in ("state_names", "control_names", "files"))):
         raise ValueError(f"{manifest_path}: must be an object whose state_names, control_names "
                          "and files are lists, with at least one file")

@@ -29,7 +29,8 @@ class SplineGrid:
 
     The knot vector is extended k intervals beyond each end (G + 2k + 1
     knots total), giving G + k basis functions. Outside the extended range
-    every basis function is zero.
+    every basis function is zero. The knots must be finite and strictly
+    increasing, so every Cox-de Boor denominator is positive.
     """
 
     lo: float = -3.0
@@ -39,14 +40,20 @@ class SplineGrid:
 
     def __post_init__(self):
         """Raises ValueError('<field> must be ..., got <value>')."""
-        ends = (self.lo, self.hi)
-        if not (all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in ends)
-                and -np.inf < self.lo < self.hi < np.inf):
-            raise ValueError(f"lo and hi must be finite numbers with lo < hi, got {ends}")
         for name in ("intervals", "order"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        lo, hi = self.lo, self.hi
+        real = [isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (lo, hi)]
+        if not (real[0] and -np.inf < lo < np.inf):
+            raise ValueError(f"lo must be a finite number, got {lo!r}")
+        # The step can overflow, or fall below the spacing of floats at the knots.
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = self.knots() if real[1] and lo < hi else [np.nan]
+        if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+            raise ValueError(f"hi must be a number above lo = {lo!r} that keeps the knots "
+                             f"finite and strictly increasing, got {hi!r}")
 
     @property
     def n_basis(self) -> int:
@@ -147,28 +154,31 @@ def _basis_tables(x: np.ndarray, grid: SplineGrid, deriv: bool = True):
     Returns (basis, deriv), both C-contiguous of shape (len(x), G + k);
     deriv is None when not asked for. Runs the Cox-de Boor recurrence
     knot-major over blocks of _BLOCK points, so every operand is a
-    contiguous row slice; uniform knots keep every denominator positive
-    so no zero-guard is needed. Every term is a quotient of diff = x - t;
-    the right term (t - x) / den is taken as diff / -den, which is the
-    same float because negation is exact.
+    contiguous row slice; the grid's finite, strictly increasing knots keep
+    every denominator positive, so no zero-guard is needed. Every term is a
+    quotient of diff = x - t; the right term (t - x) / den is taken as
+    diff / -den, which is the same float because negation is exact.
     """
     x = np.asarray(x, dtype=float).ravel()
     t, dens = grid.recurrence
     basis = np.empty((x.size, grid.n_basis))
     dbasis = np.empty_like(basis) if deriv else None
-    for start in range(0, x.size, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        diff = x[rows] - t
-        # Degree 0: x lies in [t_i, t_i+1) when x >= t_i but not x >= t_i+1.
-        b = (diff >= 0.0).astype(float)
-        b = b[:-1] - b[1:]
-        for d, (den_left, neg_den_right) in enumerate(dens, start=1):
-            prev = b
-            b = diff[: -d - 1] / den_left * prev[:-1]
-            b += diff[d + 1 :] / neg_den_right * prev[1:]
-        basis[rows] = b.T
-        if deriv:
-            dbasis[rows] = ((prev[:-1] - prev[1:]) / grid.step).T
+    # A quotient that overflows, for a point far out or a grid too fine for
+    # its points, leaves a non-finite row for the caller's checks to refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, x.size, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            diff = x[rows] - t
+            # Degree 0: x lies in [t_i, t_i+1) when x >= t_i but not x >= t_i+1.
+            b = (diff >= 0.0).astype(float)
+            b = b[:-1] - b[1:]
+            for d, (den_left, neg_den_right) in enumerate(dens, start=1):
+                prev = b
+                b = diff[: -d - 1] / den_left * prev[:-1]
+                b += diff[d + 1 :] / neg_den_right * prev[1:]
+            basis[rows] = b.T
+            if deriv:
+                dbasis[rows] = ((prev[:-1] - prev[1:]) / grid.step).T
     return basis, dbasis
 
 

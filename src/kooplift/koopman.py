@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, read_json
 from .kan import KanNetwork, layer_basis
 from .mlp import MlpNetwork
 from .numerics import pinv
@@ -249,16 +249,6 @@ def _powers(k: np.ndarray, alpha: int) -> list[np.ndarray]:
     return out[: alpha + 1]
 
 
-def _state_rows(a: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """(a @ x)[:n], multiplying only the rows it keeps when n and x's width are
-    both >= 2: such slices round like the full product's rows (on OpenBLAS up to
-    11 columns of a), one row or column does not. A one-column a gives a * x."""
-    if a.shape[1] == 1:
-        return a[:n] * x
-    rows = n if n > 1 and x.shape[1] > 1 else a.shape[0]
-    return (a[:rows] @ x)[:n]
-
-
 def _forcing_terms(model: KoopmanModel, snaps: SnapshotSet, powers, cols):
     """State rows of K^(alpha-1-i) B U[:, cols+i] for i < alpha, in summation order.
 
@@ -267,8 +257,7 @@ def _forcing_terms(model: KoopmanModel, snaps: SnapshotSet, powers, cols):
     """
     if model.B.shape[1]:
         for i in range(snaps.alpha):
-            bu = _state_rows(model.B, snaps.U[:, cols + i], model.n_total)
-            yield _state_rows(powers[snaps.alpha - 1 - i], bu, model.n)
+            yield (powers[snaps.alpha - 1 - i] @ (model.B @ snaps.U[:, cols + i]))[:model.n]
 
 
 @dataclass
@@ -319,7 +308,7 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     tape = [] if grad else None
     if phi_x is None:
         phi_x = _lift_cols(net, x, tape, plan)
-    err = _state_rows(model.K, phi_x, n) + _state_rows(model.B, u, n) - x_next
+    err = (model.K @ phi_x)[:n] + (model.B @ u)[:n] - x_next
     recon = float(np.sum(err * err)) / err.shape[1]
     if grad:
         # Only the network rows n: of d loss / d phi feed the backward pass.
@@ -341,7 +330,7 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
             x_p = gather(snaps.x_cols[src])
             tape_p = [] if grad else None
             phi_p = _lift_cols(net, x_p, tape_p)
-        x_hat = _state_rows(powers[snaps.alpha], phi_p, n)
+        x_hat = (powers[snaps.alpha] @ phi_p)[:n]
         for term in forcing:
             x_hat += term
         err_p = x_hat - x_alpha
@@ -486,9 +475,11 @@ def _adam_phase(model, snaps: SnapshotSet, cfg: TrainConfig, rng, opt: AdamW):
 
 
 def _row_products(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """a @ m one row at a time: a matrix product of the whole batch rounds
-    differently, and a batch rollout should equal its one-state rollouts.
-    One row (1-D a) takes the plain product, which rounds the same."""
+    """a @ m one row at a time, for the bits the acceptance lines were taken
+    with: a matrix product of the whole batch rounds differently, and with a
+    plain z @ K.T the twobody_kan position error reads 6.04e-07 km instead of
+    6.038e-07. (A batch row need not equal its one-state rollout: one-row KAN
+    calls run on Python floats.) One row (1-D a) takes the plain product."""
     return a @ m if a.ndim == 1 else (a[..., None, :] @ m)[..., 0, :]
 
 
@@ -548,20 +539,15 @@ _NETWORKS = {"kan": KanNetwork, "mlp": MlpNetwork}
 def load_model(path):
     """Returns (model, config-or-None, metadata dict).
 
-    Raises ValueError naming path when the file is not JSON, a key is
+    Raises ValueError naming path when the file is not a JSON object, a key is
     missing, the backend kind is unknown, n or n_total is not an integer,
     K or B is not a matrix of numbers or disagrees with n_total, the network
     or config section does not parse, the network's input width is not n
     or n plus its output width is not n_total, or K, B or a network
     parameter is not finite.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    missing = [key for key in ("kind", "network", "K", "B", "n", "n_total")
-               if not isinstance(doc, dict) or key not in doc]
+    doc = read_json(path)
+    missing = [key for key in ("kind", "network", "K", "B", "n", "n_total") if key not in doc]
     if missing:
         raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
     kind, n, n_total = doc["kind"], doc["n"], doc["n_total"]
@@ -595,7 +581,7 @@ def _parsed(path, section: str, parse, doc):
     """parse(doc), with a parsing error raised as one ValueError naming path."""
     try:
         return parse(doc)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{path}: bad {section} section: {detail}") from None
 

@@ -543,6 +543,8 @@ def _set(path, value):
 
 
 NON_FINITE = "K, B and the network parameters must be finite"
+GRID_HI = "hi must be a number above lo ="
+KNOTS = "that keeps the knots finite and strictly increasing"
 
 
 @pytest.mark.parametrize("edit, detail, mlp", [
@@ -558,8 +560,16 @@ NON_FINITE = "K, B and the network parameters must be finite"
     (_set(["network", "grid", "intervals"], 2.5),
      "bad network section: intervals must be a positive integer, got 2.5", False),
     (_set(["network", "grid", "lo"], "a"),
-     "bad network section: lo and hi must be finite numbers with lo < hi, got ('a', 3.0)",
-     False),
+     "bad network section: lo must be a finite number, got 'a'", False),
+    (_set(["network", "grid", "hi"], 10**400),
+     f"bad network section: {GRID_HI} -3.0 {KNOTS}, got inf", False),
+    (_set(["network", "grid"], {"lo": -1e308, "hi": 1e308, "intervals": 5, "order": 3}),
+     f"bad network section: {GRID_HI} -1e+308 {KNOTS}, got 1e+308", False),
+    (_set(["network", "grid"], {"lo": 1e16, "hi": 10000000000000004, "intervals": 5,
+                                "order": 3}),
+     f"bad network section: {GRID_HI} 1e+16 {KNOTS}, got 10000000000000004", False),
+    (_set(["network", "shape", 1], 10**400),
+     "bad network section: cannot convert float infinity to integer", False),
     (_set(["network", "kind"], "mlp"), "bad network section: not a kan document", False),
     (_set(["network", "biases", 1], [0.0, 0.0]),
      "bad network section: weight and bias shapes [(3, 2), (1, 3), (3,), (2,)] do not fit "
@@ -575,14 +585,17 @@ NON_FINITE = "K, B and the network parameters must be finite"
      False),
     (_set(["K", 1], [1.0]), "K and B must be matrices of numbers", False),
     (_set(["K", 0, 0], float("nan")), NON_FINITE, False),
+    (_set(["K", 0, 0], 10**400), NON_FINITE, False),
     (_set(["B", 2, 0], float("-inf")), NON_FINITE, False),
     (_set(["network", "layers", 0, "coeffs", 0, 1, 4], float("inf")), NON_FINITE, False),
+    (_set(["network", "layers", 0, "coeffs", 0, 1, 4], -10**400), NON_FINITE, False),
     (_set(["network", "biases", 0, 2], float("nan")), NON_FINITE, True),
 ], ids=["no-layers", "network-str", "config-unknown-key", "coeffs-shape", "grid-order-0",
-        "grid-intervals-float", "grid-lo-str",
+        "grid-intervals-float", "grid-lo-str", "grid-hi-int-past-float",
+        "grid-knots-overflow", "grid-knots-collapse", "shape-int-past-float",
         "network-kind", "mlp-bias-shape", "config-lbfgs_max_iter-0", "config-alpha-float",
-        "kind-list", "n_total-str", "n-str", "K-ragged", "K-nan", "B-inf", "coeffs-inf",
-        "mlp-bias-nan"])
+        "kind-list", "n_total-str", "n-str", "K-ragged", "K-nan", "K-int-past-float", "B-inf",
+        "coeffs-inf", "coeffs-int-past-float", "mlp-bias-nan"])
 def test_model_malformed_network_or_config_exits_1(pendulum_cfg, tmp_path, capsys, edit,
                                                    detail, mlp):
     network = mlp_init([2, 3, 1], seed=0) if mlp else None
@@ -716,8 +729,10 @@ def test_pendulum_alpha_beyond_trajectory_exits_2(pendulum_cfg, tmp_path, capsys
     assert files() == before
 
 
-@pytest.mark.parametrize("text", ["{bad", "[1]"], ids=["truncated", "not-object"])
-def test_compare_bad_summary_exits_1(pendulum_cfg, tmp_path, capsys, text):
+@pytest.mark.parametrize("text, detail", [("{bad", "not valid JSON ("),
+                                          ("[1]", "not a JSON object (")],
+                         ids=["truncated", "not-object"])
+def test_compare_bad_summary_exits_1(pendulum_cfg, tmp_path, capsys, text, detail):
     run = tmp_path / "run"
     run.mkdir()
     model_path = run / "model.json"
@@ -730,7 +745,7 @@ def test_compare_bad_summary_exits_1(pendulum_cfg, tmp_path, capsys, text):
     cfg = write_config(tmp_path / "cmp.json", doc)
     assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {summary}: not a JSON object (")
+    assert err.startswith(f"error: {summary}: {detail}")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -778,8 +793,9 @@ def test_compare_bad_model_b_writes_nothing(pendulum_cfg, tmp_path, capsys, bad)
     lambda m: m.update(state_names=2),
     lambda m: m["files"].__setitem__(0, "traj_0000.csv"),
     lambda m: m["files"][1].update(n_samples=0),
+    lambda m: m["files"][0].update(dt=10**400),
 ], ids=["no-files", "list", "truncated", "dt-negative", "files-empty", "dt-nan", "name-int",
-        "n_samples-str", "state_names-int", "entry-str", "n_samples-0"])
+        "n_samples-str", "state_names-int", "entry-str", "n_samples-0", "dt-int-past-float"])
 def test_malformed_manifest_exits_1(pendulum_cfg, tmp_path, capsys, edit):
     # edit changes the manifest in place or returns what replaces it.
     out = tmp_path / "run"
@@ -925,6 +941,20 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     ("control", "control.duration", 1e308),
     ("control", "control.duration", 10**400),
     ("control", "control.x0", [10**400, 0.0]),
+    ("train", "train.learning_rate", 10**400),
+    ("train", "train.gamma", 10**400),
+    ("train", "train.beta", 10**400),
+    ("train", "train.lambda_l1", 10**400),
+    ("train", "train.lambda_l2", 10**400),
+    ("train", "network.grid.lo", -10**400),
+    ("train", "network.grid.hi", 10**400),
+    ("train", "network.grid.hi", 1.7e308),
+    ("train", "network.grid.hi", -2.9999999999999996),
+    ("evaluate", "twobody:evaluation.radius_range", [1, 10**400]),
+    ("evaluate", "twobody:evaluation.extrapolation.radius_range", [1, 10**400]),
+    ("evaluate", "twobody:evaluation.radius_range", [1e-200, 1e-200]),
+    ("evaluate", "twobody:evaluation.radius_range", [1e200, 1e200]),
+    ("evaluate", "twobody:evaluation.extrapolation.radius_range", [1, 1e308]),
 ], ids=["n_observables-str", "hidden_layers-float", "neurons-zero", "dataset-seed-str",
         "train-seed-negative", "evaluation-seed-float", "dt-zero", "duration-nan",
         "n_ic-bool", "alpha-float", "epochs-bool", "epochs-negative", "lbfgs_max_iter-zero",
@@ -940,9 +970,17 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
         "compare-model_a-int", "compare-model_b-list", "out_dir-bool",
         "pendulum-radius_range", "pendulum-extrapolation", "pendulum-points_per_orbit",
         "duration-under-half-dt", "duration-steps-past-float", "duration-int-past-float",
-        "x0-int-past-float"])
-def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, value):
-    doc = json.loads(Path(pendulum_cfg).read_text())
+        "x0-int-past-float", "learning_rate-int-past-float", "gamma-int-past-float",
+        "beta-int-past-float", "lambda_l1-int-past-float", "lambda_l2-int-past-float",
+        "grid-lo-int-past-float", "grid-hi-int-past-float", "grid-knots-overflow",
+        "grid-knots-collapse", "radius_range-int-past-float",
+        "extrapolation-radius_range-int-past-float", "radius_range-step-zero",
+        "radius_range-step-inf", "extrapolation-radius_range-step-inf"])
+def test_bad_config_value_exits_2(pendulum_cfg, twobody_cfg, tmp_path, capsys, command, key,
+                                  value):
+    # A key written "twobody:<key>" is set in the two-body config.
+    system, _, key = key.rpartition(":")
+    doc = json.loads(Path(twobody_cfg if system else pendulum_cfg).read_text())
     *sections, name = key.split(".")
     section = doc
     for part in sections:
@@ -954,6 +992,31 @@ def test_bad_config_value_exits_2(pendulum_cfg, tmp_path, capsys, command, key, 
     assert err.startswith(f"config error: {key} must be a ")
     assert err.rstrip("\n").endswith(f"(in {cfg})")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_integer_past_the_digit_limit_names_its_key(pendulum_cfg, tmp_path, capsys):
+    # json.dumps refuses a 5,001-digit int, so the config is written as text.
+    text = Path(pendulum_cfg).read_text()
+    assert '"learning_rate": 1.0' in text
+    cfg = tmp_path / "digits.json"
+    cfg.write_text(text.replace('"learning_rate": 1.0', '"learning_rate": 1' + "0" * 5000))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == ("config error: train.learning_rate must be a positive "
+                                       f"finite number, got inf (in {cfg})\n")
+
+
+def test_grid_too_fine_for_its_data_prints_one_line(pendulum_cfg, tmp_path, capsys):
+    # A valid grid whose step (1e-321) makes the basis quotients overflow:
+    # training stops at its finiteness check, with no numpy warning.
+    out = str(tmp_path / "run")
+    assert main(["generate", "--config", pendulum_cfg, "--out", out]) == 0
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    doc["network"]["grid"] = {"lo": 0, "hi": 1e-320}
+    cfg = write_config(tmp_path / "fine.json", doc)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == ("error: training diverged at epoch 0: "
+                                       "non-finite lifted data\n")
 
 
 @pytest.mark.parametrize("command", ["generate", "train"])

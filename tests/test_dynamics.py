@@ -28,11 +28,13 @@ from kooplift.dynamics import (
     load_dataset,
     pendulum_deriv,
     pendulum_initial_states,
+    read_json,
     rk4_step,
     save_dataset,
     simulate,
     twobody_deriv,
     twobody_initial_states,
+    write_json,
 )
 
 
@@ -256,6 +258,29 @@ def test_dataset_roundtrip_empty_controls(tmp_path):
     for orig, back in zip(trajs, loaded):
         assert np.array_equal(back.states, orig.states)
         assert back.controls.shape == (99, 0)
+
+
+def test_read_json_reads_an_integer_past_the_float_range_as_inf(tmp_path):
+    # Past the largest float means where float(int) overflows, at 2**1024 - 2**970.
+    edge = 2**1024 - 2**970
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"in": {edge - 1}, "past": {edge}, "digits": -1{"0" * 5000}, '
+                    f'"n": 12, "x": 1.5}}')
+    doc = read_json(path)
+    assert doc == {"in": edge - 1, "past": math.inf, "digits": -math.inf, "n": 12, "x": 1.5}
+    assert type(doc["in"]) is int and type(doc["n"]) is int
+    for text, detail in (("{bad", "not valid JSON"), ("[1]", "not a JSON object"),
+                         ("\udcff", "not valid JSON")):
+        path.write_text(text, errors="surrogateescape")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {detail} (")):
+            read_json(path)
+
+
+def test_write_json_makes_its_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "doc.json"
+    write_json(path, {"k": [1, 2.5]})
+    assert path.read_text() == '{\n  "k": [\n    1,\n    2.5\n  ]\n}\n'
+    assert read_json(path) == {"k": [1, 2.5]}
 
 
 def test_load_missing_manifest(tmp_path):

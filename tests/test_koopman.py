@@ -24,7 +24,6 @@ from kooplift.koopman import (
     _forcing_terms,
     _lift_cols,
     _powers,
-    _state_rows,
     build_snapshots,
     fit_edmdc,
     lift,
@@ -868,9 +867,9 @@ def test_history_roundtrip(tmp_path):
     assert back == hist
 
 
-# The full-row loss as it stood before the state-row products: every row of
-# K @ phi, B @ u and each K^j (B U) forcing term is formed, and the state rows
-# are sliced off at the end. The loss kernel must reproduce it bit for bit.
+# The full-row loss: every row of K @ phi, B @ u and each K^j (B U) forcing
+# term is formed and summed, and the state rows are sliced off at the end. The
+# loss kernel must reproduce it bit for bit.
 def _full_row_forcing(model, snaps, powers, cols):
     if model.B.shape[1]:
         for i in range(snaps.alpha):
@@ -1011,7 +1010,7 @@ def _fancy_index_loss(model, snaps, cfg, cols=None, pcols=None, plan=None, grad=
         x, x_next, u = x[:, cols], x_next[:, cols], u[:, cols]
     tape = [] if grad else None
     phi_x = np.vstack([x, net.forward(x.T, tape=tape).T])
-    err = _state_rows(model.K, phi_x, n) + _state_rows(model.B, u, n) - x_next
+    err = (model.K @ phi_x)[:n] + (model.B @ u)[:n] - x_next
     recon = float(np.sum(err * err)) / err.shape[1]
     if grad:
         d_phi = (2.0 * cfg.beta / err.shape[1]) * (model.K[:n].T @ err)
@@ -1032,7 +1031,7 @@ def _fancy_index_loss(model, snaps, cfg, cols=None, pcols=None, plan=None, grad=
             x_p = snaps.X[:, src]
             tape_p = [] if grad else None
             phi_p = np.vstack([x_p, net.forward(x_p.T, tape=tape_p).T])
-        x_hat = _state_rows(powers[snaps.alpha], phi_p, n)
+        x_hat = (powers[snaps.alpha] @ phi_p)[:n]
         for term in forcing:
             x_hat += term
         err_p = x_hat - x_alpha

@@ -26,8 +26,6 @@ import numpy as np
 
 from . import dynamics
 from .control import (
-    InstabilityError,
-    UncontrollableModelError,
     closed_loop_sim,
     default_weights,
     dlqr,
@@ -50,9 +48,7 @@ from .dynamics import (
 )
 from .kan import SplineGrid, kan_init
 from .koopman import (
-    RolloutDivergedError,
     TrainConfig,
-    TrainingDivergedError,
     load_model,
     rollout,
     save_history,
@@ -60,6 +56,7 @@ from .koopman import (
     train,
 )
 from .mlp import mlp_init
+from .numerics import DivergedError
 
 OUT_ENV_VAR = "KOOPLIFT_OUT"
 _NUMPY_TOO_BIG = ("Maximum allowed dimension exceeded", "array is too big")
@@ -262,10 +259,10 @@ def _from_section(cfg: RunConfig, make, seed: int, doc: dict, role: str):
     return make(n_ic, seed)
 
 
-def _evaluation_sets(cfg: RunConfig, seed: int) -> dict[str, list]:
-    """The trajectories of each evaluation set by name: "eval", the held-out ICs
-    from seed, and when configured "eval_extrapolation", the band from seed + 1,
-    integrated in one batch."""
+def _evaluation_sets(cfg: RunConfig, seed: int) -> tuple[dynamics.Trajectory, dict]:
+    """Every evaluation set integrated in one batch, and each set's slice of
+    its rows by name: "eval", the held-out ICs from seed, and when configured
+    "eval_extrapolation", the band from seed + 1."""
     docs = {"eval": cfg.evaluation}
     if cfg.evaluation.get("extrapolation"):
         docs["eval_extrapolation"] = cfg.evaluation["extrapolation"]
@@ -273,11 +270,12 @@ def _evaluation_sets(cfg: RunConfig, seed: int) -> dict[str, list]:
     draws = [_from_section(cfg, system["draw"], seed + i, doc, "evaluation")
              for i, doc in enumerate(docs.values())]
     x0, controls, dt = zip(*draws)
+    bounds = np.cumsum([0] + [len(x) for x in x0]).tolist()  # ints, for metrics.json's n_ic
     # dynamics.simulate is looked up at call time, so a wrapper installed on it
     # (benchmarks/tracing.py) sees this call too.
-    trajs = iter(dynamics.simulate(system["deriv"], np.concatenate(x0), np.concatenate(
-        controls, axis=1), np.concatenate(dt)).unstack())
-    return {name: [next(trajs) for _ in x] for x, name in zip(x0, docs)}
+    truth = dynamics.simulate(system["deriv"], np.concatenate(x0),
+                              np.concatenate(controls, axis=1), np.concatenate(dt))
+    return truth, {name: slice(a, b) for name, a, b in zip(docs, bounds, bounds[1:])}
 
 
 def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
@@ -366,31 +364,26 @@ def _evaluate(cfg: RunConfig, models: list, seed_override: int | None) -> list[t
     its metrics.json document and each set's per-IC table by set name, for
     _write_evaluation. Writes nothing."""
     seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
-    sets = _evaluation_sets(cfg, seed)
+    truth, sets = _evaluation_sets(cfg, seed)
     names = _SYSTEMS[cfg.system]["state_names"]
     key, n_head, _ = _SYSTEMS[cfg.system]["headline"]
-    trajs = [traj for set_trajs in sets.values() for traj in set_trajs]
-    truth = np.stack([t.states for t in trajs], axis=1)
-    controls, dt = np.stack([t.controls for t in trajs], axis=1), np.array([t.dt for t in trajs])
     evaluated = []
     for path, model in models:
         with _blaming(path):
-            pred = rollout(model, truth[0], controls, dt, correct=True)
-        err = np.abs(pred.states - truth)
-        table = np.concatenate([pred.times[..., None], truth, pred.states, err], axis=2)
-        docs, tables, stop = [], {}, 0
-        for name, set_trajs in sets.items():
-            rows = slice(stop, stop + len(set_trajs))
-            stop = rows.stop
+            pred = rollout(model, truth.states[0], truth.controls, truth.dt, correct=True)
+        err = np.abs(pred.states - truth.states)
+        table = np.concatenate([pred.times[..., None], truth.states, pred.states, err], axis=2)
+        docs, tables = [], {}
+        for name, rows in sets.items():
             ic_max = err[:, rows].max(axis=0)
             worst = ic_max.max(axis=0)
             docs.append({
-                "n_ic": len(set_trajs),
+                "n_ic": rows.stop - rows.start,
                 "max_abs_error": {s: float(e) for s, e in zip(names, worst)},
                 "per_ic": [{
                     "initial_state": [float(v) for v in x0],
                     "max_abs_error": {s: float(e) for s, e in zip(names, row)},
-                } for x0, row in zip(truth[0, rows], ic_max)],
+                } for x0, row in zip(truth.states[0, rows], ic_max)],
                 key: float(worst[:n_head].max()),
             })
             tables[name] = table[:, rows]
@@ -438,11 +431,11 @@ def _load_model_file(cfg: RunConfig, out_dir: Path, path: str | None = None):
 
 @contextlib.contextmanager
 def _blaming(path: Path):
-    """Raise a loaded model's divergence or missing stabilizing gain as one
-    ValueError naming its file."""
+    """Raise a loaded model's DivergedError (a rollout or closed loop that
+    blows up, or no stabilizing gain) as one ValueError naming its file."""
     try:
         yield
-    except (RolloutDivergedError, UncontrollableModelError) as exc:
+    except DivergedError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -467,18 +460,18 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
         q_state=float(settings["q_state"]),
         r=float(settings["r"]),
     )
+    x0 = [float(v) for v in settings["x0"]]
     with _blaming(model_path):
         gain = dlqr(model.K, model.B, q, r)
-    x0 = [float(v) for v in settings["x0"]]
-    traj = closed_loop_sim(
-        model,
-        gain,
-        _SYSTEMS[cfg.system]["deriv"],
-        np.asarray(x0),
-        duration=float(settings["duration"]),
-        dt=float(settings["dt"]),
-        u_limit=float(settings["u_limit"]),
-    )
+        traj = closed_loop_sim(
+            model,
+            gain,
+            _SYSTEMS[cfg.system]["deriv"],
+            np.asarray(x0),
+            duration=float(settings["duration"]),
+            dt=float(settings["dt"]),
+            u_limit=float(settings["u_limit"]),
+        )
     dest = out_dir / "control"
     names = _SYSTEMS[cfg.system]
     save_dataset([traj], dest, names["state_names"], names["control_names"],
@@ -584,8 +577,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc} (in {args.config})", file=sys.stderr)
         return 2
-    except (OSError, ValueError, MemoryError, TrainingDivergedError, InstabilityError,
-            dynamics.BlowupError) as exc:
+    except (OSError, ValueError, MemoryError, DivergedError) as exc:
         # A size in the config too large to allocate: a MemoryError, or numpy's
         # ValueError for an array past the largest it can address.
         too_big = isinstance(exc, MemoryError) or str(exc).startswith(_NUMPY_TOO_BIG)

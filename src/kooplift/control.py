@@ -13,23 +13,10 @@ import numpy as np
 
 from .dynamics import Trajectory, rk4_step
 from .koopman import KoopmanModel, lift
-from .numerics import ConvergenceError, solve_dare
+from .numerics import DivergedError, solve_dare
 
 
 STATE_BOUND = 1e6  # closed_loop_sim stops once a plant state passes this magnitude
-
-
-class UncontrollableModelError(RuntimeError):
-    """No stabilizing LQR gain exists for (K, B) with the given weights."""
-
-
-class InstabilityError(RuntimeError):
-    def __init__(self, step: int, bound: float):
-        self.step = step
-        self.bound = bound
-        super().__init__(
-            f"closed-loop state exceeded |x| = {bound} at step {step}"
-        )
 
 
 @dataclass
@@ -49,7 +36,8 @@ def dlqr(k: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> LqrGain:
     """Infinite-horizon discrete LQR gain for z+ = K z + B u.
 
     F = (R + B'PB)^-1 B'PK with P the Riccati solution, and the law is
-    u = -F z. Raises UncontrollableModelError unless rho(K - BF) < 1.
+    u = -F z. Raises DivergedError when the Riccati solve fails (the pair is
+    likely not stabilizable) or when rho(K - BF) >= 1.
     """
     k = np.asarray(k, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -57,15 +45,15 @@ def dlqr(k: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> LqrGain:
     r = np.asarray(r, dtype=float)
     try:
         p_sol = solve_dare(k, b, q, r)
-    except ConvergenceError as exc:
-        raise UncontrollableModelError(
+    except DivergedError as exc:
+        raise DivergedError(
             "Riccati iteration did not converge; the fitted (K, B) pair "
             "is likely not stabilizable"
         ) from exc
     f = np.linalg.solve(r + b.T @ p_sol @ b, b.T @ p_sol @ k)
     rho = spectral_radius(k - b @ f)
     if not rho < 1.0:
-        raise UncontrollableModelError(
+        raise DivergedError(
             f"LQR gain leaves closed-loop spectral radius {rho:.4g} >= 1; "
             "Q does not weigh an unstable mode")
     return LqrGain(F=f)
@@ -93,8 +81,8 @@ def closed_loop_sim(
 
     plant is a callable (state, u) -> state derivative; with a float form
     (see dynamics.rk4_step) each step runs on Python floats. Raises ValueError
-    when duration / dt rounds to no step, and InstabilityError once a state
-    component's magnitude passes STATE_BOUND.
+    when duration / dt rounds to no step, and DivergedError once a state
+    component's magnitude passes STATE_BOUND or an RK4 step turns non-finite.
     """
     if duration <= 0 or dt <= 0:
         raise ValueError("duration and dt must be positive")
@@ -112,7 +100,7 @@ def closed_loop_sim(
             u = np.minimum(np.maximum(u, -u_limit), u_limit)  # np.clip's values, less overhead
             x = rk4_step(plant, x, u, dt)
             if max(map(abs, x.tolist())) > STATE_BOUND:
-                raise InstabilityError(k, STATE_BOUND)
+                raise DivergedError(f"closed-loop state exceeded |x| = {STATE_BOUND} at step {k}")
             states[k + 1] = x
             controls[k] = u
     return Trajectory(dt=dt, states=states, controls=controls)

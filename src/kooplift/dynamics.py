@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numerics import DivergedError
+
 PENDULUM_DT = 0.01
 PENDULUM_DURATION = 2.0
 PENDULUM_STEPS = round(PENDULUM_DURATION / PENDULUM_DT)  # per trajectory
@@ -35,10 +37,6 @@ TWOBODY_CONTROL_NAMES = ()
 
 class SingularityError(ValueError):
     """State hit a point where the vector field is undefined."""
-
-
-class BlowupError(RuntimeError):
-    """Integration produced non-finite values."""
 
 
 @dataclass
@@ -145,7 +143,7 @@ def rk4_step(deriv, state, u, dt) -> np.ndarray:
     k4 = deriv(x + dt * k3, u)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(out).all():
-        raise BlowupError("non-finite state after RK4 step")
+        raise DivergedError("non-finite state after RK4 step")
     return out
 
 
@@ -159,7 +157,7 @@ def _rk4_floats(floats, x: list, u: list, dt: float) -> list:
     sixth = dt / 6.0
     out = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
     if not all(map(math.isfinite, out)):
-        raise BlowupError("non-finite state after RK4 step")
+        raise DivergedError("non-finite state after RK4 step")
     return out
 
 

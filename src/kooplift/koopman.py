@@ -20,21 +20,8 @@ import numpy as np
 from .dynamics import Trajectory, read_json
 from .kan import KanNetwork, layer_basis
 from .mlp import MlpNetwork
-from .numerics import pinv
+from .numerics import DivergedError, pinv
 from .optim import AdamW, Lbfgs
-
-
-class TrainingDivergedError(RuntimeError):
-    def __init__(self, epoch: int, detail: str = ""):
-        self.epoch = epoch
-        msg = f"training diverged at epoch {epoch}"
-        super().__init__(msg + (f": {detail}" if detail else ""))
-
-
-class RolloutDivergedError(RuntimeError):
-    def __init__(self, step: int):
-        self.step = step
-        super().__init__(f"rollout produced non-finite state at step {step}")
 
 
 @dataclass
@@ -401,7 +388,8 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
     for epoch in range(cfg.epochs + 1):
         phi_s = _lift_cols(network, snaps.states)
         if not np.all(np.isfinite(phi_s)):
-            raise TrainingDivergedError(epoch, "non-finite lifted data")
+            raise DivergedError(f"training diverged at epoch {epoch}: "
+                                "non-finite lifted data")
         # Fancy indexing on purpose: fit_edmdc's product rounds by operand
         # layout, and these are column-major copies where np.take makes
         # row-major ones (which also raised the scaled MLP run's peak RSS).
@@ -412,7 +400,8 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
             plan.refit(model, snaps)
         recon, pred, total = loss(model, snaps, cfg, plan=plan, phi_x=phi_x)
         if not np.isfinite(total):
-            raise TrainingDivergedError(epoch, f"recon={recon!r} pred={pred!r}")
+            raise DivergedError(f"training diverged at epoch {epoch}: "
+                                f"recon={recon!r} pred={pred!r}")
         history.append(LossRecord(epoch=epoch, recon=recon, pred=pred, total=total))
         if total < best_total:
             best_total = total
@@ -428,7 +417,8 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
             history[-1].evals = _adam_phase(model, snaps, cfg, rng, adam)
         params = network.get_params()
         if not np.all(np.isfinite(params)):
-            raise TrainingDivergedError(epoch, "non-finite network parameters")
+            raise DivergedError(f"training diverged at epoch {epoch}: "
+                                "non-finite network parameters")
         if plan is not None and params.tobytes() == start:
             # Same parameter bits give the same lift, refit, loss and L-BFGS
             # run, so every later epoch repeats this one.
@@ -508,11 +498,11 @@ def rollout(model: KoopmanModel, x0, controls, dt, correct: bool = True) -> Traj
                 z = z + forcing[k]
             # Lifted mode never stores z's network rows, so it checks them here.
             if not correct and not np.isfinite(z).all():
-                raise RolloutDivergedError(k)
+                raise DivergedError(f"rollout produced non-finite state at step {k}")
             x = states[k + 1] = z[..., :n]
     bad = np.flatnonzero(~np.isfinite(states[1:].reshape(n_steps, x0.size)).all(axis=1))
     if bad.size:
-        raise RolloutDivergedError(int(bad[0]))
+        raise DivergedError(f"rollout produced non-finite state at step {bad[0]}")
     return Trajectory(dt=dt, states=states, controls=controls)
 
 

@@ -1,5 +1,6 @@
 """Dense linear-algebra kernels: SVD pseudoinverse and a doubling DARE solver,
-plus the flat parameter vector the lifting networks share.
+plus the flat parameter vector the lifting networks share and DivergedError,
+the package's one exception for numbers that go bad.
 
 The kernels operate on plain 2-D float64 numpy arrays and are pure
 functions of their inputs.
@@ -38,8 +39,11 @@ class FlatParams:
             pos += arr.size
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance within its budget."""
+class DivergedError(RuntimeError):
+    """A computation's numbers went bad: a solver, integration, training run,
+    rollout or closed loop produced non-finite or unbounded values, or an
+    iterative solver missed its tolerance within its budget. The message
+    names the stage and, where there is one, the step or epoch."""
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -79,7 +83,7 @@ def solve_dare(a, b, q, r) -> np.ndarray:
 
     Raises:
         ValueError: r is not symmetric positive definite (or shapes mismatch).
-        ConvergenceError: A, G or H became non-finite, or no convergence
+        DivergedError: A, G or H became non-finite, or no convergence
             within ``DARE_MAX_ITER`` doublings.
     """
     amat = _as_matrix(a, "a")
@@ -119,10 +123,10 @@ def solve_dare(a, b, q, r) -> np.ndarray:
             g = 0.5 * (g + g.T)
             amat = amat @ wa
             if not all(np.isfinite(m).all() for m in (amat, g, h_next)):
-                raise ConvergenceError("DARE doubling iteration diverged")
+                raise DivergedError("DARE doubling iteration diverged")
             if np.max(np.abs(h_next - h)) <= DARE_TOL:
                 return h_next
             h = h_next
-    raise ConvergenceError(
+    raise DivergedError(
         f"DARE doubling iteration did not converge within {DARE_MAX_ITER} doublings"
     )

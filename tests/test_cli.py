@@ -228,31 +228,47 @@ def test_control_unstabilizable_model_exits_1(pendulum_cfg, tmp_path, capsys):
     assert not (out / "control").exists()
 
 
-@pytest.mark.parametrize("coupling, line", [
-    (0.1, "error: closed-loop state exceeded |x| = 1000000.0 at step 0"),
-    (0.0, "error: non-finite state after RK4 step"),
-], ids=["state-bound", "non-finite"])
-def test_control_from_an_overflowing_state_prints_one_line(pendulum_cfg, tmp_path,
-                                                           coupling, line):
-    # From x0 = 1e308 the lift overflows. With the lifted coordinate coupled
-    # into the state, the gain weighs it and the input saturates; without,
-    # its gain is 0 and 0 * inf makes the input NaN. A separate interpreter,
-    # so that numpy's overflow warnings would reach stderr.
+@pytest.mark.parametrize("case, line", [
+    ("state-bound", "closed-loop state exceeded |x| = 1000000.0 at step 0"),
+    ("non-finite", "non-finite state after RK4 step"),
+    ("fine-grid", "non-finite state after RK4 step"),
+    ("flipped-B", "closed-loop state exceeded |x| = 1000000.0 at step 423"),
+], ids=["state-bound", "non-finite", "fine-grid", "flipped-B"])
+def test_control_from_an_overflowing_state_prints_one_line(pendulum_cfg, tmp_path, case, line):
+    # A closed loop that blows up names the model file, like a rollout that
+    # does. A separate interpreter, so that numpy's overflow warnings would
+    # reach stderr.
     doc = json.loads(Path(pendulum_cfg).read_text())
-    doc["control"]["x0"] = [1e308, 0.0]
-    cfg = write_config(tmp_path / "huge_x0.json", doc)
     out = tmp_path / "run"
     out.mkdir()
-    net = kan_init([2, 1], SplineGrid(), seed=0)
-    net.layers[0].w_base[...] = 2.0
-    k = np.array([[0.5, 0.0, coupling], [0.0, 0.5, coupling], [0.0, 0.0, 0.5]])
-    save_model(KoopmanModel(network=net, K=k, B=np.ones((3, 1)), n=2, n_total=3),
-               out / "model.json")
+    path = out / "model.json"
+    if case in ("state-bound", "non-finite"):
+        # From x0 = 1e308 the lift overflows. With the lifted coordinate coupled
+        # into the state, the gain weighs it and the input saturates; without,
+        # its gain is 0 and 0 * inf makes the input NaN.
+        doc["control"]["x0"] = [1e308, 0.0]
+        coupling = 0.1 if case == "state-bound" else 0.0
+        net = kan_init([2, 1], SplineGrid(), seed=0)
+        net.layers[0].w_base[...] = 2.0
+        k = np.array([[0.5, 0.0, coupling], [0.0, 0.5, coupling], [0.0, 0.0, 0.5]])
+        save_model(KoopmanModel(network=net, K=k, B=np.ones((3, 1)), n=2, n_total=3), path)
+    else:
+        model = json.loads(FIXTURE.read_text())
+        if case == "fine-grid":
+            # A valid grid far too fine for the state: the first lift is non-finite.
+            model["network"]["grid"].update(lo=0, hi=1e-320)
+        else:
+            # An input that pushes the wrong way, with room to grow: the
+            # default closed loop runs away.
+            model["B"] = [[-10 * v for v in row] for row in model["B"]]
+            doc["control"] = {"u_limit": 1e9}
+        write_config(path, model)
+    cfg = write_config(tmp_path / "probe.json", doc)
     src = str(Path(kooplift.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-m", "kooplift", "control", "--config", cfg,
                            "--out", str(out)], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line + "\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {path}: {line}\n")
     assert not (out / "control").exists()
 
 
@@ -383,17 +399,20 @@ def assert_same_trajectories(got, want):
 
 def test_pendulum_preset_evaluation_set_is_the_generated_dataset():
     cfg = RunConfig.load(PRESET_DIR / "pendulum_kan.json")
-    sets = _evaluation_sets(cfg, 900)
-    assert list(sets) == ["eval"]
-    assert_same_trajectories(sets["eval"], generate_pendulum_dataset(5, 900))
+    truth, sets = _evaluation_sets(cfg, 900)
+    assert sets == {"eval": slice(0, 5)}
+    assert_same_trajectories(truth.unstack(), generate_pendulum_dataset(5, 900))
 
 
 def test_twobody_preset_evaluation_sets_are_the_generated_datasets():
     cfg = RunConfig.load(PRESET_DIR / "twobody_kan.json")
-    sets = _evaluation_sets(cfg, 901)
-    assert list(sets) == ["eval", "eval_extrapolation"]
-    assert_same_trajectories(sets["eval"], generate_twobody_dataset(3, 901))
-    assert_same_trajectories(sets["eval_extrapolation"],
+    truth, sets = _evaluation_sets(cfg, 901)
+    assert sets == {"eval": slice(0, 3), "eval_extrapolation": slice(3, 6)}
+    # Python ints, which metrics.json's n_ic can hold
+    assert all(type(b) is int for rows in sets.values() for b in (rows.start, rows.stop))
+    trajs = truth.unstack()
+    assert_same_trajectories(trajs[sets["eval"]], generate_twobody_dataset(3, 901))
+    assert_same_trajectories(trajs[sets["eval_extrapolation"]],
                              generate_twobody_dataset(3, 902, 800, (11378.0, 12500.0)))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import kooplift
-from kooplift.numerics import ConvergenceError, _as_matrix, pinv, solve_dare
+from kooplift.numerics import DivergedError, _as_matrix, pinv, solve_dare
 
 
 def lstsq(a, b) -> np.ndarray:
@@ -155,7 +155,7 @@ def test_dare_unstabilizable_raises():
     # Unreachable unstable mode: no bounded solution exists.
     a = np.array([[2.0]])
     b = np.array([[0.0]])
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(DivergedError, match="^DARE doubling iteration diverged$"):
         solve_dare(a, b, np.array([[1.0]]), np.array([[1.0]]))
 
 

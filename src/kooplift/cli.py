@@ -19,7 +19,7 @@ import contextlib
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,7 @@ from .koopman import (
     train,
 )
 from .mlp import mlp_init
-from .numerics import DivergedError
+from .numerics import DivergedError, is_number
 
 OUT_ENV_VAR = "KOOPLIFT_OUT"
 _NUMPY_TOO_BIG = ("Maximum allowed dimension exceeded", "array is too big")
@@ -89,35 +89,46 @@ class ConfigError(Exception):
     """The config document is structurally or semantically invalid."""
 
 
-# Each control setting's value when the control section leaves it out.
-_CONTROL_DEFAULTS = {"x0": [1.0, 0.0], "duration": 10.0, "dt": PENDULUM_DT, "q_state": 1.0,
-                     "r": 0.1, "u_limit": 5.0}
+_REQUIRED = "required"  # the default of a key that every config must set
+_PATH = "path string"  # the kind of a key that holds a path string or null
 
-# The keys each config section may hold; the train section holds TrainConfig's.
-_SECTION_KEYS = {
-    "dataset": {"n_ic", "seed", "points_per_orbit", "path"},
-    "network": {"n_observables", "hidden_layers", "neurons", "grid"},
-    "network.grid": {"lo", "hi", "intervals", "order"},
-    "train": set(TrainConfig.__dataclass_fields__),
-    "evaluation": {"n_ic", "seed", "radius_range", "extrapolation"},
-    "evaluation.extrapolation": {"n_ic", "radius_range"},
-    "control": set(_CONTROL_DEFAULTS),
-    "compare": {"model_a", "model_b"},
+# Every config key by section ("" the top level, "a.b" subsection b of a):
+# key -> (default, kind). The default is None where the key has none (paths,
+# the extrapolation band) or where the system decides it (n_ic, from
+# _SYSTEMS; radius_range, dynamics.TWOBODY_RADIUS_RANGE). kind is a
+# numerics.is_number kind, _PATH, or None for a key checked elsewhere; the
+# train and network.grid keys are TrainConfig's and SplineGrid's fields, which
+# those classes check. validate checks only the keys a config sets, so every
+# default here must be of its kind.
+_SECTIONS = {
+    "": {"system": (_REQUIRED, None), "backend": (_REQUIRED, None), "out_dir": (None, _PATH),
+         "model_path": (None, _PATH), "dataset": ({}, None), "network": ({}, None),
+         "train": ({}, None), "evaluation": ({}, None), "control": ({}, None),
+         "compare": ({}, None)},
+    "dataset": {"n_ic": (None, "positive integer"), "seed": (0, "non-negative integer"),
+                "points_per_orbit": (800, "positive integer"), "path": (None, _PATH)},
+    "network": {"n_observables": (1, "positive integer"), "neurons": (1, "positive integer"),
+                "hidden_layers": (1, "non-negative integer"), "grid": (None, None)},
+    "network.grid": {f.name: (f.default, None) for f in fields(SplineGrid)},
+    "train": {f.name: (f.default, None) for f in fields(TrainConfig)},
+    "evaluation": {"n_ic": (None, "positive integer"), "seed": (900, "non-negative integer"),
+                   "radius_range": (None, None), "extrapolation": (None, None)},
+    "evaluation.extrapolation": {"n_ic": (None, "positive integer"),
+                                 "radius_range": (None, None)},
+    "control": {"x0": ([1.0, 0.0], None), "duration": (10.0, "positive finite number"),
+                "dt": (PENDULUM_DT, "positive finite number"),
+                "q_state": (1.0, "positive finite number"),
+                "r": (0.1, "positive finite number"),
+                "u_limit": (5.0, "positive finite number")},
+    "compare": {"model_a": (None, _PATH), "model_b": (None, _PATH)},
 }
 
 
-@dataclass
 class RunConfig:
-    system: str
-    backend: str
-    out_dir: str | None = None
-    dataset: dict = field(default_factory=dict)
-    network: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    evaluation: dict = field(default_factory=dict)
-    control: dict = field(default_factory=dict)
-    model_path: str | None = None
-    compare: dict = field(default_factory=dict)
+    """A run config document; setting() reads a key, or its _SECTIONS default."""
+
+    def __init__(self, doc: dict):
+        self.doc, self.system, self.backend = doc, doc["system"], doc["backend"]
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -128,11 +139,14 @@ class RunConfig:
             doc = read_json(path)
         except ValueError as exc:  # main's line names the file
             raise ConfigError(str(exc).removeprefix(f"{path}: ")) from None
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(_SECTIONS[""])
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**doc)
+        missing = sorted(key for key, (default, _) in _SECTIONS[""].items()
+                         if default is _REQUIRED and key not in doc)
+        if missing:
+            raise ConfigError(f"missing key(s) {', '.join(missing)}")
+        cfg = cls(doc)
         cfg.validate()
         return cfg
 
@@ -144,118 +158,102 @@ class RunConfig:
             )
         if self.backend not in ("kan", "mlp"):
             raise ConfigError(f"backend must be 'kan' or 'mlp', got {self.backend!r}")
-        for section, known in _SECTION_KEYS.items():
-            doc = self._section(section)
+        for section, keys in _SECTIONS.items():
+            doc = self.section(section)
             if not isinstance(doc, dict):
                 raise ConfigError(f"config section {section!r} must be an object")
-            unknown = sorted(set(doc) - known)
+            unknown = sorted(set(doc) - set(keys))
             if unknown:
                 raise ConfigError(f"unknown key(s) in section {section!r}: "
                                   f"{', '.join(unknown)}")
-        for key, low in (("dataset.n_ic", 1), ("evaluation.n_ic", 1),
-                         ("evaluation.extrapolation.n_ic", 1),
-                         ("network.n_observables", 1), ("network.hidden_layers", 0),
-                         ("network.neurons", 1), ("dataset.seed", 0),
-                         ("dataset.points_per_orbit", 1), ("evaluation.seed", 0)):
-            section, name = key.rsplit(".", 1)
-            value = self._section(section).get(name, low)
-            if type(value) is not int or value < low:  # bool is not an int here
-                kind = "positive" if low else "non-negative"
-                raise ConfigError(f"{key} must be a {kind} integer, got {value!r}")
-        for key in ("out_dir", "model_path", "dataset.path", "compare.model_a", "compare.model_b"):
-            section, _, name = key.rpartition(".")
-            value = self._section(section).get(name) if section else getattr(self, name)
-            if value is not None and type(value) is not str:
-                raise ConfigError(f"{key} must be a path string, got {value!r}")
+            for name, (_, kind) in keys.items():
+                value = doc.get(name)
+                if name in doc and kind and not ((value is None or type(value) is str)
+                                                 if kind == _PATH else is_number(value, kind)):
+                    key = f"{section}.{name}" if section else name
+                    raise ConfigError(f"{key} must be a {kind}, got {value!r}")
+        points = self.setting("dataset.points_per_orbit")
         for section in ("evaluation", "evaluation.extrapolation"):
-            pair, n = self._section(section).get("radius_range"), self.points_per_orbit
+            pair = self.setting(f"{section}.radius_range")
             # The orbit step grows with the radius, so the ends decide.
             if pair is not None and not (
                     type(pair) is list and len(pair) == 2
-                    and all(type(v) in (int, float) for v in pair) and 0 < pair[0] <= pair[1]
-                    and 0 < dynamics.orbit_step(pair[0], n)
-                    and dynamics.orbit_step(pair[1], n) < float("inf")):
+                    and all(is_number(v, "positive finite number") for v in pair)
+                    and pair[0] <= pair[1] and 0 < dynamics.orbit_step(pair[0], points)
+                    and dynamics.orbit_step(pair[1], points) < float("inf")):
                 raise ConfigError(f"{section}.radius_range must be a list [lo, hi] of numbers "
                                   f"with 0 < lo <= hi and a positive finite orbit step at "
                                   f"each end, got {pair!r}")
         stray = [f"{section}.{name}" for section, name in (
             ("evaluation", "radius_range"), ("evaluation", "extrapolation"),
-            ("dataset", "points_per_orbit")) if name in self._section(section)]
+            ("dataset", "points_per_orbit")) if name in self.section(section)]
         if self.system == "pendulum" and stray:
             raise ConfigError(f"{stray[0]} must be a two-body key, not a pendulum one")
-        control = self.control_settings
-        for name in ("dt", "duration", "u_limit", "q_state", "r"):
-            value = control[name]
-            if type(value) not in (int, float) or not 0.0 < value <= sys.float_info.max:
-                raise ConfigError(f"control.{name} must be a positive finite number, "
-                                  f"got {value!r}")
-        duration, dt, x0 = control["duration"], control["dt"], control["x0"]
+        duration, dt, x0 = (self.setting(f"control.{name}") for name in ("duration", "dt", "x0"))
         if not 0.5 < duration / dt < float("inf"):  # closed_loop_sim's step count rounds to >= 1
             raise ConfigError(f"control.duration must be a time of at least half of "
                               f"control.dt = {dt!r} and a finite number of its steps, "
                               f"got {duration!r}")
-        if "x0" in self.control and (type(x0) is not list or len(x0) != self.n_states or not all(
-                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in x0)):
+        # The default x0 is the pendulum's, so only a configured one is checked.
+        if "x0" in self.section("control") and (
+                type(x0) is not list or len(x0) != self.n_states
+                or not all(is_number(v, "finite number") for v in x0)):
             raise ConfigError(f"control.x0 must be a list of {self.n_states} finite numbers, "
                               f"got {x0!r}")
         self.spline_grid()
         try:
-            self.train_config = TrainConfig(**self.train)
+            self.train_config = TrainConfig(**self.section("train"))
         except ValueError as exc:
             raise ConfigError(f"train.{exc}") from None
         alpha = self.train_config.alpha
-        if self.system == "twobody" and alpha >= self.points_per_orbit:
+        if self.system == "twobody" and alpha >= points:
             raise ConfigError(f"train.alpha must be a positive integer below "
-                              f"dataset.points_per_orbit = {self.points_per_orbit}, got {alpha}")
+                              f"dataset.points_per_orbit = {points}, got {alpha}")
         if self.system == "pendulum" and alpha > dynamics.PENDULUM_STEPS:
             raise ConfigError(f"train.alpha must be in [1, {dynamics.PENDULUM_STEPS}]")
 
-    def _section(self, name: str):
-        """The section at a dotted name; an absent or empty subsection reads as {}."""
+    def setting(self, key: str):
+        """The value at a dotted key such as "control.dt", or its _SECTIONS default."""
+        section, _, name = key.rpartition(".")
+        return self.section(section).get(name, _SECTIONS[section][name][0])
+
+    def section(self, name: str):
+        """The section at a dotted name, "" the top level. An absent section
+        reads as {}, and so does an absent or null subsection."""
         top, _, sub = name.partition(".")
-        doc = getattr(self, top)
-        return (doc.get(sub) or {}) if sub else doc
+        doc = self.doc.get(top, {}) if top else self.doc
+        if not sub:
+            return doc
+        return {} if doc.get(sub) is None else doc[sub]
 
     @property
     def n_states(self) -> int:
         return len(_SYSTEMS[self.system]["state_names"])
 
     def network_shape(self) -> list[int]:
-        net = self.network
-        hidden = [net.get("neurons", 1)] * net.get("hidden_layers", 1)
-        return [self.n_states] + hidden + [net.get("n_observables", 1)]
+        hidden = [self.setting("network.neurons")] * self.setting("network.hidden_layers")
+        return [self.n_states] + hidden + [self.setting("network.n_observables")]
 
     def spline_grid(self) -> SplineGrid:
         try:
-            return SplineGrid(**self._section("network.grid"))
+            return SplineGrid(**self.section("network.grid"))
         except ValueError as exc:
             raise ConfigError(f"network.grid.{exc}") from None
 
-    @property
-    def points_per_orbit(self) -> int:
-        return self.dataset.get("points_per_orbit", 800)
-
-    @property
-    def control_settings(self) -> dict:
-        """The control section over _CONTROL_DEFAULTS."""
-        return {**_CONTROL_DEFAULTS, **self.control}
-
 
 def _dataset_dir(cfg: RunConfig, out_dir: Path) -> Path:
-    if cfg.dataset.get("path"):
-        return Path(cfg.dataset["path"])
-    return out_dir / "dataset"
+    return Path(cfg.setting("dataset.path") or out_dir / "dataset")
 
 
-def _from_section(cfg: RunConfig, make, seed: int, doc: dict, role: str):
+def _from_section(cfg: RunConfig, make, seed: int, section: str):
     """make(n_ic, seed, ...), for make a generate_<system>_dataset or a
-    <system>_initial_states, with the arguments they share read from a dataset
-    or evaluation section doc; role, "dataset" or "evaluation", picks the
-    default n_ic."""
-    n_ic = doc.get("n_ic", _SYSTEMS[cfg.system]["n_ic"][role])
+    <system>_initial_states, with the arguments they share read from the
+    dataset section or an evaluation section, by dotted name."""
+    # n_ic is checked positive, so None alone picks the system's default.
+    n_ic = cfg.setting(f"{section}.n_ic") or _SYSTEMS[cfg.system]["n_ic"][section.split(".")[0]]
     if cfg.system == "twobody":
-        lo, hi = doc.get("radius_range") or dynamics.TWOBODY_RADIUS_RANGE
-        return make(n_ic, seed, cfg.points_per_orbit, (float(lo), float(hi)))
+        lo, hi = cfg.section(section).get("radius_range") or dynamics.TWOBODY_RADIUS_RANGE
+        return make(n_ic, seed, cfg.setting("dataset.points_per_orbit"), (float(lo), float(hi)))
     return make(n_ic, seed)
 
 
@@ -263,27 +261,27 @@ def _evaluation_sets(cfg: RunConfig, seed: int) -> tuple[dynamics.Trajectory, di
     """Every evaluation set integrated in one batch, and each set's slice of
     its rows by name: "eval", the held-out ICs from seed, and when configured
     "eval_extrapolation", the band from seed + 1."""
-    docs = {"eval": cfg.evaluation}
-    if cfg.evaluation.get("extrapolation"):
-        docs["eval_extrapolation"] = cfg.evaluation["extrapolation"]
+    sections = {"eval": "evaluation"}
+    if cfg.setting("evaluation.extrapolation"):  # {} sets no band
+        sections["eval_extrapolation"] = "evaluation.extrapolation"
     system = _SYSTEMS[cfg.system]
-    draws = [_from_section(cfg, system["draw"], seed + i, doc, "evaluation")
-             for i, doc in enumerate(docs.values())]
+    draws = [_from_section(cfg, system["draw"], seed + i, section)
+             for i, section in enumerate(sections.values())]
     x0, controls, dt = zip(*draws)
     bounds = np.cumsum([0] + [len(x) for x in x0]).tolist()  # ints, for metrics.json's n_ic
     # dynamics.simulate is looked up at call time, so a wrapper installed on it
     # (benchmarks/tracing.py) sees this call too.
     truth = dynamics.simulate(system["deriv"], np.concatenate(x0),
                               np.concatenate(controls, axis=1), np.concatenate(dt))
-    return truth, {name: slice(a, b) for name, a, b in zip(docs, bounds, bounds[1:])}
+    return truth, {name: slice(a, b) for name, a, b in zip(sections, bounds, bounds[1:])}
 
 
 def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
-    seed = seed_override if seed_override is not None else cfg.dataset.get("seed", 0)
+    seed = seed_override if seed_override is not None else cfg.setting("dataset.seed")
     # Looked up at call time, so a wrapper installed on these names
     # (benchmarks/tracing.py) sees the call.
     generate = {"pendulum": generate_pendulum_dataset, "twobody": generate_twobody_dataset}
-    trajs = _from_section(cfg, generate[cfg.system], seed, cfg.dataset, "dataset")
+    trajs = _from_section(cfg, generate[cfg.system], seed, "dataset")
     names = _SYSTEMS[cfg.system]
     dataset_dir = _dataset_dir(cfg, out_dir)
     manifest = save_dataset(
@@ -295,7 +293,8 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> in
             "system": cfg.system,
             "seed": seed,
             "n_ic": len(trajs),
-            **({"points_per_orbit": cfg.points_per_orbit} if cfg.system == "twobody" else {}),
+            **({"points_per_orbit": cfg.setting("dataset.points_per_orbit")}
+               if cfg.system == "twobody" else {}),
         },
     )
     print(f"wrote {len(trajs)} trajectories under {dataset_dir} ({manifest.name})")
@@ -363,7 +362,7 @@ def _evaluate(cfg: RunConfig, models: list, seed_override: int | None) -> list[t
     evaluation set in one batch, against the truth integrated once; per model,
     its metrics.json document and each set's per-IC table by set name, for
     _write_evaluation. Writes nothing."""
-    seed = seed_override if seed_override is not None else cfg.evaluation.get("seed", 900)
+    seed = seed_override if seed_override is not None else cfg.setting("evaluation.seed")
     truth, sets = _evaluation_sets(cfg, seed)
     names = _SYSTEMS[cfg.system]["state_names"]
     key, n_head, _ = _SYSTEMS[cfg.system]["headline"]
@@ -390,7 +389,7 @@ def _evaluate(cfg: RunConfig, models: list, seed_override: int | None) -> list[t
         metrics, *band = docs
         metrics["seed"] = seed
         if band:
-            radius_range = cfg.evaluation["extrapolation"].get("radius_range")
+            radius_range = cfg.setting("evaluation.extrapolation.radius_range")
             metrics["extrapolation"] = {**band[0], "radius_range": radius_range}
         evaluated.append((metrics, tables))
     return evaluated
@@ -421,7 +420,7 @@ def _load_model_file(cfg: RunConfig, out_dir: Path, path: str | None = None):
     """The path and the model stored there, checked against the system; path
     defaults to the config's model_path, else out_dir's model.json. A missing
     file raises FileNotFoundError."""
-    path = Path(path or cfg.model_path or out_dir / "model.json")
+    path = Path(path or cfg.setting("model_path") or out_dir / "model.json")
     if not path.is_file():
         raise FileNotFoundError(f"model file not found: {path}")
     model = load_model(path)[0]
@@ -454,13 +453,13 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     if cfg.system != "pendulum":
         raise ConfigError("closed-loop control is implemented for the pendulum")
     model_path, model = _load_model_file(cfg, out_dir)
-    settings = cfg.control_settings
+    control = {name: cfg.setting(f"control.{name}") for name in _SECTIONS["control"]}
     q, r = default_weights(
         model.n, model.n_total, model.B.shape[1],
-        q_state=float(settings["q_state"]),
-        r=float(settings["r"]),
+        q_state=float(control["q_state"]),
+        r=float(control["r"]),
     )
-    x0 = [float(v) for v in settings["x0"]]
+    x0 = [float(v) for v in control["x0"]]
     with _blaming(model_path):
         gain = dlqr(model.K, model.B, q, r)
         traj = closed_loop_sim(
@@ -468,9 +467,9 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
             gain,
             _SYSTEMS[cfg.system]["deriv"],
             np.asarray(x0),
-            duration=float(settings["duration"]),
-            dt=float(settings["dt"]),
-            u_limit=float(settings["u_limit"]),
+            duration=float(control["duration"]),
+            dt=float(control["dt"]),
+            u_limit=float(control["u_limit"]),
         )
     dest = out_dir / "control"
     names = _SYSTEMS[cfg.system]
@@ -495,7 +494,7 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
 
 
 def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
-    section = cfg.compare
+    section = cfg.section("compare")
     if not section.get("model_a") or not section.get("model_b"):
         raise ConfigError("compare requires compare.model_a and compare.model_b")
     # Both models and their summaries are loaded and checked, and both models
@@ -539,8 +538,8 @@ def _resolve_out(flag: str | None, cfg: RunConfig) -> Path:
     env = os.environ.get(OUT_ENV_VAR)
     if env:
         return Path(env)
-    if cfg.out_dir:
-        return Path(cfg.out_dir)
+    if cfg.setting("out_dir"):
+        return Path(cfg.setting("out_dir"))
     return Path("runs") / f"{cfg.system}_{cfg.backend}"
 
 

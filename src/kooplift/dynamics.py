@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import DivergedError
+from .numerics import DivergedError, is_number
 
 PENDULUM_DT = 0.01
 PENDULUM_DURATION = 2.0
@@ -358,8 +358,8 @@ def load_dataset(in_dir) -> list[Trajectory]:
     out = []
     for entry in manifest["files"]:
         if not (type(entry) is dict and type(entry.get("name")) is str
-                and type(entry.get("n_samples")) is int and entry["n_samples"] > 0
-                and type(entry.get("dt")) in (int, float) and 0 < entry["dt"] < math.inf):
+                and is_number(entry.get("n_samples"), "positive integer")
+                and is_number(entry.get("dt"), "positive finite number")):
             raise ValueError(f"{manifest_path}: a file entry needs a string name, a positive "
                              f"finite dt and a positive integer n_samples, got {entry!r}")
         path = in_dir / entry["name"]

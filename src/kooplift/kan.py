@@ -15,12 +15,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import FlatParams
+from .numerics import FlatParams, checked, is_number
 
 
 @dataclass(frozen=True)
@@ -41,16 +40,13 @@ class SplineGrid:
     def __post_init__(self):
         """Raises ValueError('<field> must be ..., got <value>')."""
         for name in ("intervals", "order"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        lo, hi = self.lo, self.hi
-        real = [isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (lo, hi)]
-        if not (real[0] and -np.inf < lo < np.inf):
-            raise ValueError(f"lo must be a finite number, got {lo!r}")
-        # The step can overflow, or fall below the spacing of floats at the knots.
+            checked(name, getattr(self, name), "positive integer")
+        lo, hi = checked("lo", self.lo, "finite number"), self.hi
+        # The step can overflow (for integers, hi - lo past the float range
+        # raises), or fall below the spacing of floats at the knots.
+        spread = is_number(hi, "finite number") and lo < hi and hi - lo
         with np.errstate(over="ignore", invalid="ignore"):
-            t = self.knots() if real[1] and lo < hi else [np.nan]
+            t = self.knots() if is_number(spread, "finite number") else [np.nan]
         if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
             raise ValueError(f"hi must be a number above lo = {lo!r} that keeps the knots "
                              f"finite and strictly increasing, got {hi!r}")

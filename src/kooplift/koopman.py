@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .dynamics import Trajectory, read_json
 from .kan import KanNetwork, layer_basis
 from .mlp import MlpNetwork
-from .numerics import DivergedError, pinv
+from .numerics import DivergedError, checked, is_number, pinv
 from .optim import AdamW, Lbfgs
 
 
@@ -82,11 +81,6 @@ class KoopmanModel:
         return self.network.n_params
 
 
-def _is(value, kind) -> bool:
-    """isinstance(value, kind), where a bool is never a number."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass
 class TrainConfig:
     """Training settings; each field is checked here, for library callers,
@@ -108,21 +102,15 @@ class TrainConfig:
 
     def __post_init__(self):
         """Raises ValueError('<field> must be a ..., got <value>')."""
-        for name, low in (("seed", 0), ("alpha", 1), ("epochs", 0), ("lbfgs_max_iter", 1),
-                          ("lbfgs_history", 1)):
-            value = getattr(self, name)
-            if not _is(value, numbers.Integral) or value < low:
-                kind = "positive" if low else "non-negative"
-                raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
-        for name in ("learning_rate", "gamma", "beta", "weight_decay", "lambda_l1",
-                     "lambda_l2"):
-            value = getattr(self, name)
-            kind = "positive" if name == "learning_rate" else "non-negative"
-            if not (_is(value, numbers.Real) and 0.0 <= value < float("inf")) or (
-                    value == 0 and kind == "positive"):
-                raise ValueError(f"{name} must be a {kind} finite number, got {value!r}")
+        for kind, names in (("non-negative integer", ("seed", "epochs")),
+                            ("positive integer", ("alpha", "lbfgs_max_iter", "lbfgs_history")),
+                            ("positive finite number", ("learning_rate",)),
+                            ("non-negative finite number", ("gamma", "beta", "weight_decay",
+                                                            "lambda_l1", "lambda_l2"))):
+            for name in names:
+                checked(name, getattr(self, name), kind)
         batch = self.batch_size
-        if batch is not None and (not _is(batch, numbers.Integral) or batch < 1):
+        if batch is not None and not is_number(batch, "positive integer"):
             raise ValueError(f"batch_size must be a positive integer or null, got {batch!r}")
         if self.optimizer not in ("lbfgs", "adam"):
             raise ValueError("optimizer must be a known optimizer, 'lbfgs' or 'adam', "
@@ -543,7 +531,7 @@ def load_model(path):
     kind, n, n_total = doc["kind"], doc["n"], doc["n_total"]
     if type(kind) is not str or kind not in _NETWORKS:
         raise ValueError(f"{path}: unknown backend kind {kind!r}")
-    if not (_is(n, numbers.Integral) and _is(n_total, numbers.Integral) and 0 < n < n_total):
+    if not (all(is_number(v, "positive integer") for v in (n, n_total)) and n < n_total):
         raise ValueError(f"{path}: n and n_total must be integers with 0 < n < n_total, "
                          f"got {n!r} and {n_total!r}")
     try:

@@ -1,12 +1,16 @@
 """Dense linear-algebra kernels: SVD pseudoinverse and a doubling DARE solver,
-plus the flat parameter vector the lifting networks share and DivergedError,
-the package's one exception for numbers that go bad.
+plus the flat parameter vector the lifting networks share, DivergedError,
+the package's one exception for numbers that go bad, and is_number, its one
+rule for numbers read from outside.
 
 The kernels operate on plain 2-D float64 numpy arrays and are pure
 functions of their inputs.
 """
 
 from __future__ import annotations
+
+import numbers
+import sys
 
 import numpy as np
 
@@ -44,6 +48,33 @@ class DivergedError(RuntimeError):
     rollout or closed loop produced non-finite or unbounded values, or an
     iterative solver missed its tolerance within its budget. The message
     names the stage and, where there is one, the step or epoch."""
+
+
+# Each kind of number is_number knows: the type a value must be an instance
+# of, and the range it must lie in. A finite number's magnitude is at most the
+# largest float, so NaN, +-inf and an integer past the float range fail.
+_KINDS = {
+    "finite number": (numbers.Real, lambda v: abs(v) <= sys.float_info.max),
+    "positive finite number": (numbers.Real, lambda v: 0 < v <= sys.float_info.max),
+    "non-negative finite number": (numbers.Real, lambda v: 0 <= v <= sys.float_info.max),
+    "positive integer": (numbers.Integral, lambda v: v >= 1),
+    "non-negative integer": (numbers.Integral, lambda v: v >= 0),
+}
+
+
+def is_number(value, kind: str) -> bool:
+    """Whether value is a number of kind, a key of _KINDS ("positive integer",
+    "non-negative finite number", ...). A bool is never a number."""
+    base, in_range = _KINDS[kind]
+    return isinstance(value, base) and not isinstance(value, bool) and bool(in_range(value))
+
+
+def checked(name: str, value, kind: str):
+    """value, if is_number(value, kind); else raises
+    ValueError('<name> must be a <kind>, got <value!r>')."""
+    if not is_number(value, kind):
+        raise ValueError(f"{name} must be a {kind}, got {value!r}")
+    return value
 
 
 def _as_matrix(a, name: str) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import kooplift
-from kooplift.cli import RunConfig, _evaluation_sets, main
+from kooplift.cli import _SECTIONS, RunConfig, _evaluation_sets, main
 from kooplift.dynamics import (
     TWOBODY_CONTROL_NAMES,
     TWOBODY_STATE_NAMES,
@@ -26,6 +26,7 @@ from kooplift.dynamics import (
 from kooplift.kan import SplineGrid, kan_init
 from kooplift.koopman import KoopmanModel, load_model, rollout, save_model
 from kooplift.mlp import mlp_init
+from kooplift.numerics import is_number
 from test_koopman import load_history
 
 PRESET_DIR = Path(kooplift.__file__).parent / "presets"
@@ -507,6 +508,42 @@ def test_unknown_section_key_exits_2(pendulum_cfg, tmp_path, capsys, command, se
     assert err == (f"config error: unknown key(s) in section {section!r}: {key} "
                    f"(in {cfg})\n")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("doc, missing", [
+    ({"backend": "kan"}, "system"),
+    ({"system": "pendulum"}, "backend"),
+    ({}, "backend, system"),
+], ids=["system", "backend", "both"])
+def test_config_without_system_or_backend_exits_2(tmp_path, capsys, doc, missing):
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"config error: missing key(s) {missing} (in {cfg})\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section", ["network.grid", "evaluation.extrapolation"])
+@pytest.mark.parametrize("value", [1, 0, False, "", []], ids=repr)
+def test_subsection_that_is_not_an_object_exits_2(twobody_cfg, tmp_path, capsys, section,
+                                                  value):
+    top, sub = section.split(".")
+    doc = json.loads(Path(twobody_cfg).read_text())
+    doc[top][sub] = value
+    cfg = write_config(tmp_path / "bad.json", doc)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (f"config error: config section {section!r} must be "
+                                       f"an object (in {cfg})\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_every_numeric_config_default_is_of_its_kind():
+    # validate checks only the keys a config sets, so the table's defaults
+    # must hold to their own kinds.
+    numeric = [(f"{section}.{name}", default, kind) for section, keys in _SECTIONS.items()
+               for name, (default, kind) in keys.items()
+               if kind not in (None, "path string") and default is not None]
+    assert len(numeric) == 11
+    assert [key for key, default, kind in numeric if not is_number(default, kind)] == []
 
 
 def test_bad_system_exits_2(tmp_path, capsys):
@@ -1036,6 +1073,18 @@ def test_grid_too_fine_for_its_data_prints_one_line(pendulum_cfg, tmp_path, caps
     assert main(["train", "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err == ("error: training diverged at epoch 0: "
                                        "non-finite lifted data\n")
+
+
+def test_grid_of_integers_whose_spread_overflows_exits_2(pendulum_cfg, tmp_path, capsys):
+    # Each end fits a float, but hi - lo, an exact Python integer, does not.
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    big = int(1.7e308)
+    doc["network"]["grid"] = {"lo": -big, "hi": big, "intervals": 1}
+    cfg = write_config(tmp_path / "grid.json", doc)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: network.grid.hi must be a number above lo = {-big}")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["generate", "train"])

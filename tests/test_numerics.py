@@ -1,13 +1,16 @@
 """Tests for the linear-algebra kernels."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kooplift
-from kooplift.numerics import DivergedError, _as_matrix, pinv, solve_dare
+from kooplift.kan import SplineGrid
+from kooplift.koopman import TrainConfig
+from kooplift.numerics import DivergedError, _as_matrix, checked, is_number, pinv, solve_dare
 
 
 def lstsq(a, b) -> np.ndarray:
@@ -19,6 +22,45 @@ def lstsq(a, b) -> np.ndarray:
             f"row mismatch: a has {amat.shape[0]} rows, b has {bmat.shape[0]}"
         )
     return pinv(amat) @ bmat
+
+
+KINDS = ("finite number", "positive finite number", "non-negative finite number",
+         "positive integer", "non-negative integer")
+
+
+# Each value and the kinds it is, in KINDS order: F finite, P positive finite,
+# N non-negative finite, I positive integer, Z non-negative integer.
+@pytest.mark.parametrize("value, kinds", [
+    (True, ""), (False, ""), (float("nan"), ""), (float("inf"), ""), (float("-inf"), ""),
+    (10**400, "IZ"), (-10**400, ""), (-0.0, "FN"), (0, "FNZ"), (0.0, "FN"), (-1, "F"),
+    (2.5, "FPN"), (sys.float_info.max, "FPN"), (np.int64(3), "FPNIZ"), (np.int64(0), "FNZ"),
+    (np.float64(2.5), "FPN"), (np.float64("nan"), ""), (np.bool_(True), ""), ("1", ""),
+    (None, ""), ([1], ""),
+], ids=repr)
+def test_is_number_kinds(value, kinds):
+    want = [kind for kind, letter in zip(KINDS, "FPNIZ") if letter in kinds]
+    assert [kind for kind in KINDS if is_number(value, kind)] == want
+
+
+def test_checked_returns_the_value_or_names_it():
+    assert checked("lo", -0.0, "finite number") == 0.0
+    with pytest.raises(ValueError) as exc:
+        checked("epochs", True, "non-negative integer")
+    assert str(exc.value) == "epochs must be a non-negative integer, got True"
+    with pytest.raises(KeyError):
+        is_number(1, "number")
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: TrainConfig(gamma=10**400), "gamma"),
+    (lambda: SplineGrid(lo=-10**400), "lo"),
+    (lambda: SplineGrid(hi=10**400), "hi"),
+    # Both ends fit a float, but hi - lo, an exact integer, does not.
+    (lambda: SplineGrid(lo=-int(1.7e308), hi=int(1.7e308), intervals=1), "hi"),
+], ids=["gamma", "lo", "hi", "hi-spread"])
+def test_library_checks_refuse_integers_past_the_float_range(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a "):
+        make()
 
 
 def test_pinv_identity():

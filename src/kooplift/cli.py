@@ -95,11 +95,10 @@ _PATH = "path string"  # the kind of a key that holds a path string or null
 # Every config key by section ("" the top level, "a.b" subsection b of a):
 # key -> (default, kind). The default is None where the key has none (paths,
 # the extrapolation band) or where the system decides it (n_ic, from
-# _SYSTEMS; radius_range, dynamics.TWOBODY_RADIUS_RANGE). kind is a
-# numerics.is_number kind, _PATH, or None for a key checked elsewhere; the
-# train and network.grid keys are TrainConfig's and SplineGrid's fields, which
-# those classes check. validate checks only the keys a config sets, so every
-# default here must be of its kind.
+# _SYSTEMS). kind is a numerics.is_number kind, _PATH, or None for a key
+# checked elsewhere; the train and network.grid keys are TrainConfig's and
+# SplineGrid's fields, which those classes check. validate checks a key's
+# kind only where a config sets it, so every default here must be of its kind.
 _SECTIONS = {
     "": {"system": (_REQUIRED, None), "backend": (_REQUIRED, None), "out_dir": (None, _PATH),
          "model_path": (None, _PATH), "dataset": ({}, None), "network": ({}, None),
@@ -112,9 +111,10 @@ _SECTIONS = {
     "network.grid": {f.name: (f.default, None) for f in fields(SplineGrid)},
     "train": {f.name: (f.default, None) for f in fields(TrainConfig)},
     "evaluation": {"n_ic": (None, "positive integer"), "seed": (900, "non-negative integer"),
-                   "radius_range": (None, None), "extrapolation": (None, None)},
+                   "radius_range": (list(dynamics.TWOBODY_RADIUS_RANGE), None),
+                   "extrapolation": (None, None)},
     "evaluation.extrapolation": {"n_ic": (None, "positive integer"),
-                                 "radius_range": (None, None)},
+                                 "radius_range": (list(dynamics.TWOBODY_RADIUS_RANGE), None)},
     "control": {"x0": ([1.0, 0.0], None), "duration": (10.0, "positive finite number"),
                 "dt": (PENDULUM_DT, "positive finite number"),
                 "q_state": (1.0, "positive finite number"),
@@ -139,9 +139,6 @@ class RunConfig:
             doc = read_json(path)
         except ValueError as exc:  # main's line names the file
             raise ConfigError(str(exc).removeprefix(f"{path}: ")) from None
-        unknown = set(doc) - set(_SECTIONS[""])
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         missing = sorted(key for key, (default, _) in _SECTIONS[""].items()
                          if default is _REQUIRED and key not in doc)
         if missing:
@@ -164,8 +161,8 @@ class RunConfig:
                 raise ConfigError(f"config section {section!r} must be an object")
             unknown = sorted(set(doc) - set(keys))
             if unknown:
-                raise ConfigError(f"unknown key(s) in section {section!r}: "
-                                  f"{', '.join(unknown)}")
+                where = f"in section {section!r}" if section else "at the top level"
+                raise ConfigError(f"unknown key(s) {where}: {', '.join(unknown)}")
             for name, (_, kind) in keys.items():
                 value = doc.get(name)
                 if name in doc and kind and not ((value is None or type(value) is str)
@@ -176,8 +173,7 @@ class RunConfig:
         for section in ("evaluation", "evaluation.extrapolation"):
             pair = self.setting(f"{section}.radius_range")
             # The orbit step grows with the radius, so the ends decide.
-            if pair is not None and not (
-                    type(pair) is list and len(pair) == 2
+            if not (type(pair) is list and len(pair) == 2
                     and all(is_number(v, "positive finite number") for v in pair)
                     and pair[0] <= pair[1] and 0 < dynamics.orbit_step(pair[0], points)
                     and dynamics.orbit_step(pair[1], points) < float("inf")):
@@ -251,10 +247,11 @@ def _from_section(cfg: RunConfig, make, seed: int, section: str):
     dataset section or an evaluation section, by dotted name."""
     # n_ic is checked positive, so None alone picks the system's default.
     n_ic = cfg.setting(f"{section}.n_ic") or _SYSTEMS[cfg.system]["n_ic"][section.split(".")[0]]
-    if cfg.system == "twobody":
-        lo, hi = cfg.section(section).get("radius_range") or dynamics.TWOBODY_RADIUS_RANGE
-        return make(n_ic, seed, cfg.setting("dataset.points_per_orbit"), (float(lo), float(hi)))
-    return make(n_ic, seed)
+    if cfg.system != "twobody":
+        return make(n_ic, seed)
+    # The dataset draws from make's own radius range.
+    extra = [] if section == "dataset" else [cfg.setting(f"{section}.radius_range")]
+    return make(n_ic, seed, cfg.setting("dataset.points_per_orbit"), *extra)
 
 
 def _evaluation_sets(cfg: RunConfig, seed: int) -> tuple[dynamics.Trajectory, dict]:
@@ -319,7 +316,6 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     started = time.perf_counter()
     model, history = train(network, trajs, tc)
     wall = time.perf_counter() - started
-    out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / "model.json"
     save_model(
         model,

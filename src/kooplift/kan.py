@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import FlatParams, checked, is_number
+from .numerics import FlatParams, checked, is_number, shown
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class SplineGrid:
             t = self.knots() if is_number(spread, "finite number") else [np.nan]
         if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
             raise ValueError(f"hi must be a number above lo = {lo!r} that keeps the knots "
-                             f"finite and strictly increasing, got {hi!r}")
+                             f"finite and strictly increasing, got {shown(hi)}")
 
     @property
     def n_basis(self) -> int:

@@ -11,15 +11,14 @@ optional per-step correction through re-lifting.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dynamics import Trajectory, read_json
+from .dynamics import Trajectory, read_json, write_csv, write_json
 from .kan import KanNetwork, layer_basis
 from .mlp import MlpNetwork
-from .numerics import DivergedError, checked, is_number, pinv
+from .numerics import DivergedError, checked, is_number, pinv, shown
 from .optim import AdamW, Lbfgs
 
 
@@ -111,10 +110,10 @@ class TrainConfig:
                 checked(name, getattr(self, name), kind)
         batch = self.batch_size
         if batch is not None and not is_number(batch, "positive integer"):
-            raise ValueError(f"batch_size must be a positive integer or null, got {batch!r}")
+            raise ValueError(f"batch_size must be a positive integer or null, got {shown(batch)}")
         if self.optimizer not in ("lbfgs", "adam"):
             raise ValueError("optimizer must be a known optimizer, 'lbfgs' or 'adam', "
-                             f"got {self.optimizer!r}")
+                             f"got {shown(self.optimizer)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -496,7 +495,7 @@ def rollout(model: KoopmanModel, x0, controls, dt, correct: bool = True) -> Traj
 
 def save_model(model: KoopmanModel, path, cfg: TrainConfig | None = None,
                metadata: dict | None = None) -> None:
-    doc = {
+    write_json(path, {
         "kind": model.kind,
         "network": model.network.to_dict(),
         "K": model.K.tolist(),
@@ -505,10 +504,7 @@ def save_model(model: KoopmanModel, path, cfg: TrainConfig | None = None,
         "n_total": model.n_total,
         "config": cfg.to_dict() if cfg is not None else None,
         "metadata": metadata or {},
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    })
 
 
 _NETWORKS = {"kan": KanNetwork, "mlp": MlpNetwork}
@@ -549,9 +545,8 @@ def load_model(path):
     if not all(np.isfinite(arr).all() for arr in (k, b, *network.param_arrays())):
         raise ValueError(f"{path}: K, B and the network parameters must be finite")
     model = KoopmanModel(network=network, K=k, B=b, n=n, n_total=n_total)
-    cfg = None
-    if doc.get("config"):
-        cfg = _parsed(path, "config", TrainConfig.from_dict, doc["config"])
+    config = doc.get("config")
+    cfg = _parsed(path, "config", TrainConfig.from_dict, config) if config else None
     return model, cfg, doc.get("metadata", {})
 
 
@@ -565,8 +560,5 @@ def _parsed(path, section: str, parse, doc):
 
 
 def save_history(history: list[LossRecord], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,recon,pred,total\n")
-        for row in history:
-            fh.write(f"{row.epoch},{row.recon:.17g},{row.pred:.17g},{row.total:.17g}\n")
-
+    write_csv(path, ["epoch", "recon", "pred", "total"],
+              np.array([[r.epoch, r.recon, r.pred, r.total] for r in history]).reshape(-1, 4))

@@ -1,7 +1,7 @@
 """Dense linear-algebra kernels: SVD pseudoinverse and a doubling DARE solver,
 plus the flat parameter vector the lifting networks share, DivergedError,
-the package's one exception for numbers that go bad, and is_number, its one
-rule for numbers read from outside.
+the package's one exception for numbers that go bad, is_number, its one
+rule for numbers read from outside, and shown, its one way to print them.
 
 The kernels operate on plain 2-D float64 numpy arrays and are pure
 functions of their inputs.
@@ -69,11 +69,20 @@ def is_number(value, kind: str) -> bool:
     return isinstance(value, base) and not isinstance(value, bool) and bool(in_range(value))
 
 
+def shown(value) -> str:
+    """repr(value), or for an integer past Python's digit limit for printing,
+    its bit length, so a message about it can still be written."""
+    try:
+        return repr(value)
+    except ValueError:  # int's str() refuses more than sys.get_int_max_str_digits()
+        return f"{'-' * (value < 0)}<integer of {value.bit_length()} bits>"
+
+
 def checked(name: str, value, kind: str):
     """value, if is_number(value, kind); else raises
-    ValueError('<name> must be a <kind>, got <value!r>')."""
+    ValueError('<name> must be a <kind>, got <shown(value)>')."""
     if not is_number(value, kind):
-        raise ValueError(f"{name} must be a {kind}, got {value!r}")
+        raise ValueError(f"{name} must be a {kind}, got {shown(value)}")
     return value
 
 

@@ -328,6 +328,21 @@ def test_twobody_pipeline_with_extrapolation(twobody_cfg, tmp_path):
     assert (out / "eval_extrapolation" / "eval_000.csv").is_file()
 
 
+def test_band_without_radius_range_reports_the_range_it_draws_from(twobody_cfg, tmp_path):
+    # A band that leaves radius_range out draws from the training range, and
+    # metrics.json names that range rather than null.
+    doc = json.loads(Path(twobody_cfg).read_text())
+    doc["evaluation"]["extrapolation"] = {"n_ic": 1}
+    cfg = write_config(tmp_path / "band.json", doc)
+    save_model(KoopmanModel(network=kan_init([4, 1], SplineGrid(), seed=0), K=np.eye(5),
+                            B=np.zeros((5, 0)), n=4, n_total=5), tmp_path / "model.json")
+    assert main(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    band = json.loads((tmp_path / "eval" / "metrics.json").read_text())["extrapolation"]
+    assert band["radius_range"] == [6578.0, 11378.0]
+    x0 = band["per_ic"][0]["initial_state"]
+    assert 6578.0 <= np.hypot(x0[0], x0[1]) <= 11378.0
+
+
 def _evaluate_set_alone(model, trajs, dest):
     """One evaluation set generated, rolled out and written on its own, the
     way evaluate handled each set before it batched them: per-IC CSVs and
@@ -477,12 +492,14 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["generate", "--config", str(bad)]) == 2
 
 
-def test_unknown_config_key_exits_2(tmp_path):
+def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "cfg.json",
         {"system": "pendulum", "backend": "kan", "bogus": 1},
     )
     assert main(["generate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown key(s) at the top level: bogus (in {cfg})\n")
 
 
 @pytest.mark.parametrize("command, section, key", [

@@ -10,7 +10,15 @@ import pytest
 import kooplift
 from kooplift.kan import SplineGrid
 from kooplift.koopman import TrainConfig
-from kooplift.numerics import DivergedError, _as_matrix, checked, is_number, pinv, solve_dare
+from kooplift.numerics import (
+    DivergedError,
+    _as_matrix,
+    checked,
+    is_number,
+    pinv,
+    shown,
+    solve_dare,
+)
 
 
 def lstsq(a, b) -> np.ndarray:
@@ -61,6 +69,35 @@ def test_checked_returns_the_value_or_names_it():
 def test_library_checks_refuse_integers_past_the_float_range(make, field):
     with pytest.raises(ValueError, match=f"^{field} must be a "):
         make()
+
+
+@pytest.mark.parametrize("make, line", [
+    (lambda: TrainConfig(gamma=10**5000),
+     "gamma must be a non-negative finite number, got <integer of 16610 bits>"),
+    (lambda: TrainConfig(alpha=-10**5000),
+     "alpha must be a positive integer, got -<integer of 16610 bits>"),
+    (lambda: TrainConfig(batch_size=-10**5000),
+     "batch_size must be a positive integer or null, got -<integer of 16610 bits>"),
+    (lambda: TrainConfig(optimizer=10**5000),
+     "optimizer must be a known optimizer, 'lbfgs' or 'adam', got <integer of 16610 bits>"),
+    (lambda: SplineGrid(lo=10**5000), "lo must be a finite number, got <integer of 16610 bits>"),
+    (lambda: SplineGrid(hi=10**5000),
+     "hi must be a number above lo = -3.0 that keeps the knots finite and strictly "
+     "increasing, got <integer of 16610 bits>"),
+    (lambda: SplineGrid(intervals=-10**5000),
+     "intervals must be a positive integer, got -<integer of 16610 bits>"),
+], ids=["gamma", "alpha", "batch_size", "optimizer", "lo", "hi", "intervals"])
+def test_integer_too_long_to_print_is_named_by_its_bit_length(make, line):
+    # repr of an integer past Python's digit limit raises its own ValueError,
+    # which would not name the field.
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == line
+
+
+def test_shown_is_repr_for_every_printable_value():
+    for value in (-10**400, 1.5, float("nan"), "a", None, [1, 2], np.int64(3)):
+        assert shown(value) == repr(value)
 
 
 def test_pinv_identity():

@@ -48,6 +48,7 @@ from .dynamics import (
 )
 from .kan import SplineGrid, kan_init
 from .koopman import (
+    NETWORKS,
     TrainConfig,
     load_model,
     rollout,
@@ -149,12 +150,10 @@ class RunConfig:
 
     def validate(self) -> None:
         """Check every section, and set train_config, the train section's TrainConfig."""
-        if self.system not in tuple(_SYSTEMS):  # a list or an object is unhashable
-            raise ConfigError(
-                f"system must be one of {sorted(_SYSTEMS)}, got {self.system!r}"
-            )
-        if self.backend not in ("kan", "mlp"):
-            raise ConfigError(f"backend must be 'kan' or 'mlp', got {self.backend!r}")
+        for key, known in (("system", _SYSTEMS), ("backend", NETWORKS)):
+            value = self.doc[key]
+            if value not in tuple(known):  # a list or an object is unhashable
+                raise ConfigError(f"{key} must be one of {sorted(known)}, got {value!r}")
         for section, keys in _SECTIONS.items():
             doc = self.section(section)
             if not isinstance(doc, dict):
@@ -329,7 +328,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     summary = {
         "system": cfg.system,
         "backend": cfg.backend,
-        "n_params": model.n_params,
+        "n_params": model.network.n_params,
         "n_total": model.n_total,
         "K_shape": list(model.K.shape),
         "epochs": tc.epochs,
@@ -346,7 +345,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
     }
     write_json(out_dir / "summary.json", summary)
     print(
-        f"trained {cfg.backend} on {cfg.system}: {model.n_params} parameters, "
+        f"trained {cfg.backend} on {cfg.system}: {model.network.n_params} parameters, "
         f"lifted size {model.n_total}, best total loss {summary['best_total']:.6g}, "
         f"{wall:.2f}s"
     )
@@ -397,7 +396,6 @@ def _write_evaluation(cfg: RunConfig, root: Path, metrics: dict, tables: dict) -
     names = _SYSTEMS[cfg.system]["state_names"]
     header = ["t"] + [f"{kind}_{s}" for kind in ("true", "pred", "abs_err") for s in names]
     for name, table in tables.items():
-        (root / name).mkdir(parents=True, exist_ok=True)
         for i in range(table.shape[1]):
             write_csv(root / name / f"eval_{i:03d}.csv", header, table[:, i])
     write_json(root / "eval" / "metrics.json", metrics)
@@ -502,8 +500,8 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
         summary_path = path.parent / "summary.json"
         wall = read_json(summary_path).get("wall_time_s") if summary_path.is_file() else None
         models.append((path, model))
-        rows.append({"label": label, "path": str(path), "kind": model.kind,
-                     "n_params": model.n_params, "lifted_size": model.n_total,
+        rows.append({"label": label, "path": str(path), "kind": model.network.kind,
+                     "n_params": model.network.n_params, "lifted_size": model.n_total,
                      "train_wall_time_s": wall})
     evaluated = _evaluate(cfg, models, seed_override)
     for row, (metrics, tables) in zip(rows, evaluated):

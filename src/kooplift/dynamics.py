@@ -279,11 +279,13 @@ def write_json(path, doc: dict) -> None:
 
 def write_csv(path, header, table, blank_tail: int = 0) -> None:
     """Write header and table the way csv.writer does, "%.17g" per cell, with
-    the last blank_tail cells of the final row left empty."""
+    the last blank_tail cells of the final row left empty, making any missing
+    parent directories."""
     m, width = table.shape
     text = ((",".join(["%.17g"] * width) + "\r\n") * m) % tuple(table.ravel().tolist())
     if blank_tail:
         text = text[:-2].rsplit(",", blank_tail)[0] + "," * blank_tail + "\r\n"
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n" + text)
 
@@ -304,7 +306,6 @@ def save_dataset(
     Files are named traj_0000.csv, traj_0001.csv, ... unless file_names is given.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     state_names = list(state_names)
     control_names = list(control_names)
     header = ["t", *state_names, *control_names]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import FlatParams, checked, is_number, shown
+from .numerics import FlatParams, checked, is_number, number_array, shown, widths
 
 
 @dataclass(frozen=True)
@@ -239,8 +239,13 @@ class KanNetwork(FlatParams):
 
     # The methods call the module functions by name at call time, so a
     # wrapper installed on them (benchmarks/tracing.py) sees every call.
-    def forward(self, x, tape=None, basis=None) -> np.ndarray:
-        return kan_forward(self, x, tape=tape, basis=basis)
+    def forward(self, x, tape=None, cache=None) -> np.ndarray:
+        return kan_forward(self, x, tape=tape, basis=cache)
+
+    def input_cache(self, x):
+        """The first layer's layer_basis(x, grid) triple, which stays fixed
+        while the parameters change."""
+        return layer_basis(x, self.grid)
 
     def backward(self, upstream, tape):
         return kan_backward(self, upstream, tape)
@@ -259,13 +264,13 @@ class KanNetwork(FlatParams):
     def from_dict(cls, doc: dict) -> "KanNetwork":
         if doc.get("kind") != "kan":
             raise ValueError(f"not a kan document: kind={doc.get('kind')!r}")
-        shape, grid = [int(s) for s in doc["shape"]], SplineGrid(**doc["grid"])
-        layers = [KanLayer(*(np.asarray(entry[key], dtype=float)
+        shape, grid = widths(doc["shape"]), SplineGrid(**doc["grid"])
+        layers = [KanLayer(*(number_array(key, entry[key])
                              for key in ("coeffs", "w_base", "w_spline")))
                   for entry in doc["layers"]]
         got = [(la.coeffs.shape, la.w_base.shape, la.w_spline.shape) for la in layers]
         want = [((o, i, grid.n_basis), (o, i), (o, i)) for i, o in zip(shape, shape[1:])]
-        if len(shape) < 2 or got != want:
+        if got != want:
             raise ValueError(f"layer shapes (coeffs, w_base, w_spline) {got} do not fit "
                              f"shape {shape} with {grid.n_basis} bases per edge")
         return cls(shape, grid, layers)
@@ -273,9 +278,7 @@ class KanNetwork(FlatParams):
 
 def kan_init(shape, grid: SplineGrid, seed: int) -> KanNetwork:
     """Fresh network: spline coefficients ~ N(0, 0.1^2), unit edge weights."""
-    shape = [int(s) for s in shape]
-    if len(shape) < 2 or any(s < 1 for s in shape):
-        raise ValueError("shape must list >= 2 positive layer widths")
+    shape = widths(shape)
     rng = np.random.default_rng(seed)
     layers = []
     for n_in, n_out in zip(shape[:-1], shape[1:]):
@@ -319,12 +322,7 @@ def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
     first layer's tables and silu, which stay fixed while the parameters
     change. The float engine does not read it.
     """
-    a = np.asarray(x, dtype=float)
-    squeeze = a.ndim == 1
-    if squeeze:
-        a = a[None, :]
-    if a.shape[1] != net.shape[0]:
-        raise ValueError(f"input width {a.shape[1]} != network input {net.shape[0]}")
+    a, squeeze = net.batch(x)
     out = _float_forward(net, a[0].tolist()) if tape is None and len(a) == 1 else None
     if out is not None:
         return np.array(out) if squeeze else np.array([out])
@@ -344,10 +342,7 @@ def kan_backward(net: KanNetwork, upstream, tape):
     """Exact gradient of sum(upstream * output) w.r.t. the parameters, flat
     in get_params order, from the tape of kan_forward(net, x, tape=...) on a
     batch x."""
-    u = np.asarray(upstream, dtype=float)
-    out_shape = (tape[0][0].shape[0], net.shape[-1])
-    if u.shape != out_shape:
-        raise ValueError(f"upstream shape {u.shape} != output shape {out_shape}")
+    u = net.upstream(upstream, tape)
     parts = [None] * len(net.layers)
     for li in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[li]

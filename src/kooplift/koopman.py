@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .dynamics import Trajectory, read_json, write_csv, write_json
-from .kan import KanNetwork, layer_basis
+from .kan import KanNetwork
 from .mlp import MlpNetwork
-from .numerics import DivergedError, checked, is_number, pinv, shown
+from .numerics import DivergedError, checked, is_number, number_array, pinv, shown
 from .optim import AdamW, Lbfgs
 
 
@@ -70,14 +70,6 @@ class KoopmanModel:
     B: np.ndarray
     n: int
     n_total: int
-
-    @property
-    def kind(self) -> str:
-        return self.network.kind
-
-    @property
-    def n_params(self) -> int:
-        return self.network.n_params
 
 
 @dataclass
@@ -151,13 +143,12 @@ def _lift_cols(network, cols: np.ndarray, tape=None, plan=None) -> np.ndarray:
     """Lift an n x m column matrix to n_total x m.
 
     tape (a list to fill for the backward pass) passes through to the
-    network's forward. A plan, refit for cols = X, supplies the first KAN
-    layer's basis and silu, and the lift is written into its buffer.
+    network's forward. A plan, refit for cols = X, supplies the network's
+    input_cache of X, and the lift is written into its buffer.
     """
     if plan is None:
         return np.vstack([cols, network.forward(cols.T, tape=tape).T])
-    extra = {} if plan.basis is None else {"basis": plan.basis}
-    plan.lifted[cols.shape[0]:] = network.forward(cols.T, tape=tape, **extra).T
+    plan.lifted[cols.shape[0]:] = network.forward(cols.T, tape=tape, cache=plan.cache).T
     return plan.lifted
 
 
@@ -238,14 +229,13 @@ def _forcing_terms(model: KoopmanModel, snaps: SnapshotSet, powers, cols):
 class _TrainPlan:
     """Loss inputs that stay fixed while the network parameters change.
 
-    basis is layer_basis(X.T, grid) of the snapshot states X, the first KAN
-    layer's tables and silu (None for an MLP). refit() stores, for one
-    frozen (K, B), the powers of K up to alpha, the forcing terms of the
-    linear prediction loss, and lifted, the n_total x N_d lift buffer whose
-    state rows hold X.
+    cache is the network's input_cache(X.T) of the snapshot states X, for
+    its forward's cache=. refit() stores, for one frozen (K, B), the powers
+    of K up to alpha, the forcing terms of the linear prediction loss, and
+    lifted, the n_total x N_d lift buffer whose state rows hold X.
     """
 
-    basis: tuple | None
+    cache: object
     powers: list | None = None
     forcing: list | None = None
     lifted: np.ndarray | None = None
@@ -367,10 +357,7 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
     history: list[LossRecord] = []
     # Only the L-BFGS closure sees every column on each evaluation; Adam
     # samples its own columns each step.
-    plan = None
-    if cfg.optimizer == "lbfgs":
-        basis = layer_basis(snaps.X.T, network.grid) if network.kind == "kan" else None
-        plan = _TrainPlan(basis=basis)
+    plan = _TrainPlan(network.input_cache(snaps.X.T)) if cfg.optimizer == "lbfgs" else None
 
     for epoch in range(cfg.epochs + 1):
         phi_s = _lift_cols(network, snaps.states)
@@ -496,7 +483,7 @@ def rollout(model: KoopmanModel, x0, controls, dt, correct: bool = True) -> Traj
 def save_model(model: KoopmanModel, path, cfg: TrainConfig | None = None,
                metadata: dict | None = None) -> None:
     write_json(path, {
-        "kind": model.kind,
+        "kind": model.network.kind,
         "network": model.network.to_dict(),
         "K": model.K.tolist(),
         "B": model.B.tolist(),
@@ -507,7 +494,10 @@ def save_model(model: KoopmanModel, path, cfg: TrainConfig | None = None,
     })
 
 
-_NETWORKS = {"kan": KanNetwork, "mlp": MlpNetwork}
+# Every backend by its kind, the one place besides the CLI's constructor that
+# names them; the rest of the pipeline reaches a network only through the
+# protocol of numerics.FlatParams.
+NETWORKS = {"kan": KanNetwork, "mlp": MlpNetwork}
 
 
 def load_model(path):
@@ -525,20 +515,20 @@ def load_model(path):
     if missing:
         raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
     kind, n, n_total = doc["kind"], doc["n"], doc["n_total"]
-    if type(kind) is not str or kind not in _NETWORKS:
+    if type(kind) is not str or kind not in NETWORKS:
         raise ValueError(f"{path}: unknown backend kind {kind!r}")
     if not (all(is_number(v, "positive integer") for v in (n, n_total)) and n < n_total):
         raise ValueError(f"{path}: n and n_total must be integers with 0 < n < n_total, "
                          f"got {n!r} and {n_total!r}")
     try:
-        k, b = (np.asarray(doc[key], dtype=float) for key in ("K", "B"))
-    except (TypeError, ValueError):
+        k, b = (number_array(key, doc[key]) for key in ("K", "B"))
+    except ValueError:
         raise ValueError(f"{path}: K and B must be matrices of numbers") from None
     if b.size == 0:
         b = b.reshape(n_total, 0)
     if k.shape != (n_total, n_total) or b.ndim != 2 or b.shape[0] != n_total:
         raise ValueError(f"{path}: K {k.shape} and B {b.shape} do not fit n_total={n_total}")
-    network = _parsed(path, "network", _NETWORKS[kind].from_dict, doc["network"])
+    network = _parsed(path, "network", NETWORKS[kind].from_dict, doc["network"])
     if network.shape[0] != n or n + network.shape[-1] != n_total:
         raise ValueError(f"{path}: network {network.shape[0]} -> {network.shape[-1]} "
                          f"does not fit n={n} and n_total={n_total}")

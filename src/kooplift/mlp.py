@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FlatParams
+from .numerics import FlatParams, number_array, widths
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
@@ -54,8 +54,9 @@ class MlpNetwork(FlatParams):
     def param_arrays(self) -> list[np.ndarray]:
         return [arr for wb in zip(self.weights, self.biases) for arr in wb]
 
-    # Called by name at call time, like KanNetwork's methods.
-    def forward(self, x, tape=None) -> np.ndarray:
+    # Called by name at call time, like KanNetwork's methods. An MLP keeps
+    # no input cache, so cache is always None here.
+    def forward(self, x, tape=None, cache=None) -> np.ndarray:
         return mlp_forward(self, x, tape=tape)
 
     def backward(self, upstream, tape):
@@ -70,22 +71,19 @@ class MlpNetwork(FlatParams):
     def from_dict(cls, doc: dict) -> "MlpNetwork":
         if doc.get("kind") != "mlp":
             raise ValueError(f"not an mlp document: kind={doc.get('kind')!r}")
-        net = cls([int(s) for s in doc["shape"]],
-                  [np.asarray(w, dtype=float) for w in doc["weights"]],
-                  [np.asarray(b, dtype=float) for b in doc["biases"]])
+        net = cls(widths(doc["shape"]), [number_array("weights", w) for w in doc["weights"]],
+                  [number_array("biases", b) for b in doc["biases"]])
         got = [w.shape for w in net.weights] + [b.shape for b in net.biases]
         want = ([(o, i) for i, o in zip(net.shape, net.shape[1:])]
                 + [(o,) for o in net.shape[1:]])
-        if len(net.shape) < 2 or got != want:
+        if got != want:
             raise ValueError(f"weight and bias shapes {got} do not fit shape {net.shape}")
         return net
 
 
 def mlp_init(shape, seed: int) -> MlpNetwork:
     """LeCun-normal weights (variance 1/fan_in), zero biases."""
-    shape = [int(s) for s in shape]
-    if len(shape) < 2 or any(s < 1 for s in shape):
-        raise ValueError("shape must list >= 2 positive layer widths")
+    shape = widths(shape)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for n_in, n_out in zip(shape[:-1], shape[1:]):
@@ -100,12 +98,7 @@ def mlp_forward(net: MlpNetwork, x, tape=None) -> np.ndarray:
     A tape list, when given, receives (input, pre-activation) per layer
     for mlp_backward.
     """
-    a = np.asarray(x, dtype=float)
-    squeeze = a.ndim == 1
-    if squeeze:
-        a = a[None, :]
-    if a.shape[1] != net.shape[0]:
-        raise ValueError(f"input width {a.shape[1]} != network input {net.shape[0]}")
+    a, squeeze = net.batch(x)
     last = len(net.weights) - 1
     for li, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w.T
@@ -121,10 +114,7 @@ def mlp_backward(net: MlpNetwork, upstream, tape):
     """Exact gradient of sum(upstream * output) w.r.t. the parameters, flat
     in get_params order, from the tape of mlp_forward(net, x, tape=...) on a
     batch x."""
-    u = np.asarray(upstream, dtype=float)
-    out_shape = (tape[0][0].shape[0], net.shape[-1])
-    if u.shape != out_shape:
-        raise ValueError(f"upstream shape {u.shape} != output shape {out_shape}")
+    u = net.upstream(upstream, tape)
     last = len(net.weights) - 1
     parts = [None] * len(net.weights)
     for li in range(last, -1, -1):

@@ -1,7 +1,8 @@
 """Dense linear-algebra kernels: SVD pseudoinverse and a doubling DARE solver,
-plus the flat parameter vector the lifting networks share, DivergedError,
-the package's one exception for numbers that go bad, is_number, its one
-rule for numbers read from outside, and shown, its one way to print them.
+plus the flat parameter vector and shared checks of the lifting networks,
+DivergedError, the package's one exception for numbers that go bad,
+is_number, its one rule for numbers read from outside, with the readers
+widths and number_array built on it, and shown, its one way to print them.
 
 The kernels operate on plain 2-D float64 numpy arrays and are pure
 functions of their inputs.
@@ -20,10 +21,14 @@ DARE_TOL = 1e-10  # solve_dare stops when the update of H is below this in max-n
 
 
 class FlatParams:
-    """Parameters as one flat vector over the arrays of param_arrays(), in order.
+    """Parameters as one flat vector over the arrays of param_arrays(), in order,
+    and what the backend protocol shares: the input and upstream checks and the
+    default input_cache.
 
-    A subclass returns its parameter arrays from param_arrays(); set_params
-    writes into those arrays in place, so references to them stay valid.
+    A subclass has a shape (its layer widths), returns its parameter arrays
+    from param_arrays(), and provides forward(x, tape=None, cache=None) and
+    backward(upstream, tape); set_params writes into those arrays in place, so
+    references to them stay valid.
     """
 
     @property
@@ -41,6 +46,31 @@ class FlatParams:
         for arr in self.param_arrays():
             arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
             pos += arr.size
+
+    def input_cache(self, x):
+        """What forward's cache= may reuse for the input batch x while the
+        parameters change; None, as here, where nothing is worth keeping."""
+        return None
+
+    def batch(self, x) -> tuple[np.ndarray, bool]:
+        """x as a float (m, n_in) batch, a view where it can be, and whether x
+        was one 1-D state. Raises ValueError unless n_in is shape[0]."""
+        a = np.asarray(x, dtype=float)
+        squeeze = a.ndim == 1
+        if squeeze:
+            a = a[None, :]
+        if a.shape[1] != self.shape[0]:
+            raise ValueError(f"input width {a.shape[1]} != network input {self.shape[0]}")
+        return a, squeeze
+
+    def upstream(self, upstream, tape) -> np.ndarray:
+        """upstream as a float array, checked to be (m, shape[-1]) for the m
+        rows of the batch that filled tape, whose first entry starts with it."""
+        u = np.asarray(upstream, dtype=float)
+        out_shape = (tape[0][0].shape[0], self.shape[-1])
+        if u.shape != out_shape:
+            raise ValueError(f"upstream shape {u.shape} != output shape {out_shape}")
+        return u
 
 
 class DivergedError(RuntimeError):
@@ -84,6 +114,29 @@ def checked(name: str, value, kind: str):
     if not is_number(value, kind):
         raise ValueError(f"{name} must be a {kind}, got {shown(value)}")
     return value
+
+
+def widths(shape) -> list[int]:
+    """shape, a list of at least 2 layer widths each a positive integer, as
+    ints; raises ValueError naming the first width that is not one."""
+    if not isinstance(shape, (list, tuple)) or len(shape) < 2:
+        raise ValueError(f"shape must list >= 2 layer widths, got {shown(shape)}")
+    return [int(checked("shape width", width, "positive integer")) for width in shape]
+
+
+def number_array(name: str, doc) -> np.ndarray:
+    """doc, a number or nested lists of numbers as JSON reads them, as a float
+    array. Any other leaf (a string, a bool, null, an object) raises
+    ValueError('<name> must hold only numbers, got <leaf>'); a non-finite
+    number passes, for the caller's finiteness check."""
+    todo = [doc]
+    while todo:
+        leaf = todo.pop()
+        if type(leaf) is list:
+            todo += leaf
+        elif isinstance(leaf, bool) or not isinstance(leaf, numbers.Real):
+            raise ValueError(f"{name} must hold only numbers, got {shown(leaf)}")
+    return np.asarray(doc, dtype=float)
 
 
 def _as_matrix(a, name: str) -> np.ndarray:

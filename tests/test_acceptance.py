@@ -339,7 +339,7 @@ def test_criterion_7_scaled_mlp_smoke(capsys):
     wall = time.perf_counter() - started
     eval_trajs = generate_pendulum_dataset(5, 900)
     err = _max_abs_err(model, eval_trajs, 0)
-    ok = err <= 0.5 and model.n_params == 326
+    ok = err <= 0.5 and model.network.n_params == 326
     _report(capsys, 7, "scaled MLP smoke run",
-            ok, f"500 ICs, {model.n_params} params, max abs angle err "
+            ok, f"500 ICs, {model.network.n_params} params, max abs angle err "
                 f"{err:.4f} rad, train {wall:.1f}s")

@@ -141,9 +141,9 @@ def test_train_writes_model_history_summary(pendulum_cfg, tmp_path):
     assert main(["train", "--config", pendulum_cfg, "--out", str(out)]) == 0
 
     model, cfg, meta = load_model(out / "model.json")
-    assert model.kind == "kan"
+    assert model.network.kind == "kan"
     assert model.n == 2 and model.n_total == 3
-    assert model.n_params == 30
+    assert model.network.n_params == 30
     assert cfg.epochs == 2
     assert meta["system"] == "pendulum"
 
@@ -571,6 +571,14 @@ def test_bad_system_exits_2(tmp_path, capsys):
                                            f"['pendulum', 'twobody'], got {system!r} (in {cfg})\n")
 
 
+def test_bad_backend_exits_2(tmp_path, capsys):
+    for backend in ("poly", [], {}):
+        cfg = write_config(tmp_path / "cfg.json", {"system": "pendulum", "backend": backend})
+        assert main(["generate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (f"config error: backend must be one of "
+                                           f"['kan', 'mlp'], got {backend!r} (in {cfg})\n")
+
+
 def test_evaluate_without_model_exits_1(pendulum_cfg, tmp_path):
     out = tmp_path / "empty"
     assert main(["evaluate", "--config", pendulum_cfg, "--out", str(out)]) == 1
@@ -642,7 +650,17 @@ KNOTS = "that keeps the knots finite and strictly increasing"
                                 "order": 3}),
      f"bad network section: {GRID_HI} 1e+16 {KNOTS}, got 10000000000000004", False),
     (_set(["network", "shape", 1], 10**400),
-     "bad network section: cannot convert float infinity to integer", False),
+     "bad network section: shape width must be a positive integer, got inf", False),
+    (_set(["network", "shape", 1], 3.5),
+     "bad network section: shape width must be a positive integer, got 3.5", True),
+    (_set(["network", "shape", 0], "2"),
+     "bad network section: shape width must be a positive integer, got '2'", False),
+    (_set(["network", "shape", 0], 2.9),
+     "bad network section: shape width must be a positive integer, got 2.9", False),
+    (_set(["network", "shape", 1], True),
+     "bad network section: shape width must be a positive integer, got True", False),
+    (_set(["network", "shape"], [2]),
+     "bad network section: shape must list >= 2 layer widths, got [2]", False),
     (_set(["network", "kind"], "mlp"), "bad network section: not a kan document", False),
     (_set(["network", "biases", 1], [0.0, 0.0]),
      "bad network section: weight and bias shapes [(3, 2), (1, 3), (3,), (2,)] do not fit "
@@ -657,6 +675,14 @@ KNOTS = "that keeps the knots finite and strictly increasing"
     (_set(["n"], "x"), "n and n_total must be integers with 0 < n < n_total, got 'x' and 3",
      False),
     (_set(["K", 1], [1.0]), "K and B must be matrices of numbers", False),
+    (_set(["K", 0, 0], "0.5"), "K and B must be matrices of numbers", False),
+    (_set(["B", 2, 0], True), "K and B must be matrices of numbers", False),
+    (_set(["network", "weights", 0, 1, 0], "0.5"),
+     "bad network section: weights must hold only numbers, got '0.5'", True),
+    (_set(["network", "biases", 0, 1], False),
+     "bad network section: biases must hold only numbers, got False", True),
+    (_set(["network", "layers", 0, "w_base", 0, 1], None),
+     "bad network section: w_base must hold only numbers, got None", False),
     (_set(["K", 0, 0], float("nan")), NON_FINITE, False),
     (_set(["K", 0, 0], 10**400), NON_FINITE, False),
     (_set(["B", 2, 0], float("-inf")), NON_FINITE, False),
@@ -666,8 +692,10 @@ KNOTS = "that keeps the knots finite and strictly increasing"
 ], ids=["no-layers", "network-str", "config-unknown-key", "coeffs-shape", "grid-order-0",
         "grid-intervals-float", "grid-lo-str", "grid-hi-int-past-float",
         "grid-knots-overflow", "grid-knots-collapse", "shape-int-past-float",
+        "mlp-shape-float", "shape-str", "shape-float", "shape-bool", "shape-one-width",
         "network-kind", "mlp-bias-shape", "config-lbfgs_max_iter-0", "config-alpha-float",
-        "kind-list", "n_total-str", "n-str", "K-ragged", "K-nan", "K-int-past-float", "B-inf",
+        "kind-list", "n_total-str", "n-str", "K-ragged", "K-str", "B-bool", "mlp-weight-str",
+        "mlp-bias-bool", "w_base-null", "K-nan", "K-int-past-float", "B-inf",
         "coeffs-inf", "coeffs-int-past-float", "mlp-bias-nan"])
 def test_model_malformed_network_or_config_exits_1(pendulum_cfg, tmp_path, capsys, edit,
                                                    detail, mlp):

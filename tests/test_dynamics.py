@@ -33,6 +33,7 @@ from kooplift.dynamics import (
     simulate,
     twobody_deriv,
     twobody_initial_states,
+    write_csv,
     write_json,
 )
 from kooplift.numerics import DivergedError
@@ -281,6 +282,12 @@ def test_write_json_makes_its_directories(tmp_path):
     write_json(path, {"k": [1, 2.5]})
     assert path.read_text() == '{\n  "k": [\n    1,\n    2.5\n  ]\n}\n'
     assert read_json(path) == {"k": [1, 2.5]}
+
+
+def test_write_csv_makes_its_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "table.csv"
+    write_csv(path, ["t", "x"], np.array([[0.0, 1.5], [0.1, -2.0]]), blank_tail=1)
+    assert path.read_bytes() == b"t,x\r\n0,1.5\r\n0.10000000000000001,\r\n"
 
 
 def test_load_missing_manifest(tmp_path):

@@ -13,7 +13,7 @@ from kooplift.dynamics import (
     generate_pendulum_dataset,
     generate_twobody_dataset,
 )
-from kooplift.kan import SplineGrid, kan_init, layer_basis
+from kooplift.kan import SplineGrid, kan_init
 from kooplift.koopman import (
     KoopmanModel,
     LossRecord,
@@ -332,8 +332,7 @@ def _plan_case(case):
     model = KoopmanModel(network=net,
                          K=np.eye(n_total) + 0.05 * rng.standard_normal((n_total, n_total)),
                          B=0.1 * rng.standard_normal((n_total, p)), n=n, n_total=n_total)
-    basis = layer_basis(snaps.X.T, net.grid) if model.kind == "kan" else None
-    plan = _TrainPlan(basis=basis)
+    plan = _TrainPlan(cache=net.input_cache(snaps.X.T))
     plan.refit(model, snaps)
     return model, snaps, plan
 
@@ -781,7 +780,7 @@ def test_save_load_model_round_trip_property(tmp_path):
                              n=n, n_total=n_total)
         save_model(model, path, cfg=cfg, metadata={"p": p})
         back, cfg2, meta = load_model(path)
-        assert (back.kind, back.n, back.n_total, meta) == (kind, n, n_total, {"p": p})
+        assert (back.network.kind, back.n, back.n_total, meta) == (kind, n, n_total, {"p": p})
         assert back.network.shape == shape
         if kind == "kan":
             assert back.network.grid == grid
@@ -848,7 +847,7 @@ def test_model_file_with_p_key_loads_and_saves_without_it(tmp_path):
     doc = json.loads(FIXTURE.read_text())
     assert doc["P"] == np.eye(doc["n"], doc["n_total"]).tolist()
     model, cfg, _ = load_model(FIXTURE)
-    assert (model.kind, model.n, model.n_total) == ("kan", 2, 3)
+    assert (model.network.kind, model.n, model.n_total) == ("kan", 2, 3)
     assert np.array_equal(model.K, np.asarray(doc["K"]))
     path = tmp_path / "model.json"
     save_model(model, path, cfg=cfg)
@@ -973,7 +972,7 @@ def _oracle_case(case):
                          K=np.eye(n_total) + 0.1 * rng.standard_normal((n_total, n_total)),
                          B=0.3 * rng.standard_normal((n_total, p)), n=n, n_total=n_total)
     if case == "kan_plan":
-        plan = _TrainPlan(basis=layer_basis(snaps.X.T, net.grid))
+        plan = _TrainPlan(cache=net.input_cache(snaps.X.T))
         plan.refit(model, snaps)
     if case in ("adam_minibatch", "width_one"):
         size = 1 if case == "width_one" else 40
@@ -1082,7 +1081,7 @@ def _gather_case(case):
     gamma = 0.0 if case == "mlp_minibatch_gamma0" else 0.7
     cfg = TrainConfig(alpha=alpha, gamma=gamma, beta=1.3, lambda_l2=0.01)
     if case == "unequal_lengths":
-        plan = _TrainPlan(basis=layer_basis(snaps.X.T, net.grid))
+        plan = _TrainPlan(cache=net.input_cache(snaps.X.T))
         plan.refit(model, snaps)
         return model, snaps, plan, None, None, cfg
     cols = rng.choice(snaps.n_pairs, size=40, replace=False)

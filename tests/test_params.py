@@ -1,4 +1,5 @@
-"""The flat parameter layout both lifting backends share."""
+"""The flat parameter layout and the input and upstream checks both lifting
+backends share."""
 
 import re
 
@@ -44,3 +45,18 @@ def test_flat_layout_and_in_place_writes(net, arrays_of):
                            match=re.escape(f"expected {n} parameters, got ({bad.size},)")):
             net.set_params(bad)
     assert net.get_params().tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("net", [
+    kan_init([3, 2, 1], SplineGrid(), seed=0), mlp_init([3, 2, 1], seed=0),
+], ids=["kan", "mlp"])
+def test_shared_input_and_upstream_checks(net):
+    for x in (np.zeros(2), np.zeros((4, 2))):
+        with pytest.raises(ValueError, match=re.escape("input width 2 != network input 3")):
+            net.forward(x)
+    tape = []
+    net.forward(np.zeros((4, 3)), tape=tape)
+    for bad in (np.zeros((4, 2)), np.zeros((3, 1)), np.zeros(4)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"upstream shape {bad.shape} != output shape (4, 1)")):
+            net.backward(bad, tape)

@@ -257,11 +257,12 @@ def _int_or_inf(text: str):
 def read_json(path) -> dict:
     """The JSON object in the file at path. An integer literal past the float
     range reads as +-inf, so every finiteness check refuses it as it refuses
-    1e400. Text that is not JSON, or a root that is not an object, raises one
-    ValueError naming path."""
+    1e400. Text that is not JSON (nested too deeply for the parser included),
+    or a root that is not an object, raises one ValueError naming path."""
     try:
         doc = json.loads(Path(path).read_text(), parse_int=_int_or_inf)
-    except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
+    # JSONDecodeError, text that is not UTF-8, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if type(doc) is not dict:
         raise ValueError(f"{path}: not a JSON object (its root is a {type(doc).__name__})")

@@ -240,7 +240,7 @@ class KanNetwork(FlatParams):
     # The methods call the module functions by name at call time, so a
     # wrapper installed on them (benchmarks/tracing.py) sees every call.
     def forward(self, x, tape=None, cache=None) -> np.ndarray:
-        return kan_forward(self, x, tape=tape, basis=cache)
+        return kan_forward(self, x, tape=tape, cache=cache)
 
     def input_cache(self, x):
         """The first layer's layer_basis(x, grid) triple, which stays fixed
@@ -262,8 +262,6 @@ class KanNetwork(FlatParams):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KanNetwork":
-        if doc.get("kind") != "kan":
-            raise ValueError(f"not a kan document: kind={doc.get('kind')!r}")
         shape, grid = widths(doc["shape"]), SplineGrid(**doc["grid"])
         layers = [KanLayer(*(number_array(key, entry[key])
                              for key in ("coeffs", "w_base", "w_spline")))
@@ -310,7 +308,7 @@ def _float_forward(net: KanNetwork, xs: list) -> list | None:
     return xs
 
 
-def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
+def kan_forward(net: KanNetwork, x, tape=None, cache=None) -> np.ndarray:
     """Evaluate the network; accepts one state (1-D) or a batch (2-D).
 
     An untaped call on one row, 1-D or (1, n), runs on Python floats
@@ -318,17 +316,17 @@ def kan_forward(net: KanNetwork, x, tape=None, basis=None) -> np.ndarray:
     last bits; a point with no safe basis row sends it to the numpy loop,
     which runs every other call. A tape list, when given, receives (input,
     basis, deriv, silu(input)) per layer for kan_backward; the first layer's
-    deriv is None. basis, when given, is layer_basis(x, net.grid) for x: the
-    first layer's tables and silu, which stay fixed while the parameters
-    change. The float engine does not read it.
+    deriv is None. cache, when given, is net.input_cache(x), layer_basis(x,
+    net.grid): the first layer's tables and silu, which stay fixed while the
+    parameters change. The float engine does not read it.
     """
     a, squeeze = net.batch(x)
     out = _float_forward(net, a[0].tolist()) if tape is None and len(a) == 1 else None
     if out is not None:
         return np.array(out) if squeeze else np.array([out])
     for li, (eff, base_t) in enumerate(net.layer_weights):
-        if li == 0 and basis is not None:
-            b, db, silu_a = basis
+        if li == 0 and cache is not None:
+            b, db, silu_a = cache
         else:
             b, db, silu_a = layer_basis(a, net.grid, deriv=tape is not None and li > 0)
         out = silu_a @ base_t + np.einsum("mig,jig->mj", b, eff)

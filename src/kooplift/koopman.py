@@ -63,13 +63,21 @@ class SnapshotSet:
 
 @dataclass
 class KoopmanModel:
-    """Learned lifting plus the linear operators fitted on top of it."""
+    """Learned lifting plus the linear operators fitted on top of it: z = [x;
+    network(x)] advances as z+ = K z + B u. They fix the state count n and the
+    lifted size n_total."""
 
     network: KanNetwork | MlpNetwork
     K: np.ndarray
     B: np.ndarray
-    n: int
-    n_total: int
+
+    @property
+    def n(self) -> int:
+        return self.network.shape[0]
+
+    @property
+    def n_total(self) -> int:
+        return self.K.shape[0]
 
 
 @dataclass
@@ -340,10 +348,8 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
     model and the history.
     """
     snaps = build_snapshots(trajs, cfg.alpha)
-    n = snaps.X.shape[0]
-    if network.shape[0] != n:
+    if network.shape[0] != snaps.X.shape[0]:
         raise ValueError("network input width does not match the data")
-    n_total = n + network.shape[-1]
     rng = np.random.default_rng(cfg.seed)
     adam = (
         AdamW(network.n_params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
@@ -369,7 +375,7 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
         # row-major ones (which also raised the scaled MLP run's peak RSS).
         phi_x = phi_s[:, snaps.x_cols]
         k_op, b_op = fit_edmdc(phi_x, phi_s[:, snaps.xn_cols], snaps.U)
-        model = KoopmanModel(network=network, K=k_op, B=b_op, n=n, n_total=n_total)
+        model = KoopmanModel(network=network, K=k_op, B=b_op)
         if plan is not None:
             plan.refit(model, snaps)
         recon, pred, total = loss(model, snaps, cfg, plan=plan, phi_x=phi_x)
@@ -401,7 +407,7 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
             break
 
     network.set_params(best_params)
-    model = KoopmanModel(network=network, K=best_kb[0], B=best_kb[1], n=n, n_total=n_total)
+    model = KoopmanModel(network=network, K=best_kb[0], B=best_kb[1])
     return model, history
 
 
@@ -483,12 +489,9 @@ def rollout(model: KoopmanModel, x0, controls, dt, correct: bool = True) -> Traj
 def save_model(model: KoopmanModel, path, cfg: TrainConfig | None = None,
                metadata: dict | None = None) -> None:
     write_json(path, {
-        "kind": model.network.kind,
         "network": model.network.to_dict(),
         "K": model.K.tolist(),
         "B": model.B.tolist(),
-        "n": model.n,
-        "n_total": model.n_total,
         "config": cfg.to_dict() if cfg is not None else None,
         "metadata": metadata or {},
     })
@@ -504,22 +507,22 @@ def load_model(path):
     """Returns (model, config-or-None, metadata dict).
 
     Raises ValueError naming path when the file is not a JSON object, a key is
-    missing, the backend kind is unknown, n or n_total is not an integer,
-    K or B is not a matrix of numbers or disagrees with n_total, the network
-    or config section does not parse, the network's input width is not n
-    or n plus its output width is not n_total, or K, B or a network
-    parameter is not finite.
+    missing, the network is not an object whose kind is in NETWORKS, the
+    network or config section does not parse, K or B is not a matrix of
+    numbers, K is not n_total x n_total or B lacks n_total rows for the
+    network's n_total, or K, B or a network parameter is not finite. The
+    kind, n, n_total and P keys of older files are ignored.
     """
     doc = read_json(path)
-    missing = [key for key in ("kind", "network", "K", "B", "n", "n_total") if key not in doc]
+    missing = [key for key in ("network", "K", "B") if key not in doc]
     if missing:
         raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
-    kind, n, n_total = doc["kind"], doc["n"], doc["n_total"]
+    kind = doc["network"].get("kind") if type(doc["network"]) is dict else None
     if type(kind) is not str or kind not in NETWORKS:
-        raise ValueError(f"{path}: unknown backend kind {kind!r}")
-    if not (all(is_number(v, "positive integer") for v in (n, n_total)) and n < n_total):
-        raise ValueError(f"{path}: n and n_total must be integers with 0 < n < n_total, "
-                         f"got {n!r} and {n_total!r}")
+        raise ValueError(f"{path}: network must be an object with a kind in "
+                         f"{list(NETWORKS)}, got kind {shown(kind)}")
+    network = _parsed(path, "network", NETWORKS[kind].from_dict, doc["network"])
+    n_total = network.shape[0] + network.shape[-1]
     try:
         k, b = (number_array(key, doc[key]) for key in ("K", "B"))
     except ValueError:
@@ -528,13 +531,9 @@ def load_model(path):
         b = b.reshape(n_total, 0)
     if k.shape != (n_total, n_total) or b.ndim != 2 or b.shape[0] != n_total:
         raise ValueError(f"{path}: K {k.shape} and B {b.shape} do not fit n_total={n_total}")
-    network = _parsed(path, "network", NETWORKS[kind].from_dict, doc["network"])
-    if network.shape[0] != n or n + network.shape[-1] != n_total:
-        raise ValueError(f"{path}: network {network.shape[0]} -> {network.shape[-1]} "
-                         f"does not fit n={n} and n_total={n_total}")
     if not all(np.isfinite(arr).all() for arr in (k, b, *network.param_arrays())):
         raise ValueError(f"{path}: K, B and the network parameters must be finite")
-    model = KoopmanModel(network=network, K=k, B=b, n=n, n_total=n_total)
+    model = KoopmanModel(network=network, K=k, B=b)
     config = doc.get("config")
     cfg = _parsed(path, "config", TrainConfig.from_dict, config) if config else None
     return model, cfg, doc.get("metadata", {})

@@ -69,8 +69,6 @@ class MlpNetwork(FlatParams):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MlpNetwork":
-        if doc.get("kind") != "mlp":
-            raise ValueError(f"not an mlp document: kind={doc.get('kind')!r}")
         net = cls(widths(doc["shape"]), [number_array("weights", w) for w in doc["weights"]],
                   [number_array("biases", b) for b in doc["biases"]])
         got = [w.shape for w in net.weights] + [b.shape for b in net.biases]

@@ -259,7 +259,7 @@ def test_criterion_6_property_suite(capsys):
 
     # The state rows of the lifted vector recover the state bit-exactly.
     net = kan_init([2, 2], SplineGrid(), seed=9)
-    model = KoopmanModel(net, np.eye(4), np.zeros((4, 0)), 2, 4)
+    model = KoopmanModel(net, np.eye(4), np.zeros((4, 0)))
     states = rng.uniform(-2.0, 2.0, size=(1000, 2))
     exact = all(
         np.array_equal(lift(model, x)[:model.n], x) for x in states
@@ -274,7 +274,7 @@ def test_criterion_6_property_suite(capsys):
     phi = np.concatenate([snaps.X, kan_forward(net, snaps.X.T).T], 0)
     phin = np.concatenate([snaps.X_next, kan_forward(net, snaps.X_next.T).T], 0)
     k, b = fit_edmdc(phi, phin, snaps.U)
-    m2 = KoopmanModel(net, k, b, 4, 5)
+    m2 = KoopmanModel(net, k, b)
     r, p, _ = loss(m2, snaps, TrainConfig())
     if abs(r - p) > 1e-14 * max(1.0, abs(r)):
         failures.append(f"alpha=1 pred != recon ({abs(r - p):.2e})")

@@ -162,6 +162,21 @@ def test_train_writes_model_history_summary(pendulum_cfg, tmp_path):
     assert summary["closure_evals"] >= 12
 
 
+def test_trained_model_file_stores_each_fact_once(pendulum_cfg, tmp_path):
+    # The network and (K, B) fix the kind, n and n_total, so the file holds
+    # none of them besides; loading and saving it again gives the same bytes.
+    out = tmp_path / "run"
+    for command in ("generate", "train"):
+        assert main([command, "--config", pendulum_cfg, "--out", str(out)]) == 0
+    path = out / "model.json"
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["network", "K", "B", "config", "metadata"]
+    assert doc["network"]["kind"] == "kan"
+    model, cfg, meta = load_model(path)
+    save_model(model, tmp_path / "again.json", cfg=cfg, metadata=meta)
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
 def test_train_model_file_is_deterministic(pendulum_cfg, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     docs = []
@@ -220,7 +235,7 @@ def test_control_unstabilizable_model_exits_1(pendulum_cfg, tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
     model = KoopmanModel(network=kan_init([2, 1], SplineGrid(), seed=0),
-                         K=np.diag([0.5, 0.5, 1.2]), B=np.ones((3, 1)), n=2, n_total=3)
+                         K=np.diag([0.5, 0.5, 1.2]), B=np.ones((3, 1)))
     save_model(model, out / "model.json")
     assert main(["control", "--config", pendulum_cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -252,7 +267,7 @@ def test_control_from_an_overflowing_state_prints_one_line(pendulum_cfg, tmp_pat
         net = kan_init([2, 1], SplineGrid(), seed=0)
         net.layers[0].w_base[...] = 2.0
         k = np.array([[0.5, 0.0, coupling], [0.0, 0.5, coupling], [0.0, 0.0, 0.5]])
-        save_model(KoopmanModel(network=net, K=k, B=np.ones((3, 1)), n=2, n_total=3), path)
+        save_model(KoopmanModel(network=net, K=k, B=np.ones((3, 1))), path)
     else:
         model = json.loads(FIXTURE.read_text())
         if case == "fine-grid":
@@ -335,7 +350,7 @@ def test_band_without_radius_range_reports_the_range_it_draws_from(twobody_cfg, 
     doc["evaluation"]["extrapolation"] = {"n_ic": 1}
     cfg = write_config(tmp_path / "band.json", doc)
     save_model(KoopmanModel(network=kan_init([4, 1], SplineGrid(), seed=0), K=np.eye(5),
-                            B=np.zeros((5, 0)), n=4, n_total=5), tmp_path / "model.json")
+                            B=np.zeros((5, 0))), tmp_path / "model.json")
     assert main(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == 0
     band = json.loads((tmp_path / "eval" / "metrics.json").read_text())["extrapolation"]
     assert band["radius_range"] == [6578.0, 11378.0]
@@ -597,7 +612,7 @@ def _evaluate_broken_model(cfg, tmp_path, capsys, edit, network=None):
     out.mkdir()
     path = out / "model.json"
     model = KoopmanModel(network=network or kan_init([2, 1], SplineGrid(), seed=0),
-                         K=np.eye(3), B=np.zeros((3, 1)), n=2, n_total=3)
+                         K=np.eye(3), B=np.zeros((3, 1)))
     save_model(model, path)
     with open(path) as fh:
         doc = json.load(fh)
@@ -609,8 +624,8 @@ def _evaluate_broken_model(cfg, tmp_path, capsys, edit, network=None):
 
 def test_model_missing_key_exits_1(pendulum_cfg, tmp_path, capsys):
     path, err = _evaluate_broken_model(pendulum_cfg, tmp_path, capsys,
-                                       lambda doc: doc.pop("n"))
-    assert path in err and "missing key(s) n" in err
+                                       lambda doc: doc.pop("K"))
+    assert path in err and "missing key(s) K" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -624,6 +639,7 @@ def _set(path, value):
 
 
 NON_FINITE = "K, B and the network parameters must be finite"
+KIND = "network must be an object with a kind in ['kan', 'mlp'], got kind"
 GRID_HI = "hi must be a number above lo ="
 KNOTS = "that keeps the knots finite and strictly increasing"
 
@@ -631,7 +647,11 @@ KNOTS = "that keeps the knots finite and strictly increasing"
 @pytest.mark.parametrize("edit, detail, mlp", [
     (lambda doc: doc["network"].pop("layers"), "bad network section: missing key 'layers'",
      False),
-    (_set(["network"], "x"), "bad network section: ", False),
+    (_set(["network"], "x"), f"{KIND} None", False),
+    (_set(["network"], []), f"{KIND} None", False),
+    (lambda doc: doc["network"].pop("kind"), f"{KIND} None", False),
+    (_set(["network", "kind"], "poly"), f"{KIND} 'poly'", False),
+    (_set(["network", "kind"], ["kan"]), f"{KIND} ['kan']", False),
     (_set(["config"], {"alpha": 2, "bogus": 1}), "bad config section: ", False),
     (_set(["network", "layers", 0, "coeffs"], [[1.0]]),
      "bad network section: layer shapes (coeffs, w_base, w_spline) [((1, 1), (1, 2), (1, 2))] "
@@ -661,7 +681,7 @@ KNOTS = "that keeps the knots finite and strictly increasing"
      "bad network section: shape width must be a positive integer, got True", False),
     (_set(["network", "shape"], [2]),
      "bad network section: shape must list >= 2 layer widths, got [2]", False),
-    (_set(["network", "kind"], "mlp"), "bad network section: not a kan document", False),
+    (_set(["network", "kind"], "mlp"), "bad network section: missing key 'weights'", False),
     (_set(["network", "biases", 1], [0.0, 0.0]),
      "bad network section: weight and bias shapes [(3, 2), (1, 3), (3,), (2,)] do not fit "
      "shape [2, 3, 1]", True),
@@ -669,11 +689,9 @@ KNOTS = "that keeps the knots finite and strictly increasing"
      "bad config section: lbfgs_max_iter must be a positive integer, got 0", False),
     (_set(["config"], {"alpha": 1.5}),
      "bad config section: alpha must be a positive integer, got 1.5", False),
-    (_set(["kind"], ["kan"]), "unknown backend kind ['kan']", False),
-    (_set(["n_total"], "abc"),
-     "n and n_total must be integers with 0 < n < n_total, got 2 and 'abc'", False),
-    (_set(["n"], "x"), "n and n_total must be integers with 0 < n < n_total, got 'x' and 3",
-     False),
+    (_set(["K"], np.eye(4).tolist()), "K (4, 4) and B (3, 1) do not fit n_total=3", False),
+    (_set(["B"], [[0.0]] * 4), "K (3, 3) and B (4, 1) do not fit n_total=3", False),
+    (_set(["K"], np.eye(5).tolist()), "K (5, 5) and B (3, 1) do not fit n_total=3", True),
     (_set(["K", 1], [1.0]), "K and B must be matrices of numbers", False),
     (_set(["K", 0, 0], "0.5"), "K and B must be matrices of numbers", False),
     (_set(["B", 2, 0], True), "K and B must be matrices of numbers", False),
@@ -689,12 +707,13 @@ KNOTS = "that keeps the knots finite and strictly increasing"
     (_set(["network", "layers", 0, "coeffs", 0, 1, 4], float("inf")), NON_FINITE, False),
     (_set(["network", "layers", 0, "coeffs", 0, 1, 4], -10**400), NON_FINITE, False),
     (_set(["network", "biases", 0, 2], float("nan")), NON_FINITE, True),
-], ids=["no-layers", "network-str", "config-unknown-key", "coeffs-shape", "grid-order-0",
-        "grid-intervals-float", "grid-lo-str", "grid-hi-int-past-float",
+], ids=["no-layers", "network-str", "network-list", "network-kind-missing",
+        "network-kind-unknown", "network-kind-list", "config-unknown-key", "coeffs-shape",
+        "grid-order-0", "grid-intervals-float", "grid-lo-str", "grid-hi-int-past-float",
         "grid-knots-overflow", "grid-knots-collapse", "shape-int-past-float",
         "mlp-shape-float", "shape-str", "shape-float", "shape-bool", "shape-one-width",
         "network-kind", "mlp-bias-shape", "config-lbfgs_max_iter-0", "config-alpha-float",
-        "kind-list", "n_total-str", "n-str", "K-ragged", "K-str", "B-bool", "mlp-weight-str",
+        "K-4x4", "B-4-rows", "mlp-K-5x5", "K-ragged", "K-str", "B-bool", "mlp-weight-str",
         "mlp-bias-bool", "w_base-null", "K-nan", "K-int-past-float", "B-inf",
         "coeffs-inf", "coeffs-int-past-float", "mlp-bias-nan"])
 def test_model_malformed_network_or_config_exits_1(pendulum_cfg, tmp_path, capsys, edit,
@@ -723,7 +742,7 @@ def test_model_not_json_exits_1(pendulum_cfg, tmp_path, capsys):
     out.mkdir()
     path = out / "model.json"
     model = KoopmanModel(network=kan_init([2, 1], SplineGrid(), seed=0),
-                         K=np.eye(3), B=np.zeros((3, 1)), n=2, n_total=3)
+                         K=np.eye(3), B=np.zeros((3, 1)))
     save_model(model, path)
     path.write_text(path.read_text()[:200])
     assert main(["evaluate", "--config", pendulum_cfg, "--out", str(out)]) == 1
@@ -732,12 +751,29 @@ def test_model_not_json_exits_1(pendulum_cfg, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_model_network_not_fitting_n_exits_1(pendulum_cfg, tmp_path, capsys):
-    def edit(doc):
-        doc["n"] = 1
+DEEP = "[" * 100_000 + "]" * 100_000
 
-    path, err = _evaluate_broken_model(pendulum_cfg, tmp_path, capsys, edit)
-    assert path in err and "network 2 -> 1 does not fit n=1 and n_total=3" in err
+
+@pytest.mark.parametrize("target", ["config", "model", "manifest"])
+def test_json_nested_too_deeply_is_one_line(pendulum_cfg, tmp_path, capsys, target):
+    # The parser gives up past the interpreter's recursion limit; that is
+    # invalid JSON, with the config's exit code 2 and the data's 1.
+    out = tmp_path / "run"
+    for command in ("generate", "train"):
+        assert main([command, "--config", pendulum_cfg, "--out", str(out)]) == 0
+    path = {"config": Path(pendulum_cfg), "model": out / "model.json",
+            "manifest": out / "dataset" / "manifest.json"}[target]
+    key = {"config": "dataset", "model": "K", "manifest": "files"}[target]
+    path.write_text(path.read_text().replace(f'"{key}": ', f'"{key}": {DEEP}, "_": ', 1))
+    capsys.readouterr()
+    command = "train" if target == "manifest" else "evaluate"
+    code = main([command, "--config", pendulum_cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    if target == "config":
+        assert code == 2 and err.startswith("config error: not valid JSON (")
+        assert err.endswith(f" (in {path})\n")
+    else:
+        assert code == 1 and err.startswith(f"error: {path}: not valid JSON (")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -759,7 +795,7 @@ def test_model_or_dataset_of_the_other_system_exits_1(pendulum_cfg, twobody_cfg,
         out.mkdir()
         path = out / "model.json"
         save_model(KoopmanModel(network=kan_init([n, 1], SplineGrid(), seed=0), K=np.eye(n + 1),
-                                B=np.zeros((n + 1, p)), n=n, n_total=n + 1), path)
+                                B=np.zeros((n + 1, p))), path)
         doc["compare"] = {"model_a": str(path), "model_b": str(path)}
     cfg = write_config(tmp_path / "other.json", doc)
     before = sorted(tmp_path.rglob("*"))
@@ -838,7 +874,7 @@ def test_compare_bad_summary_exits_1(pendulum_cfg, tmp_path, capsys, text, detai
     run.mkdir()
     model_path = run / "model.json"
     save_model(KoopmanModel(network=kan_init([2, 1], SplineGrid(), seed=0),
-                            K=np.eye(3), B=np.zeros((3, 1)), n=2, n_total=3), model_path)
+                            K=np.eye(3), B=np.zeros((3, 1))), model_path)
     summary = run / "summary.json"
     summary.write_text(text)
     doc = json.loads(Path(pendulum_cfg).read_text())
@@ -859,7 +895,7 @@ def test_compare_bad_model_b_writes_nothing(pendulum_cfg, tmp_path, capsys, bad)
     for name, n, p in (("a", 2, 1), ("b", 4, 0) if bad == "other-system" else ("b", 2, 1)):
         (tmp_path / name).mkdir()
         save_model(KoopmanModel(network=kan_init([n, 1], SplineGrid(), seed=0), K=np.eye(n + 1),
-                                B=np.zeros((n + 1, p)), n=n, n_total=n + 1),
+                                B=np.zeros((n + 1, p))),
                    tmp_path / name / "model.json")
     path = tmp_path / "b" / ("summary.json" if bad == "bad-summary" else "model.json")
     if bad == "missing":

@@ -88,7 +88,7 @@ def _linear_plant_model(dt=0.02, n_steps=400, seed=0):
     phi_x = _lift_cols(net, snaps.X)
     phi_xn = _lift_cols(net, snaps.X_next)
     k, b = fit_edmdc(phi_x, phi_xn, snaps.U)
-    model = KoopmanModel(network=net, K=k, B=b, n=2, n_total=4)
+    model = KoopmanModel(network=net, K=k, B=b)
     return model, plant, dt
 
 
@@ -149,7 +149,7 @@ def test_closed_loop_float_plant_steps_equal_array_steps():
     # pendulum_deriv has a float form; the wrapper has none, so its RK4 steps
     # run on arrays. Both loops must agree bit for bit.
     model = KoopmanModel(network=kan_init([2, 1], SplineGrid(), seed=0), K=np.eye(3),
-                         B=np.ones((3, 1)), n=2, n_total=3)
+                         B=np.ones((3, 1)))
     gain = LqrGain(F=np.array([[2.0, 0.8, 0.3]]))
     for x0 in ([1.0, 0.0], [-2.5, 3.0], [0.0, -0.0]):
         fast = closed_loop_sim(model, gain, pendulum_deriv, x0, duration=3.0, dt=0.01,

@@ -541,7 +541,7 @@ def test_taped_forward_and_backward_equal_untaped(shape, batch, monkeypatch):
     grads = kan_backward(net, np.atleast_2d(upstream), tape)
     # A tape built on a given first-layer basis gives the same gradient.
     tape_b = []
-    out_b = kan_forward(net, x, tape=tape_b, basis=layer_basis(np.atleast_2d(x), GRID))
+    out_b = kan_forward(net, x, tape=tape_b, cache=layer_basis(np.atleast_2d(x), GRID))
     assert out_b.tobytes() == out.tobytes()
     assert kan_backward(net, np.atleast_2d(upstream), tape_b).tobytes() == grads.tobytes()
 

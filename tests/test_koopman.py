@@ -83,15 +83,13 @@ def fitted_model(net, trajs, alpha=1):
     phi_x = _lift_cols(net, snaps.X)
     phi_xn = _lift_cols(net, snaps.X_next)
     k, b = fit_edmdc(phi_x, phi_xn, snaps.U)
-    model = KoopmanModel(network=net, K=k, B=b,
-                         n=snaps.X.shape[0], n_total=phi_x.shape[0])
+    model = KoopmanModel(network=net, K=k, B=b)
     return model, snaps
 
 
 def test_lift_extraction_identity():
     net = kan_init([2, 1, 1], GRID, seed=0)
-    model = KoopmanModel(network=net, K=np.eye(3), B=np.zeros((3, 0)),
-                         n=2, n_total=3)
+    model = KoopmanModel(network=net, K=np.eye(3), B=np.zeros((3, 0)))
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.uniform(-3, 3, size=2)
@@ -102,10 +100,10 @@ def test_lift_extraction_identity():
 
 def test_lifted_sizes():
     kan_model = KoopmanModel(network=kan_init([2, 1, 1], GRID, 0),
-                             K=np.eye(3), B=np.zeros((3, 1)), n=2, n_total=3)
+                             K=np.eye(3), B=np.zeros((3, 1)))
     assert lift(kan_model, np.zeros(2)).size == 3
     mlp_model = KoopmanModel(network=mlp_init([4, 25, 25, 25, 6], 0),
-                             K=np.eye(10), B=np.zeros((10, 0)), n=4, n_total=10)
+                             K=np.eye(10), B=np.zeros((10, 0)))
     assert lift(mlp_model, np.zeros(4)).size == 10
 
 
@@ -215,7 +213,7 @@ def test_recon_loss_single_pair_definition():
                       controls=np.zeros((1, 0)))
     snaps = build_snapshots([traj], alpha=1)
     model = KoopmanModel(network=net, K=np.zeros((4, 4)),
-                         B=np.zeros((4, 0)), n=2, n_total=4)
+                         B=np.zeros((4, 0)))
     assert loss(model, snaps, TrainConfig())[0] == pytest.approx(25.0, abs=1e-12)
 
 
@@ -231,7 +229,7 @@ def test_pred_equals_recon_at_alpha_one_zero_input():
     phi_x = _lift_cols(net, snaps.X)
     phi_xn = _lift_cols(net, snaps.X_next)
     k, b = fit_edmdc(phi_x, phi_xn, snaps.U)
-    model = KoopmanModel(network=net, K=k, B=b, n=2, n_total=4)
+    model = KoopmanModel(network=net, K=k, B=b)
     r, p, _ = loss(model, snaps, TrainConfig())
     assert abs(r - p) <= 1e-14 * max(1.0, abs(r))
 
@@ -243,7 +241,7 @@ def test_pred_loss_matches_stepwise_oracle():
     snaps = build_snapshots(trajs, alpha=7)
     k = np.eye(3) + 0.01 * rng.standard_normal((3, 3))
     b = 0.1 * rng.standard_normal((3, 1))
-    model = KoopmanModel(network=net, K=k, B=b, n=2, n_total=3)
+    model = KoopmanModel(network=net, K=k, B=b)
 
     from kooplift.koopman import _lift_cols
 
@@ -304,7 +302,7 @@ def test_training_gradient_matches_fd(batch):
     snaps = build_snapshots(short, alpha=4)
     k = np.eye(3) + 0.02 * rng.standard_normal((3, 3))
     b = 0.05 * rng.standard_normal((3, 1))
-    model = KoopmanModel(network=net, K=k, B=b, n=2, n_total=3)
+    model = KoopmanModel(network=net, K=k, B=b)
     cfg = TrainConfig(alpha=4, gamma=0.8, beta=1.0, lambda_l2=0.01)
     cols = pcols = None
     if batch == "sampled":
@@ -331,7 +329,7 @@ def _plan_case(case):
     n_total = n + net.shape[-1]
     model = KoopmanModel(network=net,
                          K=np.eye(n_total) + 0.05 * rng.standard_normal((n_total, n_total)),
-                         B=0.1 * rng.standard_normal((n_total, p)), n=n, n_total=n_total)
+                         B=0.1 * rng.standard_normal((n_total, p)))
     plan = _TrainPlan(cache=net.input_cache(snaps.X.T))
     plan.refit(model, snaps)
     return model, snaps, plan
@@ -367,7 +365,7 @@ def test_loss_decreases_under_gradient_steps():
     phi_x = _lift_cols(net, snaps.X)
     phi_xn = _lift_cols(net, snaps.X_next)
     k, b = fit_edmdc(phi_x, phi_xn, snaps.U)
-    model = KoopmanModel(network=net, K=k, B=b, n=2, n_total=3)
+    model = KoopmanModel(network=net, K=k, B=b)
     cfg = TrainConfig(alpha=1, gamma=0.0, beta=1.0)
     first = None
     prev = None
@@ -456,7 +454,7 @@ def _train_every_epoch(network, trajs, cfg):
         phi_s = _lift_cols(network, snaps.states)
         phi_x = phi_s[:, snaps.x_cols]
         k_op, b_op = fit_edmdc(phi_x, phi_s[:, snaps.xn_cols], snaps.U)
-        model = KoopmanModel(network=network, K=k_op, B=b_op, n=n, n_total=k_op.shape[0])
+        model = KoopmanModel(network=network, K=k_op, B=b_op)
         recon, pred, total = loss(model, snaps, cfg, phi_x=phi_x)
         history.append(LossRecord(epoch, recon, pred, total))
         if best is None or total < best[0]:
@@ -540,8 +538,7 @@ def test_adam_phases_never_stop_early(monkeypatch):
 
 def test_rollout_zero_controls():
     net = kan_init([2, 1], GRID, seed=0)
-    model = KoopmanModel(network=net, K=np.eye(3), B=np.zeros((3, 1)),
-                         n=2, n_total=3)
+    model = KoopmanModel(network=net, K=np.eye(3), B=np.zeros((3, 1)))
     traj = rollout(model, [0.5, -0.5], np.zeros((0, 1)), dt=0.1)
     assert traj.states.shape == (1, 2)
     assert np.array_equal(traj.states[0], [0.5, -0.5])
@@ -573,7 +570,7 @@ def test_rollout_exact_linear_recovery_error():
 def test_rollout_divergence_error_carries_step():
     net = kan_init([1, 1], GRID, seed=0)
     model = KoopmanModel(network=net, K=np.array([[1e200, 0], [0, 1e200]]),
-                         B=np.zeros((2, 1)), n=1, n_total=2)
+                         B=np.zeros((2, 1)))
     with pytest.raises(DivergedError, match=r"^rollout produced non-finite state at step \d$"):
         rollout(model, [1.0], np.zeros((10, 1)), dt=0.1, correct=False)
 
@@ -586,8 +583,7 @@ def fitted_on(kind, shape, trajs):
 
     phi_x = _lift_cols(net, snaps.X)
     k, b = fit_edmdc(phi_x, _lift_cols(net, snaps.X_next), snaps.U)
-    return KoopmanModel(network=net, K=k, B=b, n=snaps.X.shape[0],
-                        n_total=phi_x.shape[0])
+    return KoopmanModel(network=net, K=k, B=b)
 
 
 @pytest.mark.parametrize("correct", [True, False], ids=["corrected", "lifted"])
@@ -652,7 +648,7 @@ def synthetic_model(kind, p, scale=0.45, seed=0):
     net = kan_init([2, 2], GRID, seed=seed) if kind == "kan" else mlp_init([2, 2], seed=seed)
     rng = np.random.default_rng(seed + 1)
     return KoopmanModel(network=net, K=scale * rng.standard_normal((4, 4)),
-                        B=rng.standard_normal((4, p)), n=2, n_total=4)
+                        B=rng.standard_normal((4, p)))
 
 
 ROLLOUT_STARTS = {"one": (2,), "row": (1, 2), "batch": (3, 2)}
@@ -776,8 +772,7 @@ def test_save_load_model_round_trip_property(tmp_path):
         n, n_total = shape[0], shape[0] + shape[-1]
         model = KoopmanModel(network=net, K=data.draw(arrays(float, (n_total, n_total),
                                                              elements=finite)),
-                             B=data.draw(arrays(float, (n_total, p), elements=finite)),
-                             n=n, n_total=n_total)
+                             B=data.draw(arrays(float, (n_total, p), elements=finite)))
         save_model(model, path, cfg=cfg, metadata={"p": p})
         back, cfg2, meta = load_model(path)
         assert (back.network.kind, back.n, back.n_total, meta) == (kind, n, n_total, {"p": p})
@@ -854,6 +849,27 @@ def test_model_file_with_p_key_loads_and_saves_without_it(tmp_path):
     assert "P" not in json.loads(path.read_text())
     x = np.array([0.3, -0.4])
     assert np.array_equal(lift(load_model(path)[0], x), lift(model, x))
+
+
+def test_legacy_fixture_loads_bit_for_bit(tmp_path):
+    # The benchmark fixture predates the current format: it carries the
+    # top-level kind, n, n_total and P keys and the old config keys. They are
+    # ignored, whatever they say; the arrays are the file's numbers.
+    with open(FIXTURE) as fh:
+        doc = json.load(fh)
+    assert {"kind", "n", "n_total", "P"} <= doc.keys()
+    assert {"shape", "grid", "corrected_pred_loss"} <= doc["config"].keys()
+    want = [np.asarray(layer[key], float) for layer in doc["network"]["layers"]
+            for key in ("coeffs", "w_base", "w_spline")]
+    want += [np.asarray(doc[key], float) for key in ("K", "B")]
+    doc.update(kind="mlp", n=1, n_total="abc", P=None)
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(doc))
+    for path in (FIXTURE, stale):
+        model, _, _ = load_model(path)
+        assert (model.n, model.n_total) == (2, 3)
+        got = model.network.param_arrays() + [model.K, model.B]
+        assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
 
 
 def test_history_roundtrip(tmp_path):
@@ -970,7 +986,7 @@ def _oracle_case(case):
     p = snaps.U.shape[0]
     model = KoopmanModel(network=net,
                          K=np.eye(n_total) + 0.1 * rng.standard_normal((n_total, n_total)),
-                         B=0.3 * rng.standard_normal((n_total, p)), n=n, n_total=n_total)
+                         B=0.3 * rng.standard_normal((n_total, p)))
     if case == "kan_plan":
         plan = _TrainPlan(cache=net.input_cache(snaps.X.T))
         plan.refit(model, snaps)
@@ -1077,7 +1093,7 @@ def _gather_case(case):
     n, n_total = 2, 2 + net.shape[-1]
     model = KoopmanModel(network=net,
                          K=np.eye(n_total) + 0.1 * rng.standard_normal((n_total, n_total)),
-                         B=0.3 * rng.standard_normal((n_total, 1)), n=n, n_total=n_total)
+                         B=0.3 * rng.standard_normal((n_total, 1)))
     gamma = 0.0 if case == "mlp_minibatch_gamma0" else 0.7
     cfg = TrainConfig(alpha=alpha, gamma=gamma, beta=1.3, lambda_l2=0.01)
     if case == "unequal_lengths":

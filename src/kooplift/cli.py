@@ -288,7 +288,6 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> in
         manifest_extra={
             "system": cfg.system,
             "seed": seed,
-            "n_ic": len(trajs),
             **({"points_per_orbit": cfg.setting("dataset.points_per_orbit")}
                if cfg.system == "twobody" else {}),
         },
@@ -320,8 +319,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
         model,
         model_path,
         cfg=tc,
-        metadata={"system": cfg.system, "backend": cfg.backend,
-                  "dataset": str(dataset_dir)},
+        metadata={"system": cfg.system, "dataset": str(dataset_dir)},
     )
     save_history(history, out_dir / "loss_history.csv")
     last, best = history[-1], min(history, key=lambda r: r.total)
@@ -330,7 +328,6 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
         "backend": cfg.backend,
         "n_params": model.network.n_params,
         "n_total": model.n_total,
-        "K_shape": list(model.K.shape),
         "epochs": tc.epochs,
         "wall_time_s": wall,  # hardware dependent; not covered by determinism
         "final_recon": last.recon,
@@ -470,10 +467,11 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     save_dataset([traj], dest, names["state_names"], names["control_names"],
                  manifest_extra={"system": cfg.system, "kind": "closed_loop"},
                  file_names=["closed_loop.csv"])
-    settle = settling_time(traj, component=0, threshold=0.05)
+    threshold = 0.05  # rad, on the pendulum angle
+    settle = settling_time(traj, component=0, threshold=threshold)
     metrics = {
         "settling_time_s": settle,
-        "settling_threshold_rad": 0.05,
+        "settling_threshold_rad": threshold,
         "peak_abs_control": float(np.max(np.abs(traj.controls))) if traj.controls.size else 0.0,
         "final_state": [float(v) for v in traj.states[-1]],
         "closed_loop_spectral_radius": spectral_radius(model.K - model.B @ gain.F),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -252,10 +252,9 @@ class KanNetwork(FlatParams):
 
     def to_dict(self) -> dict:
         return {
-            "kind": "kan",
+            "kind": self.kind,
             "shape": list(self.shape),
-            "grid": {"lo": self.grid.lo, "hi": self.grid.hi,
-                     "intervals": self.grid.intervals, "order": self.grid.order},
+            "grid": asdict(self.grid),
             "layers": [{"coeffs": layer.coeffs.tolist(), "w_base": layer.w_base.tolist(),
                         "w_spline": layer.w_spline.tolist()} for layer in self.layers],
         }

@@ -26,31 +26,46 @@ from .optim import AdamW, Lbfgs
 class SnapshotSet:
     """Stacked column data from one or more trajectories.
 
-    X and X_next are n x N_d (states and their one-step successors), U is
-    p x N_d, X_alpha is n x N_a holding states alpha steps ahead, and
-    pred_cols maps each X_alpha column to the X column it continues, so
-    multi-step pairs never straddle trajectory boundaries. states holds
-    every trajectory's states side by side, column-major; X and X_next are
-    its columns x_cols and xn_cols, so one lift of states covers both.
+    states (n x N_s) holds every trajectory's states side by side, one
+    column per time step. The N_d snapshots are its columns x_cols, each
+    with a successor in the next column, and U (p x N_d) holds their
+    controls. pred_cols maps each of the N_a alpha-step pairs to the
+    snapshot it starts from, so no pair straddles a trajectory boundary.
+    X, X_next (n x N_d) and X_alpha (n x N_a, the states alpha steps ahead)
+    are derived from these here, and nowhere else.
     """
 
-    X: np.ndarray
-    X_next: np.ndarray
-    X_alpha: np.ndarray
-    U: np.ndarray
-    alpha: int
-    pred_cols: np.ndarray
     states: np.ndarray
+    U: np.ndarray
     x_cols: np.ndarray
-    xn_cols: np.ndarray
+    pred_cols: np.ndarray
+    alpha: int
+
+    def __post_init__(self):
+        self.X, self.X_next = self.pairs(self.states)
+        self.X_alpha = self.states[:, self.x_cols[self.pred_cols] + self.alpha]
+
+    def pairs(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The snapshot and successor columns of a, which is column-aligned
+        with states (states itself, or its lift). Fancy indexing on purpose:
+        fit_edmdc's product rounds by operand layout, and these are
+        column-major copies where np.take makes row-major ones (which also
+        raised the scaled MLP run's peak RSS)."""
+        return a[:, self.x_cols], a[:, self.x_cols + 1]
+
+    def gather(self, cols, ahead: int = 0) -> np.ndarray:
+        """The states ahead steps after snapshots cols, as a row-major n x
+        len(cols) copy. Gathered as rows of the row-major states.T: on a
+        column-major X, np.take(X, cols, axis=1) first copies all of X."""
+        return np.ascontiguousarray(np.take(self.states.T, self.x_cols[cols] + ahead, axis=0).T)
 
     @property
     def n_pairs(self) -> int:
-        return self.X.shape[1]
+        return len(self.x_cols)
 
     @property
     def n_pred_pairs(self) -> int:
-        return self.X_alpha.shape[1]
+        return len(self.pred_cols)
 
     @functools.cached_property
     def pair_index(self) -> np.ndarray:
@@ -166,7 +181,7 @@ def build_snapshots(trajs: list[Trajectory], alpha: int) -> SnapshotSet:
         raise ValueError("alpha must be >= 1")
     if not trajs:
         raise ValueError("need at least one trajectory")
-    sts, xas, us, cols, x_cols = [], [], [], [], []
+    sts, us, cols, x_cols = [], [], [], []
     offset = 0
     for ti, traj in enumerate(trajs):
         m = traj.states.shape[0]
@@ -175,25 +190,13 @@ def build_snapshots(trajs: list[Trajectory], alpha: int) -> SnapshotSet:
                 f"trajectory {ti} has {m} states; need at least alpha+1 = {alpha + 1}"
             )
         sts.append(traj.states.T)
-        xas.append(traj.states[alpha:].T)
         us.append(traj.controls.T)
         cols.append(offset + np.arange(m - alpha))
         # Trajectory ti starts at column offset + ti of states.
         x_cols.append(offset + ti + np.arange(m - 1))
         offset += m - 1
-    states = np.hstack(sts)
-    x_cols = np.concatenate(x_cols)
-    return SnapshotSet(
-        X=states[:, x_cols],
-        X_next=states[:, x_cols + 1],
-        X_alpha=np.hstack(xas),
-        U=np.hstack(us),
-        alpha=alpha,
-        pred_cols=np.concatenate(cols),
-        states=states,
-        x_cols=x_cols,
-        xn_cols=x_cols + 1,
-    )
+    return SnapshotSet(states=np.hstack(sts), U=np.hstack(us), x_cols=np.concatenate(x_cols),
+                       pred_cols=np.concatenate(cols), alpha=alpha)
 
 
 def fit_edmdc(lifted_x: np.ndarray, lifted_xnext: np.ndarray, u: np.ndarray):
@@ -269,14 +272,8 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     """
     net, n = model.network, model.n
     x, x_next, u = snaps.X, snaps.X_next, snaps.U
-    # Column subsets are gathered as rows of the row-major states.T: on the
-    # column-major X, X_next and X_alpha, np.take(a, idx, axis=1) first copies
-    # all of a. The gather is made row-major, the layout np.take returns.
-    def gather(idx):
-        return np.ascontiguousarray(np.take(snaps.states.T, idx, axis=0).T)
     if cols is not None:
-        x, x_next = gather(snaps.x_cols[cols]), gather(snaps.xn_cols[cols])
-        u = np.take(u, cols, axis=1)
+        x, x_next, u = snaps.gather(cols), snaps.gather(cols, 1), np.take(u, cols, axis=1)
     tape = [] if grad else None
     if phi_x is None:
         phi_x = _lift_cols(net, x, tape, plan)
@@ -289,7 +286,8 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     if cfg.gamma or not grad:
         src, x_alpha = snaps.pred_cols, snaps.X_alpha
         if pcols is not None:
-            src, x_alpha = src[pcols], gather(snaps.x_cols[src[pcols]] + snaps.alpha)
+            src = src[pcols]
+            x_alpha = snaps.gather(src, snaps.alpha)
         shared = cols is None and pcols is None
         if plan is None or pcols is not None:
             powers = _powers(model.K, snaps.alpha)
@@ -299,9 +297,8 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
         if shared:
             phi_p = np.take(phi_x, src, axis=1)
         else:
-            x_p = gather(snaps.x_cols[src])
             tape_p = [] if grad else None
-            phi_p = _lift_cols(net, x_p, tape_p)
+            phi_p = _lift_cols(net, snaps.gather(src), tape_p)
         x_hat = (powers[snaps.alpha] @ phi_p)[:n]
         for term in forcing:
             x_hat += term
@@ -348,7 +345,7 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
     model and the history.
     """
     snaps = build_snapshots(trajs, cfg.alpha)
-    if network.shape[0] != snaps.X.shape[0]:
+    if network.shape[0] != snaps.states.shape[0]:
         raise ValueError("network input width does not match the data")
     rng = np.random.default_rng(cfg.seed)
     adam = (
@@ -370,11 +367,9 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
         if not np.all(np.isfinite(phi_s)):
             raise DivergedError(f"training diverged at epoch {epoch}: "
                                 "non-finite lifted data")
-        # Fancy indexing on purpose: fit_edmdc's product rounds by operand
-        # layout, and these are column-major copies where np.take makes
-        # row-major ones (which also raised the scaled MLP run's peak RSS).
-        phi_x = phi_s[:, snaps.x_cols]
-        k_op, b_op = fit_edmdc(phi_x, phi_s[:, snaps.xn_cols], snaps.U)
+        phi_x, phi_xn = snaps.pairs(phi_s)
+        k_op, b_op = fit_edmdc(phi_x, phi_xn, snaps.U)
+        del phi_xn  # held through the optimizer phase, it raises peak RSS
         model = KoopmanModel(network=network, K=k_op, B=b_op)
         if plan is not None:
             plan.refit(model, snaps)
@@ -500,7 +495,7 @@ def save_model(model: KoopmanModel, path, cfg: TrainConfig | None = None,
 # Every backend by its kind, the one place besides the CLI's constructor that
 # names them; the rest of the pipeline reaches a network only through the
 # protocol of numerics.FlatParams.
-NETWORKS = {"kan": KanNetwork, "mlp": MlpNetwork}
+NETWORKS = {cls.kind: cls for cls in (KanNetwork, MlpNetwork)}
 
 
 def load_model(path):

@@ -63,7 +63,7 @@ class MlpNetwork(FlatParams):
         return mlp_backward(self, upstream, tape)
 
     def to_dict(self) -> dict:
-        return {"kind": "mlp", "shape": list(self.shape),
+        return {"kind": self.kind, "shape": list(self.shape),
                 "weights": [w.tolist() for w in self.weights],
                 "biases": [b.tolist() for b in self.biases]}
 

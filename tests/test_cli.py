@@ -105,6 +105,7 @@ def test_generate_writes_dataset(pendulum_cfg, tmp_path):
     assert manifest["n_trajectories"] == 4
     assert manifest["system"] == "pendulum"
     assert manifest["seed"] == 7
+    assert "n_ic" not in manifest  # n_trajectories and the files list say it
 
 
 def test_generate_is_byte_reproducible(pendulum_cfg, tmp_path):
@@ -164,7 +165,8 @@ def test_train_writes_model_history_summary(pendulum_cfg, tmp_path):
 
 def test_trained_model_file_stores_each_fact_once(pendulum_cfg, tmp_path):
     # The network and (K, B) fix the kind, n and n_total, so the file holds
-    # none of them besides; loading and saving it again gives the same bytes.
+    # none of them besides, and neither does summary.json hold K's shape;
+    # loading and saving the model again gives the same bytes.
     out = tmp_path / "run"
     for command in ("generate", "train"):
         assert main([command, "--config", pendulum_cfg, "--out", str(out)]) == 0
@@ -172,6 +174,8 @@ def test_trained_model_file_stores_each_fact_once(pendulum_cfg, tmp_path):
     doc = json.loads(path.read_text())
     assert list(doc) == ["network", "K", "B", "config", "metadata"]
     assert doc["network"]["kind"] == "kan"
+    assert list(doc["metadata"]) == ["system", "dataset"]
+    assert "K_shape" not in json.loads((out / "summary.json").read_text())
     model, cfg, meta = load_model(path)
     save_model(model, tmp_path / "again.json", cfg=cfg, metadata=meta)
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()

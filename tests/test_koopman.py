@@ -117,7 +117,7 @@ def test_build_snapshots_counts():
     assert snaps.U.shape == (1, 4)
     assert np.array_equal(snaps.states, traj.states.T)
     assert np.array_equal(snaps.states[:, snaps.x_cols], snaps.X)
-    assert np.array_equal(snaps.states[:, snaps.xn_cols], snaps.X_next)
+    assert np.array_equal(snaps.states[:, snaps.x_cols + 1], snaps.X_next)
 
 
 def test_build_snapshots_no_boundary_mixing():
@@ -134,7 +134,36 @@ def test_build_snapshots_no_boundary_mixing():
     # X and X_next are columns of the side-by-side state matrix.
     assert snaps.states.shape == (1, 8)
     assert list(snaps.x_cols) == [0, 1, 2, 4, 5, 6]
-    assert np.array_equal(snaps.states[:, snaps.xn_cols], snaps.X_next)
+    assert np.array_equal(snaps.states[:, snaps.x_cols + 1], snaps.X_next)
+
+
+@pytest.mark.parametrize("p", [1, 0])
+def test_snapshot_layout_matches_per_trajectory_blocks(p):
+    # Unequal lengths and distinct values in every cell, so a wrong shift,
+    # boundary or column order shows. The oracle is the per-trajectory
+    # construction: every block's states[:-1], states[1:] and states[alpha:].
+    rng = np.random.default_rng(3)
+    trajs = [Trajectory(dt=0.1, states=rng.normal(size=(m, 2)),
+                        controls=rng.normal(size=(m - 1, p))) for m in (5, 9, 4)]
+    alpha = 3
+    snaps = build_snapshots(trajs, alpha)
+    oracle = {name: np.hstack([cut(t).T for t in trajs]) for name, cut in (
+        ("X", lambda t: t.states[:-1]), ("X_next", lambda t: t.states[1:]),
+        ("X_alpha", lambda t: t.states[alpha:]), ("U", lambda t: t.controls))}
+    for name, want in oracle.items():
+        got = getattr(snaps, name)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
+    assert (snaps.n_pairs, snaps.n_pred_pairs) == (15, 9)
+    # X and X_next are the column-major copies fit_edmdc is fed in training.
+    strides = snaps.states[:, snaps.x_cols].strides
+    assert snaps.X.strides == strides and snaps.X_next.strides == strides
+    # gather returns the same columns, row-major, for any subset.
+    cols = np.array([14, 0, 5, 4])
+    for ahead, want in ((0, snaps.X[:, cols]), (1, snaps.X_next[:, cols])):
+        got = snaps.gather(cols, ahead)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    got = snaps.gather(snaps.pred_cols, alpha)
+    assert got.flags.c_contiguous and got.tobytes() == oracle["X_alpha"].tobytes()
 
 
 def test_build_snapshots_alpha_too_large():
@@ -452,8 +481,8 @@ def _train_every_epoch(network, trajs, cfg):
     history, results, best = [], [], None
     for epoch in range(cfg.epochs + 1):
         phi_s = _lift_cols(network, snaps.states)
-        phi_x = phi_s[:, snaps.x_cols]
-        k_op, b_op = fit_edmdc(phi_x, phi_s[:, snaps.xn_cols], snaps.U)
+        phi_x, phi_xn = snaps.pairs(phi_s)
+        k_op, b_op = fit_edmdc(phi_x, phi_xn, snaps.U)
         model = KoopmanModel(network=network, K=k_op, B=b_op)
         recon, pred, total = loss(model, snaps, cfg, phi_x=phi_x)
         history.append(LossRecord(epoch, recon, pred, total))

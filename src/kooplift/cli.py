@@ -8,7 +8,8 @@ Grammar:
 One JSON config describes a run (system, backend, dataset, network,
 training, evaluation, control). --out overrides the output directory, the
 KOOPLIFT_OUT environment variable sits between the flag and the config
-value, and --seed overrides the seed of whichever command is running.
+value, and --seed N is the running command's section seed set to N (control
+has none). Each command loads, computes in memory, then writes.
 Exit codes: 0 success, 1 runtime or data error, 2 usage or config error.
 """
 
@@ -19,7 +20,7 @@ import contextlib
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +133,10 @@ class RunConfig:
         self.doc, self.system, self.backend = doc, doc["system"], doc["backend"]
 
     @classmethod
-    def load(cls, path) -> "RunConfig":
+    def load(cls, path, seed: tuple = (None, None)) -> "RunConfig":
+        """The checked config at path. seed, a (section, value) pair, first
+        sets that section's seed key unless either is None, so validate checks
+        it as it checks the file's own."""
         path = Path(path)
         if not path.is_file():
             raise ConfigError("config file not found")
@@ -144,6 +148,8 @@ class RunConfig:
                          if default is _REQUIRED and key not in doc)
         if missing:
             raise ConfigError(f"missing key(s) {', '.join(missing)}")
+        if None not in seed and isinstance(doc.get(seed[0], {}), dict):  # else validate refuses it
+            doc[seed[0]] = {**doc.get(seed[0], {}), "seed": seed[1]}
         cfg = cls(doc)
         cfg.validate()
         return cfg
@@ -253,14 +259,14 @@ def _from_section(cfg: RunConfig, make, seed: int, section: str):
     return make(n_ic, seed, cfg.setting("dataset.points_per_orbit"), *extra)
 
 
-def _evaluation_sets(cfg: RunConfig, seed: int) -> tuple[dynamics.Trajectory, dict]:
+def _evaluation_sets(cfg: RunConfig) -> tuple[dynamics.Trajectory, dict]:
     """Every evaluation set integrated in one batch, and each set's slice of
-    its rows by name: "eval", the held-out ICs from seed, and when configured
-    "eval_extrapolation", the band from seed + 1."""
+    its rows by name: "eval", the held-out ICs from evaluation.seed, and when
+    configured "eval_extrapolation", the band from that seed + 1."""
     sections = {"eval": "evaluation"}
     if cfg.setting("evaluation.extrapolation"):  # {} sets no band
         sections["eval_extrapolation"] = "evaluation.extrapolation"
-    system = _SYSTEMS[cfg.system]
+    system, seed = _SYSTEMS[cfg.system], cfg.setting("evaluation.seed")
     draws = [_from_section(cfg, system["draw"], seed + i, section)
              for i, section in enumerate(sections.values())]
     x0, controls, dt = zip(*draws)
@@ -272,12 +278,11 @@ def _evaluation_sets(cfg: RunConfig, seed: int) -> tuple[dynamics.Trajectory, di
     return truth, {name: slice(a, b) for name, a, b in zip(sections, bounds, bounds[1:])}
 
 
-def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
-    seed = seed_override if seed_override is not None else cfg.setting("dataset.seed")
+def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
     # Looked up at call time, so a wrapper installed on these names
     # (benchmarks/tracing.py) sees the call.
     generate = {"pendulum": generate_pendulum_dataset, "twobody": generate_twobody_dataset}
-    trajs = _from_section(cfg, generate[cfg.system], seed, "dataset")
+    trajs = _from_section(cfg, generate[cfg.system], cfg.setting("dataset.seed"), "dataset")
     names = _SYSTEMS[cfg.system]
     dataset_dir = _dataset_dir(cfg, out_dir)
     manifest = save_dataset(
@@ -287,7 +292,7 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> in
         names["control_names"],
         manifest_extra={
             "system": cfg.system,
-            "seed": seed,
+            "seed": cfg.setting("dataset.seed"),
             **({"points_per_orbit": cfg.setting("dataset.points_per_orbit")}
                if cfg.system == "twobody" else {}),
         },
@@ -296,32 +301,16 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> in
     return 0
 
 
-def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
-    dataset_dir = _dataset_dir(cfg, out_dir)
-    trajs = load_dataset(dataset_dir)
-    _check_fit(cfg, dataset_dir / "manifest.json", trajs[0].n_states, trajs[0].n_controls)
+def _train(cfg: RunConfig, trajs: list) -> tuple:
+    """The model trained on trajs from the network the config describes, its
+    loss history, and its summary.json document. Writes nothing."""
     tc = cfg.train_config
-    if seed_override is not None:
-        tc = replace(tc, seed=seed_override)
-    short = next((i for i, t in enumerate(trajs) if len(t.states) <= tc.alpha), None)
-    if short is not None:
-        name = read_json(dataset_dir / "manifest.json")["files"][short]["name"]
-        raise ValueError(f"{dataset_dir / name}: {len(trajs[short].states)} states, but "
-                         f"train.alpha = {tc.alpha} needs at least {tc.alpha + 1}")
     shape = cfg.network_shape()
     network = (kan_init(shape, cfg.spline_grid(), tc.seed) if cfg.backend == "kan"
                else mlp_init(shape, tc.seed))
     started = time.perf_counter()
     model, history = train(network, trajs, tc)
     wall = time.perf_counter() - started
-    model_path = out_dir / "model.json"
-    save_model(
-        model,
-        model_path,
-        cfg=tc,
-        metadata={"system": cfg.system, "dataset": str(dataset_dir)},
-    )
-    save_history(history, out_dir / "loss_history.csv")
     last, best = history[-1], min(history, key=lambda r: r.total)
     summary = {
         "system": cfg.system,
@@ -337,54 +326,69 @@ def cmd_train(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
         "best_epoch": best.epoch,  # the saved model's: the first epoch at best_total
         "closure_evals": sum(row.evals for row in history),  # loss evaluations or Adam steps
         "stop_reasons": [row.stop_reason for row in history if row.stop_reason],  # per L-BFGS phase
-        "model_file": model_path.name,
+        "model_file": "model.json",
         "history_file": "loss_history.csv",
     }
+    return model, history, summary
+
+
+def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
+    dataset_dir = _dataset_dir(cfg, out_dir)
+    trajs = load_dataset(dataset_dir)
+    _check_fit(cfg, dataset_dir / "manifest.json", trajs[0].n_states, trajs[0].n_controls)
+    alpha = cfg.train_config.alpha
+    short = next((i for i, t in enumerate(trajs) if len(t.states) <= alpha), None)
+    if short is not None:
+        name = read_json(dataset_dir / "manifest.json")["files"][short]["name"]
+        raise ValueError(f"{dataset_dir / name}: {len(trajs[short].states)} states, but "
+                         f"train.alpha = {alpha} needs at least {alpha + 1}")
+    model, history, summary = _train(cfg, trajs)
+    save_model(
+        model,
+        out_dir / summary["model_file"],
+        cfg=cfg.train_config,
+        metadata={"system": cfg.system, "dataset": str(dataset_dir)},
+    )
+    save_history(history, out_dir / summary["history_file"])
     write_json(out_dir / "summary.json", summary)
     print(
         f"trained {cfg.backend} on {cfg.system}: {model.network.n_params} parameters, "
         f"lifted size {model.n_total}, best total loss {summary['best_total']:.6g}, "
-        f"{wall:.2f}s"
+        f"{summary['wall_time_s']:.2f}s"
     )
     return 0
 
 
-def _evaluate(cfg: RunConfig, models: list, seed_override: int | None) -> list[tuple]:
-    """Corrected rollouts of each (path, model) in models, every IC of every
-    evaluation set in one batch, against the truth integrated once; per model,
-    its metrics.json document and each set's per-IC table by set name, for
-    _write_evaluation. Writes nothing."""
-    seed = seed_override if seed_override is not None else cfg.setting("evaluation.seed")
-    truth, sets = _evaluation_sets(cfg, seed)
+def _evaluate(cfg: RunConfig, truth, sets: dict, path: Path, model) -> tuple[dict, dict]:
+    """The corrected rollout of the model loaded from path, every IC of the
+    _evaluation_sets truth in one batch; its metrics.json document and each
+    set's per-IC table by set name, for _write_evaluation. Writes nothing."""
     names = _SYSTEMS[cfg.system]["state_names"]
     key, n_head, _ = _SYSTEMS[cfg.system]["headline"]
-    evaluated = []
-    for path, model in models:
-        with _blaming(path):
-            pred = rollout(model, truth.states[0], truth.controls, truth.dt, correct=True)
-        err = np.abs(pred.states - truth.states)
-        table = np.concatenate([pred.times[..., None], truth.states, pred.states, err], axis=2)
-        docs, tables = [], {}
-        for name, rows in sets.items():
-            ic_max = err[:, rows].max(axis=0)
-            worst = ic_max.max(axis=0)
-            docs.append({
-                "n_ic": rows.stop - rows.start,
-                "max_abs_error": {s: float(e) for s, e in zip(names, worst)},
-                "per_ic": [{
-                    "initial_state": [float(v) for v in x0],
-                    "max_abs_error": {s: float(e) for s, e in zip(names, row)},
-                } for x0, row in zip(truth.states[0, rows], ic_max)],
-                key: float(worst[:n_head].max()),
-            })
-            tables[name] = table[:, rows]
-        metrics, *band = docs
-        metrics["seed"] = seed
-        if band:
-            radius_range = cfg.setting("evaluation.extrapolation.radius_range")
-            metrics["extrapolation"] = {**band[0], "radius_range": radius_range}
-        evaluated.append((metrics, tables))
-    return evaluated
+    with _blaming(path):
+        pred = rollout(model, truth.states[0], truth.controls, truth.dt, correct=True)
+    err = np.abs(pred.states - truth.states)
+    table = np.concatenate([pred.times[..., None], truth.states, pred.states, err], axis=2)
+    docs, tables = [], {}
+    for name, rows in sets.items():
+        ic_max = err[:, rows].max(axis=0)
+        worst = ic_max.max(axis=0)
+        docs.append({
+            "n_ic": rows.stop - rows.start,
+            "max_abs_error": {s: float(e) for s, e in zip(names, worst)},
+            "per_ic": [{
+                "initial_state": [float(v) for v in x0],
+                "max_abs_error": {s: float(e) for s, e in zip(names, row)},
+            } for x0, row in zip(truth.states[0, rows], ic_max)],
+            key: float(worst[:n_head].max()),
+        })
+        tables[name] = table[:, rows]
+    metrics, *band = docs
+    metrics["seed"] = cfg.setting("evaluation.seed")
+    if band:
+        radius_range = cfg.setting("evaluation.extrapolation.radius_range")
+        metrics["extrapolation"] = {**band[0], "radius_range": radius_range}
+    return metrics, tables
 
 
 def _write_evaluation(cfg: RunConfig, root: Path, metrics: dict, tables: dict) -> None:
@@ -429,9 +433,9 @@ def _blaming(path: Path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def cmd_evaluate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
+def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
     model_path, model = _load_model_file(cfg, out_dir)
-    [(metrics, tables)] = _evaluate(cfg, [(model_path, model)], seed_override)
+    metrics, tables = _evaluate(cfg, *_evaluation_sets(cfg), model_path, model)
     _write_evaluation(cfg, out_dir, metrics, tables)
     key, _, unit = _SYSTEMS[cfg.system]["headline"]
     print(f"evaluated {model_path.name} on {metrics['n_ic']} held-out ICs: "
@@ -439,8 +443,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> in
     return 0
 
 
-def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
-    del seed_override  # the control loop is deterministic
+def cmd_control(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.system != "pendulum":
         raise ConfigError("closed-loop control is implemented for the pendulum")
     model_path, model = _load_model_file(cfg, out_dir)
@@ -485,13 +488,13 @@ def cmd_control(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     return 0
 
 
-def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int:
+def cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
     section = cfg.section("compare")
     if not section.get("model_a") or not section.get("model_b"):
         raise ConfigError("compare requires compare.model_a and compare.model_b")
-    # Both models and their summaries are loaded and checked, and both models
-    # rolled out, before anything is written, so a bad model_b leaves no
-    # compare/ file behind.
+    # Both models and their summaries are loaded and checked, the truth
+    # integrated once and both models rolled out before anything is written,
+    # so a bad model_b leaves no compare/ file behind.
     models, rows = [], []
     for label in ("model_a", "model_b"):
         path, model = _load_model_file(cfg, out_dir, section[label])
@@ -501,7 +504,8 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
         rows.append({"label": label, "path": str(path), "kind": model.network.kind,
                      "n_params": model.network.n_params, "lifted_size": model.n_total,
                      "train_wall_time_s": wall})
-    evaluated = _evaluate(cfg, models, seed_override)
+    truth, sets = _evaluation_sets(cfg)
+    evaluated = [_evaluate(cfg, truth, sets, path, model) for path, model in models]
     for row, (metrics, tables) in zip(rows, evaluated):
         _write_evaluation(cfg, out_dir / "compare" / row["label"], metrics, tables)
         row["metrics"] = metrics
@@ -515,12 +519,14 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, seed_override: int | None) -> int
     return 0
 
 
+# name -> (function, the section whose seed --seed sets, help line)
 _COMMANDS = {
-    "generate": cmd_generate,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "control": cmd_control,
-    "compare": cmd_compare,
+    "generate": (cmd_generate, "dataset", "write a trajectory dataset"),
+    "train": (cmd_train, "train", "fit a lifted linear model on a dataset"),
+    "evaluate": (cmd_evaluate, "evaluation",
+                 "roll out a trained model on held-out initial conditions"),
+    "control": (cmd_control, None, "run the LQR closed loop against the true plant"),
+    "compare": (cmd_compare, "evaluation", "evaluate two trained models side by side"),
 }
 
 
@@ -535,11 +541,13 @@ def _resolve_out(flag: str | None, cfg: RunConfig) -> Path:
     return Path("runs") / f"{cfg.system}_{cfg.backend}"
 
 
-def _seed(text: str) -> int:
-    """--seed's type: a non-negative integer, else an argparse usage error."""
+def _seed(text: str):
+    """--seed's type: a non-negative integer, else an argparse usage error.
+    Read as a config file's integer is, so one past the float range is inf,
+    which validate refuses."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+    return dynamics._int_or_inf(text)
 
 
 def main(argv=None) -> int:
@@ -549,22 +557,16 @@ def main(argv=None) -> int:
                     "use them for prediction and LQR control.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("generate", "write a trajectory dataset"),
-        ("train", "fit a lifted linear model on a dataset"),
-        ("evaluate", "roll out a trained model on held-out initial conditions"),
-        ("control", "run the LQR closed loop against the true plant"),
-        ("compare", "evaluate two trained models side by side"),
-    ):
+    for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", help="output directory (overrides config and env)")
         p.add_argument("--seed", type=_seed, help="override the command's seed")
     args = parser.parse_args(argv)
+    command, section, _ = _COMMANDS[args.command]
     try:
-        cfg = RunConfig.load(args.config)
-        out_dir = _resolve_out(args.out, cfg)
-        return _COMMANDS[args.command](cfg, out_dir, args.seed)
+        cfg = RunConfig.load(args.config, (section, args.seed))
+        return command(cfg, _resolve_out(args.out, cfg))
     except ConfigError as exc:
         print(f"config error: {exc} (in {args.config})", file=sys.stderr)
         return 2

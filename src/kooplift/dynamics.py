@@ -365,8 +365,10 @@ def load_dataset(in_dir) -> list[Trajectory]:
             raise ValueError(f"{manifest_path}: a file entry needs a string name, a positive "
                              f"finite dt and a positive integer n_samples, got {entry!r}")
         path = in_dir / entry["name"]
-        with open(path, newline="") as fh:
-            body = fh.read().splitlines()[1:]
+        try:
+            body = path.read_text().splitlines()[1:]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if len(body) != entry["n_samples"]:
             raise ValueError(f"{path}: {len(body)} rows, the manifest says "
                              f"{entry['n_samples']}")

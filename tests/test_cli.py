@@ -6,15 +6,18 @@ file stays fast. Full-size preset configs are only parsed, never trained.
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kooplift
-from kooplift.cli import _SECTIONS, RunConfig, _evaluation_sets, main
+from kooplift import dynamics
+from kooplift.cli import _SECTIONS, RunConfig, _evaluate, _evaluation_sets, _train, main
 from kooplift.dynamics import (
     TWOBODY_CONTROL_NAMES,
     TWOBODY_STATE_NAMES,
@@ -123,6 +126,69 @@ def test_seed_flag_overrides_dataset_seed(pendulum_cfg, tmp_path):
     base_files = read_bytes_sorted(base / "dataset")
     assert read_bytes_sorted(same / "dataset") == base_files
     assert read_bytes_sorted(other / "dataset") != base_files
+
+
+def test_seed_flag_writes_what_the_config_seed_writes(pendulum_cfg, tmp_path, monkeypatch,
+                                                     capsys):
+    # --seed N is the command's section seed set to N: run "flag" passes N to
+    # each command, run "config" holds the same N in its config file; both
+    # write the same bytes and print the same lines, the training wall time
+    # (in summary.json, compare.json and train's line) aside.
+    seeds = {"generate": 12, "train": 13, "evaluate": 14, "compare": 14}
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    doc["compare"] = {"model_a": "run/model.json", "model_b": "run/model.json"}
+    runs = {}
+    for run in ("flag", "config"):
+        if run == "config":
+            for section, command in (("dataset", "generate"), ("train", "train"),
+                                     ("evaluation", "evaluate")):
+                doc[section]["seed"] = seeds[command]
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        cfg = write_config("cfg.json", doc)
+        for command, seed in seeds.items():
+            flag = ["--seed", str(seed)] if run == "flag" else []
+            assert main([command, "--config", cfg, "--out", "run"] + flag) == 0
+        files = {str(p): re.sub(rb'wall_time_s": [^,\n]+', b"wall", p.read_bytes())
+                 for p in sorted(Path("run").rglob("*")) if p.is_file()}
+        runs[run] = files, re.sub(r", [0-9.]+s\n", "s\n", capsys.readouterr().out)
+    assert runs["flag"] == runs["config"]
+    files = runs["flag"][0]
+    # dataset, model, history, summary, eval, compare
+    assert len(files) == 4 + 1 + 1 + 1 + 1 + 3 + 2 * 3 + 1
+    assert files["run/summary.json"].count(b"wall") == 1
+    assert json.loads(files["run/dataset/manifest.json"])["seed"] == 12
+    assert json.loads(files["run/model.json"])["config"]["seed"] == 13
+    assert json.loads(files["run/eval/metrics.json"])["seed"] == 14
+
+
+def test_control_ignores_the_seed_flag(pendulum_cfg, tmp_path):
+    out = tmp_path / "run"
+    for command in ("generate", "train", "control"):
+        assert main([command, "--config", pendulum_cfg, "--out", str(out)]) == 0
+    before = read_bytes_sorted(out / "control")
+    assert main(["control", "--config", pendulum_cfg, "--out", str(out), "--seed", "12"]) == 0
+    assert read_bytes_sorted(out / "control") == before
+
+
+@pytest.mark.parametrize("command, key", [("generate", "dataset.seed"), ("train", "train.seed"),
+                                          ("evaluate", "evaluation.seed"),
+                                          ("compare", "evaluation.seed")])
+def test_seed_flag_past_the_float_range_exits_2(pendulum_cfg, tmp_path, capsys, command, key):
+    # The flag's integer is read as a config file's is, so one past the float
+    # range is inf, refused as the same seed in the file is: no file written.
+    out = tmp_path / "run"
+    for step in ("generate", "train"):
+        assert main([step, "--config", pendulum_cfg, "--out", str(out)]) == 0
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    doc["compare"] = {"model_a": str(out / "model.json"), "model_b": str(out / "model.json")}
+    cfg = write_config(tmp_path / "cmp.json", doc)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out), "--seed", "1" + "0" * 320]) == 2
+    assert capsys.readouterr().err == (f"config error: {key} must be a non-negative integer, "
+                                       f"got inf (in {cfg})\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def test_out_flag_beats_env_beats_config(pendulum_cfg, tmp_path, monkeypatch):
@@ -432,16 +498,68 @@ def assert_same_trajectories(got, want):
         assert a.controls.tobytes() == b.controls.tobytes()
 
 
+def test_evaluate_and_compare_integrate_the_truth_once(twobody_cfg, tmp_path, monkeypatch):
+    # Every evaluation set of a command, the two-body band included, is
+    # integrated in one dynamics.simulate call, shared by compare's models.
+    out = tmp_path / "run"
+    for command in ("generate", "train"):
+        assert main([command, "--config", twobody_cfg, "--out", str(out)]) == 0
+    other = tmp_path / "other.json"
+    save_model(KoopmanModel(network=kan_init([4, 1], SplineGrid(), seed=0), K=np.eye(5),
+                            B=np.zeros((5, 0))), other)
+    doc = json.loads(Path(twobody_cfg).read_text())
+    doc["compare"] = {"model_a": str(out / "model.json"), "model_b": str(other)}
+    cfg = write_config(tmp_path / "cmp.json", doc)
+    calls = []
+    simulate = dynamics.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "simulate", counted)
+    assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == [3, 3]  # 2 held-out ICs and 1 band IC, once per command
+    report = json.loads((out / "compare" / "compare.json").read_text())
+    assert [row["metrics"]["extrapolation"]["n_ic"] for row in report["models"]] == [1, 1]
+
+
+def test_run_path_runs_without_the_cli(pendulum_cfg, tmp_path):
+    # The steps train and evaluate call compute in memory: one RunConfig, its
+    # train seed changed in the doc, gives per seed the loss history and the
+    # metrics.json document that the commands write for that seed.
+    cfg = RunConfig.load(pendulum_cfg)
+    trajs = generate_pendulum_dataset(4, 7)  # the config's dataset section
+    truth, sets = _evaluation_sets(cfg)
+    for seed in (3, 4):
+        cfg.doc["train"]["seed"] = seed
+        cfg.validate()
+        model, history, summary = _train(cfg, trajs)
+        metrics, tables = _evaluate(cfg, truth, sets, "model.json", model)
+        assert summary["best_total"] == min(row.total for row in history)
+        assert list(tables) == ["eval"] and tables["eval"].shape == (201, 2, 7)
+
+        out = tmp_path / f"seed{seed}"
+        for command in ("generate", "train", "evaluate"):
+            argv = [command, "--config", pendulum_cfg, "--out", str(out)]
+            assert main(argv + ["--seed", str(seed)] * (command == "train")) == 0
+        # save_history writes "%.17g", which reads back to the same float.
+        assert ([astuple(row)[:4] for row in load_history(out / "loss_history.csv")]
+                == [astuple(row)[:4] for row in history])
+        assert (out / "eval" / "metrics.json").read_text() == json.dumps(metrics, indent=2) + "\n"
+
+
 def test_pendulum_preset_evaluation_set_is_the_generated_dataset():
     cfg = RunConfig.load(PRESET_DIR / "pendulum_kan.json")
-    truth, sets = _evaluation_sets(cfg, 900)
+    truth, sets = _evaluation_sets(cfg)
     assert sets == {"eval": slice(0, 5)}
     assert_same_trajectories(truth.unstack(), generate_pendulum_dataset(5, 900))
 
 
 def test_twobody_preset_evaluation_sets_are_the_generated_datasets():
     cfg = RunConfig.load(PRESET_DIR / "twobody_kan.json")
-    truth, sets = _evaluation_sets(cfg, 901)
+    truth, sets = _evaluation_sets(cfg)
     assert sets == {"eval": slice(0, 3), "eval_extrapolation": slice(3, 6)}
     # Python ints, which metrics.json's n_ic can hold
     assert all(type(b) is int for rows in sets.values() for b in (rows.start, rows.stop))
@@ -847,6 +965,21 @@ def test_truncated_dataset_csv_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(path) in err and "the manifest says 201" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "model.json").exists()
+
+
+def test_dataset_csv_that_is_not_utf8_names_the_file(pendulum_cfg, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["generate", "--config", pendulum_cfg, "--out", str(out)]) == 0
+    path = out / "dataset" / "traj_0003.csv"
+    data = bytearray(path.read_bytes())
+    data[23] = 0xFF
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["train", "--config", pendulum_cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 23: "
+        "invalid start byte\n")
     assert not (out / "model.json").exists()
 
 

@@ -1,11 +1,13 @@
-"""The README's library example runs against the current API, and its
-Configuration section names every config key and states its default."""
+"""The README's library example runs against the current API, its command
+line names the CLI's commands, and its Configuration section names every
+config key and states its default."""
 
 import json
 import re
 from pathlib import Path
 
-from kooplift.cli import _REQUIRED, _SECTIONS
+from kooplift import cli
+from kooplift.cli import _COMMANDS, _REQUIRED, _SECTIONS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,6 +20,14 @@ def test_readme_python_block_runs():
         exec(compile(code, str(README), "exec"), namespace)
     assert namespace["batch"].states.shape == (201, 15, 2)
     assert namespace["loop"].states.shape == (1001, 2)
+
+
+def test_grammar_lines_list_the_commands_in_order():
+    # The README's command line and cli.py's module docstring each spell the
+    # grammar once; both list exactly the _COMMANDS names, in their order.
+    for text in (README.read_text(), cli.__doc__):
+        [names] = re.findall(r"^ *kooplift <([\w|]+)>", text, re.M)
+        assert names.split("|") == list(_COMMANDS)
 
 
 def configuration_section() -> str:

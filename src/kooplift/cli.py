@@ -2,7 +2,7 @@
 
 Grammar:
 
-    kooplift <generate|train|evaluate|control|compare> --config <path>
+    kooplift <generate|train|evaluate|control> --config <path>
              [--out <dir>] [--seed <N>]
 
 One JSON config describes a run (system, backend, dataset, network,
@@ -104,8 +104,7 @@ _PATH = "path string"  # the kind of a key that holds a path string or null
 _SECTIONS = {
     "": {"system": (_REQUIRED, None), "backend": (_REQUIRED, None), "out_dir": (None, _PATH),
          "model_path": (None, _PATH), "dataset": ({}, None), "network": ({}, None),
-         "train": ({}, None), "evaluation": ({}, None), "control": ({}, None),
-         "compare": ({}, None)},
+         "train": ({}, None), "evaluation": ({}, None), "control": ({}, None)},
     "dataset": {"n_ic": (None, "positive integer"), "seed": (0, "non-negative integer"),
                 "points_per_orbit": (800, "positive integer"), "path": (None, _PATH)},
     "network": {"n_observables": (1, "positive integer"), "neurons": (1, "positive integer"),
@@ -122,7 +121,6 @@ _SECTIONS = {
                 "q_state": (1.0, "positive finite number"),
                 "r": (0.1, "positive finite number"),
                 "u_limit": (5.0, "positive finite number")},
-    "compare": {"model_a": (None, _PATH), "model_b": (None, _PATH)},
 }
 
 
@@ -155,7 +153,7 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        """Check every section, and set train_config, the train section's TrainConfig."""
+        """Check every section."""
         for key, known in (("system", _SYSTEMS), ("backend", NETWORKS)):
             value = self.doc[key]
             if value not in tuple(known):  # a list or an object is unhashable
@@ -202,11 +200,7 @@ class RunConfig:
             raise ConfigError(f"control.x0 must be a list of {self.n_states} finite numbers, "
                               f"got {x0!r}")
         self.spline_grid()
-        try:
-            self.train_config = TrainConfig(**self.section("train"))
-        except ValueError as exc:
-            raise ConfigError(f"train.{exc}") from None
-        alpha = self.train_config.alpha
+        alpha = self.train_config().alpha
         if self.system == "twobody" and alpha >= points:
             raise ConfigError(f"train.alpha must be a positive integer below "
                               f"dataset.points_per_orbit = {points}, got {alpha}")
@@ -240,6 +234,12 @@ class RunConfig:
             return SplineGrid(**self.section("network.grid"))
         except ValueError as exc:
             raise ConfigError(f"network.grid.{exc}") from None
+
+    def train_config(self) -> TrainConfig:
+        try:
+            return TrainConfig(**self.section("train"))
+        except ValueError as exc:
+            raise ConfigError(f"train.{exc}") from None
 
 
 def _dataset_dir(cfg: RunConfig, out_dir: Path) -> Path:
@@ -304,7 +304,7 @@ def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
 def _train(cfg: RunConfig, trajs: list) -> tuple:
     """The model trained on trajs from the network the config describes, its
     loss history, and its summary.json document. Writes nothing."""
-    tc = cfg.train_config
+    tc = cfg.train_config()
     shape = cfg.network_shape()
     network = (kan_init(shape, cfg.spline_grid(), tc.seed) if cfg.backend == "kan"
                else mlp_init(shape, tc.seed))
@@ -336,7 +336,8 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
     dataset_dir = _dataset_dir(cfg, out_dir)
     trajs = load_dataset(dataset_dir)
     _check_fit(cfg, dataset_dir / "manifest.json", trajs[0].n_states, trajs[0].n_controls)
-    alpha = cfg.train_config.alpha
+    tc = cfg.train_config()
+    alpha = tc.alpha
     short = next((i for i, t in enumerate(trajs) if len(t.states) <= alpha), None)
     if short is not None:
         name = read_json(dataset_dir / "manifest.json")["files"][short]["name"]
@@ -346,7 +347,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
     save_model(
         model,
         out_dir / summary["model_file"],
-        cfg=cfg.train_config,
+        cfg=tc,
         metadata={"system": cfg.system, "dataset": str(dataset_dir)},
     )
     save_history(history, out_dir / summary["history_file"])
@@ -411,11 +412,11 @@ def _check_fit(cfg: RunConfig, path: Path, n: int, p: int) -> None:
                          f"system's {want[0]} and {want[1]}")
 
 
-def _load_model_file(cfg: RunConfig, out_dir: Path, path: str | None = None):
-    """The path and the model stored there, checked against the system; path
-    defaults to the config's model_path, else out_dir's model.json. A missing
-    file raises FileNotFoundError."""
-    path = Path(path or cfg.setting("model_path") or out_dir / "model.json")
+def _load_model_file(cfg: RunConfig, out_dir: Path):
+    """The config's model_path, else out_dir's model.json, and the model
+    stored there, checked against the system. A missing file raises
+    FileNotFoundError."""
+    path = Path(cfg.setting("model_path") or out_dir / "model.json")
     if not path.is_file():
         raise FileNotFoundError(f"model file not found: {path}")
     model = load_model(path)[0]
@@ -488,37 +489,6 @@ def cmd_control(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
-    section = cfg.section("compare")
-    if not section.get("model_a") or not section.get("model_b"):
-        raise ConfigError("compare requires compare.model_a and compare.model_b")
-    # Both models and their summaries are loaded and checked, the truth
-    # integrated once and both models rolled out before anything is written,
-    # so a bad model_b leaves no compare/ file behind.
-    models, rows = [], []
-    for label in ("model_a", "model_b"):
-        path, model = _load_model_file(cfg, out_dir, section[label])
-        summary_path = path.parent / "summary.json"
-        wall = read_json(summary_path).get("wall_time_s") if summary_path.is_file() else None
-        models.append((path, model))
-        rows.append({"label": label, "path": str(path), "kind": model.network.kind,
-                     "n_params": model.network.n_params, "lifted_size": model.n_total,
-                     "train_wall_time_s": wall})
-    truth, sets = _evaluation_sets(cfg)
-    evaluated = [_evaluate(cfg, truth, sets, path, model) for path, model in models]
-    for row, (metrics, tables) in zip(rows, evaluated):
-        _write_evaluation(cfg, out_dir / "compare" / row["label"], metrics, tables)
-        row["metrics"] = metrics
-    key = _SYSTEMS[cfg.system]["headline"][0]
-    error_a, error_b = (metrics[key] for metrics, _ in evaluated)
-    write_json(out_dir / "compare" / "compare.json", {
-        "system": cfg.system, "models": rows,
-        "a_over_b_error_ratio": error_a / error_b if error_b > 0 else None})
-    print(f"compared {rows[0]['kind']} vs {rows[1]['kind']}: "
-          f"errors {error_a:.4g} / {error_b:.4g}")
-    return 0
-
-
 # name -> (function, the section whose seed --seed sets, help line)
 _COMMANDS = {
     "generate": (cmd_generate, "dataset", "write a trajectory dataset"),
@@ -526,7 +496,6 @@ _COMMANDS = {
     "evaluate": (cmd_evaluate, "evaluation",
                  "roll out a trained model on held-out initial conditions"),
     "control": (cmd_control, None, "run the LQR closed loop against the true plant"),
-    "compare": (cmd_compare, "evaluation", "evaluate two trained models side by side"),
 }
 
 

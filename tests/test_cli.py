@@ -133,10 +133,9 @@ def test_seed_flag_writes_what_the_config_seed_writes(pendulum_cfg, tmp_path, mo
     # --seed N is the command's section seed set to N: run "flag" passes N to
     # each command, run "config" holds the same N in its config file; both
     # write the same bytes and print the same lines, the training wall time
-    # (in summary.json, compare.json and train's line) aside.
-    seeds = {"generate": 12, "train": 13, "evaluate": 14, "compare": 14}
+    # (in summary.json and train's line) aside.
+    seeds = {"generate": 12, "train": 13, "evaluate": 14}
     doc = json.loads(Path(pendulum_cfg).read_text())
-    doc["compare"] = {"model_a": "run/model.json", "model_b": "run/model.json"}
     runs = {}
     for run in ("flag", "config"):
         if run == "config":
@@ -154,8 +153,8 @@ def test_seed_flag_writes_what_the_config_seed_writes(pendulum_cfg, tmp_path, mo
         runs[run] = files, re.sub(r", [0-9.]+s\n", "s\n", capsys.readouterr().out)
     assert runs["flag"] == runs["config"]
     files = runs["flag"][0]
-    # dataset, model, history, summary, eval, compare
-    assert len(files) == 4 + 1 + 1 + 1 + 1 + 3 + 2 * 3 + 1
+    # dataset, model, history, summary, eval
+    assert len(files) == 4 + 1 + 1 + 1 + 1 + 3
     assert files["run/summary.json"].count(b"wall") == 1
     assert json.loads(files["run/dataset/manifest.json"])["seed"] == 12
     assert json.loads(files["run/model.json"])["config"]["seed"] == 13
@@ -172,22 +171,19 @@ def test_control_ignores_the_seed_flag(pendulum_cfg, tmp_path):
 
 
 @pytest.mark.parametrize("command, key", [("generate", "dataset.seed"), ("train", "train.seed"),
-                                          ("evaluate", "evaluation.seed"),
-                                          ("compare", "evaluation.seed")])
+                                          ("evaluate", "evaluation.seed")])
 def test_seed_flag_past_the_float_range_exits_2(pendulum_cfg, tmp_path, capsys, command, key):
     # The flag's integer is read as a config file's is, so one past the float
     # range is inf, refused as the same seed in the file is: no file written.
     out = tmp_path / "run"
     for step in ("generate", "train"):
         assert main([step, "--config", pendulum_cfg, "--out", str(out)]) == 0
-    doc = json.loads(Path(pendulum_cfg).read_text())
-    doc["compare"] = {"model_a": str(out / "model.json"), "model_b": str(out / "model.json")}
-    cfg = write_config(tmp_path / "cmp.json", doc)
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     capsys.readouterr()
-    assert main([command, "--config", cfg, "--out", str(out), "--seed", "1" + "0" * 320]) == 2
+    argv = [command, "--config", pendulum_cfg, "--out", str(out), "--seed", "1" + "0" * 320]
+    assert main(argv) == 2
     assert capsys.readouterr().err == (f"config error: {key} must be a non-negative integer, "
-                                       f"got inf (in {cfg})\n")
+                                       f"got inf (in {pendulum_cfg})\n")
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
@@ -498,18 +494,12 @@ def assert_same_trajectories(got, want):
         assert a.controls.tobytes() == b.controls.tobytes()
 
 
-def test_evaluate_and_compare_integrate_the_truth_once(twobody_cfg, tmp_path, monkeypatch):
-    # Every evaluation set of a command, the two-body band included, is
-    # integrated in one dynamics.simulate call, shared by compare's models.
+def test_evaluate_integrates_the_truth_once(twobody_cfg, tmp_path, monkeypatch):
+    # Every evaluation set, the two-body band included, is integrated in one
+    # dynamics.simulate call.
     out = tmp_path / "run"
     for command in ("generate", "train"):
         assert main([command, "--config", twobody_cfg, "--out", str(out)]) == 0
-    other = tmp_path / "other.json"
-    save_model(KoopmanModel(network=kan_init([4, 1], SplineGrid(), seed=0), K=np.eye(5),
-                            B=np.zeros((5, 0))), other)
-    doc = json.loads(Path(twobody_cfg).read_text())
-    doc["compare"] = {"model_a": str(out / "model.json"), "model_b": str(other)}
-    cfg = write_config(tmp_path / "cmp.json", doc)
     calls = []
     simulate = dynamics.simulate
 
@@ -518,11 +508,10 @@ def test_evaluate_and_compare_integrate_the_truth_once(twobody_cfg, tmp_path, mo
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "simulate", counted)
-    assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
-    assert calls == [3, 3]  # 2 held-out ICs and 1 band IC, once per command
-    report = json.loads((out / "compare" / "compare.json").read_text())
-    assert [row["metrics"]["extrapolation"]["n_ic"] for row in report["models"]] == [1, 1]
+    assert main(["evaluate", "--config", twobody_cfg, "--out", str(out)]) == 0
+    assert calls == [3]  # 2 held-out ICs and 1 band IC
+    metrics = json.loads((out / "eval" / "metrics.json").read_text())
+    assert metrics["extrapolation"]["n_ic"] == 1
 
 
 def test_run_path_runs_without_the_cli(pendulum_cfg, tmp_path):
@@ -550,6 +539,44 @@ def test_run_path_runs_without_the_cli(pendulum_cfg, tmp_path):
         assert (out / "eval" / "metrics.json").read_text() == json.dumps(metrics, indent=2) + "\n"
 
 
+def test_evaluate_with_model_path_writes_that_runs_eval_tree(pendulum_cfg, tmp_path):
+    # A KAN run and an MLP run, each trained and evaluated in its own
+    # directory: evaluate with model_path set to the other run's model writes,
+    # byte for byte, the eval/ tree that run wrote for its own model.
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    runs = {}
+    for backend in ("kan", "mlp"):
+        doc["backend"] = backend
+        cfg = write_config(tmp_path / f"{backend}.json", doc)
+        runs[backend] = out = tmp_path / backend
+        for command in ("generate", "train", "evaluate"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert read_bytes_sorted(runs["kan"] / "eval") != read_bytes_sorted(runs["mlp"] / "eval")
+    for backend, other in (("kan", "mlp"), ("mlp", "kan")):
+        doc["backend"], doc["model_path"] = backend, str(runs[other] / "model.json")
+        cfg = write_config(tmp_path / f"{backend}_on_{other}.json", doc)
+        out = tmp_path / f"{backend}_on_{other}"
+        assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["eval"]
+        files = read_bytes_sorted(out / "eval")
+        assert sorted(files) == ["eval_000.csv", "eval_001.csv", "metrics.json"]
+        assert files == read_bytes_sorted(runs[other] / "eval")
+
+
+def test_train_reads_the_train_section_as_the_doc_holds_it(pendulum_cfg, tmp_path):
+    # The TrainConfig is built from the doc on each call, so a train seed
+    # changed in the doc trains with that seed without a second validate().
+    cfg = RunConfig.load(pendulum_cfg)
+    cfg.doc["train"]["seed"] = 4
+    history = _train(cfg, generate_pendulum_dataset(4, 7))[1]
+    out = tmp_path / "run"
+    for command in ("generate", "train"):
+        argv = [command, "--config", pendulum_cfg, "--out", str(out)]
+        assert main(argv + ["--seed", "4"] * (command == "train")) == 0
+    assert ([astuple(row)[:4] for row in load_history(out / "loss_history.csv")]
+            == [astuple(row)[:4] for row in history])
+
+
 def test_pendulum_preset_evaluation_set_is_the_generated_dataset():
     cfg = RunConfig.load(PRESET_DIR / "pendulum_kan.json")
     truth, sets = _evaluation_sets(cfg)
@@ -567,56 +594,6 @@ def test_twobody_preset_evaluation_sets_are_the_generated_datasets():
     assert_same_trajectories(trajs[sets["eval"]], generate_twobody_dataset(3, 901))
     assert_same_trajectories(trajs[sets["eval_extrapolation"]],
                              generate_twobody_dataset(3, 902, 800, (11378.0, 12500.0)))
-
-
-def test_twobody_compare_with_a_band_writes_evaluate_trees(twobody_cfg, tmp_path):
-    # compare runs evaluate's protocol on each model: with both models the one
-    # evaluate saw, each compare/<label>/ tree is evaluate's, byte for byte.
-    out = tmp_path / "run"
-    for command in ("generate", "train", "evaluate"):
-        assert main([command, "--config", twobody_cfg, "--out", str(out)]) == 0
-    doc = json.loads(Path(twobody_cfg).read_text())
-    doc["compare"] = {"model_a": str(out / "model.json"), "model_b": str(out / "model.json")}
-    cfg = write_config(tmp_path / "cmp.json", doc)
-    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
-    assert sorted(p.name for p in (out / "compare").iterdir()) == [
-        "compare.json", "model_a", "model_b"]
-    for label in ("model_a", "model_b"):
-        tree = out / "compare" / label
-        assert sorted(p.name for p in tree.iterdir()) == ["eval", "eval_extrapolation"]
-        for name in ("eval", "eval_extrapolation"):
-            assert read_bytes_sorted(tree / name) == read_bytes_sorted(out / name)
-    report = json.loads((out / "compare" / "compare.json").read_text())
-    assert sorted(report) == ["a_over_b_error_ratio", "models", "system"]
-    metrics = json.loads((out / "eval" / "metrics.json").read_text())
-    assert metrics["max_abs_position_error"] > 0
-    assert metrics["extrapolation"]["max_abs_position_error"] > 0
-    assert [row["metrics"] for row in report["models"]] == [metrics, metrics]
-    assert [row["label"] for row in report["models"]] == ["model_a", "model_b"]
-    assert report["a_over_b_error_ratio"] == 1
-
-
-def test_compare_same_model_gives_unit_ratio(pendulum_cfg, tmp_path):
-    out = tmp_path / "run"
-    main(["generate", "--config", pendulum_cfg, "--out", str(out)])
-    main(["train", "--config", pendulum_cfg, "--out", str(out)])
-
-    with open(pendulum_cfg) as fh:
-        doc = json.load(fh)
-    doc["compare"] = {
-        "model_a": str(out / "model.json"),
-        "model_b": str(out / "model.json"),
-    }
-    cmp_cfg = write_config(Path(pendulum_cfg).parent / "cmp.json", doc)
-    assert main(["compare", "--config", cmp_cfg, "--out", str(out)]) == 0
-
-    with open(out / "compare" / "compare.json") as fh:
-        report = json.load(fh)
-    assert len(report["models"]) == 2
-    assert report["models"][0]["n_params"] == report["models"][1]["n_params"]
-    if report["a_over_b_error_ratio"] is not None:
-        assert report["a_over_b_error_ratio"] == pytest.approx(1.0)
-    assert [row["label"] for row in report["models"]] == ["model_a", "model_b"]
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -639,6 +616,29 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         f"config error: unknown key(s) at the top level: bogus (in {cfg})\n")
 
 
+def test_config_with_a_compare_section_exits_2(pendulum_cfg, tmp_path, capsys):
+    # compare is no command, so its section is an unknown top-level key.
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    doc["compare"] = {"model_a": "a/model.json", "model_b": "b/model.json"}
+    cfg = write_config(tmp_path / "cmp.json", doc)
+    for command in ("generate", "train", "evaluate", "control"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: unknown key(s) at the top level: compare (in {cfg})\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "cmp.json"]
+
+
+def test_compare_is_no_command(pendulum_cfg, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", pendulum_cfg])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kooplift")
+    assert err.rstrip("\n").endswith(
+        "error: argument command: invalid choice: 'compare' "
+        "(choose from 'generate', 'train', 'evaluate', 'control')")
+
+
 @pytest.mark.parametrize("command, section, key", [
     ("generate", "dataset", "nic"),
     ("train", "train", "shape"),
@@ -648,7 +648,6 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     ("evaluate", "evaluation", "nic"),
     ("evaluate", "evaluation.extrapolation", "seed"),
     ("control", "control", "x_0"),
-    ("compare", "compare", "model_c"),
 ])
 def test_unknown_section_key_exits_2(pendulum_cfg, tmp_path, capsys, command, section, key):
     doc = json.loads(Path(pendulum_cfg).read_text())
@@ -900,9 +899,9 @@ def test_json_nested_too_deeply_is_one_line(pendulum_cfg, tmp_path, capsys, targ
 
 
 @pytest.mark.parametrize("command, system", [
-    ("evaluate", "twobody"), ("compare", "twobody"), ("evaluate", "pendulum"),
-    ("control", "pendulum"), ("train", "pendulum"),
-], ids=["evaluate-pendulum-model", "compare-pendulum-model", "evaluate-twobody-model",
+    ("evaluate", "twobody"), ("evaluate", "pendulum"), ("control", "pendulum"),
+    ("train", "pendulum"),
+], ids=["evaluate-pendulum-model", "evaluate-twobody-model",
         "control-twobody-model", "train-twobody-dataset"])
 def test_model_or_dataset_of_the_other_system_exits_1(pendulum_cfg, twobody_cfg, tmp_path,
                                                       capsys, command, system):
@@ -918,7 +917,6 @@ def test_model_or_dataset_of_the_other_system_exits_1(pendulum_cfg, twobody_cfg,
         path = out / "model.json"
         save_model(KoopmanModel(network=kan_init([n, 1], SplineGrid(), seed=0), K=np.eye(n + 1),
                                 B=np.zeros((n + 1, p))), path)
-        doc["compare"] = {"model_a": str(path), "model_b": str(path)}
     cfg = write_config(tmp_path / "other.json", doc)
     before = sorted(tmp_path.rglob("*"))
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
@@ -930,10 +928,9 @@ def test_model_or_dataset_of_the_other_system_exits_1(pendulum_cfg, twobody_cfg,
 
 @pytest.mark.parametrize("command, edit, detail", [
     ("evaluate", _set(["K", 0, 0], 1e308), "rollout produced non-finite state at step "),
-    ("compare", _set(["K", 0, 0], 1e308), "rollout produced non-finite state at step "),
     ("control", _set(["K", 0, 0], 1e308), "Riccati iteration did not converge"),
     ("control", _set(["B"], [[0.0]] * 3), "Riccati iteration did not converge"),
-], ids=["evaluate-huge-K", "compare-huge-K", "control-huge-K", "control-zero-B"])
+], ids=["evaluate-huge-K", "control-huge-K", "control-zero-B"])
 def test_diverging_or_unstabilizable_model_names_its_file(pendulum_cfg, tmp_path, capsys,
                                                           command, edit, detail):
     out = tmp_path / "run"
@@ -942,10 +939,7 @@ def test_diverging_or_unstabilizable_model_names_its_file(pendulum_cfg, tmp_path
     doc = json.loads(FIXTURE.read_text())
     edit(doc)
     write_config(path, doc)
-    cfg = json.loads(Path(pendulum_cfg).read_text())
-    cfg["compare"] = {"model_a": str(path), "model_b": str(path)}
-    cfg = write_config(tmp_path / "probe.json", cfg)
-    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert main([command, "--config", pendulum_cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {detail}")
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -1001,58 +995,6 @@ def test_pendulum_alpha_beyond_trajectory_exits_2(pendulum_cfg, tmp_path, capsys
         assert capsys.readouterr().err == (
             f"config error: train.alpha must be in [1, 200] (in {cfg})\n")
     assert files() == before
-
-
-@pytest.mark.parametrize("text, detail", [("{bad", "not valid JSON ("),
-                                          ("[1]", "not a JSON object (")],
-                         ids=["truncated", "not-object"])
-def test_compare_bad_summary_exits_1(pendulum_cfg, tmp_path, capsys, text, detail):
-    run = tmp_path / "run"
-    run.mkdir()
-    model_path = run / "model.json"
-    save_model(KoopmanModel(network=kan_init([2, 1], SplineGrid(), seed=0),
-                            K=np.eye(3), B=np.zeros((3, 1))), model_path)
-    summary = run / "summary.json"
-    summary.write_text(text)
-    doc = json.loads(Path(pendulum_cfg).read_text())
-    doc["compare"] = {"model_a": str(model_path), "model_b": str(model_path)}
-    cfg = write_config(tmp_path / "cmp.json", doc)
-    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {summary}: {detail}")
-    assert err.count("\n") == 1 and "Traceback" not in err
-
-
-@pytest.mark.parametrize("bad", ["missing", "not-json", "other-system", "bad-summary",
-                                 "diverges"])
-def test_compare_bad_model_b_writes_nothing(pendulum_cfg, tmp_path, capsys, bad):
-    # model_a is good; model_b and its summary are checked, and both models
-    # rolled out, before model_a's CSVs are written, so the error leaves no
-    # compare/ file behind.
-    for name, n, p in (("a", 2, 1), ("b", 4, 0) if bad == "other-system" else ("b", 2, 1)):
-        (tmp_path / name).mkdir()
-        save_model(KoopmanModel(network=kan_init([n, 1], SplineGrid(), seed=0), K=np.eye(n + 1),
-                                B=np.zeros((n + 1, p))),
-                   tmp_path / name / "model.json")
-    path = tmp_path / "b" / ("summary.json" if bad == "bad-summary" else "model.json")
-    if bad == "missing":
-        path.unlink()
-    elif bad in ("not-json", "bad-summary"):
-        path.write_text("{bad")
-    elif bad == "diverges":
-        doc = json.loads(FIXTURE.read_text())
-        _set(["K", 0, 0], 1e308)(doc)
-        write_config(path, doc)
-    doc = json.loads(Path(pendulum_cfg).read_text())
-    doc["compare"] = {"model_a": str(tmp_path / "a" / "model.json"),
-                      "model_b": str(tmp_path / "b" / "model.json")}
-    cfg = write_config(tmp_path / "cmp.json", doc)
-    out = tmp_path / "out"
-    assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(path) in err
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert not (out / "compare").exists()
 
 
 @pytest.mark.parametrize("edit", [
@@ -1205,8 +1147,6 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
     ("train", "network.grid.order", True),
     ("evaluate", "model_path", 5),
     ("generate", "dataset.path", 5),
-    ("compare", "compare.model_a", 5),
-    ("compare", "compare.model_b", ["a.json"]),
     ("train", "out_dir", False),
     ("evaluate", "evaluation.radius_range", [1, 2]),
     ("evaluate", "evaluation.extrapolation", {"n_ic": 4, "radius_range": [1, 2]}),
@@ -1241,8 +1181,8 @@ def test_bad_evaluation_n_ic_exits_2(pendulum_cfg, tmp_path, capsys, n_ic):
         "radius_range-short", "radius_range-str", "radius_range-bool", "radius_range-reversed",
         "extrapolation-radius_range-short", "extrapolation-radius_range-long",
         "grid-intervals-float", "grid-order-bool", "model_path-int", "dataset-path-int",
-        "compare-model_a-int", "compare-model_b-list", "out_dir-bool",
-        "pendulum-radius_range", "pendulum-extrapolation", "pendulum-points_per_orbit",
+        "out_dir-bool", "pendulum-radius_range", "pendulum-extrapolation",
+        "pendulum-points_per_orbit",
         "duration-under-half-dt", "duration-steps-past-float", "duration-int-past-float",
         "x0-int-past-float", "learning_rate-int-past-float", "gamma-int-past-float",
         "beta-int-past-float", "lambda_l1-int-past-float", "lambda_l2-int-past-float",
@@ -1325,6 +1265,7 @@ def test_python_m_kooplift_help():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: kooplift")
+    assert "{generate,train,evaluate,control}" in proc.stdout
 
 
 def test_presets_parse_with_expected_sizes():

@@ -476,7 +476,7 @@ def cmd_control(cfg: RunConfig, out_dir: Path) -> int:
     metrics = {
         "settling_time_s": settle,
         "settling_threshold_rad": threshold,
-        "peak_abs_control": float(np.max(np.abs(traj.controls))) if traj.controls.size else 0.0,
+        "peak_abs_control": float(np.max(np.abs(traj.controls))),
         "final_state": [float(v) for v in traj.states[-1]],
         "closed_loop_spectral_radius": spectral_radius(model.K - model.B @ gain.F),
     }
@@ -549,7 +549,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -347,68 +347,57 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
     snaps = build_snapshots(trajs, cfg.alpha)
     if network.shape[0] != snaps.states.shape[0]:
         raise ValueError("network input width does not match the data")
-    rng = np.random.default_rng(cfg.seed)
-    adam = (
-        AdamW(network.n_params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
-        if cfg.optimizer == "adam"
-        else None
-    )
-
-    best_total = np.inf
-    best_params = network.get_params()
-    best_kb = None
+    # Each phase is phase(model, snaps, cfg, *state) -> (evals, stop_reason),
+    # with state kept across epochs.
+    if cfg.optimizer == "adam":
+        phase, state = _adam_phase, (np.random.default_rng(cfg.seed), AdamW(
+            network.n_params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay))
+    else:
+        phase, state = _lbfgs_phase, (network.input_cache(snaps.X.T),)
+    best = (np.inf, network.get_params(), None)  # total, parameters, model
     history: list[LossRecord] = []
-    # Only the L-BFGS closure sees every column on each evaluation; Adam
-    # samples its own columns each step.
-    plan = _TrainPlan(network.input_cache(snaps.X.T)) if cfg.optimizer == "lbfgs" else None
-
-    for epoch in range(cfg.epochs + 1):
-        phi_s = _lift_cols(network, snaps.states)
-        if not np.all(np.isfinite(phi_s)):
-            raise DivergedError(f"training diverged at epoch {epoch}: "
-                                "non-finite lifted data")
-        phi_x, phi_xn = snaps.pairs(phi_s)
-        k_op, b_op = fit_edmdc(phi_x, phi_xn, snaps.U)
-        del phi_xn  # held through the optimizer phase, it raises peak RSS
-        model = KoopmanModel(network=network, K=k_op, B=b_op)
-        if plan is not None:
-            plan.refit(model, snaps)
-        recon, pred, total = loss(model, snaps, cfg, plan=plan, phi_x=phi_x)
-        if not np.isfinite(total):
-            raise DivergedError(f"training diverged at epoch {epoch}: "
-                                f"recon={recon!r} pred={pred!r}")
-        history.append(LossRecord(epoch=epoch, recon=recon, pred=pred, total=total))
-        if total < best_total:
-            best_total = total
-            best_params = network.get_params()
-            best_kb = (k_op, b_op)
-        if epoch == cfg.epochs:
-            break
-        if plan is not None:
+    # Overflow shows up as the non-finite values checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs + 1):
+            phi_s = _lift_cols(network, snaps.states)
+            if not np.all(np.isfinite(phi_s)):
+                raise DivergedError(f"training diverged at epoch {epoch}: "
+                                    "non-finite lifted data")
+            phi_x, phi_xn = snaps.pairs(phi_s)
+            model = KoopmanModel(network, *fit_edmdc(phi_x, phi_xn, snaps.U))
+            del phi_xn  # held through the optimizer phase, it raises peak RSS
+            recon, pred, total = loss(model, snaps, cfg, phi_x=phi_x)
+            if not np.isfinite(total):
+                raise DivergedError(f"training diverged at epoch {epoch}: "
+                                    f"recon={recon!r} pred={pred!r}")
+            history.append(LossRecord(epoch=epoch, recon=recon, pred=pred, total=total))
+            if total < best[0]:
+                best = (total, network.get_params(), model)
+            if epoch == cfg.epochs:
+                break
             start = network.get_params().tobytes()
-            result = _lbfgs_phase(model, snaps, cfg, plan)
-            history[-1].evals, history[-1].stop_reason = result.n_evals, result.stop_reason
-        else:
-            history[-1].evals = _adam_phase(model, snaps, cfg, rng, adam)
-        params = network.get_params()
-        if not np.all(np.isfinite(params)):
-            raise DivergedError(f"training diverged at epoch {epoch}: "
-                                "non-finite network parameters")
-        if plan is not None and params.tobytes() == start:
-            # Same parameter bits give the same lift, refit, loss and L-BFGS
-            # run, so every later epoch repeats this one.
-            history += [replace(history[-1], epoch=e, evals=0, stop_reason="")
-                        for e in range(epoch + 1, cfg.epochs + 1)]
-            break
-
-    network.set_params(best_params)
-    model = KoopmanModel(network=network, K=best_kb[0], B=best_kb[1])
-    return model, history
+            history[-1].evals, history[-1].stop_reason = phase(model, snaps, cfg, *state)
+            params = network.get_params()
+            if not np.all(np.isfinite(params)):
+                raise DivergedError(f"training diverged at epoch {epoch}: "
+                                    "non-finite network parameters")
+            if phase is _lbfgs_phase and params.tobytes() == start:
+                # Same parameter bits give the same lift, refit, loss and L-BFGS
+                # run, so every later epoch repeats this one. An Adam phase also
+                # depends on its rng and moments.
+                history += [replace(history[-1], epoch=e, evals=0, stop_reason="")
+                            for e in range(epoch + 1, cfg.epochs + 1)]
+                break
+    network.set_params(best[1])
+    return best[2], history
 
 
-def _lbfgs_phase(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig,
-                 plan: _TrainPlan):
+def _lbfgs_phase(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cache):
+    """A full L-BFGS solve on every column, from the network's input_cache of
+    X. Returns the closure evaluations and the stop reason."""
     net = model.network
+    plan = _TrainPlan(cache)
+    plan.refit(model, snaps)
 
     def closure(theta):
         net.set_params(theta)
@@ -418,14 +407,15 @@ def _lbfgs_phase(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig,
         closure, net.get_params(), max_iter=cfg.lbfgs_max_iter
     )
     net.set_params(result.x)
-    return result
+    return result.n_evals, result.stop_reason
 
 
 def _adam_phase(model, snaps: SnapshotSet, cfg: TrainConfig, rng, opt: AdamW):
     """One epoch of minibatch steps: ceil(N_d / batch) draws without replacement.
 
     The prediction term samples its own column subset of the same size so
-    both loss terms see comparable batch noise. Returns the step count.
+    both loss terms see comparable batch noise. Returns the step count and
+    no stop reason.
     """
     net = model.network
     n_d, n_a = snaps.n_pairs, snaps.n_pred_pairs
@@ -436,7 +426,7 @@ def _adam_phase(model, snaps: SnapshotSet, cfg: TrainConfig, rng, opt: AdamW):
         pcols = rng.choice(n_a, size=min(batch, n_a), replace=False) if cfg.gamma else None
         grads = loss(model, snaps, cfg, cols, pcols, grad=True)[3]
         net.set_params(opt.step(net.get_params(), grads))
-    return steps
+    return steps, ""
 
 
 def _row_products(a: np.ndarray, m: np.ndarray) -> np.ndarray:

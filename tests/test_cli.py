@@ -385,6 +385,23 @@ def test_train_names_first_csv_shorter_than_alpha(twobody_cfg, tmp_path, capsys)
         f"error: {short}: 6 states, but train.alpha = 6 needs at least 7\n")
 
 
+def test_train_overflowing_adam_step_prints_one_line(pendulum_cfg, tmp_path, capsys):
+    # The first Adam steps overflow the MLP; numpy warns of nothing, and the
+    # parameter check after the phase names the epoch.
+    out = tmp_path / "run"
+    doc = json.loads(Path(pendulum_cfg).read_text())
+    doc["backend"] = "mlp"
+    doc["network"] = {"n_observables": 2, "hidden_layers": 1, "neurons": 4}
+    doc["train"] = {"alpha": 1, "epochs": 2, "optimizer": "adam", "learning_rate": 1e308,
+                    "batch_size": 64}
+    cfg = write_config(tmp_path / "adam.json", doc)
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: training diverged at epoch 0: non-finite network parameters\n")
+
+
 def test_twobody_pipeline_with_extrapolation(twobody_cfg, tmp_path):
     out = tmp_path / "orbit"
     assert main(["generate", "--config", twobody_cfg, "--out", str(out)]) == 0

@@ -472,6 +472,24 @@ def test_train_diverged_error_names_epoch():
         train(net, trajs, cfg)
 
 
+def test_train_diverged_error_names_non_finite_loss():
+    # States near 1e200 lift to finite values, but their squared errors overflow.
+    trajs = [replace(traj, states=1e200 * traj.states)
+             for traj in generate_pendulum_dataset(1, seed=0)]
+    with pytest.raises(DivergedError,
+                       match=r"^training diverged at epoch 0: recon=inf pred=inf$"):
+        train(kan_init([2, 1], GRID, seed=0), trajs, TrainConfig(alpha=1))
+
+
+def test_lbfgs_overflowing_step_stops_without_warning():
+    # An initial step of 1e300 overflows inside the line search, which fails
+    # and returns its start point; numpy warns of nothing on the way.
+    trajs = generate_pendulum_dataset(2, seed=5)
+    cfg = TrainConfig(alpha=1, epochs=1, learning_rate=1e300, lbfgs_max_iter=3)
+    _, hist = train(kan_init([2, 1], GRID, seed=0), trajs, cfg)
+    assert hist[0].stop_reason == "line_search_failed"
+
+
 def _train_every_epoch(network, trajs, cfg):
     """train's L-BFGS loop written out with no early stop: every epoch lifts,
     refits, logs the loss and runs a fresh Lbfgs. Returns the history, the

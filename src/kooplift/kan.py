@@ -43,11 +43,15 @@ class SplineGrid:
             checked(name, getattr(self, name), "positive integer")
         lo, hi = checked("lo", self.lo, "finite number"), self.hi
         # The step can overflow (for integers, hi - lo past the float range
-        # raises), or fall below the spacing of floats at the knots.
+        # raises), or fall below the spacing of floats at the knots. Each knot
+        # lo + step * j is rounded twice, by at most 1.5 ulps of the larger end
+        # knot in all, so a step above 4 of those ulps keeps every neighbouring
+        # pair strictly increasing without building the knot vector.
         spread = is_number(hi, "finite number") and lo < hi and hi - lo
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = self.knots() if is_number(spread, "finite number") else [np.nan]
-        if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+        ends = [math.nan]
+        if is_number(spread, "finite number"):
+            ends = [lo + self.step * j for j in (-self.order, self.intervals + self.order)]
+        if not (all(map(math.isfinite, ends)) and self.step > 4 * max(map(math.ulp, ends))):
             raise ValueError(f"hi must be a number above lo = {lo!r} that keeps the knots "
                              f"finite and strictly increasing, got {shown(hi)}")
 

@@ -166,7 +166,7 @@ def _lift_cols(network, cols: np.ndarray, tape=None, plan=None) -> np.ndarray:
     """Lift an n x m column matrix to n_total x m.
 
     tape (a list to fill for the backward pass) passes through to the
-    network's forward. A plan, refit for cols = X, supplies the network's
+    network's forward. A plan, built for cols = X, supplies the network's
     input_cache of X, and the lift is written into its buffer.
     """
     if plan is None:
@@ -213,8 +213,7 @@ def fit_edmdc(lifted_x: np.ndarray, lifted_xnext: np.ndarray, u: np.ndarray):
     u = np.asarray(u, dtype=float)
     if u.shape[1] != lifted_x.shape[1] or lifted_xnext.shape[1] != lifted_x.shape[1]:
         raise ValueError("column counts must match")
-    stacked = np.vstack([lifted_x, u]) if u.shape[0] else lifted_x
-    kb = lifted_xnext @ pinv(stacked)
+    kb = lifted_xnext @ pinv(np.vstack([lifted_x, u]))
     return kb[:, :n_total], kb[:, n_total:]
 
 
@@ -236,22 +235,18 @@ def _forcing_terms(model: KoopmanModel, snaps: SnapshotSet, powers, cols):
             yield (powers[snaps.alpha - 1 - i] @ (model.B @ snaps.U[:, cols + i]))[:model.n]
 
 
-@dataclass
 class _TrainPlan:
-    """Loss inputs that stay fixed while the network parameters change.
+    """Loss inputs that stay fixed while the network parameters change, for
+    one frozen (K, B) and the full batch.
 
     cache is the network's input_cache(X.T) of the snapshot states X, for
-    its forward's cache=. refit() stores, for one frozen (K, B), the powers
-    of K up to alpha, the forcing terms of the linear prediction loss, and
-    lifted, the n_total x N_d lift buffer whose state rows hold X.
+    its forward's cache=; powers holds the powers of K up to alpha, forcing
+    the forcing terms of the linear prediction loss, and lifted the
+    n_total x N_d lift buffer whose state rows hold X.
     """
 
-    cache: object
-    powers: list | None = None
-    forcing: list | None = None
-    lifted: np.ndarray | None = None
-
-    def refit(self, model: KoopmanModel, snaps: SnapshotSet) -> None:
+    def __init__(self, cache, model: KoopmanModel, snaps: SnapshotSet):
+        self.cache = cache
         self.powers = _powers(model.K, snaps.alpha)
         self.forcing = list(_forcing_terms(model, snaps, self.powers, snaps.pred_cols))
         self.lifted = np.vstack([snaps.X, np.empty((model.n_total - model.n, snaps.n_pairs))])
@@ -268,7 +263,7 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
     columns and prediction pairs to average over, None meaning all. Only
     the full-batch prediction shares the recon lift of X.
     phi_x, the lift of all X columns, replaces that lift in calls without
-    grad; a plan refit to model's (K, B) serves the full batch.
+    grad; a plan built for model's (K, B) serves the full batch.
     """
     net, n = model.network, model.n
     x, x_next, u = snaps.X, snaps.X_next, snaps.U
@@ -289,7 +284,7 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
             src = src[pcols]
             x_alpha = snaps.gather(src, snaps.alpha)
         shared = cols is None and pcols is None
-        if plan is None or pcols is not None:
+        if plan is None:
             powers = _powers(model.K, snaps.alpha)
             forcing = _forcing_terms(model, snaps, powers, src)
         else:
@@ -396,8 +391,7 @@ def _lbfgs_phase(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cach
     """A full L-BFGS solve on every column, from the network's input_cache of
     X. Returns the closure evaluations and the stop reason."""
     net = model.network
-    plan = _TrainPlan(cache)
-    plan.refit(model, snaps)
+    plan = _TrainPlan(cache, model, snaps)
 
     def closure(theta):
         net.set_params(theta)

@@ -158,7 +158,7 @@ def pinv(m) -> np.ndarray:
     if mat.size == 0:
         return np.zeros((mat.shape[1], mat.shape[0]))
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    cutoff = PINV_RTOL * (s[0] if s.size else 0.0)
+    cutoff = PINV_RTOL * s[0]
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vt.T * inv_s) @ u.T
 
@@ -197,13 +197,12 @@ def solve_dare(a, b, q, r) -> np.ndarray:
         raise ValueError("q must be symmetric")
     if not np.allclose(rmat, rmat.T, atol=1e-12):
         raise ValueError("r must be symmetric")
-    if p_in > 0:
-        try:
-            np.linalg.cholesky(rmat)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("r must be positive definite") from exc
+    try:
+        np.linalg.cholesky(rmat)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("r must be positive definite") from exc
 
-    g = bmat @ np.linalg.solve(rmat, bmat.T) if p_in > 0 else np.zeros((n, n))
+    g = bmat @ np.linalg.solve(rmat, bmat.T)
     h = qmat.copy()
     eye = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):

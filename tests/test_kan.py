@@ -1,6 +1,7 @@
 """Tests for the KAN backend: basis functions, forward pass, exact gradients."""
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,30 @@ def test_grid_structure():
     assert knots.size == 5 + 2 * 3 + 1
     assert np.allclose(np.diff(knots), GRID.step)
     assert knots[3] == -3.0 and knots[-4] == 3.0
+
+
+def test_grid_check_never_accepts_knots_that_fail_property():
+    # SplineGrid checks only its two end knots and a 4-ulp spacing margin;
+    # the reference builds the whole knot vector. Spacings of 0-64 ulps of
+    # lo, at magnitudes up to 1e17, reach the band where rounding decides.
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-1e17, 1e17), st.integers(1, 10**4), st.integers(1, 5),
+           st.one_of(st.floats(0.0, 64.0), st.floats(64.0, 1e6)))
+    @example(1e16, 5, 3, 0.4)  # 0.8 apart at ulp 2: refused
+    @example(2.0**53 - 8.0, 4, 2, 3.0)  # the upper end knots cross a binade
+    def check(lo, intervals, order, ulps):
+        hi = lo + ulps * math.ulp(lo) * intervals
+        try:
+            SplineGrid(lo=lo, hi=hi, intervals=intervals, order=order)
+        except ValueError:
+            return
+        t = lo + (hi - lo) / intervals * np.arange(-order, intervals + order + 1)
+        assert np.isfinite(t).all() and (np.diff(t) > 0).all()
+
+    check()
 
 
 def test_grid_tables_leave_equality_and_hash_alone():

@@ -33,7 +33,7 @@ from kooplift.koopman import (
     train,
 )
 from kooplift.mlp import SELU_ALPHA, SELU_LAMBDA, MlpNetwork, mlp_init
-from kooplift.numerics import DivergedError
+from kooplift.numerics import DivergedError, pinv
 from kooplift.optim import Lbfgs
 
 
@@ -199,6 +199,20 @@ def test_fit_edmdc_no_input_reduces_to_plain_fit():
     assert np.max(np.abs(k - a_true)) <= 1e-10
 
 
+def test_fit_edmdc_no_input_bit_identical_to_one_matrix_fit():
+    # Zero control rows stack to a row-major copy of the column-major lift
+    # that SnapshotSet.pairs makes; the SVD sees the same matrix either way.
+    rng = np.random.default_rng(6)
+    trajs = [Trajectory(dt=0.1, states=rng.standard_normal((m, 4)), controls=np.zeros((m - 1, 0)))
+             for m in (30, 41)]
+    snaps = build_snapshots(trajs, alpha=2)
+    phi_x, phi_xn = snaps.pairs(rng.standard_normal((7, snaps.states.shape[1])))
+    assert phi_x.flags.f_contiguous and not phi_x.flags.c_contiguous
+    k, b = fit_edmdc(phi_x, phi_xn, snaps.U)
+    assert snaps.U.shape == (0, snaps.n_pairs) and b.shape == (7, 0)
+    assert k.tobytes() == (phi_xn @ pinv(phi_x)).tobytes()
+
+
 def test_fit_edmdc_fixed_point_preserved():
     z_star = np.array([[1.0], [2.0], [-0.5]])
     data = np.repeat(z_star, 7, axis=1)
@@ -343,7 +357,7 @@ def test_training_gradient_matches_fd(batch):
 
 
 def _plan_case(case):
-    """A model, its snapshots and a plan refit to its (K, B)."""
+    """A model, its snapshots and a plan built for its (K, B)."""
     rng = np.random.default_rng(23)
     if case == "kan_deep_no_input":
         trajs = [Trajectory(dt=0.1, states=rng.uniform(-3.5, 3.5, size=(12, 4)),
@@ -359,9 +373,7 @@ def _plan_case(case):
     model = KoopmanModel(network=net,
                          K=np.eye(n_total) + 0.05 * rng.standard_normal((n_total, n_total)),
                          B=0.1 * rng.standard_normal((n_total, p)))
-    plan = _TrainPlan(cache=net.input_cache(snaps.X.T))
-    plan.refit(model, snaps)
-    return model, snaps, plan
+    return model, snaps, _TrainPlan(net.input_cache(snaps.X.T), model, snaps)
 
 
 @pytest.mark.parametrize("case", ["kan_control", "kan_deep_no_input", "mlp"])
@@ -1035,8 +1047,7 @@ def _oracle_case(case):
                          K=np.eye(n_total) + 0.1 * rng.standard_normal((n_total, n_total)),
                          B=0.3 * rng.standard_normal((n_total, p)))
     if case == "kan_plan":
-        plan = _TrainPlan(cache=net.input_cache(snaps.X.T))
-        plan.refit(model, snaps)
+        plan = _TrainPlan(net.input_cache(snaps.X.T), model, snaps)
     if case in ("adam_minibatch", "width_one"):
         size = 1 if case == "width_one" else 40
         cols = rng.choice(snaps.n_pairs, size=size, replace=False)
@@ -1144,8 +1155,7 @@ def _gather_case(case):
     gamma = 0.0 if case == "mlp_minibatch_gamma0" else 0.7
     cfg = TrainConfig(alpha=alpha, gamma=gamma, beta=1.3, lambda_l2=0.01)
     if case == "unequal_lengths":
-        plan = _TrainPlan(cache=net.input_cache(snaps.X.T))
-        plan.refit(model, snaps)
+        plan = _TrainPlan(net.input_cache(snaps.X.T), model, snaps)
         return model, snaps, plan, None, None, cfg
     cols = rng.choice(snaps.n_pairs, size=40, replace=False)
     pcols = rng.choice(snaps.n_pred_pairs, size=40, replace=False) if gamma else None

@@ -7,11 +7,12 @@ saturated input drives the true nonlinear dynamics one RK4 step at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, rk4_step
+from .dynamics import Trajectory, rk4_row
 from .koopman import KoopmanModel, lift
 from .numerics import DivergedError, solve_dare
 
@@ -80,12 +81,15 @@ def closed_loop_sim(
     applied control history.
 
     plant is a callable (state, u) -> state derivative; with a float form
-    (see dynamics.rk4_step) each step runs on Python floats. Raises ValueError
-    when duration / dt rounds to no step, and DivergedError once a state
-    component's magnitude passes STATE_BOUND or an RK4 step turns non-finite.
+    and a float dt each step's RK4 stages run on Python floats (see
+    dynamics.rk4_row). Raises ValueError unless duration, dt and duration / dt
+    are positive and finite or when duration / dt rounds to no step, and
+    DivergedError once a state component's magnitude passes STATE_BOUND or an
+    RK4 step turns non-finite.
     """
-    if duration <= 0 or dt <= 0:
-        raise ValueError("duration and dt must be positive")
+    if not (0 < dt < math.inf and 0 < duration < math.inf and duration / dt < math.inf):
+        raise ValueError(f"duration and dt must be positive and finite, with a finite "
+                         f"duration / dt, got duration {duration!r} and dt {dt!r}")
     n_steps = round(duration / dt)
     if n_steps < 1:
         raise ValueError(f"duration {duration} is under half of dt {dt}: no step to take")
@@ -93,15 +97,17 @@ def closed_loop_sim(
     states = np.empty((n_steps + 1, x.size))
     controls = np.empty((n_steps, gain.F.shape[0]))
     states[0] = x
-    neg_f = -gain.F
+    neg_f, xs = -gain.F, x.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            u = neg_f @ lift(model, x)
+            # The state steps as a list of floats, which lift and rk4_row take
+            # without numpy's per-call overhead.
+            u = neg_f @ lift(model, xs)
             u = np.minimum(np.maximum(u, -u_limit), u_limit)  # np.clip's values, less overhead
-            x = rk4_step(plant, x, u, dt)
-            if max(map(abs, x.tolist())) > STATE_BOUND:
+            xs = rk4_row(plant, xs, u, dt)
+            if max(map(abs, xs)) > STATE_BOUND:
                 raise DivergedError(f"closed-loop state exceeded |x| = {STATE_BOUND} at step {k}")
-            states[k + 1] = x
+            states[k + 1] = xs
             controls[k] = u
     return Trajectory(dt=dt, states=states, controls=controls)
 

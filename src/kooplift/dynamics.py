@@ -129,14 +129,12 @@ def rk4_step(deriv, state, u, dt) -> np.ndarray:
     """One classical Runge-Kutta 4 step with the control held over the step;
     dt is a float (checked without np.min, for speed) or, for a stack of
     states (b, n), a column (b, 1). One state with a float dt runs on Python
-    floats when deriv has a float form (deriv.floats), in the same order."""
+    floats when deriv has a float form (deriv.floats): see rk4_row."""
+    x = np.asarray(state, dtype=float)
+    if x.ndim == 1 and isinstance(dt, float) and getattr(deriv, "floats", None):
+        return np.array(rk4_row(deriv, x.tolist(), u, dt))
     if (dt if isinstance(dt, float) else np.min(dt)) <= 0:
         raise ValueError("dt must be positive")
-    x = np.asarray(state, dtype=float)
-    floats = getattr(deriv, "floats", None)
-    if floats is not None and x.ndim == 1 and isinstance(dt, float):
-        out = _rk4_floats(floats, x.tolist(), np.asarray(u, dtype=float).ravel().tolist(), dt)
-        return np.array(out, dtype=float)
     k1 = deriv(x, u)
     k2 = deriv(x + 0.5 * dt * k1, u)
     k3 = deriv(x + 0.5 * dt * k2, u)
@@ -147,15 +145,22 @@ def rk4_step(deriv, state, u, dt) -> np.ndarray:
     return out
 
 
-def _rk4_floats(floats, x: list, u: list, dt: float) -> list:
-    """rk4_step's stages on Python floats, for a float form of a field."""
-    half = 0.5 * dt
-    k1 = floats(x, u)
-    k2 = floats([a + half * k for a, k in zip(x, k1)], u)
-    k3 = floats([a + half * k for a, k in zip(x, k2)], u)
-    k4 = floats([a + dt * k for a, k in zip(x, k3)], u)
+def rk4_row(deriv, xs: list, u, dt) -> list:
+    """rk4_step for the one state xs, a list of floats, as a list: with a
+    float form of deriv and a float dt, its stages on Python floats in the
+    same order; else rk4_step's array stages."""
+    floats = getattr(deriv, "floats", None)
+    if not floats or not isinstance(dt, float):
+        return rk4_step(deriv, xs, u, dt).tolist()
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    u, half = np.asarray(u, dtype=float).ravel().tolist(), 0.5 * dt
+    k1 = floats(xs, u)
+    k2 = floats([a + half * k for a, k in zip(xs, k1)], u)
+    k3 = floats([a + half * k for a, k in zip(xs, k2)], u)
+    k4 = floats([a + dt * k for a, k in zip(xs, k3)], u)
     sixth = dt / 6.0
-    out = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+    out = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(xs, k1, k2, k3, k4)]
     if not all(map(math.isfinite, out)):
         raise DivergedError("non-finite state after RK4 step")
     return out

@@ -39,8 +39,9 @@ class SplineGrid:
 
     def __post_init__(self):
         """Raises ValueError('<field> must be ..., got <value>')."""
+        # An integer past the float range would overflow step's float division.
         for name in ("intervals", "order"):
-            checked(name, getattr(self, name), "positive integer")
+            checked(name, checked(name, getattr(self, name), "positive integer"), "finite number")
         lo, hi = checked("lo", self.lo, "finite number"), self.hi
         # The step can overflow (for integers, hi - lo past the float range
         # raises), or fall below the spacing of floats at the knots. Each knot
@@ -224,7 +225,7 @@ class KanNetwork(FlatParams):
 
     def set_params(self, flat: np.ndarray) -> None:
         super().set_params(flat)
-        for name in ("layer_weights", "row_weights"):
+        for name in ("layer_weights", "row_program"):
             vars(self).pop(name, None)
 
     @functools.cached_property
@@ -233,13 +234,9 @@ class KanNetwork(FlatParams):
         return [(la.w_spline[:, :, None] * la.coeffs, la.w_base.T) for la in self.layers]
 
     @functools.cached_property
-    def row_weights(self) -> list[list[list[float]]]:
-        """Per layer and output node, its base weights and then its
-        layer_weights spline products in input and basis order, as Python
-        floats."""
-        return [[w_b + eff_j for w_b, eff_j in zip(
-            base_t.T.tolist(), eff.reshape(len(eff), -1).tolist())]
-            for eff, base_t in self.layer_weights]
+    def row_program(self):
+        """_row_program(self), built on the first one-row call."""
+        return _row_program(self)
 
     # The methods call the module functions by name at call time, so a
     # wrapper installed on them (benchmarks/tracing.py) sees every call.
@@ -293,40 +290,72 @@ def kan_init(shape, grid: SplineGrid, seed: int) -> KanNetwork:
     return KanNetwork(shape=shape, grid=grid, layers=layers)
 
 
+def _row_program(net: KanNetwork):
+    """net's one-row forward pass as one straight-line function of the input
+    list, built with exec as SplineGrid.span_terms builds its spans. Per
+    layer it takes each input's silu term and its basis row as _basis_rows
+    does (its span's function, the all-+0.0 row, or return None where that
+    refuses), then forms each output as one left-to-right sum from 0.0: the
+    base terms, then the spline terms in input and basis order, at most 32
+    terms a statement. Weights are repr literals; a non-finite one is a scope
+    name bound to that float."""
+    knots, spans, (reach, den) = net.grid.span_terms
+    scope = {"bisect": bisect.bisect_right, "knots": knots, "spans": spans,
+             "tanh": math.tanh, "inf": math.inf, "zero": [0.0] * net.grid.n_basis}
+
+    def literal(w: float) -> str:
+        if math.isfinite(w):
+            return repr(w)
+        name = f"w{len(scope)}"
+        scope[name] = w
+        return name
+
+    names = [f"a0_{i}" for i in range(net.shape[0])]
+    lines = [f"    {', '.join(names)}, = xs"]
+    for li, (eff, base_t) in enumerate(net.layer_weights, start=1):
+        rows = [[f"b{name}_{g}" for g in range(net.grid.n_basis)] for name in names]
+        for x, row in zip(names, rows):
+            lines += [f"    if {knots[0]!r} <= {x} < {knots[-1]!r}:",
+                      f"        {', '.join(row)}, = spans[bisect(knots, {x}) - 1]({x})",
+                      f"    elif (abs({x}) + {reach!r}) / {den!r} < inf:",
+                      f"        {', '.join(row)}, = zero", "    else:", "        return None"]
+        lines += [f"    s{x} = 0.5 * {x} * (1.0 + tanh(0.5 * {x}))" for x in names]
+        terms = [f"s{x}" for x in names] + [b for row in rows for b in row]
+        names = [f"a{li}_{j}" for j in range(len(eff))]
+        for out, weights in zip(names, np.hstack([base_t.T, eff.reshape(len(eff), -1)]).tolist()):
+            products = [f"{literal(w)} * {t}" for w, t in zip(weights, terms)]
+            lines += [f"    {out} = {out if c else '0.0'} + {' + '.join(products[c:c + 32])}"
+                      for c in range(0, len(products), 32)]
+    exec("def row(xs):\n" + "\n".join(lines) + f"\n    return [{', '.join(names)}]\n", scope)
+    return scope["row"]
+
+
 def _float_forward(net: KanNetwork, xs: list) -> list | None:
-    """The output of a one-row forward pass in Python floats; None when a point
-    has no safe basis row. Each output is one sequential sum: the base terms,
-    then the spline terms in input and basis order."""
-    for rows in net.row_weights:
-        basis = _basis_rows(xs, net.grid)
-        if basis is None:
-            return None
-        terms = [0.5 * x * (1.0 + math.tanh(0.5 * x)) for x in xs] + basis
-        xs = []
-        for weights in rows:
-            total = 0.0
-            for w, t in zip(weights, terms):
-                total += w * t
-            xs.append(total)
-    return xs
+    """The output of a one-row forward pass in Python floats, from
+    net.row_program; None when a point has no safe basis row."""
+    return net.row_program(xs)
 
 
 def kan_forward(net: KanNetwork, x, tape=None, cache=None) -> np.ndarray:
-    """Evaluate the network; accepts one state (1-D) or a batch (2-D).
+    """Evaluate the network; accepts one state (1-D, or a list of floats of
+    the input width, which skips batch's numpy checks) or a batch (2-D).
 
-    An untaped call on one row, 1-D or (1, n), runs on Python floats
-    (_float_forward), so it may differ from the same row of a batch in the
-    last bits; a point with no safe basis row sends it to the numpy loop,
-    which runs every other call. A tape list, when given, receives (input,
-    basis, deriv, silu(input)) per layer for kan_backward; the first layer's
-    deriv is None. cache, when given, is net.input_cache(x), layer_basis(x,
-    net.grid): the first layer's tables and silu, which stay fixed while the
-    parameters change. The float engine does not read it.
+    An untaped call on one row runs on Python floats (_float_forward), so it
+    may differ from the same row of a batch in the last bits; a point with no
+    safe basis row sends it to the numpy loop, which runs every other call. A
+    tape list, when given, receives (input, basis, deriv, silu(input)) per
+    layer for kan_backward; the first layer's deriv is None. cache, when
+    given, is net.input_cache(x), layer_basis(x, net.grid): the first layer's
+    tables and silu, which stay fixed while the parameters change. The float
+    engine does not read it.
     """
-    a, squeeze = net.batch(x)
-    out = _float_forward(net, a[0].tolist()) if tape is None and len(a) == 1 else None
-    if out is not None:
-        return np.array(out) if squeeze else np.array([out])
+    listed = type(x) is list and len(x) == net.shape[0] and type(x[0]) is float
+    a, squeeze = ([x], True) if listed else net.batch(x)
+    if tape is None and len(a) == 1:
+        out = _float_forward(net, x if listed else a[0].tolist())
+        if out is not None:
+            return np.array(out) if squeeze else np.array([out])
+    a = np.asarray(a, dtype=float)
     for li, (eff, base_t) in enumerate(net.layer_weights):
         if li == 0 and cache is not None:
             b, db, silu_a = cache

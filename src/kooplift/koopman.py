@@ -156,7 +156,10 @@ class LossRecord:
 
 
 def lift(model: KoopmanModel, x) -> np.ndarray:
-    """[x; network(x)] for one state (1-D) or a row batch (2-D)."""
+    """[x; network(x)] for one state (1-D, or a list of floats, taken without
+    numpy's per-call overhead where the network allows) or a row batch (2-D)."""
+    if type(x) is list and x and type(x[0]) is float:
+        return np.array(x + model.network.forward(x).tolist())
     x = np.asarray(x, dtype=float)
     obs = model.network.forward(x)
     return np.concatenate([x, obs], axis=x.ndim - 1)
@@ -447,8 +450,11 @@ def rollout(model: KoopmanModel, x0, controls, dt, correct: bool = True) -> Traj
     k_t = model.K.T
     # Every step's forcing in one call; each row rounds like its own product.
     forcing = _row_products(controls, model.B.T) if model.B.shape[1] else None
+    # One corrected state steps as a list of floats, which lift lifts without
+    # numpy's per-call overhead; its products stay on arrays.
+    listed = correct and x0.ndim == 1
     with np.errstate(over="ignore", invalid="ignore"):
-        x = x0
+        x = x0.tolist() if listed else x0
         for k in range(n_steps):
             if correct or not k:
                 z = lift(model, x)
@@ -459,6 +465,8 @@ def rollout(model: KoopmanModel, x0, controls, dt, correct: bool = True) -> Traj
             if not correct and not np.isfinite(z).all():
                 raise DivergedError(f"rollout produced non-finite state at step {k}")
             x = states[k + 1] = z[..., :n]
+            if listed:
+                x = x.tolist()
     bad = np.flatnonzero(~np.isfinite(states[1:].reshape(n_steps, x0.size)).all(axis=1))
     if bad.size:
         raise DivergedError(f"rollout produced non-finite state at step {bad[0]}")

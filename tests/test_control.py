@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from kooplift import mlp
 from kooplift.control import (
+    STATE_BOUND,
     LqrGain,
     closed_loop_sim,
     default_weights,
@@ -11,7 +13,7 @@ from kooplift.control import (
     settling_time,
     spectral_radius,
 )
-from kooplift.dynamics import Trajectory, pendulum_deriv
+from kooplift.dynamics import Trajectory, pendulum_deriv, rk4_step
 from kooplift.kan import SplineGrid, kan_init
 from kooplift.koopman import KoopmanModel, build_snapshots, fit_edmdc, lift
 from kooplift.mlp import mlp_init
@@ -158,6 +160,75 @@ def test_closed_loop_float_plant_steps_equal_array_steps():
                                duration=3.0, dt=0.01, u_limit=1.5)
         assert fast.states.tobytes() == slow.states.tobytes()
         assert fast.controls.tobytes() == slow.controls.tobytes()
+
+
+def per_step_closed_loop(model, gain, plant, x0, duration, dt, u_limit):
+    """closed_loop_sim's loop with lift and rk4_step on arrays at every step,
+    used as an oracle: the states and controls it returns, or the
+    DivergedError it raises."""
+    x = np.asarray(x0, dtype=float)
+    states, controls = [x], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(round(duration / dt)):
+            u = -gain.F @ lift(model, x)
+            u = np.minimum(np.maximum(u, -u_limit), u_limit)
+            x = rk4_step(plant, x, u, dt)
+            if max(map(abs, x.tolist())) > STATE_BOUND:
+                raise DivergedError(f"closed-loop state exceeded |x| = {STATE_BOUND} at step {k}")
+            states.append(x)
+            controls.append(u)
+    return np.array(states), np.array(controls)
+
+
+def _runaway(x, u):
+    return 5.0 * np.asarray(x) + np.asarray(u)[0]
+
+
+_runaway.floats = lambda x, u: [5.0 * a + u[0] for a in x]
+
+
+@pytest.mark.parametrize("plant", ["float", "wrapper"])
+@pytest.mark.parametrize("kind", ["kan", "mlp"])
+def test_closed_loop_bit_identical_to_per_step_loop(kind, plant):
+    net = kan_init([2, 3, 1], SplineGrid(), seed=0) if kind == "kan" else mlp_init([2, 3, 1], 0)
+    model = KoopmanModel(network=net, K=np.eye(3), B=np.ones((3, 1)))
+    gain = LqrGain(F=np.array([[2.0, 0.8, 0.3]]))
+    deriv = pendulum_deriv if plant == "float" else (lambda x, u: pendulum_deriv(x, u))
+    for x0 in ([1.0, 0.0], [-2.5, 3.0], [0.0, -0.0]):
+        got = closed_loop_sim(model, gain, deriv, x0, duration=2.0, dt=0.01, u_limit=1.5)
+        states, controls = per_step_closed_loop(model, gain, deriv, x0, 2.0, 0.01, 1.5)
+        assert got.states.tobytes() == states.tobytes()
+        assert got.controls.tobytes() == controls.tobytes()
+    # Past STATE_BOUND both stop with the same message, at the same step.
+    runaway = _runaway if plant == "float" else (lambda x, u: _runaway(x, u))
+    with pytest.raises(DivergedError, match="exceeded") as want:
+        per_step_closed_loop(model, gain, runaway, [1.0, -0.5], 10.0, 0.01, 1.5)
+    with pytest.raises(DivergedError) as got:
+        closed_loop_sim(model, gain, runaway, [1.0, -0.5], duration=10.0, dt=0.01, u_limit=1.5)
+    assert str(got.value) == str(want.value)
+
+
+def test_mlp_list_lift_runs_mlp_forward(monkeypatch):
+    # The closed loop lifts its list state; an MLP's lift of it is its 1-D
+    # forward, through mlp_forward, which benchmarks/tracing.py wraps.
+    net, calls, real = mlp_init([2, 3, 1], 0), [], mlp.mlp_forward
+    model = KoopmanModel(network=net, K=np.eye(3), B=np.ones((3, 1)))
+    want = lift(model, np.array([0.4, -1.3]))
+    monkeypatch.setattr(mlp, "mlp_forward", lambda net, x, **kw: calls.append(x) or real(net, x))
+    assert lift(model, [0.4, -1.3]).tobytes() == want.tobytes()
+    assert [np.asarray(x).tolist() for x in calls] == [[0.4, -1.3]]
+
+
+@pytest.mark.parametrize("duration, dt", [
+    (np.inf, 0.01), (np.nan, 0.01), (1.0, np.nan), (1.0, np.inf), (-1.0, 0.01), (1.0, 0.0),
+    (1e300, 1e-300),
+], ids=["inf-duration", "nan-duration", "nan-dt", "inf-dt", "negative", "zero-dt",
+        "inf-ratio"])
+def test_closed_loop_refuses_a_bad_duration_or_dt(duration, dt):
+    model, plant, _ = _linear_plant_model()
+    with pytest.raises(ValueError, match=r"^duration and dt must be positive and finite, "
+                                         r"with a finite duration / dt, got duration "):
+        closed_loop_sim(model, LqrGain(F=np.zeros((1, 4))), plant, [1.0, 0.0], duration, dt)
 
 
 def test_closed_loop_needs_one_step():

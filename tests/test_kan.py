@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kooplift import kan
+from kooplift.dynamics import Trajectory, generate_pendulum_dataset
 from kooplift.kan import (
     _BLOCK,
     _SPAN_POINTS,
@@ -22,6 +23,7 @@ from kooplift.kan import (
     silu,
     silu_deriv,
 )
+from kooplift.koopman import TrainConfig, train
 
 
 def bspline_basis(x: float, grid: SplineGrid) -> np.ndarray:
@@ -636,6 +638,118 @@ def test_one_row_forward_without_a_safe_basis_row_runs_the_numpy_loop(shape, mon
         assert got[0].tobytes() == got[1].tobytes() == want.tobytes()
 
 
+def loop_float_forward(net, xs):
+    """The one-row forward pass as a loop on Python floats, used as an oracle
+    for the straight-line program: per layer, _basis_rows (None when it
+    refuses) and the silu terms, then each output's sum from 0.0 of the base
+    terms and then the spline terms in input and basis order."""
+    for eff, base_t in net.layer_weights:
+        basis = _basis_rows(xs, net.grid)
+        if basis is None:
+            return None
+        terms = [0.5 * x * (1.0 + math.tanh(0.5 * x)) for x in xs] + basis
+        xs = []
+        for weights in np.hstack([base_t.T, eff.reshape(len(eff), -1)]).tolist():
+            total = 0.0
+            for w, t in zip(weights, terms):
+                total += w * t
+            xs.append(total)
+    return xs
+
+
+def test_row_program_bit_identical_to_the_float_loop_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    tiny = SplineGrid(lo=-0.025, hi=0.025, intervals=5, order=3)
+    huge = float(np.finfo(float).max)
+    grids = st.sampled_from([GRID, tiny]) | st.builds(
+        SplineGrid, lo=st.floats(-8.0, 0.0), hi=st.floats(0.5, 8.0),
+        intervals=st.integers(1, 12), order=st.integers(1, 5))
+    weights = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=2, max_size=4), grids,
+           st.sampled_from([None, math.nan, math.inf, -math.inf]), st.data())
+    def check(shape, grid, bad_weight, data):
+        net = kan_init(shape, grid, seed=0)
+        # One weight for all, -0.0 say, makes every product the same signed zero.
+        params = data.draw(st.lists(weights, min_size=net.n_params, max_size=net.n_params)
+                           | weights.map(lambda w: [w] * net.n_params))
+        if bad_weight is not None:
+            params[data.draw(st.integers(0, net.n_params - 1))] = bad_weight
+        net.set_params(np.array(params))
+        knots = grid.knots().tolist()
+        points = st.sampled_from(knots + [0.0, -0.0, huge, -huge, math.nan, math.inf,
+                                          -math.inf]) | st.floats(knots[0] - 1, knots[-1] + 1)
+        xs = data.draw(st.lists(points, min_size=shape[0], max_size=shape[0]))
+        with np.errstate(invalid="ignore"):  # w_spline * coeffs of inf and 0.0
+            want, got = loop_float_forward(net, xs), kan._float_forward(net, xs)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    check()
+
+
+def test_row_program_sums_start_at_plus_zero():
+    # With every weight -0.0 each product is -0.0, so only a sum that starts
+    # at +0.0, as the loop's does, gives +0.0.
+    net = kan_init([2, 1], GRID, seed=0)
+    net.set_params(np.full(net.n_params, -0.0))
+    assert np.array(kan._float_forward(net, [0.5, 1.0])).tobytes() == bytes(8)
+
+
+def test_list_forward_refuses_a_width_that_is_not_the_networks():
+    net = kan_init([2, 1], GRID, seed=0)
+    for xs in ([0.5], [0.5, 1.0, 2.0]):
+        with pytest.raises(ValueError, match=f"^input width {len(xs)} != network input 2$"):
+            kan_forward(net, xs)
+
+
+def test_list_forward_equals_the_1d_forward():
+    # A list state skips batch's numpy checks, for the same bits, also where
+    # the float engine refuses it; a taped list runs the numpy loop.
+    net = kan_init([2, 3, 1], GRID, seed=3)
+    for xs in ([0.4, -1.3], [0.0, -0.0], [math.nan, 0.5], [1e300, -1e300]):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want, got = kan_forward(net, np.array(xs)), kan_forward(net, xs)
+            taped = [kan_forward(net, x, tape=[]) for x in (xs, np.array(xs))]
+        assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+        assert taped[0].tobytes() == taped[1].tobytes()
+    # Only a flat list of floats is one state: two rows as lists are a batch.
+    rows = [[0.4, -1.3], [0.1, 2.0]]
+    assert kan_forward(net, rows).tobytes() == kan_forward(net, np.array(rows)).tobytes()
+
+
+@pytest.mark.parametrize("case", ["adam-batch-1", "lbfgs-one-column"])
+def test_row_program_is_rebuilt_by_set_params_and_never_built_in_training(case, monkeypatch):
+    net = kan_init([2, 3, 1], GRID, seed=2)
+    x = [0.4, -1.3]
+    before, program = kan._float_forward(net, x), net.row_program
+    assert net.row_program is program  # built once, then kept
+    net.set_params(-0.5 * net.get_params())
+    assert "row_program" not in vars(net)
+    assert kan._float_forward(net, x) == loop_float_forward(net, x) != before
+    assert net.row_program is not program
+
+    def refuse(net):
+        raise AssertionError("training built the one-row program")
+
+    monkeypatch.setattr(kan, "_row_program", refuse)
+    if case == "adam-batch-1":
+        trajs = generate_pendulum_dataset(2, seed=5)
+        cfg = TrainConfig(alpha=3, epochs=1, optimizer="adam", learning_rate=1e-3,
+                          batch_size=1)
+    else:
+        trajs = [Trajectory(dt=0.01, states=np.array([[0.3, -0.2], [0.29, -0.25]]),
+                            controls=np.array([[0.1]]))]
+        cfg = TrainConfig(alpha=1, epochs=2, lbfgs_max_iter=3)
+    net = kan_init([2, 3, 2], SplineGrid(-6.5, 6.5, 10, 3), seed=0)
+    _, history = train(net, trajs, cfg)
+    assert len(history) == cfg.epochs + 1 and "row_program" not in vars(net)
+
+
 def test_init_deterministic():
     a = kan_init([2, 2, 1], GRID, seed=99)
     b = kan_init([2, 2, 1], GRID, seed=99)
@@ -675,6 +789,6 @@ def test_forward_after_set_params_equals_a_fresh_network(shape):
         net.set_params(v)
         fresh = KanNetwork.from_dict(json.loads(json.dumps(net.to_dict())))
         assert fresh.get_params().tobytes() == v.tobytes()
-        assert not {"layer_weights", "row_weights"} & vars(net).keys()
+        assert not {"layer_weights", "row_program"} & vars(net).keys()
         for x in (one, batch):
             assert kan_forward(net, x).tobytes() == kan_forward(fresh, x).tobytes()

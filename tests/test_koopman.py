@@ -107,6 +107,20 @@ def test_lifted_sizes():
     assert lift(mlp_model, np.zeros(4)).size == 10
 
 
+@pytest.mark.parametrize("kind", ["kan", "mlp"])
+def test_lift_of_a_list_equals_the_array_lift(kind):
+    # A flat list of floats takes the per-call fast path; a nested list, a
+    # list of ints and an empty list keep the array path's lift or error.
+    net = kan_init([2, 3, 1], GRID, 1) if kind == "kan" else mlp_init([2, 3, 1], 1)
+    model = KoopmanModel(network=net, K=np.eye(3), B=np.zeros((3, 0)))
+    for x in ([0.4, -1.3], [1e300, -0.0], [[0.4, -1.3], [0.1, 2.0]], [1, 2], [0.5, 2]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = lift(model, x), lift(model, np.array(x, dtype=float))
+        assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="^input width 0 != network input 2$"):
+        lift(model, [])
+
+
 def test_build_snapshots_counts():
     traj = Trajectory(dt=0.1, states=np.arange(10.0).reshape(5, 2),
                       controls=np.zeros((4, 1)))

@@ -65,7 +65,10 @@ def test_checked_returns_the_value_or_names_it():
     (lambda: SplineGrid(hi=10**400), "hi"),
     # Both ends fit a float, but hi - lo, an exact integer, does not.
     (lambda: SplineGrid(lo=-int(1.7e308), hi=int(1.7e308), intervals=1), "hi"),
-], ids=["gamma", "lo", "hi", "hi-spread"])
+    # Positive integers, but step's float division would overflow on them.
+    (lambda: SplineGrid(intervals=10**400), "intervals"),
+    (lambda: SplineGrid(order=10**400), "order"),
+], ids=["gamma", "lo", "hi", "hi-spread", "intervals", "order"])
 def test_library_checks_refuse_integers_past_the_float_range(make, field):
     with pytest.raises(ValueError, match=f"^{field} must be a "):
         make()

@@ -82,10 +82,11 @@ def closed_loop_sim(
 
     plant is a callable (state, u) -> state derivative; with a float form
     and a float dt each step's RK4 stages run on Python floats (see
-    dynamics.rk4_row). Raises ValueError unless duration, dt and duration / dt
-    are positive and finite or when duration / dt rounds to no step, and
-    DivergedError once a state component's magnitude passes STATE_BOUND or an
-    RK4 step turns non-finite.
+    dynamics.rk4_row). Raises ValueError unless x0 is one state of the
+    model's n components and duration, dt and duration / dt are positive and
+    finite, or when duration / dt rounds to no step, and DivergedError once a
+    state component's magnitude passes STATE_BOUND or an RK4 step turns
+    non-finite.
     """
     if not (0 < dt < math.inf and 0 < duration < math.inf and duration / dt < math.inf):
         raise ValueError(f"duration and dt must be positive and finite, with a finite "
@@ -94,6 +95,8 @@ def closed_loop_sim(
     if n_steps < 1:
         raise ValueError(f"duration {duration} is under half of dt {dt}: no step to take")
     x = np.asarray(x0, dtype=float)
+    if x.shape != (model.n,):
+        raise ValueError(f"x0 must be one state of {model.n} components, got shape {x.shape}")
     states = np.empty((n_steps + 1, x.size))
     controls = np.empty((n_steps, gain.F.shape[0]))
     states[0] = x

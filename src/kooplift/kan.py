@@ -235,7 +235,9 @@ class KanNetwork(FlatParams):
 
     @functools.cached_property
     def row_program(self):
-        """_row_program(self), built on the first one-row call."""
+        """_row_program(self), built on the first one-row call: the one-row
+        forward pass in Python floats, returning None when a point has no
+        safe basis row."""
         return _row_program(self)
 
     # The methods call the module functions by name at call time, so a
@@ -330,17 +332,11 @@ def _row_program(net: KanNetwork):
     return scope["row"]
 
 
-def _float_forward(net: KanNetwork, xs: list) -> list | None:
-    """The output of a one-row forward pass in Python floats, from
-    net.row_program; None when a point has no safe basis row."""
-    return net.row_program(xs)
-
-
 def kan_forward(net: KanNetwork, x, tape=None, cache=None) -> np.ndarray:
     """Evaluate the network; accepts one state (1-D, or a list of floats of
     the input width, which skips batch's numpy checks) or a batch (2-D).
 
-    An untaped call on one row runs on Python floats (_float_forward), so it
+    An untaped call on one row runs on Python floats (net.row_program), so it
     may differ from the same row of a batch in the last bits; a point with no
     safe basis row sends it to the numpy loop, which runs every other call. A
     tape list, when given, receives (input, basis, deriv, silu(input)) per
@@ -352,7 +348,7 @@ def kan_forward(net: KanNetwork, x, tape=None, cache=None) -> np.ndarray:
     listed = type(x) is list and len(x) == net.shape[0] and type(x[0]) is float
     a, squeeze = ([x], True) if listed else net.batch(x)
     if tape is None and len(a) == 1:
-        out = _float_forward(net, x if listed else a[0].tolist())
+        out = net.row_program(x if listed else a[0].tolist())
         if out is not None:
             return np.array(out) if squeeze else np.array([out])
     a = np.asarray(a, dtype=float)

@@ -340,11 +340,10 @@ def train(network, trajs: list[Trajectory], cfg: TrainConfig):
     last row evaluates the final refit with no further step). An L-BFGS
     phase that leaves the parameter bits unchanged ends the loop, and its
     row is copied to the remaining epochs. Returns the best-total-loss
-    model and the history.
+    model and the history. A network whose input width is not the data's
+    raises the ValueError of its forward's width check at the first lift.
     """
     snaps = build_snapshots(trajs, cfg.alpha)
-    if network.shape[0] != snaps.states.shape[0]:
-        raise ValueError("network input width does not match the data")
     # Each phase is phase(model, snaps, cfg, *state) -> (evals, stop_reason),
     # with state kept across epochs.
     if cfg.optimizer == "adam":
@@ -431,7 +430,8 @@ def _row_products(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     with: a matrix product of the whole batch rounds differently, and with a
     plain z @ K.T the twobody_kan position error reads 6.04e-07 km instead of
     6.038e-07. (A batch row need not equal its one-state rollout: one-row KAN
-    calls run on Python floats.) One row (1-D a) takes the plain product."""
+    calls run on Python floats.) One row (1-D a) takes the plain product:
+    the same bits, and cheaper for the one-state rollout's every step."""
     return a @ m if a.ndim == 1 else (a[..., None, :] @ m)[..., 0, :]
 
 
@@ -514,8 +514,6 @@ def load_model(path):
         k, b = (number_array(key, doc[key]) for key in ("K", "B"))
     except ValueError:
         raise ValueError(f"{path}: K and B must be matrices of numbers") from None
-    if b.size == 0:
-        b = b.reshape(n_total, 0)
     if k.shape != (n_total, n_total) or b.ndim != 2 or b.shape[0] != n_total:
         raise ValueError(f"{path}: K {k.shape} and B {b.shape} do not fit n_total={n_total}")
     if not all(np.isfinite(arr).all() for arr in (k, b, *network.param_arrays())):

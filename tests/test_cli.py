@@ -875,6 +875,17 @@ def test_model_wrong_operator_shape_exits_1(pendulum_cfg, tmp_path, capsys, key,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_twobody_model_with_an_empty_b_list_exits_1(twobody_cfg, tmp_path, capsys):
+    # save_model writes an input-free B as n_total empty rows; a bare [] is
+    # no n_total x 0 matrix.
+    def edit(doc):
+        doc["K"], doc["B"] = np.eye(5).tolist(), []
+
+    path, err = _evaluate_broken_model(twobody_cfg, tmp_path, capsys, edit,
+                                       kan_init([4, 1], SplineGrid(), seed=0))
+    assert err == f"error: {path}: K (5, 5) and B (0,) do not fit n_total=5\n"
+
+
 def test_model_not_json_exits_1(pendulum_cfg, tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()

@@ -1,5 +1,7 @@
 """Tests for the LQR gain computation and closed-loop simulation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,15 @@ def test_closed_loop_refuses_a_bad_duration_or_dt(duration, dt):
     with pytest.raises(ValueError, match=r"^duration and dt must be positive and finite, "
                                          r"with a finite duration / dt, got duration "):
         closed_loop_sim(model, LqrGain(F=np.zeros((1, 4))), plant, [1.0, 0.0], duration, dt)
+
+
+@pytest.mark.parametrize("x0, shape", [([[1.0, 0.0]], (1, 2)), ([1.0, 0.0, 0.0], (3,))],
+                         ids=["row", "three-wide"])
+def test_closed_loop_refuses_an_x0_that_is_not_one_state(x0, shape):
+    model, plant, dt = _linear_plant_model()
+    with pytest.raises(ValueError, match=rf"^x0 must be one state of 2 components, "
+                                         rf"got shape {re.escape(str(shape))}$"):
+        closed_loop_sim(model, LqrGain(F=np.zeros((1, 4))), plant, x0, 1.0, dt)
 
 
 def test_closed_loop_needs_one_step():

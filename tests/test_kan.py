@@ -563,7 +563,7 @@ def test_taped_forward_and_backward_equal_untaped(shape, batch, monkeypatch):
     # A taped call always runs the numpy loop; an untaped one row runs on
     # Python floats unless that engine refuses it.
     with monkeypatch.context() as patch:
-        patch.setattr(kan, "_float_forward", lambda net, xs: None)
+        patch.setattr(kan.KanNetwork, "row_program", property(lambda net: lambda xs: None))
         assert out.tobytes() == kan_forward(net, x).tobytes()
     grads = kan_backward(net, np.atleast_2d(upstream), tape)
     # A tape built on a given first-layer basis gives the same gradient.
@@ -595,13 +595,13 @@ def test_one_row_forward_within_a_sequential_sum_of_the_batch_row(shape):
     for _ in range(30):
         x = rng.choice(points, size=shape[0])
         out = kan_forward(net, x)
-        assert out.tobytes() == np.array(kan._float_forward(net, x.tolist())).tobytes()
+        assert out.tobytes() == np.array(net.row_program(x.tolist())).tobytes()
         assert kan_forward(net, x[None, :]).tobytes() == out.tobytes()
         b = x.tolist()
         for layer in net.layers:
             a = np.array([b])
             one = KanNetwork([a.shape[1], len(layer.coeffs)], GRID, [layer])
-            b = kan._float_forward(one, b)
+            b = one.row_program(b)
             batch = np.concatenate([a, rng.uniform(-4.0, 4.0, size=(2, a.shape[1]))])
             want = kan_forward(one, batch)[0]
             basis, _, silu_a = layer_basis(a, GRID)
@@ -628,11 +628,11 @@ def test_one_row_forward_without_a_safe_basis_row_runs_the_numpy_loop(shape, mon
     for grid, x in cases:
         net = kan_init(shape, grid, seed=1)
         x = np.array(x)
-        assert kan._float_forward(net, x.tolist()) is None
+        assert net.row_program(x.tolist()) is None
         with np.errstate(invalid="ignore", over="ignore"):
             got = [kan_forward(net, x), kan_forward(net, x[None, :])[0]]
             with monkeypatch.context() as patch:
-                patch.setattr(kan, "_float_forward", lambda net, xs: None)
+                patch.setattr(kan.KanNetwork, "row_program", property(lambda net: lambda xs: None))
                 want = kan_forward(net, x)
         assert not np.isfinite(want).all()
         assert got[0].tobytes() == got[1].tobytes() == want.tobytes()
@@ -684,7 +684,7 @@ def test_row_program_bit_identical_to_the_float_loop_property():
                                           -math.inf]) | st.floats(knots[0] - 1, knots[-1] + 1)
         xs = data.draw(st.lists(points, min_size=shape[0], max_size=shape[0]))
         with np.errstate(invalid="ignore"):  # w_spline * coeffs of inf and 0.0
-            want, got = loop_float_forward(net, xs), kan._float_forward(net, xs)
+            want, got = loop_float_forward(net, xs), net.row_program(xs)
         assert (got is None) == (want is None)
         if want is not None:
             assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -697,7 +697,7 @@ def test_row_program_sums_start_at_plus_zero():
     # at +0.0, as the loop's does, gives +0.0.
     net = kan_init([2, 1], GRID, seed=0)
     net.set_params(np.full(net.n_params, -0.0))
-    assert np.array(kan._float_forward(net, [0.5, 1.0])).tobytes() == bytes(8)
+    assert np.array(net.row_program([0.5, 1.0])).tobytes() == bytes(8)
 
 
 def test_list_forward_refuses_a_width_that_is_not_the_networks():
@@ -726,11 +726,11 @@ def test_list_forward_equals_the_1d_forward():
 def test_row_program_is_rebuilt_by_set_params_and_never_built_in_training(case, monkeypatch):
     net = kan_init([2, 3, 1], GRID, seed=2)
     x = [0.4, -1.3]
-    before, program = kan._float_forward(net, x), net.row_program
+    before, program = net.row_program(x), net.row_program
     assert net.row_program is program  # built once, then kept
     net.set_params(-0.5 * net.get_params())
     assert "row_program" not in vars(net)
-    assert kan._float_forward(net, x) == loop_float_forward(net, x) != before
+    assert net.row_program(x) == loop_float_forward(net, x) != before
     assert net.row_program is not program
 
     def refuse(net):

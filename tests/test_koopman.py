@@ -769,7 +769,8 @@ def test_one_row_kan_rollout_diverges_where_the_numpy_loop_does(start, monkeypat
     steps = []
     for numpy_only in (False, True):
         if numpy_only:
-            monkeypatch.setattr(kan, "_float_forward", lambda net, xs: None)
+            monkeypatch.setattr(kan.KanNetwork, "row_program",
+                                property(lambda net: lambda xs: None))
         with pytest.raises(DivergedError, match=LATE_DIVERGENCE) as got:
             rollout(model, x0, controls, 0.01)
         steps.append(str(got.value))
@@ -783,7 +784,8 @@ def test_training_never_runs_the_float_engine(case, monkeypatch):
     def refuse(net, xs):
         raise AssertionError("training reached the float engine")
 
-    monkeypatch.setattr(kan, "_float_forward", refuse)
+    monkeypatch.setattr(kan.KanNetwork, "row_program",
+                        property(lambda net: lambda xs: refuse(net, xs)))
     if case == "adam-batch-1":
         trajs = generate_pendulum_dataset(2, seed=5)
         cfg = TrainConfig(alpha=3, gamma=1.0, beta=1.0, epochs=1, optimizer="adam",
@@ -795,6 +797,23 @@ def test_training_never_runs_the_float_engine(case, monkeypatch):
     _, history = train(kan_init([2, 3, 2], SplineGrid(-6.5, 6.5, 10, 3), seed=0), trajs, cfg)
     assert len(history) == cfg.epochs + 1
     assert np.isfinite([row.total for row in history]).all()
+
+
+@pytest.mark.parametrize("kind", ["kan", "mlp"])
+def test_train_refuses_a_network_narrower_than_the_data(kind, monkeypatch):
+    # The network's forward checks the width on the first lift, before any loss.
+    def refuse(*args, **kwargs):
+        raise AssertionError("train reached the loss")
+
+    monkeypatch.setattr(koopman, "loss", refuse)
+    trajs = generate_twobody_dataset(1, seed=0, points_per_orbit=20)
+    if kind == "kan":
+        net, cfg = kan_init([2, 1], GRID, seed=0), TrainConfig(alpha=2, epochs=1)
+    else:
+        net, cfg = mlp_init([2, 3, 1], seed=0), TrainConfig(alpha=2, epochs=1,
+                                                             optimizer="adam", seed=0)
+    with pytest.raises(ValueError, match=r"^input width 4 != network input 2$"):
+        train(net, trajs, cfg)
 
 
 def test_model_roundtrip(tmp_path):
@@ -814,6 +833,39 @@ def test_model_roundtrip(tmp_path):
     a = rollout(model, x0, u, dt=0.01)
     b = rollout(back, x0, u, dt=0.01)
     assert np.array_equal(a.states, b.states)
+
+
+def test_input_free_model_keeps_n_total_empty_b_rows(tmp_path):
+    # A p = 0 B is saved as n_total empty rows and read back as n_total x 0.
+    model = KoopmanModel(network=kan_init([4, 1], GRID, seed=0), K=np.eye(5),
+                         B=np.zeros((5, 0)))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert json.loads(path.read_text())["B"] == [[]] * 5
+    assert load_model(path)[0].B.shape == (5, 0)
+
+
+def test_row_products_equal_each_rows_own_product_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    values = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e308,
+                              -1e308]) | st.floats(-1e3, 1e3)
+    dims = st.integers(1, 5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=0, max_size=2), dims, dims, st.data())
+    def check(lead, n, k, data):
+        a = data.draw(arrays(float, tuple(lead) + (n,), elements=values))
+        m = data.draw(arrays(float, (n, k), elements=values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = koopman._row_products(a, m)
+            assert got.shape == a.shape[:-1] + (k,)
+            for idx in np.ndindex(a.shape[:-1]):
+                assert got[idx].tobytes() == (a[idx] @ m).tobytes()
+
+    check()
 
 
 FIXTURE = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / \

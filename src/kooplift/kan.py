@@ -68,6 +68,9 @@ class SplineGrid:
         g, k = self.intervals, self.order
         return self.lo + self.step * np.arange(-k, g + k + 1)
 
+    def __getstate__(self):
+        return _picklable(self, "span_terms")
+
     # The two tables below are built on first use and kept in the instance
     # dict, which the fields-only __eq__ and __hash__ never read.
     @functools.cached_property
@@ -109,6 +112,12 @@ class SplineGrid:
             spans.append(scope["span"])
         dens = np.abs(np.concatenate([d for pair in dens for d in pair]))
         return knots, spans, (np.abs(t).max().item(), dens.min().item())
+
+
+def _picklable(obj, *names: str) -> dict:
+    """obj's instance dict without the caches names, which a copy rebuilds on
+    first use: pickle cannot look an exec-built function up by name."""
+    return {k: v for k, v in vars(obj).items() if k not in names}
 
 
 def silu(x):
@@ -216,6 +225,7 @@ class KanNetwork(FlatParams):
     products of them that set_params drops."""
 
     kind = "kan"
+    caches = ("layer_weights", "row_program")  # products of the parameters
     shape: list[int]
     grid: SplineGrid
     layers: list[KanLayer] = field(default_factory=list)
@@ -223,9 +233,13 @@ class KanNetwork(FlatParams):
     def param_arrays(self) -> list[np.ndarray]:
         return [arr for la in self.layers for arr in (la.coeffs, la.w_base, la.w_spline)]
 
+    def __getstate__(self):
+        # layer_weights goes too: its w_base.T views would unpickle as copies.
+        return _picklable(self, *self.caches)
+
     def set_params(self, flat: np.ndarray) -> None:
         super().set_params(flat)
-        for name in ("layer_weights", "row_program"):
+        for name in self.caches:
             vars(self).pop(name, None)
 
     @functools.cached_property

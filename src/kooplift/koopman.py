@@ -206,16 +206,18 @@ def fit_edmdc(lifted_x: np.ndarray, lifted_xnext: np.ndarray, u: np.ndarray):
     """Least-squares operator fit: [K B] = lifted_xnext @ pinv([lifted_x; u]).
 
     With no control rows (u zero-row) this is a plain one-matrix fit and B
-    comes back with zero columns.
+    comes back with zero columns. Raises ValueError naming the argument
+    whose shape does not fit.
     """
-    lifted_x = np.asarray(lifted_x, dtype=float)
-    lifted_xnext = np.asarray(lifted_xnext, dtype=float)
-    if lifted_x.size == 0 or lifted_x.shape[1] == 0:
-        raise ValueError("empty snapshot matrix")
-    n_total = lifted_x.shape[0]
-    u = np.asarray(u, dtype=float)
-    if u.shape[1] != lifted_x.shape[1] or lifted_xnext.shape[1] != lifted_x.shape[1]:
-        raise ValueError("column counts must match")
+    lifted_x, lifted_xnext, u = (np.asarray(a, dtype=float) for a in (lifted_x, lifted_xnext, u))
+    if lifted_x.ndim != 2 or lifted_x.size == 0:
+        raise ValueError(f"lifted_x must be a non-empty matrix, got shape {lifted_x.shape}")
+    n_total, m = lifted_x.shape
+    if lifted_xnext.shape != lifted_x.shape:
+        raise ValueError(f"lifted_xnext must have lifted_x's shape {lifted_x.shape}, "
+                         f"got {lifted_xnext.shape}")
+    if u.ndim != 2 or u.shape[1] != m:
+        raise ValueError(f"u must be a p x {m} matrix, got shape {u.shape}")
     kb = lifted_xnext @ pinv(np.vstack([lifted_x, u]))
     return kb[:, :n_total], kb[:, n_total:]
 
@@ -286,24 +288,35 @@ def loss(model: KoopmanModel, snaps: SnapshotSet, cfg: TrainConfig, cols=None, p
         if pcols is not None:
             src = src[pcols]
             x_alpha = snaps.gather(src, snaps.alpha)
-        shared = cols is None and pcols is None
-        if plan is None:
-            powers = _powers(model.K, snaps.alpha)
-            forcing = _forcing_terms(model, snaps, powers, src)
+        shared, a = cols is None and pcols is None, snaps.alpha
+        powers = _powers(model.K, a) if plan is None else plan.powers
+        if shared and plan is None and snaps.n_pred_pairs > 1:
+            # Every X column's prediction, gathered once: a pair's column k
+            # gets its own products and sums in the same order, as columns
+            # k + i never leave its trajectory. Each product keeps two rows
+            # and two columns, since a one-row or one-column product takes
+            # numpy's matrix-vector kernel, which rounds differently.
+            r = max(n, 2)
+            z = (powers[a][:r] @ phi_x)[:n]
+            if model.B.shape[1]:
+                w = model.B @ u
+                for i in range(a):
+                    z[:, :z.shape[1] - i] += (powers[a - 1 - i][:r] @ w[:, i:])[:n]
+            x_hat = np.take(z, src, axis=1)
         else:
-            powers, forcing = plan.powers, plan.forcing
-        if shared:
-            phi_p = np.take(phi_x, src, axis=1)
-        else:
-            tape_p = [] if grad else None
-            phi_p = _lift_cols(net, snaps.gather(src), tape_p)
-        x_hat = (powers[snaps.alpha] @ phi_p)[:n]
-        for term in forcing:
-            x_hat += term
+            if shared:
+                phi_p = np.take(phi_x, src, axis=1)
+            else:
+                tape_p = [] if grad else None
+                phi_p = _lift_cols(net, snaps.gather(src), tape_p)
+            x_hat = (powers[a] @ phi_p)[:n]
+            forcing = _forcing_terms(model, snaps, powers, src) if plan is None else plan.forcing
+            for term in forcing:
+                x_hat += term
         err_p = x_hat - x_alpha
         pred = float(np.sum(err_p * err_p)) / err_p.shape[1]
         if grad:
-            d_pred = (2.0 * cfg.gamma / err_p.shape[1]) * (powers[snaps.alpha][:n].T @ err_p)[n:]
+            d_pred = (2.0 * cfg.gamma / err_p.shape[1]) * (powers[a][:n].T @ err_p)[n:]
             if shared:
                 # Gather-add of each X column's pair; a column without one adds
                 # the -0.0 pad, and x + -0.0 == x bit for bit for every float.
@@ -441,15 +454,21 @@ def rollout(model: KoopmanModel, x0, controls, dt, correct: bool = True) -> Traj
     x0 is one state (n,) or a batch (b, n); controls and dt are laid out as
     for dynamics.simulate. correct=True re-lifts the extracted state every
     step; correct=False stays in lifted space and only extracts for output.
+    Raises ValueError naming controls when their last axis is not B's
+    column count.
     """
     x0 = np.asarray(x0, dtype=float)
     controls = np.asarray(controls, dtype=float)
+    p = model.B.shape[1]
+    if controls.shape[-1:] != (p,):
+        raise ValueError(f"controls must have shape (steps, {p}) or (steps, b, {p}), "
+                         f"got {controls.shape}")
     n_steps, n = controls.shape[0], model.n
     states = np.empty((n_steps + 1,) + x0.shape)
     states[0] = x0
     k_t = model.K.T
     # Every step's forcing in one call; each row rounds like its own product.
-    forcing = _row_products(controls, model.B.T) if model.B.shape[1] else None
+    forcing = _row_products(controls, model.B.T) if p else None
     # One corrected state steps as a list of floats, which lift lifts without
     # numpy's per-call overhead; its products stay on arrays.
     listed = correct and x0.ndim == 1

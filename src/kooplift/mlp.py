@@ -122,7 +122,10 @@ def mlp_backward(net: MlpNetwork, upstream, tape):
         else:
             dz = selu_deriv(z)
             dz *= u
-        parts[li] = [(dz.T @ a).ravel(), dz.sum(axis=0)]
+        # A hidden dz is C-contiguous, so sum(axis=0) adds its rows in turn
+        # from 0.0, as einsum does, only faster; one column it adds pairwise.
+        hidden = li < last and dz.shape[1] > 1
+        parts[li] = [(dz.T @ a).ravel(), np.einsum("ij->j", dz) if hidden else dz.sum(axis=0)]
         if li > 0:
             u = dz @ net.weights[li]
     return np.concatenate([seg for layer_parts in parts for seg in layer_parts])

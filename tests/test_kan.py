@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -792,3 +793,19 @@ def test_forward_after_set_params_equals_a_fresh_network(shape):
         assert not {"layer_weights", "row_program"} & vars(net).keys()
         for x in (one, batch):
             assert kan_forward(net, x).tobytes() == kan_forward(fresh, x).tobytes()
+
+
+@pytest.mark.parametrize("shape", [[2, 1], [2, 3, 2]])
+def test_network_pickles_after_one_row_calls(shape):
+    # A one-row call builds the grid's span functions and the network's row
+    # program with exec; pickling drops them and the copy rebuilds them.
+    net = kan_init(shape, GRID, seed=6)
+    one, batch = np.array([0.4, -1.3]), np.random.default_rng(6).uniform(-4, 4, (7, 2))
+    want = [kan_forward(net, one).tobytes(), kan_forward(net, batch).tobytes()]
+    assert {"layer_weights", "row_program"} <= vars(net).keys()
+    assert "span_terms" in vars(net.grid)
+    back = pickle.loads(pickle.dumps(net))
+    assert back.grid == net.grid and back.get_params().tobytes() == net.get_params().tobytes()
+    assert [kan_forward(back, one).tobytes(), kan_forward(back, batch).tobytes()] == want
+    # The original keeps its caches and still pickles.
+    assert "row_program" in vars(net) and pickle.loads(pickle.dumps(net.grid)) == net.grid

@@ -1287,3 +1287,70 @@ def test_adam_train_history_bit_identical_to_full_rows(monkeypatch):
     assert hist == hist_ref
     assert np.array_equal(model.network.get_params(), model_ref.network.get_params())
     assert np.array_equal(model.K, model_ref.K) and np.array_equal(model.B, model_ref.B)
+
+
+def _gathered_full_batch_loss(model, snaps, cfg, phi_x=None):
+    """The full-batch loss without grad as loss computed it with gathered
+    prediction columns: the lifts of the pairs' starts and, per forcing term,
+    their controls, each multiplied out over all n_total rows."""
+    n, alpha, src = model.n, snaps.alpha, snaps.pred_cols
+    if phi_x is None:
+        phi_x = _lift_cols(model.network, snaps.X)
+    err = (model.K @ phi_x)[:n] + (model.B @ snaps.U)[:n] - snaps.X_next
+    recon = float(np.sum(err * err)) / err.shape[1]
+    powers = _powers(model.K, alpha)
+    x_hat = (powers[alpha] @ np.take(phi_x, src, axis=1))[:n]
+    if model.B.shape[1]:
+        for i in range(alpha):
+            x_hat += (powers[alpha - 1 - i] @ (model.B @ snaps.U[:, src + i]))[:n]
+    err_p = x_hat - snaps.X_alpha
+    pred = float(np.sum(err_p * err_p)) / err_p.shape[1]
+    params = model.network.get_params()
+    return recon, pred, cfg.gamma * pred + cfg.beta * recon + cfg.lambda_l2 * float(params @ params)
+
+
+@pytest.mark.parametrize("pairs", ["unequal", "one_pair", "two_pairs"])
+@pytest.mark.parametrize("kind", ["kan", "mlp"])
+def test_full_batch_loss_bit_identical_to_gathered_prediction(kind, pairs):
+    rng = np.random.default_rng(43)
+    for p in (0, 1, 2):
+        for n in (1, 2, 4):
+            for alpha in (1, 3, 25):
+                extra = {"unequal": (9, 23, 2), "one_pair": (1,), "two_pairs": (2,)}[pairs]
+                trajs = [Trajectory(dt=0.1, states=rng.uniform(-2.0, 2.0, size=(alpha + m, n)),
+                                    controls=rng.uniform(-1.0, 1.0, size=(alpha + m - 1, p)))
+                         for m in extra]
+                snaps = build_snapshots(trajs, alpha)
+                net = (kan_init([n, 3], GRID, seed=n) if kind == "kan"
+                       else mlp_init([n, 5, 3], seed=n))
+                n_total = n + 3
+                model = KoopmanModel(
+                    network=net, K=np.eye(n_total) + 0.1 * rng.standard_normal((n_total,) * 2),
+                    B=0.3 * rng.standard_normal((n_total, p)))
+                cfg = TrainConfig(alpha=alpha, gamma=0.7, beta=1.3, lambda_l2=0.01)
+                # Column-major, as train passes the lift of every X column.
+                phi_x = snaps.pairs(_lift_cols(net, snaps.states))[0]
+                for given in (None, phi_x):
+                    got = loss(model, snaps, cfg, phi_x=given)
+                    want = _gathered_full_batch_loss(model, snaps, cfg, phi_x=given)
+                    assert np.array(got).tobytes() == np.array(want).tobytes(), (p, n, alpha)
+
+
+def test_fit_edmdc_names_a_malformed_argument():
+    x = np.zeros((3, 5))
+    with pytest.raises(ValueError, match=r"^u must be a p x 5 matrix, got shape \(5,\)$"):
+        fit_edmdc(x, x, np.zeros(5))
+    with pytest.raises(ValueError, match=r"^lifted_xnext must have lifted_x's shape \(3, 5\), "
+                                         r"got \(4, 5\)$"):
+        fit_edmdc(x, np.zeros((4, 5)), np.zeros((1, 5)))
+    with pytest.raises(ValueError, match=r"^lifted_x must be a non-empty matrix"):
+        fit_edmdc(np.zeros(5), np.zeros(5), np.zeros((1, 5)))
+
+
+@pytest.mark.parametrize("p, controls", [(1, (10, 2)), (1, (10, 3, 2)), (0, (10, 1)), (2, (10,))])
+def test_rollout_names_controls_of_the_wrong_width(p, controls):
+    model = KoopmanModel(network=kan_init([2, 1], GRID, seed=0), K=np.eye(3), B=np.ones((3, p)))
+    x0 = np.zeros((3, 2)) if len(controls) == 3 else np.zeros(2)
+    want = rf"^controls must have shape \(steps, {p}\) or \(steps, b, {p}\), got \({controls[0]},"
+    with pytest.raises(ValueError, match=want):
+        rollout(model, x0, np.zeros(controls), dt=0.1)

@@ -275,3 +275,59 @@ def test_set_params_rejects_wrong_size():
     net = mlp_init([2, 3], seed=0)
     with pytest.raises(ValueError):
         net.set_params(np.zeros(net.n_params + 1))
+
+
+# The hidden-layer bias gradient is einsum("ij->j", dz) where dz is a
+# C-contiguous array of two or more columns: sum(axis=0) adds such an array
+# row by row from 0.0, and so does einsum. A single column is contiguous,
+# and sum adds it pairwise.
+SUM_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300])
+
+
+def test_column_sums_by_einsum_equal_sum_axis_0_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5000), st.integers(2, 32), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 1.0))
+    def check(rows, cols, seed, special):
+        rng = np.random.default_rng(seed)
+        dz = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-5, 5, size=(rows, cols))
+        where = rng.random((rows, cols)) < special
+        dz[where] = rng.choice(SUM_VALUES, size=where.sum())
+        with np.errstate(invalid="ignore"):
+            assert np.einsum("ij->j", dz).tobytes() == dz.sum(axis=0).tobytes()
+
+    check()
+
+
+def test_one_column_sum_is_pairwise_where_einsum_is_not():
+    dz = np.random.default_rng(0).standard_normal((1000, 1))
+    assert np.einsum("ij->j", dz).tobytes() != dz.sum(axis=0).tobytes()
+
+
+def _sum_backward(net, upstream, tape):
+    """mlp_backward with every bias gradient taken by sum(axis=0)."""
+    u = np.asarray(upstream, dtype=float)
+    parts = []
+    for li in range(len(net.weights) - 1, -1, -1):
+        a, z = tape[li]
+        dz = u if li == len(net.weights) - 1 else where_selu_deriv(z) * u
+        parts = [(dz.T @ a).ravel(), dz.sum(axis=0)] + parts
+        u = dz @ net.weights[li]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("shape", [[2, 6, 6, 6, 2], [2, 1, 3], [2, 6, 1, 6, 2], [2, 6, 6, 1],
+                                   [2, 1]])
+def test_backward_bit_identical_to_sum_bias_gradients(shape):
+    net = mlp_init(shape, seed=len(shape))
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3000, shape[0]))
+    # The loss passes a transposed view as the upstream, as here.
+    upstream = np.ascontiguousarray(rng.standard_normal((shape[-1], 3000))).T
+    tape = []
+    mlp_forward(net, x, tape=tape)
+    got = mlp_backward(net, upstream, tape)
+    assert got.tobytes() == _sum_backward(net, upstream, tape).tobytes()
